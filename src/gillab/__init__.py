@@ -11,7 +11,14 @@ from .cantor import (
     build_family,
 )
 from .bonding import BaseMap, FBracket, SetValuedMap, eval_F, eval_f, make_map
-from .dynamics import Cycle, Orbit, iterate_f, make_cycle, verify_orbit
+from .dynamics import (
+    Cycle,
+    StepCertificate,
+    certify_step,
+    iterate_f,
+    make_cycle,
+    verify_orbit,
+)
 from .invlimit import (
     ArcSystem,
     BoxCover,
@@ -31,8 +38,8 @@ __all__ = [
     "ArcSystem", "BaseMap", "BoxCountError", "BoxCover", "BracketSearchError",
     "CacheError", "CantorFamily", "ClosedInterval", "Cycle", "FBracket",
     "GapAttachedCantor", "GillabError", "IntermediateCantor", "IntervalSet",
-    "Membership", "MiddleThirds", "Orbit", "Rational", "SetValuedMap",
-    "Thread", "ZERO_THREAD", "build_family", "eval_F", "eval_f", "iterate_f",
-    "mahavier_cover", "make_arc_system", "make_cycle", "make_map",
+    "Membership", "MiddleThirds", "Rational", "SetValuedMap", "StepCertificate",
+    "Thread", "ZERO_THREAD", "build_family", "certify_step", "eval_F", "eval_f",
+    "iterate_f", "mahavier_cover", "make_arc_system", "make_cycle", "make_map",
     "make_thread", "rat", "tail_index", "verify_arc_chain", "verify_orbit",
 ]

@@ -193,10 +193,6 @@ def _build_graph_cover(m: SetValuedMap, stage: int, level: int) -> GraphCover:
     return GraphCover(boxes, stage, level)
 
 
-def graph_cover(m: SetValuedMap, stage: int, level: int) -> GraphCover:
-    return m.graph_cover(stage, level)
-
-
 # ---------------------------------------------------------------------------
 # checkers
 

@@ -20,13 +20,12 @@ represented set.  Identical build parameters yield bit-identical covers.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import BracketSearchError
-from .exact import UNIT, ClosedInterval, IntervalSet, Rational, ZERO, ONE
+from .exact import UNIT, ClosedInterval, IntervalSet, ZERO, ONE
 
 IN = "in"
 OUT = "out"
@@ -74,18 +73,16 @@ class CantorGen:
 
     def __init__(self):
         self._stage_memo: list[IntervalSet] = []
-        self._stage_lock = threading.Lock()
 
     def _compute_stage(self, d: int) -> IntervalSet:
         raise NotImplementedError
 
     def stage(self, d: int) -> IntervalSet:
         """Depth-d cover; computed at most once per depth."""
-        if d < len(self._stage_memo):
-            return self._stage_memo[d]
-        with self._stage_lock:
-            while len(self._stage_memo) <= d:
-                self._stage_memo.append(self._compute_stage(len(self._stage_memo)))
+        if d < 0:
+            raise ValueError(f"stage depth must be >= 0, got {d}")
+        while len(self._stage_memo) <= d:
+            self._stage_memo.append(self._compute_stage(len(self._stage_memo)))
         return self._stage_memo[d]
 
     def membership(self, t: Fraction, max_stage: int = DEFAULT_MAX_STAGE) -> Membership:
@@ -215,10 +212,6 @@ class MiddleThirds(CantorGen):
         return out[:count]
 
 
-def middle_thirds(base: ClosedInterval) -> MiddleThirds:
-    return MiddleThirds(base)
-
-
 # ---------------------------------------------------------------------------
 # gap-attached enlargement
 
@@ -341,10 +334,6 @@ class GapAttachedCantor(CantorGen):
             out.extend(self.new_endpoints(s))
             s += 1
         return out[:count]
-
-
-def build_C0(core: MiddleThirds) -> GapAttachedCantor:
-    return GapAttachedCantor(core)
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +460,6 @@ def point_membership(gen: CantorGen, p: PointLike,
     return gen.membership(p, max_stage)
 
 
-def address_bracket(addr: CantorAddress, stage: int) -> ClosedInterval:
-    return addr.bracket(stage)
-
-
 # ---------------------------------------------------------------------------
 # intermediate sets via endpoint-removal schedules
 
@@ -485,7 +470,6 @@ class ScheduleEntry:
 
     index: int
     point: PointLike
-    side: str
     a: AddressLike
     b: AddressLike
     create_stage: int
@@ -525,7 +509,6 @@ class IntermediateCantor(CantorGen):
         self.budget = budget
         self.search_ceiling = search_ceiling
         self._schedule: Optional[RemovalSchedule] = None
-        self._schedule_lock = threading.Lock()
 
     def describe(self) -> str:
         return (f"IC(inner={self.inner.describe()},outer={self.outer.describe()},"
@@ -535,9 +518,7 @@ class IntermediateCantor(CantorGen):
 
     def schedule(self) -> RemovalSchedule:
         if self._schedule is None:
-            with self._schedule_lock:
-                if self._schedule is None:
-                    self._schedule = self._build_schedule()
+            self._schedule = self._build_schedule()
         return self._schedule
 
     def _build_schedule(self) -> RemovalSchedule:
@@ -590,9 +571,7 @@ class IntermediateCantor(CantorGen):
         b = self._anchor(br.hi, gap.hi, e, left=False)
         if b is None:
             return None
-        return ScheduleEntry(index=-1, point=p,
-                             side="left" if isinstance(p, Fraction) else "addr",
-                             a=a, b=b, create_stage=e)
+        return ScheduleEntry(index=-1, point=p, a=a, b=b, create_stage=e)
 
     def _anchor(self, lo: Fraction, hi: Fraction, e: int, left: bool):
         """Removal anchor strictly inside the open interval (lo, hi).

@@ -24,43 +24,56 @@ DEFAULT_STAGE = 8
 DEFAULT_CEILING = 15
 
 
-def _config_options(fn):
-    fn = click.option("--level", type=int, default=DEFAULT_LEVEL,
-                      show_default=True, help="Dyadic grid level.")(fn)
-    fn = click.option("--budget", type=int, default=DEFAULT_BUDGET,
-                      show_default=True,
-                      help="Endpoints scheduled per intermediate set.")(fn)
-    fn = click.option("--stage", type=int, default=DEFAULT_STAGE,
-                      show_default=True, help="Cover refinement depth.")(fn)
-    fn = click.option("--mode", type=click.Choice(["zero", "tent"]),
-                      default="zero", show_default=True,
-                      help="Base map mode.")(fn)
-    fn = click.option("--seed", type=int, default=0, show_default=True,
-                      help="Seed for sampled checks.")(fn)
-    fn = click.option("--cache-dir", type=click.Path(path_type=Path),
-                      envvar="GILLAB_CACHE", default=None,
-                      help="Family cache directory (env GILLAB_CACHE).")(fn)
-    return fn
+_OPTIONS = {
+    "level": click.option("--level", type=click.IntRange(min=0),
+                          default=DEFAULT_LEVEL, show_default=True,
+                          help="Dyadic grid level."),
+    "budget": click.option("--budget", type=int, default=DEFAULT_BUDGET,
+                           show_default=True,
+                           help="Endpoints scheduled per intermediate set."),
+    "stage": click.option("--stage", type=click.IntRange(min=0),
+                          default=DEFAULT_STAGE, show_default=True,
+                          help="Cover refinement depth."),
+    "mode": click.option("--mode", type=click.Choice(["zero", "tent"]),
+                         default="zero", show_default=True,
+                         help="Base map mode."),
+    "seed": click.option("--seed", type=int, default=0, show_default=True,
+                         help="Seed for sampled checks."),
+    "cache_dir": click.option("--cache-dir", type=click.Path(path_type=Path),
+                              envvar="GILLAB_CACHE", default=None,
+                              help="Family cache directory (env GILLAB_CACHE)."),
+}
+
+
+def _options(*names):
+    """Attach the named shared options; a command takes only those it reads."""
+    def attach(fn):
+        for name in names:
+            fn = _OPTIONS[name](fn)
+        return fn
+    return attach
 
 
 def _build(level: int, budget: int):
     return build_family(level, budget, DEFAULT_CEILING)
 
 
-def _map(mode: str, fam) -> bonding.SetValuedMap:
-    return bonding.make_map(mode, fam)
-
-
 def _emit(obj) -> None:
     click.echo(json.dumps(obj, sort_keys=True, indent=2))
 
 
-def _config_obj(**kw) -> dict:
-    return {k: (str(v) if isinstance(v, Path) else v)
-            for k, v in sorted(kw.items()) if v is not None}
+class _Group(click.Group):
+    """Command group whose usage errors print as one line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as ex:
+            ex.ctx = None  # without a context click omits the usage banner
+            raise
 
 
-@click.group()
+@click.group(cls=_Group)
 def main():
     """Exact-arithmetic lab for a nested Cantor family, its set-valued
     bonding map, and the resulting generalized inverse limit."""
@@ -76,8 +89,8 @@ def family():
 
 
 @family.command("build")
-@_config_options
-def family_build(level, budget, stage, mode, seed, cache_dir):
+@_options("level", "budget", "stage", "cache_dir")
+def family_build(level, budget, stage, cache_dir):
     """Build the family and write its cover cache."""
     if cache_dir is None:
         raise click.UsageError("family build needs --cache-dir or GILLAB_CACHE")
@@ -88,8 +101,8 @@ def family_build(level, budget, stage, mode, seed, cache_dir):
 
 
 @family.command("inspect")
-@_config_options
-def family_inspect(level, budget, stage, mode, seed, cache_dir):
+@_options("level", "budget", "stage", "cache_dir")
+def family_inspect(level, budget, stage, cache_dir):
     """Print per-member stage covers and a nesting audit from the cache."""
     if cache_dir is None:
         raise click.UsageError("family inspect needs --cache-dir or GILLAB_CACHE")
@@ -117,8 +130,8 @@ def family_inspect(level, budget, stage, mode, seed, cache_dir):
 
 @main.command("eval")
 @click.argument("t")
-@_config_options
-def cmd_eval(t, level, budget, stage, mode, seed, cache_dir):
+@_options("level", "budget", "stage", "mode")
+def cmd_eval(t, level, budget, stage, mode):
     """Certified bracket for F(T) at an exact rational T."""
     try:
         point = rat(t)
@@ -127,7 +140,7 @@ def cmd_eval(t, level, budget, stage, mode, seed, cache_dir):
     if point < 0 or point > 1:
         raise click.UsageError("T must lie in [0, 1]")
     fam = _build(level, budget)
-    fb = bonding.eval_F(_map(mode, fam), point, level, stage)
+    fb = bonding.eval_F(bonding.make_map(mode, fam), point, level, stage)
     _emit({"t": str(point), "singleton": fb.is_singleton,
            "pointValue": str(fb.point_value) if fb.is_singleton else None,
            "lowerMax": str(fb.lower_max), "upperMax": str(fb.upper_max)})
@@ -149,10 +162,21 @@ def _canned_threads(m: bonding.SetValuedMap) -> list[invlimit.Thread]:
 
 
 def _load_threads(m, threads_file) -> list[invlimit.Thread]:
+    """The canned threads, or the file's threads checked as outside input."""
     if threads_file is None:
         return _canned_threads(m)
-    data = json.loads(Path(threads_file).read_text())
-    return [invlimit.Thread.from_json_obj(obj) for obj in data]
+    try:
+        data = json.loads(Path(threads_file).read_text())
+        if not (isinstance(data, list)
+                and all(isinstance(obj, dict) for obj in data)):
+            raise ValueError("expected a JSON list of thread objects")
+        threads = [invlimit.Thread.from_json_obj(obj) for obj in data]
+        for th in threads:
+            if not th.is_zero:
+                invlimit.tail_index(m, th)
+    except (ValueError, TypeError, ZeroDivisionError) as ex:
+        raise click.UsageError(f"bad threads file {threads_file}: {ex}")
+    return threads
 
 
 def _suite_nesting(fam, m, stage, seed, threads):
@@ -216,7 +240,7 @@ def _suite_arcs(fam, m, stage, seed, threads):
         if th.is_zero:
             entry["arc_chain"] = "rejected (zero thread)"
         else:
-            n_tail = invlimit.tail_index(th)
+            n_tail = invlimit.tail_index(m, th)
             entry["tail_index"] = n_tail
             sysm = invlimit.make_arc_system(m, th, max(6, n_tail))
             chain = invlimit.verify_arc_chain(sysm, max(6, n_tail))
@@ -250,16 +274,17 @@ SUITES = {
 
 @main.command("verify")
 @click.argument("suite", type=click.Choice(sorted(SUITES) + ["all"]))
-@_config_options
-@click.option("--max-period", type=int, default=12, show_default=True,
-              help="Largest cycle period for the cycles suite.")
-@click.option("--threads-file", type=click.Path(exists=True, path_type=Path),
+@_options("level", "budget", "stage", "mode", "seed")
+@click.option("--max-period", type=click.IntRange(min=1), default=12,
+              show_default=True, help="Largest cycle period for the cycles suite.")
+@click.option("--threads-file",
+              type=click.Path(exists=True, dir_okay=False, path_type=Path),
               default=None, help="JSON list of threads for the arcs suite.")
-def cmd_verify(suite, level, budget, stage, mode, seed, cache_dir,
-               max_period, threads_file):
+def cmd_verify(suite, level, budget, stage, mode, seed, max_period,
+               threads_file):
     """Run a verification suite; exit 0 iff every check passes."""
     fam = _build(level, budget)
-    m = _map(mode, fam)
+    m = bonding.make_map(mode, fam)
     threads = _load_threads(m, threads_file)
     names = sorted(SUITES) if suite == "all" else [suite]
     results = {}
@@ -271,9 +296,8 @@ def cmd_verify(suite, level, budget, stage, mode, seed, cache_dir,
             rep = SUITES[name](fam, m, stage, seed, threads)
         results[name] = rep
         ok = ok and rep["ok"]
-    _emit({"config": _config_obj(level=level, budget=budget, stage=stage,
-                                 mode=mode, seed=seed, suite=suite,
-                                 maxPeriod=max_period),
+    _emit({"config": dict(level=level, budget=budget, stage=stage, mode=mode,
+                          seed=seed, suite=suite, maxPeriod=max_period),
            "suites": results, "ok": ok})
     if not ok:
         sys.exit(EXIT_VERIFY_FAILED)
@@ -301,26 +325,28 @@ def _svg_boxes(boxes, size=1000):
 
 @main.command("export")
 @click.argument("kind", type=click.Choice(["graph", "mahavier", "arc", "cantor"]))
-@_config_options
+@_options("level", "budget", "stage", "mode")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "svg"]),
               default="csv", show_default=True)
 @click.option("--out", type=click.Path(path_type=Path), default=None,
               help="Output path (default: stdout).")
 @click.option("--member", default="1/2", show_default=True,
               help="Family index for cantor export.")
-@click.option("--n", "n_coords", type=int, default=2, show_default=True,
-              help="Last coordinate index for mahavier export.")
-@click.option("--arc-n", type=int, default=1, show_default=True,
-              help="Arc index for arc export.")
+@click.option("--n", "n_coords", type=click.IntRange(min=1), default=2,
+              show_default=True, help="Last coordinate index for mahavier export.")
+@click.option("--arc-n", type=click.IntRange(min=0), default=1,
+              show_default=True, help="Arc index for arc export.")
 @click.option("--coords", default="0,1", show_default=True,
               help="Comma-separated coordinate pair for arc export.")
-@click.option("--threads-file", type=click.Path(exists=True, path_type=Path),
-              default=None, help="JSON list of threads; first is exported.")
-def cmd_export(kind, level, budget, stage, mode, seed, cache_dir, fmt, out,
-               member, n_coords, arc_n, coords, threads_file):
+@click.option("--threads-file",
+              type=click.Path(exists=True, dir_okay=False, path_type=Path),
+              default=None, help="JSON list of threads; the first nonzero "
+              "one is exported.")
+def cmd_export(kind, level, budget, stage, mode, fmt, out, member, n_coords,
+               arc_n, coords, threads_file):
     """Emit a cover, arc projection, or member set as a file artifact."""
     fam = _build(level, budget)
-    m = _map(mode, fam)
+    m = bonding.make_map(mode, fam)
     if kind == "graph":
         cover = m.graph_cover(stage, level)
         if fmt == "svg":
@@ -338,12 +364,19 @@ def cmd_export(kind, level, budget, stage, mode, seed, cache_dir, fmt, out,
         text = "\n".join(cover.csv_rows()) + "\n"
     elif kind == "arc":
         threads = _load_threads(m, threads_file)
-        th = next(t for t in threads if not t.is_zero)
-        sysm = invlimit.make_arc_system(m, th, max(6, invlimit.tail_index(th)))
+        th = next((t for t in threads if not t.is_zero), None)
+        if th is None:
+            raise click.UsageError("arc export needs a nonzero thread")
+        sysm = invlimit.make_arc_system(m, th, max(6, invlimit.tail_index(m, th)))
         try:
             i, j = (int(c) for c in coords.split(","))
         except ValueError:
             raise click.UsageError("--coords must look like 0,1")
+        if min(i, j) < 0:
+            raise click.UsageError("--coords must be nonnegative")
+        first = sysm.arc_range().start
+        if arc_n < first:
+            raise click.UsageError(f"--arc-n must be >= {first} for this thread")
         params = invlimit.arc_params(sysm, arc_n)
         pts = invlimit.arc_points(sysm, arc_n, params, (i, j))
         rows = [f"param,coord_{i},coord_{j}"]

@@ -7,21 +7,50 @@ collapse to 0 (zero mode) or decay dyadically below 1/32 (tent mode).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .bonding import BaseMap, SetValuedMap, eval_F, eval_f
-from .exact import ONE, ZERO
 
 
 @dataclass(frozen=True)
 class StepCertificate:
-    """Evidence that ``successor`` belongs to F(``point``)."""
+    """Exact verdict on whether ``successor`` belongs to F(``point``).
+
+    ``bound`` is the singleton value or the certified lower bracket
+    end, ``upper`` the singleton value or the bracket's upper end.
+    """
 
     point: Fraction
     successor: Fraction
     kind: str  # "singleton" | "lower-bracket"
     bound: Fraction
+    upper: Fraction
+    ok: bool
+
+    def require(self) -> "StepCertificate":
+        """This certificate, or ValueError naming why the step fails."""
+        if self.ok:
+            return self
+        step = f"step {self.point} -> {self.successor}"
+        if self.kind == "singleton":
+            raise ValueError(
+                f"{step} invalid: image is the singleton {{{self.bound}}}")
+        raise ValueError(f"{step} not certified: lower bracket {self.bound}")
+
+
+def certify_step(m: SetValuedMap, x: Fraction, y: Fraction) -> StepCertificate:
+    """Decide y in F(x) from one certified bracket of F(x).
+
+    A singleton image must equal y; otherwise [0, lower_max] lies inside
+    F(x), so y <= lower_max certifies the step.
+    """
+    fb = eval_F(m, x)
+    if fb.is_singleton:
+        return StepCertificate(x, y, "singleton", fb.point_value,
+                               fb.point_value, fb.point_value == y)
+    return StepCertificate(x, y, "lower-bracket", fb.lower_max,
+                           fb.upper_max, fb.lower_max >= y)
 
 
 @dataclass(frozen=True)
@@ -57,34 +86,14 @@ class Cycle:
         }
 
 
-@dataclass(frozen=True)
-class Orbit:
-    """Finite forward orbit with per-step certificates."""
-
-    points: tuple[Fraction, ...]
-    selector: str
-    certificates: tuple[StepCertificate, ...] = field(default_factory=tuple)
-
-
-def _certify_step(m: SetValuedMap, x: Fraction, y: Fraction) -> StepCertificate:
-    fb = eval_F(m, x)
-    if fb.is_singleton:
-        if fb.point_value != y:
-            raise ValueError(
-                f"step {x} -> {y} invalid: image is the singleton {{{fb.point_value}}}")
-        return StepCertificate(x, y, "singleton", fb.point_value)
-    if fb.lower_max >= y:
-        return StepCertificate(x, y, "lower-bracket", fb.lower_max)
-    raise ValueError(f"step {x} -> {y} not certified: lower bracket {fb.lower_max}")
-
-
 def make_cycle(m: SetValuedMap, n: int) -> Cycle:
     """Period-n cycle from the first n discovered endpoints of the
     smallest set, sorted ascending."""
     if n < 1:
         raise ValueError("period must be >= 1")
     pts = sorted(e.point for e in m.family.c1.endpoints(n))
-    certs = tuple(_certify_step(m, pts[i], pts[(i + 1) % n]) for i in range(n))
+    certs = tuple(certify_step(m, pts[i], pts[(i + 1) % n]).require()
+                  for i in range(n))
     return Cycle(tuple(pts), certs)
 
 
@@ -103,20 +112,11 @@ def verify_orbit(m: SetValuedMap, points: list[Fraction]) -> dict:
     steps = []
     failures = []
     for i in range(len(points) - 1):
-        x, y = points[i], points[i + 1]
-        fb = eval_F(m, x)
-        if fb.is_singleton:
-            ok = fb.point_value == y
-            kind = "singleton"
-            bound = fb.point_value
-        else:
-            ok = fb.lower_max >= y
-            kind = "lower-bracket"
-            bound = fb.lower_max
-        entry = {"index": i, "from": str(x), "to": str(y),
-                 "kind": kind, "bound": str(bound), "ok": ok}
-        if not ok:
-            entry["upper"] = str(fb.upper_max if not fb.is_singleton else bound)
+        cert = certify_step(m, points[i], points[i + 1])
+        entry = {"index": i, "from": str(cert.point), "to": str(cert.successor),
+                 "kind": cert.kind, "bound": str(cert.bound), "ok": cert.ok}
+        if not cert.ok:
+            entry["upper"] = str(cert.upper)
             failures.append(entry)
         steps.append(entry)
     seen: dict[Fraction, int] = {}

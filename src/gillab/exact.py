@@ -280,18 +280,3 @@ class IntervalSet:
             return IntervalSet()
         return IntervalSet(ClosedInterval.parse(part) for part in text.split(";"))
 
-
-def interval_set_union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return a.union(b)
-
-
-def interval_set_intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return a.intersect(b)
-
-
-def interval_set_complement_in(a: IntervalSet, window: ClosedInterval) -> IntervalSet:
-    return a.complement_in(window)
-
-
-def interval_set_measure(a: IntervalSet) -> Fraction:
-    return a.measure()

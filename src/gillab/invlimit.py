@@ -10,24 +10,16 @@ for n >= N.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .bonding import MAX_TENT_HEIGHT, MIN_C0, SetValuedMap, eval_F, eval_f
-from .cantor import C1_BASE, GapAttachedCantor, MiddleThirds
-from .dynamics import Cycle, iterate_f
+from .bonding import MAX_TENT_HEIGHT, MIN_C0, SetValuedMap
+from .dynamics import Cycle, certify_step, iterate_f
 from .errors import BoxCountError
-from .exact import ClosedInterval, IntervalSet, ONE, UNIT, ZERO
+from .exact import ClosedInterval, IntervalSet, ONE, ZERO
 
 DEFAULT_BOX_CEILING = 10 ** 6
-
-
-@functools.lru_cache(maxsize=1)
-def _canonical_c0() -> GapAttachedCantor:
-    """The big set is fixed by construction, independent of any family."""
-    return GapAttachedCantor(MiddleThirds(C1_BASE))
 
 
 @dataclass(frozen=True)
@@ -42,6 +34,12 @@ class Thread:
     prefix: tuple[Fraction, ...]
     tail_period: tuple[Fraction, ...]
     is_zero: bool = False
+
+    def __post_init__(self):
+        if not (self.is_zero or self.tail_period):
+            raise ValueError("a nonzero thread needs a nonempty tail period")
+        if not all(ZERO <= x <= ONE for x in self.prefix + self.tail_period):
+            raise ValueError("thread coordinates must lie in [0, 1]")
 
     @property
     def tail_start(self) -> int:
@@ -96,8 +94,8 @@ def make_thread(m: SetValuedMap, pivot: Optional[Fraction], tail_cycle: Cycle,
         raise ValueError("pivot outside [0, 1]")
     if c0.membership(pivot).is_in:
         raise ValueError(f"pivot {pivot} lies in the big set")
-    fb = eval_F(m, tail_cycle.points[0])
-    if fb.lower_max < pivot:
+    # the tail head lies in the smallest set, where F is never a singleton
+    if not certify_step(m, tail_cycle.points[0], pivot).ok:
         raise ValueError(f"pivot {pivot} not certified in the image of the tail head")
     iters = iterate_f(m.base, pivot, prefix_len - 1)
     prefix = tuple(reversed(iters)) + (pivot,)
@@ -111,26 +109,19 @@ def verify_thread(m: SetValuedMap, th: Thread, depth: int = 12) -> dict:
     steps = []
     failures = []
     for i in range(1, depth + 1):
-        x_prev, x_i = th.coordinate(i - 1), th.coordinate(i)
-        fb = eval_F(m, x_i)
-        if fb.is_singleton:
-            ok = fb.point_value == x_prev
-            kind = "singleton"
-        else:
-            ok = fb.lower_max >= x_prev
-            kind = "lower-bracket"
-        steps.append({"i": i, "kind": kind, "ok": ok})
-        if not ok:
+        cert = certify_step(m, th.coordinate(i), th.coordinate(i - 1))
+        steps.append({"i": i, "kind": cert.kind, "ok": cert.ok})
+        if not cert.ok:
             failures.append(steps[-1])
     return {"ok": not failures, "zero": False, "steps": steps,
             "failures": failures}
 
 
-def tail_index(th: Thread) -> int:
+def tail_index(m: SetValuedMap, th: Thread) -> int:
     """The dichotomy index N: coordinates are in the big set iff n >= N."""
     if th.is_zero:
         raise ValueError("the all-zero thread has no tail in the big set")
-    c0 = _canonical_c0()
+    c0 = m.family.c0
     n = th.tail_start
     for i in range(n):
         if not c0.membership(th.coordinate(i)).is_out:
@@ -172,12 +163,12 @@ class ArcSystem:
     def __post_init__(self):
         if self.thread.is_zero:
             raise ValueError("arc chain requires a nonzero thread")
-        if self.depth < tail_index(self.thread):
+        if self.depth < tail_index(self.m, self.thread):
             raise ValueError("depth must reach the tail index")
 
     @property
     def tail_start(self) -> int:
-        return tail_index(self.thread)
+        return tail_index(self.m, self.thread)
 
     def arc_range(self) -> range:
         return range(max(self.tail_start - 1, 0), self.depth + 1)

@@ -86,7 +86,7 @@ class TestAcceptance:
         threads = threads[:20]
         assert len(threads) == 20
         for m, th, plen in threads:
-            assert tail_index(th) == plen
+            assert tail_index(m, th) == plen
             span = plen + 2 * len(th.tail_period) + 2
             for i in range(span):
                 mem = c0.membership(th.coordinate(i))

@@ -98,6 +98,14 @@ class TestMiddleThirds:
         with pytest.raises(ValueError):
             MiddleThirds(ClosedInterval(F(1, 2), F(1, 2)))
 
+    def test_negative_stage_rejected(self):
+        # a negative depth once indexed the memo from its end and
+        # returned the deepest cover computed so far
+        mt = MiddleThirds(UNIT)
+        mt.stage(4)
+        with pytest.raises(ValueError):
+            mt.stage(-1)
+
 
 class TestGapAttached:
     def test_stage_zero_components(self, family):

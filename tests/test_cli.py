@@ -1,7 +1,9 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
+import gillab
 from gillab.cli import main
 
 runner = CliRunner()
@@ -126,3 +128,53 @@ class TestExport:
 
     def test_unknown_member(self):
         assert invoke("export", "cantor", "--member", "1/3", *SMALL).exit_code == 2
+
+
+@pytest.mark.parametrize("args, threads", [
+    (["export", "cantor", "--stage", "-1"], None),
+    (["eval", "1/4", "--level", "-1"], None),
+    (["export", "arc", "--arc-n", "-1"], None),
+    (["export", "mahavier", "--n", "0"], None),
+    (["verify", "cycles", "--max-period", "0"], None),
+    (["verify", "arcs"], "{"),
+    (["verify", "arcs"], "[1]"),
+    (["verify", "arcs"], '[{"prefix": ["abc"]}]'),
+    (["verify", "arcs"], '[{"prefix": ["1/16"], "tailPeriod": []}]'),
+    (["verify", "arcs"], '[{"prefix": ["1/4"], "tailPeriod": ["1/4"]}]'),
+    (["verify", "arcs"], '[{"prefix": ["5"], "tailPeriod": ["1/4"]}]'),
+    (["export", "arc"], '[{"isZero": true}]'),
+    (["export", "arc", "--coords", "-1,0"], None),
+    (["export", "arc", "--arc-n", "0"],
+     '[{"prefix": ["1/64", "1/32", "1/16"], "tailPeriod": ["1/4", "3/4"]}]'),
+])
+def test_bad_input_exits_2_with_one_line(tmp_path, args, threads):
+    if threads is not None:
+        path = tmp_path / "threads.json"
+        path.write_text(threads)
+        args = args + ["--threads-file", str(path)]
+    # the bad value comes last, so it overrides SMALL's
+    res = invoke(args[0], *SMALL, *args[1:])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("Error: ") and res.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["family", "build", "--mode", "tent"],
+    ["family", "build", "--seed", "3"],
+    ["family", "inspect", "--mode", "tent"],
+    ["family", "inspect", "--seed", "3"],
+    ["eval", "1/4", "--seed", "3"],
+    ["eval", "1/4", "--cache-dir", "x"],
+    ["export", "cantor", "--seed", "3"],
+    ["export", "cantor", "--cache-dir", "x"],
+    ["verify", "nesting", "--cache-dir", "x"],
+])
+def test_options_a_command_ignores_are_rejected(args):
+    res = invoke(*args)
+    assert res.exit_code == 2
+    assert "No such option" in res.stderr
+
+
+def test_every_public_name_resolves():
+    assert all(hasattr(gillab, name) for name in gillab.__all__)

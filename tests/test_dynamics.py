@@ -3,11 +3,38 @@ from fractions import Fraction as F
 import pytest
 
 from gillab.dynamics import (
+    certify_step,
     iterate_f,
     make_cycle,
     verify_cycle,
     verify_orbit,
 )
+from gillab.invlimit import Thread, verify_thread
+
+# (x, y, kind, bound, ok) for the claim y in F(x), zero mode
+STEPS = [
+    (F(1, 4), F(1), "lower-bracket", F(1), True),      # F(1/4) = [0, 1]
+    (F(1, 2), F(0), "singleton", F(0), True),          # F(1/2) = {0}
+    (F(1, 2), F(1, 4), "singleton", F(0), False),      # wrong singleton
+    (F(1, 8), F(1, 2), "lower-bracket", F(0), False),  # bracket shortfall
+]
+
+
+class TestCertifyStep:
+    @pytest.mark.parametrize("x, y, kind, bound, ok", STEPS)
+    def test_every_caller_gives_the_same_verdict(self, zero_map, x, y, kind,
+                                                 bound, ok):
+        cert = certify_step(zero_map, x, y)
+        assert (cert.kind, cert.bound, cert.ok) == (kind, bound, ok)
+        # make_cycle keeps a step only through require()
+        if ok:
+            assert cert.require() is cert
+        else:
+            with pytest.raises(ValueError, match=f"step {x} -> {y}"):
+                cert.require()
+        assert verify_orbit(zero_map, [x, y])["ok"] is ok
+        # a thread's first step claims x_0 in F(x_1)
+        assert verify_thread(zero_map, Thread((y,), (x,)), depth=1)["ok"] is ok
 
 
 class TestMakeCycle:

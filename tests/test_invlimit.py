@@ -25,33 +25,46 @@ class TestThreads:
     def test_pure_tail(self, zero_map):
         th = make_thread(zero_map, None, make_cycle(zero_map, 2), 0)
         assert th.coordinates(4) == [F(1, 4), F(3, 4), F(1, 4), F(3, 4)]
-        assert tail_index(th) == 0
+        assert tail_index(zero_map, th) == 0
         assert verify_thread(zero_map, th)["ok"]
 
     def test_y2_construction(self, zero_map):
         th = make_thread(zero_map, F(0), make_cycle(zero_map, 1), 2)
         assert th.coordinates(4) == [F(0), F(0), F(1, 4), F(1, 4)]
-        assert tail_index(th) == 2
+        assert tail_index(zero_map, th) == 2
 
     def test_tent_prefix_iterates(self, tent_map):
         th = make_thread(tent_map, F(1, 16), make_cycle(tent_map, 2), 3)
         assert th.coordinates(5) == [F(1, 64), F(1, 32), F(1, 16), F(1, 4), F(3, 4)]
-        assert tail_index(th) == 3
+        assert tail_index(tent_map, th) == 3
         assert verify_thread(tent_map, th)["ok"]
 
     def test_pivot_in_big_set_rejected(self, zero_map):
         with pytest.raises(ValueError):
             make_thread(zero_map, F(1, 4), make_cycle(zero_map, 2), 1)
 
+    def test_uncertified_step_fails(self, zero_map):
+        # x_0 = 1/2 is not in F(x_1) = F(1/16) = {0}
+        th = Thread((F(1, 2), F(1, 16)), (F(1, 4), F(3, 4)))
+        rep = verify_thread(zero_map, th)
+        assert rep["ok"] is False
+        assert [f["i"] for f in rep["failures"]] == [1]
+
+    def test_malformed_threads_rejected(self):
+        with pytest.raises(ValueError):
+            Thread((F(1, 16),), ())
+        with pytest.raises(ValueError):
+            Thread((F(2),), (F(1, 4),))
+
     def test_pivot_required_with_prefix(self, zero_map):
         with pytest.raises(ValueError):
             make_thread(zero_map, None, make_cycle(zero_map, 2), 1)
 
-    def test_zero_thread(self):
+    def test_zero_thread(self, zero_map):
         assert ZERO_THREAD.is_zero
         assert ZERO_THREAD.coordinate(17) == 0
         with pytest.raises(ValueError):
-            tail_index(ZERO_THREAD)
+            tail_index(zero_map, ZERO_THREAD)
 
     def test_json_round_trip(self, zero_map):
         th = make_thread(zero_map, F(1, 2), make_cycle(zero_map, 3), 1)
@@ -62,7 +75,7 @@ class TestThreads:
     def test_dichotomy_exact(self, tent_map, family):
         c0 = family.c0
         th = make_thread(tent_map, F(1, 16), make_cycle(tent_map, 3), 4)
-        n = tail_index(th)
+        n = tail_index(tent_map, th)
         for i in range(n):
             assert c0.membership(th.coordinate(i)).is_out
         for i in range(n, n + 6):
@@ -91,7 +104,7 @@ class TestArcs:
     def test_param_endpoint_is_thread(self, tent_map):
         th = make_thread(tent_map, F(1, 16), make_cycle(tent_map, 2), 3)
         sysm = make_arc_system(tent_map, th, 8)
-        n0 = tail_index(th) - 1
+        n0 = tail_index(tent_map, th) - 1
         assert sysm.arc_point(n0, th.coordinate(n0), 10) == th.coordinates(10)
 
     def test_param_range_enforced(self, zero_map):
