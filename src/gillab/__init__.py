@@ -1,7 +1,7 @@
 """Exact-arithmetic lab for a nested Cantor-set family, its set-valued
 bonding map, and finite approximations of the generalized inverse limit."""
 
-from .exact import ClosedInterval, IntervalSet, Rational, rat
+from .exact import ClosedInterval, IntervalSet, rat
 from .cantor import (
     CantorFamily,
     GapAttachedCantor,
@@ -24,7 +24,6 @@ from .invlimit import (
     BoxCover,
     Thread,
     ZERO_THREAD,
-    make_arc_system,
     make_thread,
     mahavier_cover,
     tail_index,
@@ -38,8 +37,8 @@ __all__ = [
     "ArcSystem", "BaseMap", "BoxCountError", "BoxCover", "BracketSearchError",
     "CacheError", "CantorFamily", "ClosedInterval", "Cycle", "FBracket",
     "GapAttachedCantor", "GillabError", "IntermediateCantor", "IntervalSet",
-    "Membership", "MiddleThirds", "Rational", "SetValuedMap", "StepCertificate",
+    "Membership", "MiddleThirds", "SetValuedMap", "StepCertificate",
     "Thread", "ZERO_THREAD", "build_family", "certify_step", "eval_F", "eval_f",
-    "iterate_f", "mahavier_cover", "make_arc_system", "make_cycle", "make_map",
+    "iterate_f", "mahavier_cover", "make_cycle", "make_map",
     "make_thread", "rat", "tail_index", "verify_arc_chain", "verify_orbit",
 ]

@@ -30,6 +30,10 @@ from .exact import UNIT, ClosedInterval, IntervalSet, ONE, ZERO
 MAX_TENT_HEIGHT = Fraction(1, 32)
 MIN_C0 = Fraction(1, 8)
 
+WEAK_CONTINUITY_TOLERANCE = Fraction(1, 64)
+NONFISSILE_STAGE = 6
+INTERIOR_GRID = 8
+
 MODES = ("zero", "tent")
 
 
@@ -205,11 +209,9 @@ def _limit_in_all_covers(m: SetValuedMap, t, y, stage, level) -> Optional[int]:
     return None
 
 
-def check_usc(m: SetValuedMap, samples: int, stage: int,
-              level: Optional[int] = None, seed: int = 0) -> dict:
+def check_usc(m: SetValuedMap, samples: int, stage: int, seed: int = 0) -> dict:
     """Convergent test sequences whose limits must stay in every cover."""
-    if level is None:
-        level = m.family.level
+    level = m.family.level
     rng = random.Random(seed)
     c1 = m.family.c1
     eps = c1.endpoints(64)
@@ -220,7 +222,7 @@ def check_usc(m: SetValuedMap, samples: int, stage: int,
         if kind == 0:
             # limit point on the smallest set with top value 1, approached
             # through deeper stage endpoints carrying value 1 themselves
-            t = eps[rng.randrange(len(eps))].point
+            t = eps[rng.randrange(len(eps))]
             terms = []
             for d in range(2, 6):
                 comp = c1.stage(d).component_containing(t)
@@ -255,16 +257,14 @@ def check_usc(m: SetValuedMap, samples: int, stage: int,
             "ok": not failures, "stage": stage, "level": level}
 
 
-def check_weak_continuity(m: SetValuedMap, points: list[Fraction], stage: int,
-                          tolerance: Fraction = Fraction(1, 64),
-                          level: Optional[int] = None) -> dict:
+def check_weak_continuity(m: SetValuedMap, points: list[Fraction],
+                          stage: int) -> dict:
     """Two-sided witness search at certified points of the smallest set.
 
     For each point t and each grid index s, exhibits t' distinct from t
-    inside the smallest set (hence inside every C_s) within tolerance.
+    inside the smallest set (hence inside every C_s) closer than
+    WEAK_CONTINUITY_TOLERANCE.
     """
-    if level is None:
-        level = m.family.level
     c1 = m.family.c1
     witnesses = []
     failures = []
@@ -281,7 +281,7 @@ def check_weak_continuity(m: SetValuedMap, points: list[Fraction], stage: int,
             if other is None:
                 # interior of the bracket: take the nearer component end
                 other = comp.lo if (t - comp.lo) <= (comp.hi - t) else comp.hi
-            if other != t and abs(other - t) < tolerance:
+            if other != t and abs(other - t) < WEAK_CONTINUITY_TOLERANCE:
                 found = (other, d)
                 break
         if found is None:
@@ -290,7 +290,7 @@ def check_weak_continuity(m: SetValuedMap, points: list[Fraction], stage: int,
         other, d = found
         entry = {"point": str(t), "witness": str(other),
                  "distance": str(abs(other - t)), "stage": d}
-        for s in m.positive_grid(level):
+        for s in m.positive_grid(m.family.level):
             entry.setdefault("indices", []).append(str(s))
             if not m.family.member(s).membership(other).is_in:
                 failures.append({"point": str(t), "index": str(s),
@@ -299,10 +299,7 @@ def check_weak_continuity(m: SetValuedMap, points: list[Fraction], stage: int,
     return {"witnesses": witnesses, "failures": failures, "ok": not failures}
 
 
-def check_ivp_consistency(m: SetValuedMap, grid: int,
-                          level: Optional[int] = None,
-                          max_stage: int = DEFAULT_MAX_STAGE,
-                          seed: int = 0) -> dict:
+def check_ivp_consistency(m: SetValuedMap, grid: int, seed: int = 0) -> dict:
     """Image-shape checks plus direct intermediate-value spot checks.
 
     Every evaluated image is a closed interval anchored at 0 or a
@@ -310,18 +307,16 @@ def check_ivp_consistency(m: SetValuedMap, grid: int,
     intermediate value property follows; spot checks additionally
     exhibit explicit witnesses between sampled argument pairs.
     """
-    if level is None:
-        level = m.family.level
     rng = random.Random(seed)
     shape_failures = []
     for k in range(grid + 1):
         t = Fraction(k, grid)
-        fb = eval_F(m, t, level, max_stage)
+        fb = eval_F(m, t)
         if fb.is_singleton:
             continue
         if not (ZERO <= fb.lower_max <= fb.upper_max <= ONE):
             shape_failures.append({"point": str(t)})
-    c1_eps = [e.point for e in m.family.c1.endpoints(64)]
+    c1_eps = m.family.c1.endpoints(64)
     spots = []
     spot_failures = []
     for _ in range(8):
@@ -332,7 +327,7 @@ def check_ivp_consistency(m: SetValuedMap, grid: int,
         witness = next((p for p in c1_eps if lo < p < hi), None)
         record = {"x1": str(x1), "x2": str(x2), "y": str(y)}
         if witness is not None:
-            fb = eval_F(m, witness, level, max_stage)
+            fb = eval_F(m, witness)
             record["witness"] = str(witness)
             record["certified"] = bool(fb.lower_max >= y)
             if not record["certified"]:
@@ -356,16 +351,13 @@ def _wide_gaps(c0: GapAttachedCantor, min_width: Fraction, stage: int):
     return sorted(set(gaps))
 
 
-def check_light(m: SetValuedMap, y_grid: int, stage: int,
-                level: Optional[int] = None) -> dict:
+def check_light(m: SetValuedMap, y_grid: int, stage: int) -> dict:
     """Point-preimage interior check, split by mode.
 
     Zero mode is reported not light with an explicit gap witness for the
     value 0.  Tent mode bounds every positive grid value's preimage by a
     thin stage cover plus finitely many exact tent-leg points.
     """
-    if level is None:
-        level = m.family.level
     c0 = m.family.c0
     if m.mode == "zero":
         a, b = c0.gap_of(Fraction(1, 2))
@@ -373,7 +365,7 @@ def check_light(m: SetValuedMap, y_grid: int, stage: int,
                 "witness_value": "0",
                 "witness_interval": [str(a), str(b)],
                 "ok": True}
-    grid = m.positive_grid(level)
+    grid = m.positive_grid(m.family.level)
     rows = []
     for k in range(1, y_grid + 1):
         y = Fraction(k, y_grid)
@@ -398,22 +390,19 @@ def check_light(m: SetValuedMap, y_grid: int, stage: int,
             "value_zero": zero_row, "ok": True}
 
 
-def check_not_almost_nonfissile(m: SetValuedMap, stage: int = 6,
-                                level: Optional[int] = None) -> dict:
+def check_not_almost_nonfissile(m: SetValuedMap) -> dict:
     """Open subset of the graph containing no nonfissile point."""
-    if level is None:
-        level = m.family.level
     quarter = Fraction(1, 4)
-    comp = m.family.c0.stage(stage).component_containing(quarter)
+    comp = m.family.c0.stage(NONFISSILE_STAGE).component_containing(quarter)
     y_range = (Fraction(1, 2), ONE)
-    samples = [e.point for e in m.family.c1.endpoints(32) if comp.contains(e.point)]
+    samples = [p for p in m.family.c1.endpoints(32) if comp.contains(p)]
     fissile_failures = []
     for t in samples:
-        fb = eval_F(m, t, level)
+        fb = eval_F(m, t)
         if fb.is_singleton or fb.lower_max <= ZERO:
             fissile_failures.append(str(t))
     half = Fraction(1, 2)
-    half_fb = eval_F(m, half, level)
+    half_fb = eval_F(m, half)
     return {
         "box": {"x": [str(comp.lo), str(comp.hi)],
                 "y": [str(y_range[0]), str(y_range[1])]},
@@ -427,11 +416,9 @@ def check_not_almost_nonfissile(m: SetValuedMap, stage: int = 6,
     }
 
 
-def check_empty_interior(m: SetValuedMap, stages: list[int],
-                         level: Optional[int] = None, grid_n: int = 8) -> dict:
+def check_empty_interior(m: SetValuedMap, stages: list[int]) -> dict:
     """Exact cover areas per stage plus escape of every sampled open box."""
-    if level is None:
-        level = m.family.level
+    level, grid_n = m.family.level, INTERIOR_GRID
     if list(stages) != sorted(stages):
         raise ValueError("stages must be increasing")
     per_stage = []

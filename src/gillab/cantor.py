@@ -32,7 +32,7 @@ OUT = "out"
 UNKNOWN = "unknown"
 
 DEFAULT_MAX_STAGE = 12
-DEFAULT_SEARCH_CEILING = 24
+DEFAULT_SEARCH_CEILING = 15
 
 
 @dataclass(frozen=True)
@@ -59,15 +59,6 @@ class Membership:
         return self.verdict == UNKNOWN
 
 
-@dataclass(frozen=True)
-class Endpoint:
-    """A discovered endpoint: exact rational or symbolic address."""
-
-    point: Union[Fraction, "CantorAddress"]
-    side: str  # "left" | "right"
-    stage: int = 0
-
-
 class CantorGen:
     """Base class: memoized nested stage covers plus exact queries."""
 
@@ -88,7 +79,8 @@ class CantorGen:
     def membership(self, t: Fraction, max_stage: int = DEFAULT_MAX_STAGE) -> Membership:
         raise NotImplementedError
 
-    def endpoints(self, count: int) -> list[Endpoint]:
+    def endpoints(self, count: int) -> list[PointLike]:
+        """The first `count` endpoints: Fractions, or addresses."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -108,6 +100,16 @@ class CantorGen:
             if not self.stage(d).contains_point(t):
                 return Membership(OUT, d)
         return None
+
+
+def _endpoints_by_stage(self, count: int) -> list[Fraction]:
+    """The first `count` endpoints, stage by stage in discovery order."""
+    out: list[Fraction] = []
+    s = 0
+    while len(out) < count:
+        out.extend(self.new_endpoints(s))
+        s += 1
+    return out[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +150,7 @@ class MiddleThirds(CantorGen):
             raise ValueError("middle-thirds base must be nondegenerate")
         super().__init__()
         self.base = base
-        self._endpoint_stages: list[list[Endpoint]] = []
+        self._endpoint_stages: list[list[Fraction]] = []
 
     def describe(self) -> str:
         return f"MT[{self.base.lo},{self.base.hi}]"
@@ -186,30 +188,28 @@ class MiddleThirds(CantorGen):
             else:
                 return (a + w3, b - w3)
 
-    def new_endpoints(self, s: int) -> list[Endpoint]:
-        """Endpoints first discovered at stage s, left to right."""
+    def new_endpoints(self, s: int) -> list[Fraction]:
+        """Endpoints first discovered at stage s, left to right.
+
+        For s >= 1 these are the ends of the gaps opened at stage s,
+        in (left end, right end) pairs.
+        """
         while len(self._endpoint_stages) <= s:
             k = len(self._endpoint_stages)
             if k == 0:
-                eps = [Endpoint(self.base.lo, "left", 0),
-                       Endpoint(self.base.hi, "right", 0)]
+                eps = [self.base.lo, self.base.hi]
             else:
                 eps = []
                 for c in self.stage(k - 1):
                     w3 = c.width / 3
-                    eps.append(Endpoint(c.lo + w3, "right", k))
-                    eps.append(Endpoint(c.hi - w3, "left", k))
-                eps.sort(key=lambda e: e.point)
+                    eps.append(c.lo + w3)
+                    eps.append(c.hi - w3)
             self._endpoint_stages.append(eps)
         return self._endpoint_stages[s]
 
-    def endpoints(self, count: int) -> list[Endpoint]:
-        out: list[Endpoint] = []
-        s = 0
-        while len(out) < count:
-            out.extend(self.new_endpoints(s))
-            s += 1
-        return out[:count]
+    # bound in each class body rather than inherited: bench/tracing.py
+    # wraps vars(cls)["endpoints"] of every generator class
+    endpoints = _endpoints_by_stage
 
 
 # ---------------------------------------------------------------------------
@@ -232,26 +232,18 @@ class GapAttachedCantor(CantorGen):
         self.core = core
         span = core.base.width
         self.window = ClosedInterval(core.base.lo - span / 4, core.base.hi + span / 4)
-        self._gap_memo: list[list[tuple[Fraction, Fraction]]] = []
         self._k_memo: dict[tuple[Fraction, Fraction], tuple[MiddleThirds, MiddleThirds]] = {}
-        self._endpoint_stages: list[list[Endpoint]] = []
+        self._endpoint_stages: list[list[Fraction]] = []
 
     def describe(self) -> str:
         return f"GA({self.core.describe()})"
 
     def gaps_of_generation(self, g: int) -> list[tuple[Fraction, Fraction]]:
-        while len(self._gap_memo) <= g:
-            k = len(self._gap_memo)
-            if k == 0:
-                gaps = [(self.window.lo, self.core.base.lo),
-                        (self.core.base.hi, self.window.hi)]
-            else:
-                gaps = []
-                for c in self.core.stage(k - 1):
-                    w3 = c.width / 3
-                    gaps.append((c.lo + w3, c.hi - w3))
-            self._gap_memo.append(gaps)
-        return self._gap_memo[g]
+        if g == 0:
+            return [(self.window.lo, self.core.base.lo),
+                    (self.core.base.hi, self.window.hi)]
+        ends = self.core.new_endpoints(g)
+        return list(zip(ends[::2], ends[1::2]))
 
     def attachments(self, gap: tuple[Fraction, Fraction]) -> tuple[MiddleThirds, MiddleThirds]:
         pair = self._k_memo.get(gap)
@@ -310,34 +302,38 @@ class GapAttachedCantor(CantorGen):
             return kb.gap_of(t)
         return (ka.base.hi, kb.base.lo)
 
-    def new_endpoints(self, s: int) -> list[Endpoint]:
+    def new_endpoints(self, s: int) -> list[Fraction]:
         while len(self._endpoint_stages) <= s:
             k = len(self._endpoint_stages)
-            eps: list[Endpoint] = []
+            eps: list[Fraction] = []
             for g in range(k + 1):
                 for gap in self.gaps_of_generation(g):
                     for att in self.attachments(gap):
-                        for e in att.new_endpoints(k - g):
+                        for p in att.new_endpoints(k - g):
                             # attachment extremes landing on the core are
                             # interior points of this set, not endpoints
-                            if self.core.membership(e.point).is_in:
-                                continue
-                            eps.append(Endpoint(e.point, e.side, k))
-            eps.sort(key=lambda e: e.point)
+                            if not self.core.membership(p).is_in:
+                                eps.append(p)
+            eps.sort()
             self._endpoint_stages.append(eps)
         return self._endpoint_stages[s]
 
-    def endpoints(self, count: int) -> list[Endpoint]:
-        out: list[Endpoint] = []
-        s = 0
-        while len(out) < count:
-            out.extend(self.new_endpoints(s))
-            s += 1
-        return out[:count]
+    endpoints = _endpoints_by_stage  # see MiddleThirds.endpoints
 
 
 # ---------------------------------------------------------------------------
 # symbolic addresses
+
+
+def _children(gen: CantorGen, k: int,
+              parent: Optional[ClosedInterval]) -> list[ClosedInterval]:
+    """Stage-k cover components inside the stage-(k-1) component parent;
+    every stage-0 component when k is 0."""
+    cover = gen.stage(k)
+    if k == 0:
+        return list(cover.components)
+    return [c for c in cover.components_overlapping(parent)
+            if parent.contains_interval(c)]
 
 
 class CantorAddress:
@@ -363,25 +359,21 @@ class CantorAddress:
         """Rational bracketing component at stage d; brackets nest."""
         while len(self._brackets) <= d:
             k = len(self._brackets)
-            if k == 0:
-                comp = self.gen.stage(0).components[self.prefix[0]]
+            children = _children(self.gen, k,
+                                 self._brackets[-1] if k else None)
+            if not children:
+                raise BracketSearchError(
+                    f"cover component vanished while refining address {self}")
+            if k < len(self.prefix):
+                comp = children[self.prefix[k]]
+            elif len(children) == 1:
+                # no split at this stage; do not consume a turn, or a
+                # region splitting only on one parity would always pick
+                # the same side and converge onto an endpoint
+                comp = children[0]
             else:
-                parent = self._brackets[k - 1]
-                children = [c for c in self.gen.stage(k).components_overlapping(parent)
-                            if parent.contains_interval(c)]
-                if not children:
-                    raise BracketSearchError(
-                        f"cover component vanished while refining address {self}")
-                if k < len(self.prefix):
-                    comp = children[self.prefix[k]]
-                elif len(children) == 1:
-                    # no split at this stage; do not consume a turn, or a
-                    # region splitting only on one parity would always pick
-                    # the same side and converge onto an endpoint
-                    comp = children[0]
-                else:
-                    comp = children[0] if self._flips % 2 == 0 else children[-1]
-                    self._flips += 1
+                comp = children[0] if self._flips % 2 == 0 else children[-1]
+                self._flips += 1
             self._brackets.append(comp)
         return self._brackets[d]
 
@@ -396,25 +388,16 @@ class CantorAddress:
         """Address whose stage-`stage` bracket is the given cover component."""
         path = []
         current = None
+        # walk the ancestor chain of comp through the covers
         for k in range(stage + 1):
-            cover = gen.stage(k)
-            # walk the ancestor chain of comp through the covers
-            if k == 0:
-                candidates = list(cover.components)
-            else:
-                candidates = [c for c in cover.components_overlapping(current)
-                              if current.contains_interval(c)]
-            idx = None
-            for i, c in enumerate(candidates):
-                if c.lo <= comp.lo and comp.hi <= c.hi:
-                    idx = i
-                    current = c
-                    break
+            children = _children(gen, k, current)
+            idx = next((i for i, c in enumerate(children)
+                        if c.contains_interval(comp)), None)
             if idx is None:
                 raise BracketSearchError("component is not part of the stage cover")
             path.append(idx)
-        addr = CantorAddress(gen, tuple(path))
-        return addr
+            current = children[idx]
+        return CantorAddress(gen, tuple(path))
 
 
 @dataclass(frozen=True)
@@ -440,24 +423,17 @@ def point_bracket(p: PointLike, d: int) -> ClosedInterval:
     return ClosedInterval(p, p)
 
 
-def address_membership(gen: CantorGen, addr: CantorAddress,
-                       max_stage: int = DEFAULT_MAX_STAGE) -> Membership:
-    """Membership of an address-denoted point in another generator."""
-    if addr.gen is gen:
-        return Membership(IN, 0)
-    for d in range(max_stage + 1):
-        br = addr.bracket(d)
-        cover = gen.stage(d)
-        if not any(c.intersects(br) for c in cover.components_overlapping(br)):
-            return Membership(OUT, d)
-    return Membership(UNKNOWN, None)
-
-
 def point_membership(gen: CantorGen, p: PointLike,
                      max_stage: int = DEFAULT_MAX_STAGE) -> Membership:
-    if isinstance(p, CantorAddress):
-        return address_membership(gen, p, max_stage)
-    return gen.membership(p, max_stage)
+    """Membership of a rational or of an address-denoted point in gen."""
+    if not isinstance(p, CantorAddress):
+        return gen.membership(p, max_stage)
+    if p.gen is gen:
+        return Membership(IN, 0)
+    for d in range(max_stage + 1):
+        if not gen.stage(d).components_overlapping(p.bracket(d)):
+            return Membership(OUT, d)
+    return Membership(UNKNOWN, None)
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +479,13 @@ class IntermediateCantor(CantorGen):
 
     def __init__(self, inner: CantorGen, outer: CantorGen, budget: int,
                  search_ceiling: int = DEFAULT_SEARCH_CEILING):
+        # with inner == outer no outer endpoint lies outside the inner
+        # set, and with budget < 1 nothing is removed: either way the
+        # set would not lie strictly between its neighbours
+        if inner is outer or inner.describe() == outer.describe():
+            raise ValueError("inner and outer generators must differ")
+        if budget < 1:
+            raise ValueError(f"budget must be >= 1, got {budget}")
         super().__init__()
         self.inner = inner
         self.outer = outer
@@ -523,12 +506,11 @@ class IntermediateCantor(CantorGen):
 
     def _build_schedule(self) -> RemovalSchedule:
         sched = RemovalSchedule()
-        for ep in self.outer.endpoints(self.budget):
-            self._process_endpoint(sched, ep)
+        for p in self.outer.endpoints(self.budget):
+            self._process_endpoint(sched, p)
         return sched
 
-    def _process_endpoint(self, sched: RemovalSchedule, ep: Endpoint) -> None:
-        p = ep.point
+    def _process_endpoint(self, sched: RemovalSchedule, p: PointLike) -> None:
         pm = point_membership(self.inner, p, self.search_ceiling)
         if not pm.is_out:
             raise BracketSearchError(
@@ -623,26 +605,12 @@ class IntermediateCantor(CantorGen):
             return inner_m
         return Membership(UNKNOWN, None)
 
-    def endpoints(self, count: int) -> list[Endpoint]:
-        out: list[Endpoint] = []
+    def endpoints(self, count: int) -> list[CantorAddress]:
+        out: list[CantorAddress] = []
         for entry in self.schedule().entries:
-            if isinstance(entry.a, CantorAddress):
-                out.append(Endpoint(entry.a, "right", entry.create_stage))
-            if isinstance(entry.b, CantorAddress):
-                out.append(Endpoint(entry.b, "left", entry.create_stage))
+            out.extend(anchor for anchor in (entry.a, entry.b)
+                       if isinstance(anchor, CantorAddress))
         return out[:count]
-
-
-def build_intermediate(inner: CantorGen, outer: CantorGen, budget: int,
-                       search_ceiling: int = DEFAULT_SEARCH_CEILING) -> IntermediateCantor:
-    """Cantor set between inner and outer; precondition checks are eager.
-
-    Rejects inner == outer (no endpoint of the outer set can then lie
-    outside the inner one, so the removal schedule would be empty).
-    """
-    if inner is outer or inner.describe() == outer.describe():
-        raise ValueError("inner and outer generators must differ")
-    return IntermediateCantor(inner, outer, budget, search_ceiling)
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,14 @@ EXIT_CACHE = 3
 DEFAULT_LEVEL = 2
 DEFAULT_BUDGET = 56
 DEFAULT_STAGE = 8
-DEFAULT_CEILING = 15
 
 
 _OPTIONS = {
     "level": click.option("--level", type=click.IntRange(min=0),
                           default=DEFAULT_LEVEL, show_default=True,
                           help="Dyadic grid level."),
-    "budget": click.option("--budget", type=int, default=DEFAULT_BUDGET,
-                           show_default=True,
+    "budget": click.option("--budget", type=click.IntRange(min=1),
+                           default=DEFAULT_BUDGET, show_default=True,
                            help="Endpoints scheduled per intermediate set."),
     "stage": click.option("--stage", type=click.IntRange(min=0),
                           default=DEFAULT_STAGE, show_default=True,
@@ -52,10 +51,6 @@ def _options(*names):
             fn = _OPTIONS[name](fn)
         return fn
     return attach
-
-
-def _build(level: int, budget: int):
-    return build_family(level, budget, DEFAULT_CEILING)
 
 
 def _emit(obj) -> None:
@@ -94,7 +89,7 @@ def family_build(level, budget, stage, cache_dir):
     """Build the family and write its cover cache."""
     if cache_dir is None:
         raise click.UsageError("family build needs --cache-dir or GILLAB_CACHE")
-    fam = _build(level, budget)
+    fam = build_family(level, budget)
     path = cache.save_family(fam, stage, cache_dir)
     _emit({"built": True, "cacheFile": str(path),
            "members": [str(r) for r in fam.grid()], "stages": stage})
@@ -107,7 +102,7 @@ def family_inspect(level, budget, stage, cache_dir):
     if cache_dir is None:
         raise click.UsageError("family inspect needs --cache-dir or GILLAB_CACHE")
     try:
-        fam = cache.load_family(level, budget, cache_dir, DEFAULT_CEILING)
+        fam = cache.load_family(level, budget, cache_dir)
     except CacheError as ex:
         click.echo(f"cache error: {ex}", err=True)
         sys.exit(EXIT_CACHE)
@@ -139,7 +134,7 @@ def cmd_eval(t, level, budget, stage, mode):
         raise click.UsageError(f"not a rational: {t!r}")
     if point < 0 or point > 1:
         raise click.UsageError("T must lie in [0, 1]")
-    fam = _build(level, budget)
+    fam = build_family(level, budget)
     fb = bonding.eval_F(bonding.make_map(mode, fam), point, level, stage)
     _emit({"t": str(point), "singleton": fb.is_singleton,
            "pointValue": str(fb.point_value) if fb.is_singleton else None,
@@ -189,12 +184,12 @@ def _suite_endpoints(fam, m, stage, seed, threads):
     for src in (Fraction(0), Fraction(1, 2)):
         if src not in fam.members:
             continue
-        for e in fam.member(src).endpoints(50):
+        for p in fam.member(src).endpoints(50):
             for r in fam.grid():
                 if r <= src:
                     continue
                 checked += 1
-                verdict = point_membership(fam.member(r), e.point, 12)
+                verdict = point_membership(fam.member(r), p, 12)
                 if not verdict.is_out:
                     failures.append({"source": str(src), "target": str(r),
                                      "verdict": verdict.verdict})
@@ -203,8 +198,7 @@ def _suite_endpoints(fam, m, stage, seed, threads):
 
 def _suite_usc(fam, m, stage, seed, threads):
     usc = bonding.check_usc(m, 200, stage, seed=seed)
-    pts = [e.point for e in fam.c1.endpoints(50)]
-    weak = bonding.check_weak_continuity(m, pts, 12)
+    weak = bonding.check_weak_continuity(m, fam.c1.endpoints(50), 12)
     return {"usc": usc, "weak_continuity": weak,
             "ok": usc["ok"] and weak["ok"]}
 
@@ -242,7 +236,7 @@ def _suite_arcs(fam, m, stage, seed, threads):
         else:
             n_tail = invlimit.tail_index(m, th)
             entry["tail_index"] = n_tail
-            sysm = invlimit.make_arc_system(m, th, max(6, n_tail))
+            sysm = invlimit.ArcSystem(m, th, max(6, n_tail))
             chain = invlimit.verify_arc_chain(sysm, max(6, n_tail))
             entry["arc_chain_ok"] = chain["ok"]
             ok = ok and chain["ok"]
@@ -283,7 +277,7 @@ SUITES = {
 def cmd_verify(suite, level, budget, stage, mode, seed, max_period,
                threads_file):
     """Run a verification suite; exit 0 iff every check passes."""
-    fam = _build(level, budget)
+    fam = build_family(level, budget)
     m = bonding.make_map(mode, fam)
     threads = _load_threads(m, threads_file)
     names = sorted(SUITES) if suite == "all" else [suite]
@@ -345,7 +339,7 @@ def _svg_boxes(boxes, size=1000):
 def cmd_export(kind, level, budget, stage, mode, fmt, out, member, n_coords,
                arc_n, coords, threads_file):
     """Emit a cover, arc projection, or member set as a file artifact."""
-    fam = _build(level, budget)
+    fam = build_family(level, budget)
     m = bonding.make_map(mode, fam)
     if kind == "graph":
         cover = m.graph_cover(stage, level)
@@ -367,7 +361,7 @@ def cmd_export(kind, level, budget, stage, mode, fmt, out, member, n_coords,
         th = next((t for t in threads if not t.is_zero), None)
         if th is None:
             raise click.UsageError("arc export needs a nonzero thread")
-        sysm = invlimit.make_arc_system(m, th, max(6, invlimit.tail_index(m, th)))
+        sysm = invlimit.ArcSystem(m, th, max(6, invlimit.tail_index(m, th)))
         try:
             i, j = (int(c) for c in coords.split(","))
         except ValueError:

@@ -91,7 +91,7 @@ def make_cycle(m: SetValuedMap, n: int) -> Cycle:
     smallest set, sorted ascending."""
     if n < 1:
         raise ValueError("period must be >= 1")
-    pts = sorted(e.point for e in m.family.c1.endpoints(n))
+    pts = sorted(m.family.c1.endpoints(n))
     certs = tuple(certify_step(m, pts[i], pts[(i + 1) % n]).require()
                   for i in range(n))
     return Cycle(tuple(pts), certs)

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

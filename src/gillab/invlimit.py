@@ -63,9 +63,12 @@ class Thread:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Thread":
+        is_zero = obj.get("isZero", False)
+        if not isinstance(is_zero, bool):
+            raise ValueError(f"isZero must be a JSON boolean, got {is_zero!r}")
         return Thread(tuple(Fraction(s) for s in obj.get("prefix", [])),
                       tuple(Fraction(s) for s in obj.get("tailPeriod", [])),
-                      bool(obj.get("isZero", False)))
+                      is_zero)
 
 
 ZERO_THREAD = Thread(prefix=(), tail_period=(), is_zero=True)
@@ -197,10 +200,6 @@ class ArcSystem:
             else:
                 coords.append(self.thread.coordinate(k))
         return coords
-
-
-def make_arc_system(m: SetValuedMap, th: Thread, depth: int) -> ArcSystem:
-    return ArcSystem(m, th, depth)
 
 
 def arc_params(sys: ArcSystem, n: int) -> list[Fraction]:

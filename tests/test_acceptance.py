@@ -12,8 +12,8 @@ from gillab.cantor import point_membership
 from gillab.cli import main as cli_main
 from gillab.dynamics import make_cycle, verify_cycle
 from gillab.invlimit import (
+    ArcSystem,
     check_treelike_hypotheses,
-    make_arc_system,
     make_thread,
     tail_index,
     verify_arc_chain,
@@ -40,21 +40,21 @@ class TestAcceptance:
     def test_02_endpoint_avoidance(self, family, announce):
         failures = []
         for src in (F(0), F(1, 2)):
-            for e in family.member(src).endpoints(50):
+            for p in family.member(src).endpoints(50):
                 for r in family.grid():
                     if r <= src:
                         continue
-                    verdict = point_membership(family.member(r), e.point, 12)
+                    verdict = point_membership(family.member(r), p, 12)
                     if not verdict.is_out:
                         failures.append((str(src), str(r), verdict.verdict))
         assert not failures, failures[:5]
         announce["ok"] = True
 
     def test_03_exact_sup_on_smallest_set(self, zero_map, family, announce):
-        for e in family.c1.endpoints(100):
-            fb = eval_F(zero_map, e.point)
+        for p in family.c1.endpoints(100):
+            fb = eval_F(zero_map, p)
             assert not fb.is_singleton
-            assert fb.lower_max == 1 and fb.upper_max == 1, str(e.point)
+            assert fb.lower_max == 1 and fb.upper_max == 1, str(p)
         announce["ok"] = True
 
     def test_04_cycles_of_all_periods(self, zero_map, announce):
@@ -102,7 +102,7 @@ class TestAcceptance:
             (tent_map, make_thread(tent_map, F(1, 16), make_cycle(tent_map, 3), 3)),
         ]
         for m, th in canned:
-            rep = verify_arc_chain(make_arc_system(m, th, 6), 6)
+            rep = verify_arc_chain(ArcSystem(m, th, 6), 6)
             assert rep["ok"], rep["failures"][:2]
             assert all(r["max_leading"] == "0"
                        for r in rep["joint_leading_coordinates"])
@@ -118,8 +118,7 @@ class TestAcceptance:
     def test_09_usc_and_weak_continuity(self, zero_map, family, announce):
         usc = check_usc(zero_map, 200, 8, seed=0)
         assert usc["sequences"] == 200 and usc["ok"], usc["failures"][:2]
-        pts = [e.point for e in family.c1.endpoints(50)]
-        weak = check_weak_continuity(zero_map, pts, 12, tolerance=F(1, 64))
+        weak = check_weak_continuity(zero_map, family.c1.endpoints(50), 12)
         assert weak["ok"] and len(weak["witnesses"]) == 50
         assert all(F(w["distance"]) < F(1, 64) for w in weak["witnesses"])
         announce["ok"] = True

@@ -142,8 +142,7 @@ class TestCheckers:
         assert check_usc(zero_map, 30, 5, seed=9) == check_usc(zero_map, 30, 5, seed=9)
 
     def test_weak_continuity(self, zero_map, family):
-        pts = [e.point for e in family.c1.endpoints(12)]
-        rep = check_weak_continuity(zero_map, pts, 12)
+        rep = check_weak_continuity(zero_map, family.c1.endpoints(12), 12)
         assert rep["ok"], rep["failures"][:2]
         for w in rep["witnesses"]:
             assert F(w["distance"]) < F(1, 64)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gillab.cache import family_filename, load_family, save_family
+from gillab.cache import _content_hash, family_filename, load_family, save_family
 from gillab.cantor import build_family
 from gillab.errors import CacheError
 
@@ -10,6 +10,14 @@ from gillab.errors import CacheError
 @pytest.fixture(scope="module")
 def small_family():
     return build_family(1, 24, 15)
+
+
+def rewrite(path, payload, rehash):
+    """Write payload in save_family's layout, so that only a planted
+    change can differ from the file the rebuild renders."""
+    if rehash:
+        payload["contentHash"] = _content_hash(payload)
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 class TestCache:
@@ -48,13 +56,37 @@ class TestCache:
 
     def test_tampered_hash_caught_by_cover_diff(self, small_family, tmp_path):
         # an attacker fixing up the hash still fails the rebuild comparison
-        from gillab.cache import _content_hash
         path = save_family(small_family, 3, tmp_path)
         payload = json.loads(path.read_text())
         member = sorted(payload["members"])[0]
         payload["members"][member]["stages"][0] = "0..1"
-        payload["contentHash"] = _content_hash(payload)
-        path.write_text(json.dumps(payload))
+        rewrite(path, payload, rehash=True)
+        with pytest.raises(CacheError, match="differs from cache"):
+            load_family(1, 24, tmp_path)
+
+    def test_untampered_rewrite_loads(self, small_family, tmp_path):
+        # the control for the planted faults below: rewriting the payload
+        # unchanged reproduces the file byte for byte
+        path = save_family(small_family, 3, tmp_path)
+        before = path.read_bytes()
+        rewrite(path, json.loads(before), rehash=True)
+        assert path.read_bytes() == before
+        load_family(1, 24, tmp_path)
+
+    def test_tampered_schedule_entry(self, small_family, tmp_path):
+        path = save_family(small_family, 3, tmp_path)
+        payload = json.loads(path.read_text())
+        payload["members"]["1/2"]["schedule"][0]["createStage"] += 1
+        rewrite(path, payload, rehash=True)
+        with pytest.raises(CacheError, match="differs from cache"):
+            load_family(1, 24, tmp_path)
+
+    def test_stages_header_disagrees_with_covers(self, small_family, tmp_path):
+        # the content hash does not cover the header
+        path = save_family(small_family, 3, tmp_path)
+        payload = json.loads(path.read_text())
+        payload["stages"] = 2
+        rewrite(path, payload, rehash=False)
         with pytest.raises(CacheError, match="differs from cache"):
             load_family(1, 24, tmp_path)
 

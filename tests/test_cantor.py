@@ -12,7 +12,6 @@ from gillab.cantor import (
     IntermediateCantor,
     MiddleThirds,
     build_family,
-    build_intermediate,
     point_membership,
 )
 from gillab.exact import ClosedInterval, IntervalSet, UNIT
@@ -91,7 +90,7 @@ class TestMiddleThirds:
         assert mt.gap_of(F(1, 5)) == (F(1, 9), F(2, 9))
 
     def test_endpoint_discovery_order(self, family):
-        pts = [e.point for e in family.c1.endpoints(6)]
+        pts = family.c1.endpoints(6)
         assert pts == [F(1, 4), F(3, 4), F(5, 12), F(7, 12), F(11, 36), F(13, 36)]
 
     def test_degenerate_base_rejected(self):
@@ -144,7 +143,7 @@ class TestGapAttached:
         assert kb.base == ClosedInterval(F(19, 36), F(7, 12))
 
     def test_endpoints_exclude_core_members(self, family):
-        pts = [e.point for e in family.c0.endpoints(40)]
+        pts = family.c0.endpoints(40)
         assert F(1, 4) not in pts
         assert F(3, 4) not in pts
         assert pts[:6] == [F(1, 8), F(1, 6), F(5, 24), F(19, 24),
@@ -189,14 +188,22 @@ class TestAddresses:
         comp = family.c1.stage(2).components[0]
         addr = CantorAddress.for_component(family.c1, comp, 2)
         # a point of the smallest set lies in every family member
-        assert point_membership(family.c0, addr).is_in or True
+        assert not point_membership(family.c0, addr).is_out
         assert point_membership(family.c1, addr).is_in
 
 
 class TestIntermediate:
     def test_rejects_equal_generators(self, family):
         with pytest.raises(ValueError):
-            build_intermediate(family.c1, family.c1, 8)
+            IntermediateCantor(family.c1, family.c1, 8)
+
+    def test_rejects_budget_below_one(self, family):
+        # budget 0 once built a C_{1/2} equal to C_0
+        for budget in (0, -3):
+            with pytest.raises(ValueError, match="budget"):
+                IntermediateCantor(family.c1, family.c0, budget)
+            with pytest.raises(ValueError, match="budget"):
+                build_family(1, budget)
 
     def test_schedule_shape(self, family):
         mid = family.member(F(1, 2))
@@ -233,7 +240,7 @@ class TestIntermediate:
     def test_endpoints_are_addresses(self, family):
         eps = family.member(F(1, 2)).endpoints(10)
         assert len(eps) == 10
-        assert all(isinstance(e.point, CantorAddress) for e in eps)
+        assert all(isinstance(p, CantorAddress) for p in eps)
 
 
 class TestFamily:

@@ -76,6 +76,16 @@ class TestFamily:
         assert res.exit_code == 3
         assert "not built" in res.output
 
+    def test_inspect_tampered_cache(self, tmp_path):
+        invoke("family", "build", "--cache-dir", str(tmp_path), *SMALL)
+        path, = tmp_path.iterdir()
+        payload = json.loads(path.read_text())
+        payload["stages"] = 2   # not covered by the content hash
+        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        res = invoke("family", "inspect", "--cache-dir", str(tmp_path), *SMALL)
+        assert res.exit_code == 3
+        assert "differs from cache" in res.output
+
     def test_build_requires_cache_dir(self):
         assert invoke("family", "build", *SMALL).exit_code == 2
 
@@ -146,6 +156,9 @@ class TestExport:
     (["export", "arc", "--coords", "-1,0"], None),
     (["export", "arc", "--arc-n", "0"],
      '[{"prefix": ["1/64", "1/32", "1/16"], "tailPeriod": ["1/4", "3/4"]}]'),
+    (["verify", "nesting", "--budget", "0"], None),
+    (["eval", "1/4", "--budget", "-3"], None),
+    (["verify", "arcs"], '[{"isZero": "false"}]'),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, args, threads):
     if threads is not None:

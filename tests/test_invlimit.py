@@ -7,11 +7,11 @@ from gillab.errors import BoxCountError
 from gillab.exact import IntervalSet
 from gillab.invlimit import (
     ZERO_THREAD,
+    ArcSystem,
     Thread,
     arc_params,
     arc_points,
     check_treelike_hypotheses,
-    make_arc_system,
     make_thread,
     mahavier_cover,
     tail_index,
@@ -93,46 +93,46 @@ class TestThreads:
 class TestArcs:
     def test_zero_thread_rejected(self, zero_map):
         with pytest.raises(ValueError):
-            make_arc_system(zero_map, ZERO_THREAD, 4)
+            ArcSystem(zero_map, ZERO_THREAD, 4)
 
     def test_param_zero_is_joint(self, zero_map):
         th = make_thread(zero_map, None, make_cycle(zero_map, 2), 0)
-        sysm = make_arc_system(zero_map, th, 6)
+        sysm = ArcSystem(zero_map, th, 6)
         for n in range(0, 4):
             assert sysm.arc_point(n, F(0), 8) == sysm.joint(n + 1).coordinates(8)
 
     def test_param_endpoint_is_thread(self, tent_map):
         th = make_thread(tent_map, F(1, 16), make_cycle(tent_map, 2), 3)
-        sysm = make_arc_system(tent_map, th, 8)
+        sysm = ArcSystem(tent_map, th, 8)
         n0 = tail_index(tent_map, th) - 1
         assert sysm.arc_point(n0, th.coordinate(n0), 10) == th.coordinates(10)
 
     def test_param_range_enforced(self, zero_map):
         th = make_thread(zero_map, None, make_cycle(zero_map, 2), 0)
-        sysm = make_arc_system(zero_map, th, 6)
+        sysm = ArcSystem(zero_map, th, 6)
         with pytest.raises(ValueError):
             sysm.arc_point(0, F(1, 2), 4)  # above x_0 = 1/4
 
     def test_chain_exact(self, zero_map, tent_map):
         for m in (zero_map, tent_map):
             th = make_thread(m, None, make_cycle(m, 2), 0)
-            rep = verify_arc_chain(make_arc_system(m, th, 8), 6)
+            rep = verify_arc_chain(ArcSystem(m, th, 8), 6)
             assert rep["ok"], rep["failures"][:2]
 
     def test_chain_with_prefix(self, tent_map):
         th = make_thread(tent_map, F(1, 16), make_cycle(tent_map, 3), 3)
-        rep = verify_arc_chain(make_arc_system(tent_map, th, 8), 7)
+        rep = verify_arc_chain(ArcSystem(tent_map, th, 8), 7)
         assert rep["ok"]
         assert rep["thread_on_first_arc"]
 
     def test_joint_leading_coordinates_zero(self, zero_map):
         th = make_thread(zero_map, None, make_cycle(zero_map, 2), 0)
-        rep = verify_arc_chain(make_arc_system(zero_map, th, 8), 6)
+        rep = verify_arc_chain(ArcSystem(zero_map, th, 8), 6)
         assert all(r["max_leading"] == "0" for r in rep["joint_leading_coordinates"])
 
     def test_arc_points_projection(self, tent_map):
         th = make_thread(tent_map, F(1, 16), make_cycle(tent_map, 2), 3)
-        sysm = make_arc_system(tent_map, th, 8)
+        sysm = ArcSystem(tent_map, th, 8)
         pts = arc_points(sysm, 3, arc_params(sysm, 3), (2, 3))
         assert pts[0] == (F(0), F(0), F(0))
         # the parameter grid is sorted and inside [0, x_3]
