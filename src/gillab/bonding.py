@@ -16,6 +16,7 @@ sup is reported as a certified bracket over the family's dyadic grid.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -142,14 +143,25 @@ def eval_F(m: SetValuedMap, t: Fraction, level: Optional[int] = None,
 
 @dataclass
 class GraphCover:
-    """Finite outer box cover of the graph of F with exact corners."""
+    """Finite outer box cover of the graph of F with exact corners.
+
+    The boxes are sorted by x-interval, and the x-intervals have
+    disjoint interiors (stage components and the gaps between them).
+    """
 
     boxes: list[tuple[ClosedInterval, ClosedInterval]]
     stage: int
     level: int
 
     def contains_point(self, t: Fraction, y: Fraction) -> bool:
-        return any(xb.contains(t) and yb.contains(y) for xb, yb in self.boxes)
+        # with disjoint interiors in lo order the hi ends ascend too, so
+        # the boxes holding t form one run
+        i = bisect_left(self.boxes, t, key=lambda box: box[0].hi)
+        while i < len(self.boxes) and self.boxes[i][0].lo <= t:
+            if self.boxes[i][1].contains(y):
+                return True
+            i += 1
+        return False
 
     def area(self) -> Fraction:
         return sum((xb.width * yb.width for xb, yb in self.boxes), ZERO)
@@ -341,14 +353,10 @@ def check_ivp_consistency(m: SetValuedMap, grid: int, seed: int = 0) -> dict:
             "ok": not shape_failures and not spot_failures}
 
 
-def _wide_gaps(c0: GapAttachedCantor, min_width: Fraction, stage: int):
-    """True maximal gaps of {0}+C0+{1} of width >= min_width, via covers."""
-    gaps = []
-    for seg in c0.stage(stage).complement_in(UNIT):
-        a, b = c0.gap_of((seg.lo + seg.hi) / 2)
-        if (b - a) >= min_width and (a, b) not in gaps:
-            gaps.append((a, b))
-    return sorted(set(gaps))
+def _true_gaps(c0: GapAttachedCantor, stage: int) -> list[tuple[Fraction, Fraction]]:
+    """True maximal gaps of {0}+C0+{1} met by the stage cover's gaps, sorted."""
+    return sorted({c0.gap_of((seg.lo + seg.hi) / 2)
+                   for seg in c0.stage(stage).complement_in(UNIT)})
 
 
 def check_light(m: SetValuedMap, y_grid: int, stage: int) -> dict:
@@ -366,14 +374,19 @@ def check_light(m: SetValuedMap, y_grid: int, stage: int) -> dict:
                 "witness_interval": [str(a), str(b)],
                 "ok": True}
     grid = m.positive_grid(m.family.level)
+    gaps = _true_gaps(c0, stage)
+    measures: dict[Fraction, Fraction] = {}
     rows = []
     for k in range(1, y_grid + 1):
         y = Fraction(k, y_grid)
         below = [r for r in grid if r < y]
         r = max(below) if below else ZERO
-        cover = m.family.member(r).stage(stage)
+        if r not in measures:
+            measures[r] = m.family.member(r).stage(stage).measure()
         tent_points = []
-        for a, b in _wide_gaps(c0, 4 * y, stage):
+        for a, b in gaps:
+            if b - a < 4 * y:
+                continue
             h = min((b - a) / 4, MAX_TENT_HEIGHT)
             if h < y:
                 continue
@@ -382,7 +395,7 @@ def check_light(m: SetValuedMap, y_grid: int, stage: int) -> dict:
             off = half * (1 - y / h)
             tent_points.extend([mid - off, mid + off])
         rows.append({"y": str(y), "cover_index": str(r),
-                     "cover_measure": str(cover.measure()),
+                     "cover_measure": str(measures[r]),
                      "tent_point_count": len(tent_points)})
     zero_row = {"y": "0", "cover_measure": str(c0.stage(stage).measure()),
                 "structure": "{0,1} plus the big set: nowhere dense"}

@@ -581,12 +581,9 @@ class IntermediateCantor(CantorGen):
     # -- covers and queries ---------------------------------------------
 
     def _compute_stage(self, d: int) -> IntervalSet:
-        cov = self.outer.stage(d)
-        for entry in self.schedule().entries:
-            if entry.create_stage <= d:
-                rlo, rhi = entry.removal_open(d)
-                cov = cov.subtract_open(rlo, rhi)
-        return cov
+        return self.outer.stage(d).subtract_opens(
+            entry.removal_open(d) for entry in self.schedule().entries
+            if entry.create_stage <= d)
 
     def component_persists(self, comp: ClosedInterval, d: int) -> bool:
         # slivers left beside a growing removal get eaten at deeper
@@ -597,12 +594,15 @@ class IntermediateCantor(CantorGen):
                        for entry in self.schedule().entries)
 
     def membership(self, t: Fraction, max_stage: int = DEFAULT_MAX_STAGE) -> Membership:
-        out = self._cover_out(t, max_stage)
-        if out is not None:
-            return out
+        # inner first: every removal hole lies in a gap of the inner
+        # covers, so inner <= this set and an IN from the inner set is
+        # final; only the points it does not certify need the cover walk
         inner_m = self.inner.membership(t, max_stage)
         if inner_m.is_in:
             return inner_m
+        out = self._cover_out(t, max_stage)
+        if out is not None:
+            return out
         return Membership(UNKNOWN, None)
 
     def endpoints(self, count: int) -> list[CantorAddress]:

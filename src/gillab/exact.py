@@ -249,18 +249,44 @@ class IntervalSet:
 
     def subtract_open(self, lo: Fraction, hi: Fraction) -> "IntervalSet":
         """Remove the open interval (lo, hi); endpoints lo, hi survive."""
-        if lo >= hi:
-            return self
+        return self.subtract_opens([(lo, hi)])
+
+    def subtract_opens(self, holes: Iterable[tuple[Fraction, Fraction]]) -> "IntervalSet":
+        """Remove every open interval (lo, hi) of holes in one sorted sweep.
+
+        Holes may overlap, nest, touch or be empty (lo >= hi); the result
+        is the same as subtracting them one at a time.  Components that
+        no hole meets are kept as the same objects.
+        """
+        # merge overlapping holes into disjoint open intervals; holes that
+        # only touch stay apart, since their shared end point survives
+        merged: list[list[Fraction]] = []
+        for lo, hi in sorted(h for h in holes if h[0] < h[1]):
+            if merged and lo < merged[-1][1]:
+                if hi > merged[-1][1]:
+                    merged[-1][1] = hi
+            else:
+                merged.append([lo, hi])
         out: list[ClosedInterval] = []
+        j, n = 0, len(merged)
         for c in self._components:
-            if c.hi <= lo or c.lo >= hi:
+            while j < n and merged[j][1] <= c.lo:
+                j += 1
+            if j == n or merged[j][0] >= c.hi:
                 out.append(c)
                 continue
-            if c.lo <= lo:
-                out.append(ClosedInterval(c.lo, lo))
-            if c.hi >= hi:
-                out.append(ClosedInterval(hi, c.hi))
-        return IntervalSet(out)
+            cursor = c.lo
+            while j < n and merged[j][0] < c.hi:
+                lo, hi = merged[j]
+                if cursor <= lo:
+                    out.append(ClosedInterval(cursor, lo))
+                cursor = hi
+                if hi > c.hi:
+                    break  # the hole reaches into the next component
+                j += 1
+            if cursor <= c.hi:
+                out.append(ClosedInterval(cursor, c.hi))
+        return IntervalSet(out, _normalized=True)
 
     def measure(self) -> Fraction:
         return sum((c.width for c in self._components), ZERO)

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .bonding import MAX_TENT_HEIGHT, MIN_C0, SetValuedMap
+from .bonding import MAX_TENT_HEIGHT, MIN_C0, SetValuedMap, eval_F
 from .dynamics import Cycle, certify_step, iterate_f
 from .errors import BoxCountError
-from .exact import ClosedInterval, IntervalSet, ONE, ZERO
+from .exact import UNIT, ClosedInterval, IntervalSet, ONE, ZERO
 
 DEFAULT_BOX_CEILING = 10 ** 6
+TREELIKE_GAP_STAGE = 3
 
 
 @dataclass(frozen=True)
@@ -341,7 +342,9 @@ def check_treelike_hypotheses(m: SetValuedMap, stage: int) -> dict:
     1/8 = min of every stage cover, so the preimage of the big set stays
     inside the big set; (ii) stage-cover component widths shrink to 0
     (total disconnectedness at finite resolution); (iii) nondegenerate
-    images occur only at points of the big set, by construction of F.
+    images occur only at points of the big set: F is certified a
+    singleton at the midpoint of every gap of the big set's
+    stage-TREELIKE_GAP_STAGE cover.
     """
     c0 = m.family.c0
     f_sup = ZERO if m.mode == "zero" else MAX_TENT_HEIGHT
@@ -353,9 +356,12 @@ def check_treelike_hypotheses(m: SetValuedMap, stage: int) -> dict:
         for d in range(stage)) and (
         c0.stage(stage).max_component_width()
         < c0.stage(0).max_component_width() / 8)
+    gap_singletons = all(
+        eval_F(m, (seg.lo + seg.hi) / 2).is_singleton
+        for seg in c0.stage(TREELIKE_GAP_STAGE).complement_in(UNIT))
     return {"preimage_ok": bool(preimage_ok),
             "singleton_sup": str(f_sup), "cover_min": str(cover_min),
             "max_component_widths": widths,
             "widths_shrink": bool(shrinking),
-            "nondegenerate_only_on_big_set": True,
-            "ok": bool(preimage_ok and shrinking)}
+            "nondegenerate_only_on_big_set": gap_singletons,
+            "ok": bool(preimage_ok and shrinking and gap_singletons)}

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction as F
 
 import pytest
@@ -18,8 +19,44 @@ from gillab.bonding import (
     eval_f,
     make_map,
 )
+from gillab.exact import UNIT
 
 unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=729)
+
+
+def per_value_light_rows(m, y_grid, stage):
+    """Tent-mode rows of check_light, scanning the cover gaps per value."""
+    # memoized only for speed: the per-value filter below is the point
+    gap_of = functools.lru_cache(maxsize=None)(m.family.c0.gap_of)
+    measure = functools.lru_cache(maxsize=None)(
+        lambda r: m.family.member(r).stage(stage).measure())
+    segs = m.family.c0.stage(stage).complement_in(UNIT)
+
+    def wide_gaps(min_width):
+        gaps = []
+        for seg in segs:
+            a, b = gap_of((seg.lo + seg.hi) / 2)
+            if (b - a) >= min_width and (a, b) not in gaps:
+                gaps.append((a, b))
+        return sorted(set(gaps))
+
+    grid = m.positive_grid(m.family.level)
+    rows = []
+    for k in range(1, y_grid + 1):
+        y = F(k, y_grid)
+        below = [r for r in grid if r < y]
+        r = max(below) if below else F(0)
+        tent_points = []
+        for a, b in wide_gaps(4 * y):
+            h = min((b - a) / 4, MAX_TENT_HEIGHT)
+            if h < y:
+                continue
+            off = (b - a) / 2 * (1 - y / h)
+            tent_points.extend([(a + b) / 2 - off, (a + b) / 2 + off])
+        rows.append({"y": str(y), "cover_index": str(r),
+                     "cover_measure": str(measure(r)),
+                     "tent_point_count": len(tent_points)})
+    return rows
 
 
 class TestBaseMap:
@@ -126,6 +163,23 @@ class TestGraphCover:
         areas = [zero_map.graph_cover(d, 2).area() for d in range(7)]
         assert all(a > b for a, b in zip(areas, areas[1:]))
 
+    def test_lookup_matches_linear_scan(self, zero_map, tent_map):
+        # every box corner, every shared box end, the box midpoints, and
+        # y-values on, between and above the box heights
+        for m in (zero_map, tent_map):
+            for d in range(6):
+                cov = m.graph_cover(d, 2)
+                ts = sorted({x for xb, _ in cov.boxes
+                             for x in (xb.lo, xb.hi, (xb.lo + xb.hi) / 2)})
+                ys = sorted({y for _, yb in cov.boxes for y in (yb.lo, yb.hi)})
+                ys += [(a + b) / 2 for a, b in zip(ys, ys[1:])] + [ys[-1] + F(1, 99)]
+                for t in ts:
+                    holders = [(xb, yb) for xb, yb in cov.boxes if xb.contains(t)]
+                    for y in ys:
+                        expected = any(xb.contains(t) and yb.contains(y)
+                                       for xb, yb in holders)
+                        assert cov.contains_point(t, y) == expected, (m.mode, d, t, y)
+
     def test_csv_rows(self, zero_map):
         rows = zero_map.graph_cover(1, 2).csv_rows()
         assert rows[0] == "x_lo,x_hi,y_lo,y_hi"
@@ -164,6 +218,14 @@ class TestCheckers:
         trep = check_light(tent_map, 8, 6)
         assert trep["ok"] and trep["light"]
         assert all(F(r["cover_measure"]) < 1 for r in trep["rows"])
+
+    @pytest.mark.parametrize("stage", [3, 8])
+    @pytest.mark.parametrize("y_grid", [16, 64])
+    def test_light_rows_match_per_value_gap_scan(self, tent_map, stage, y_grid):
+        rows = check_light(tent_map, y_grid, stage)["rows"]
+        assert rows == per_value_light_rows(tent_map, y_grid, stage)
+        # values at or below the tallest tent height cut tent legs
+        assert (sum(r["tent_point_count"] for r in rows) > 0) == (y_grid > 32)
 
     def test_not_almost_nonfissile(self, zero_map):
         rep = check_not_almost_nonfissile(zero_map)

@@ -1,15 +1,21 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gillab.bonding import eval_F, make_map
 from gillab.cantor import (
     C1_BASE,
+    IN,
+    OUT,
+    UNKNOWN,
     CantorAddress,
     EdgeAnchor,
     GapAttachedCantor,
     IntermediateCantor,
+    Membership,
     MiddleThirds,
     build_family,
     point_membership,
@@ -275,3 +281,112 @@ class TestFamily:
     def test_level_zero(self):
         fam = build_family(0, 8, 15)
         assert fam.grid() == [F(0), F(1)]
+
+
+# ---------------------------------------------------------------------------
+# references for the one-sweep covers and inner-first membership
+
+
+def per_hole_stage(gen, d: int) -> IntervalSet:
+    """Stage-d cover with each removal hole subtracted by its own rebuild."""
+    if not isinstance(gen, IntermediateCantor):
+        return gen.stage(d)
+    cov = per_hole_stage(gen.outer, d)
+    for entry in gen.schedule().entries:
+        if entry.create_stage > d:
+            continue
+        lo, hi = entry.removal_open(d)
+        out = []
+        for c in cov:
+            if c.hi <= lo or c.lo >= hi:
+                out.append(c)
+                continue
+            if c.lo <= lo:
+                out.append(ClosedInterval(c.lo, lo))
+            if c.hi >= hi:
+                out.append(ClosedInterval(hi, c.hi))
+        cov = IntervalSet(out)
+    return cov
+
+
+def cover_first(gen, t: F, max_stage: int) -> Membership:
+    """Membership that walks the covers before it asks the inner set."""
+    if not isinstance(gen, IntermediateCantor):
+        return gen.membership(t, max_stage)
+    for d in range(max_stage + 1):
+        if not gen.stage(d).contains_point(t):
+            return Membership(OUT, d)
+    inner_m = cover_first(gen.inner, t, max_stage)
+    if inner_m.is_in:
+        return inner_m
+    return Membership(UNKNOWN, None)
+
+
+def cover_first_point(gen, p, max_stage: int) -> Membership:
+    if not isinstance(p, CantorAddress):
+        return cover_first(gen, p, max_stage)
+    if p.gen is gen:
+        return Membership(IN, 0)
+    for d in range(max_stage + 1):
+        if not gen.stage(d).components_overlapping(p.bracket(d)):
+            return Membership(OUT, d)
+    return Membership(UNKNOWN, None)
+
+
+class TestSweptCovers:
+    def test_every_member_matches_per_hole_reference(self, family):
+        overlaps = 0
+        for r in family.grid():
+            gen = family.member(r)
+            for d in range(11):
+                assert gen.stage(d).to_text() == per_hole_stage(gen, d).to_text(), (r, d)
+                if isinstance(gen, IntermediateCantor):
+                    holes = sorted(e.removal_open(d) for e in gen.schedule().entries
+                                   if e.create_stage <= d)
+                    overlaps += sum(c < b for (_, b), (c, _) in zip(holes, holes[1:]))
+        # the sweep must carry a running right end: removal holes overlap
+        assert overlaps > 0
+
+    def test_level_three_matches_per_hole_reference(self):
+        fam = build_family(3, 24, 15)
+        for r in fam.grid():
+            gen = fam.member(r)
+            for d in range(7):
+                assert gen.stage(d).to_text() == per_hole_stage(gen, d).to_text(), (r, d)
+
+
+class TestInnerFirstMembership:
+    @pytest.mark.parametrize("max_stage", [8, 12])
+    def test_matches_cover_first(self, family, max_stage):
+        rnd = random.Random(11)
+        points = (family.c1.endpoints(40) + family.c0.endpoints(60)
+                  + [F(rnd.randrange(q + 1), q)
+                     for q in (rnd.randrange(1, 5000) for _ in range(150))])
+        for r in family.grid():
+            gen = family.member(r)
+            for t in points:
+                assert gen.membership(t, max_stage) == cover_first(gen, t, max_stage), (r, t)
+
+    @pytest.mark.parametrize("max_stage", [8, 12])
+    def test_addresses_through_point_membership(self, family, max_stage):
+        points = [p for r in family.grid()
+                  for p in family.member(r).endpoints(12)]
+        points += [CantorAddress.for_component(family.c1, c, 3)
+                   for c in family.c1.stage(3).components[::3]]
+        for r in family.grid():
+            gen = family.member(r)
+            for p in points:
+                assert (point_membership(gen, p, max_stage)
+                        == cover_first_point(gen, p, max_stage)), (r, p)
+
+    def test_smallest_set_point_builds_no_cover(self):
+        # an endpoint of C_1 lies in every inner set, so no intermediate
+        # member needs a stage cover to certify it
+        fam = build_family(2, 56, 15)
+        p = fam.c1.endpoints(9)[-1]
+        fb = eval_F(make_map("zero", fam), p)
+        assert fb.lower_max == 1
+        for r in fam.grid():
+            gen = fam.member(r)
+            if isinstance(gen, IntermediateCantor):
+                assert gen._stage_memo == [], r

@@ -142,6 +142,83 @@ class TestAlgebra:
         assert (a | a) == a
 
 
+def _subtract_one(s: IntervalSet, lo, hi) -> IntervalSet:
+    """Reference: remove one open hole (lo, hi) by rebuilding the set."""
+    if lo >= hi:
+        return s
+    out = []
+    for c in s:
+        if c.hi <= lo or c.lo >= hi:
+            out.append(c)
+            continue
+        if c.lo <= lo:
+            out.append(ClosedInterval(c.lo, lo))
+        if c.hi >= hi:
+            out.append(ClosedInterval(hi, c.hi))
+    return IntervalSet(out)
+
+
+@st.composite
+def sets_and_holes(draw):
+    """A normalized set and holes that often overlap, nest, touch each
+    other or a component end, or are empty."""
+    s = draw(interval_sets())
+    ends = sorted({c.lo for c in s} | {c.hi for c in s})
+    point = st.one_of(rationals, st.sampled_from(ends)) if ends else rationals
+    holes = draw(st.lists(st.tuples(point, point), max_size=8))
+    return s, holes
+
+
+class TestSubtractOpens:
+    @given(sets_and_holes())
+    @settings(max_examples=300)
+    def test_sweep_equals_one_hole_at_a_time(self, case):
+        s, holes = case
+        expected = s
+        for lo, hi in holes:
+            expected = _subtract_one(expected, lo, hi)
+        assert s.subtract_opens(holes).components == expected.components
+        one_by_one = s
+        for lo, hi in holes:
+            one_by_one = one_by_one.subtract_open(lo, hi)
+        assert one_by_one.components == expected.components
+
+    @given(sets_and_holes())
+    @settings(max_examples=200)
+    def test_untouched_components_are_kept(self, case):
+        s, holes = case
+        swept = s.subtract_opens(holes)
+        kept = [c for c in s
+                if all(hi <= lo or c.hi <= lo or c.lo >= hi for lo, hi in holes)]
+        for c in kept:
+            assert any(r is c for r in swept), c
+
+    def test_overlapping_and_nested_holes(self):
+        s = IntervalSet.of((0, 1))
+        holes = [(F(1, 8), F(3, 8)), (F(1, 4), F(1, 2)), (F(5, 16), F(7, 16)),
+                 (F(5, 8), F(3, 4))]
+        assert s.subtract_opens(holes) == IntervalSet.of(
+            (0, "1/8"), ("1/2", "5/8"), ("3/4", 1))
+
+    def test_touching_holes_leave_their_shared_end(self):
+        s = IntervalSet.of((0, 1))
+        r = s.subtract_opens([(F(1, 2), F(3, 4)), (F(1, 4), F(1, 2))])
+        assert r == IntervalSet.of((0, "1/4"), ("1/2", "1/2"), ("3/4", 1))
+
+    def test_hole_spanning_components(self):
+        s = IntervalSet.of((0, "1/4"), ("3/8", "3/8"), ("1/2", "3/4"), ("7/8", 1))
+        r = s.subtract_opens([(F(1, 8), F(5, 8))])
+        assert r == IntervalSet.of((0, "1/8"), ("5/8", "3/4"), ("7/8", 1))
+        assert r.components[-1] is s.components[-1]
+
+    def test_hole_touching_component_ends_and_empty_holes(self):
+        s = IntervalSet.of((0, "1/4"), ("1/2", 1))
+        r = s.subtract_opens([(F(1, 4), F(1, 2)), (F(3, 4), F(3, 4)),
+                              (F(7, 8), F(5, 8))])
+        assert r.components == s.components
+        assert all(a is b for a, b in zip(r, s))
+
+
 class TestSerialization:
     def test_text_form(self):
         s = IntervalSet.of(("1/4", "5/12"), ("7/12", "3/4"))

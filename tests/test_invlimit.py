@@ -2,10 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from gillab.cantor import IN, GapAttachedCantor, Membership
 from gillab.dynamics import make_cycle
 from gillab.errors import BoxCountError
-from gillab.exact import IntervalSet
+from gillab.exact import UNIT, IntervalSet
 from gillab.invlimit import (
+    TREELIKE_GAP_STAGE,
     ZERO_THREAD,
     ArcSystem,
     Thread,
@@ -190,3 +192,21 @@ class TestTreelike:
         widths = [F(w) for w in rep["max_component_widths"]]
         assert widths == sorted(widths, reverse=True)
         assert widths[-1] <= F(1, 2) * F(2, 3) ** 8
+
+    def test_gap_singletons_certified(self, zero_map, tent_map):
+        for m in (zero_map, tent_map):
+            assert check_treelike_hypotheses(m, 8)["nondegenerate_only_on_big_set"] is True
+
+    def test_planted_big_set_point_in_a_gap_fails(self, zero_map, monkeypatch):
+        segs = zero_map.family.c0.stage(TREELIKE_GAP_STAGE).complement_in(UNIT)
+        seg = segs.components[len(segs) // 2]
+        target = (seg.lo + seg.hi) / 2
+        original = GapAttachedCantor.membership
+
+        def planted(self, t, *args):
+            return Membership(IN, 0) if t == target else original(self, t, *args)
+
+        monkeypatch.setattr(GapAttachedCantor, "membership", planted)
+        rep = check_treelike_hypotheses(zero_map, 8)
+        assert rep["nondegenerate_only_on_big_set"] is False
+        assert not rep["ok"]
