@@ -3,9 +3,10 @@
 One JSON file per (level, budget) pair, named by a hash of the build
 parameters.  The payload holds the canonical interval-set text of every
 member's stage covers plus each removal schedule, and carries a content
-hash.  Loading rebuilds the family from scratch, renders it with the
-code that wrote the file, and insists on the same text byte for byte,
-so a cache file is a determinism certificate for everything it holds.
+hash.  Loading rebuilds the family from scratch, compares every stored
+cover depth by depth, renders it with the code that wrote the file, and
+insists on the same text byte for byte, so a cache file is a
+determinism certificate for everything it holds.
 """
 
 from __future__ import annotations
@@ -116,6 +117,18 @@ def load_family(level: int, budget: int, cache_dir: Path,
     except (AttributeError, KeyError, StopIteration, TypeError) as ex:
         raise CacheError(f"cache file {path} holds no stage covers") from ex
     fam = build_family(level, budget, search_ceiling)
+    # depth by depth, so that a padded cover list fails at its first
+    # wrong depth instead of rendering covers exponential in its length
+    for d in range(stages + 1):
+        for r in fam.grid():
+            want = fam.member(r).stage(d).to_text()
+            try:
+                same = payload["members"][str(r)]["stages"][d] == want
+            except (IndexError, KeyError, TypeError):
+                same = False
+            if not same:
+                raise CacheError(f"rebuilt family differs from cache file {path} "
+                                 f"at stage {d} of member {r}")
     if _render(fam, stages) != text:
         raise CacheError(f"rebuilt family differs from cache file {path}")
     return fam

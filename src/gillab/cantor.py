@@ -16,16 +16,25 @@ Three generator kinds:
 Every generator exposes nested stage covers (normalized
 :class:`~gillab.exact.IntervalSet` values) whose intersection is the
 represented set.  Identical build parameters yield bit-identical covers.
+
+Beside the memoised whole covers (``stage``) each generator answers one
+local query, ``near(d, window)``: the stage-d components that meet a
+closed window.  It reads a memoised cover when there is one and
+otherwise descends from the stage-(d-1) components near the window, one
+"children of a component" rule per generator.  The removal-schedule
+search and the symbolic addresses read only such local answers, so
+building a family never materialises a deep cover it does not report.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import BracketSearchError
-from .exact import UNIT, ClosedInterval, IntervalSet, ZERO, ONE
+from .exact import ClosedInterval, IntervalSet, ZERO, ONE
 
 IN = "in"
 OUT = "out"
@@ -64,8 +73,14 @@ class CantorGen:
 
     def __init__(self):
         self._stage_memo: list[IntervalSet] = []
+        self._children_memo: dict[tuple[int, ClosedInterval],
+                                  tuple[ClosedInterval, ...]] = {}
 
     def _compute_stage(self, d: int) -> IntervalSet:
+        raise NotImplementedError
+
+    def _children_of(self, d: int, comp: ClosedInterval) -> Sequence[ClosedInterval]:
+        """Stage-d components inside the stage-(d-1) component comp, in order."""
         raise NotImplementedError
 
     def stage(self, d: int) -> IntervalSet:
@@ -75,6 +90,46 @@ class CantorGen:
         while len(self._stage_memo) <= d:
             self._stage_memo.append(self._compute_stage(len(self._stage_memo)))
         return self._stage_memo[d]
+
+    def near(self, d: int, window: ClosedInterval) -> list[ClosedInterval]:
+        """Stage-d components meeting the closed window, in order.
+
+        Equals ``stage(d).components_overlapping(window)`` but builds no
+        cover deeper than the memo holds: the covers nest and their
+        components never touch, so every stage-d component meeting the
+        window lies in a stage-(d-1) component meeting it.
+        """
+        if d < 0:
+            raise ValueError(f"stage depth must be >= 0, got {d}")
+        if d < len(self._stage_memo) or d == 0:
+            return self.stage(d).components_overlapping(window)
+        return [c for parent in self.near(d - 1, window)
+                for c in self._cached_children(d, parent) if c.intersects(window)]
+
+    def walk(self, d: int, x: Fraction, rightward: bool) -> Iterator[ClosedInterval]:
+        """Stage-d components from x outward, lazily: left to right those
+        with hi >= x, or right to left those with lo <= x."""
+        if d < len(self._stage_memo) or d == 0:
+            cover = self.stage(d)
+            comps = cover.components
+            if rightward:
+                first = bisect_left(comps, x, key=lambda c: c.hi)
+                return (comps[k] for k in range(first, len(comps)))
+            last = bisect_right(comps, x, key=lambda c: c.lo) - 1
+            return (comps[k] for k in range(last, -1, -1))
+        if rightward:
+            return (c for parent in self.walk(d - 1, x, True)
+                    for c in self._cached_children(d, parent) if c.hi >= x)
+        return (c for parent in self.walk(d - 1, x, False)
+                for c in reversed(self._cached_children(d, parent)) if c.lo <= x)
+
+    def _cached_children(self, d: int, comp: ClosedInterval) -> tuple[ClosedInterval, ...]:
+        """`_children_of`, memoised by (d, comp)."""
+        key = (d, comp)
+        children = self._children_memo.get(key)
+        if children is None:
+            children = self._children_memo[key] = tuple(self._children_of(d, comp))
+        return children
 
     def membership(self, t: Fraction, max_stage: int = DEFAULT_MAX_STAGE) -> Membership:
         raise NotImplementedError
@@ -155,16 +210,16 @@ class MiddleThirds(CantorGen):
     def describe(self) -> str:
         return f"MT[{self.base.lo},{self.base.hi}]"
 
+    def _children_of(self, d: int, comp: ClosedInterval) -> tuple[ClosedInterval, ClosedInterval]:
+        w3 = comp.width / 3
+        return (ClosedInterval(comp.lo, comp.lo + w3),
+                ClosedInterval(comp.hi - w3, comp.hi))
+
     def _compute_stage(self, d: int) -> IntervalSet:
         if d == 0:
             return IntervalSet([self.base])
-        prev = self.stage(d - 1)
-        comps = []
-        for c in prev:
-            w3 = c.width / 3
-            comps.append(ClosedInterval(c.lo, c.lo + w3))
-            comps.append(ClosedInterval(c.hi - w3, c.hi))
-        return IntervalSet(comps, _normalized=True)
+        return IntervalSet([c for parent in self.stage(d - 1)
+                            for c in self._children_of(d, parent)], _normalized=True)
 
     def membership(self, t: Fraction, max_stage: int = DEFAULT_MAX_STAGE) -> Membership:
         if not self.base.contains(t):
@@ -201,9 +256,9 @@ class MiddleThirds(CantorGen):
             else:
                 eps = []
                 for c in self.stage(k - 1):
-                    w3 = c.width / 3
-                    eps.append(c.lo + w3)
-                    eps.append(c.hi - w3)
+                    left, right = self._children_of(k, c)
+                    eps.append(left.hi)
+                    eps.append(right.lo)
             self._endpoint_stages.append(eps)
         return self._endpoint_stages[s]
 
@@ -255,13 +310,65 @@ class GapAttachedCantor(CantorGen):
             self._k_memo[gap] = pair
         return pair
 
+    def generation(self, gap: tuple[Fraction, Fraction]) -> int:
+        """The core stage at which a maximal gap of the core opens."""
+        a, b = gap
+        if a < self.core.base.lo or b > self.core.base.hi:
+            return 0
+        # a generation-g gap is 3^-g of the core base wide
+        ratio, g = int(self.core.base.width / (b - a)), 0
+        while ratio > 1:
+            ratio, g = ratio // 3, g + 1
+        return g
+
+    def _joined(self, d: int, window: ClosedInterval,
+                core_pieces: Sequence[ClosedInterval],
+                attached: Callable[[MiddleThirds, int], Sequence[ClosedInterval]]
+                ) -> list[ClosedInterval]:
+        """Stage-d components inside window, in order, with no sort.
+
+        core_pieces are the core's stage-d components meeting window.
+        The attachment pieces of the core gap left of the first one come
+        first, then each core piece with those of the gap after it; the
+        pieces that touch are joined.  attached(k, depth) gives the
+        depth-`depth` components of attachment k that are wanted.
+        """
+        out: list[ClosedInterval] = []
+
+        def emit(c: ClosedInterval) -> None:
+            if out and c.lo <= out[-1].hi:
+                if c.hi > out[-1].hi:
+                    out[-1] = ClosedInterval(out[-1].lo, c.hi)
+            else:
+                out.append(c)
+
+        def emit_gap(gap: tuple[Fraction, Fraction]) -> None:
+            depth = d - self.generation(gap)
+            for k in self.attachments(gap):
+                for c in attached(k, depth):
+                    emit(c)
+
+        # a window end outside the core pieces lies in a core gap opened
+        # by stage d, so that gap's attachments are in the stage-d cover
+        if not core_pieces or window.lo < core_pieces[0].lo:
+            emit_gap(self._core_gap_of(window.lo))
+        for c, nxt in zip(core_pieces, core_pieces[1:]):
+            emit(c)
+            emit_gap((c.hi, nxt.lo))
+        if core_pieces:
+            emit(core_pieces[-1])
+            if window.hi > core_pieces[-1].hi:
+                emit_gap(self._core_gap_of(window.hi))
+        return out
+
     def _compute_stage(self, d: int) -> IntervalSet:
-        comps = list(self.core.stage(d))
-        for g in range(d + 1):
-            for gap in self.gaps_of_generation(g):
-                for k in self.attachments(gap):
-                    comps.extend(k.stage(d - g))
-        return IntervalSet(comps)
+        return IntervalSet(self._joined(d, self.window, self.core.stage(d).components,
+                                        lambda k, depth: k.stage(depth).components),
+                           _normalized=True)
+
+    def _children_of(self, d: int, comp: ClosedInterval) -> list[ClosedInterval]:
+        return self._joined(d, comp, self.core.near(d, comp),
+                            lambda k, depth: k.near(depth, comp))
 
     def membership(self, t: Fraction, max_stage: int = DEFAULT_MAX_STAGE) -> Membership:
         core_m = self.core.membership(t)
@@ -326,14 +433,12 @@ class GapAttachedCantor(CantorGen):
 
 
 def _children(gen: CantorGen, k: int,
-              parent: Optional[ClosedInterval]) -> list[ClosedInterval]:
+              parent: Optional[ClosedInterval]) -> Sequence[ClosedInterval]:
     """Stage-k cover components inside the stage-(k-1) component parent;
     every stage-0 component when k is 0."""
-    cover = gen.stage(k)
     if k == 0:
-        return list(cover.components)
-    return [c for c in cover.components_overlapping(parent)
-            if parent.contains_interval(c)]
+        return gen.stage(0).components
+    return gen.near(k, parent)
 
 
 class CantorAddress:
@@ -431,7 +536,7 @@ def point_membership(gen: CantorGen, p: PointLike,
     if p.gen is gen:
         return Membership(IN, 0)
     for d in range(max_stage + 1):
-        if not gen.stage(d).components_overlapping(p.bracket(d)):
+        if not gen.near(d, p.bracket(d)):
             return Membership(OUT, d)
     return Membership(UNKNOWN, None)
 
@@ -458,6 +563,12 @@ class ScheduleEntry:
     def hull(self, d: int) -> ClosedInterval:
         s = max(d, self.create_stage)
         return ClosedInterval(self.a.bracket(s).lo, self.b.bracket(s).hi)
+
+    @property
+    def widest_hull(self) -> ClosedInterval:
+        """The create-stage hull; hulls shrink as brackets nest, so it
+        holds removal_open(d) and hull(d) at every stage d."""
+        return self.hull(self.create_stage)
 
 
 @dataclass
@@ -532,28 +643,66 @@ class IntermediateCantor(CantorGen):
 
     def _try_stage(self, sched: RemovalSchedule, p: PointLike,
                    br: ClosedInterval, e: int):
-        # already swallowed by an earlier removal?
-        for entry in sched.entries:
-            if entry.create_stage > e:
+        live = [entry for entry in sched.entries if entry.create_stage <= e]
+        # already swallowed by an earlier removal?  an entry whose widest
+        # hull cannot hold the bracket cannot swallow it
+        for entry in live:
+            widest = entry.widest_hull
+            if not (widest.lo < br.lo and br.hi < widest.hi):
                 continue
             rlo, rhi = entry.removal_open(e)
             if rlo < br.lo and br.hi < rhi:
                 sched.reuses.append((p, entry.index))
                 return "reuse"
-        hulls = [entry.hull(e) for entry in sched.entries if entry.create_stage <= e]
-        if any(h.intersects(br) for h in hulls):
-            return None  # refine until the hull releases the point
-        blocked = self.inner.stage(e).union(IntervalSet(hulls))
-        gap = blocked.complement_in(UNIT).component_containing(br.lo)
-        if gap is None or not (gap.lo < br.lo and br.hi < gap.hi):
+        gap = self._free_gap(live, br, e)
+        if gap is None:
             return None
-        a = self._anchor(gap.lo, br.lo, e, left=True)
+        a = self._anchor(gap[0], br.lo, e, left=True)
         if a is None:
             return None
-        b = self._anchor(br.hi, gap.hi, e, left=False)
+        b = self._anchor(br.hi, gap[1], e, left=False)
         if b is None:
             return None
         return ScheduleEntry(index=-1, point=p, a=a, b=b, create_stage=e)
+
+    def _free_gap(self, live: list[ScheduleEntry], br: ClosedInterval,
+                  e: int) -> Optional[tuple[Fraction, Fraction]]:
+        """Ends of the gap of inner.stage(e) and the live hulls in [0, 1]
+        that holds br strictly inside; None if there is none yet.
+
+        This is the component of ``(inner ∪ hulls).complement_in(UNIT)``
+        containing br, found by walking the inner stage-e components
+        outward from br and clipping by each hull that can still narrow
+        it; no inner cover is materialised.
+        """
+        # complement_in's closure swallows isolated points, so only the
+        # nondegenerate inner components bound the gap
+        def nearest(rightward: bool) -> Optional[ClosedInterval]:
+            return next((c for c in self.inner.walk(e, br.lo, rightward)
+                         if not c.is_degenerate), None)
+
+        right = nearest(True)
+        if right is not None and right.lo <= br.hi:
+            return None
+        left = nearest(False)
+        lo = left.hi if left is not None else ZERO
+        hi = right.lo if right is not None else ONE
+        for entry in live:
+            # a widest hull outside (lo, hi) holds a hull(e) that can
+            # neither meet br nor narrow the gap
+            widest = entry.widest_hull
+            if widest.hi <= lo or widest.lo >= hi:
+                continue
+            h = entry.hull(e)
+            if h.hi < br.lo:
+                lo = max(lo, h.hi)
+            elif h.lo > br.hi:
+                hi = min(hi, h.lo)
+            else:
+                return None  # refine until the hull releases the point
+        if lo < br.lo and br.hi < hi:
+            return lo, hi
+        return None
 
     def _anchor(self, lo: Fraction, hi: Fraction, e: int, left: bool):
         """Removal anchor strictly inside the open interval (lo, hi).
@@ -562,14 +711,15 @@ class IntermediateCantor(CantorGen):
         alternating address, an EdgeAnchor when the outer set provably
         has no points strictly inside, or None (needs refinement).
         """
-        cover = self.outer.stage(e)
-        comps = [c for c in cover.components_strictly_inside(lo, hi)
-                 if self.outer.component_persists(c, e)]
+        around = self.outer.near(e, ClosedInterval(lo, hi))
+        comps = [c for c in around
+                 if lo < c.lo and c.hi < hi and self.outer.component_persists(c, e)]
         if comps:
             comp = comps[-1] if left else comps[0]
             return CantorAddress.for_component(self.outer, comp, e)
-        clipped = cover.intersect_interval(ClosedInterval(lo, hi))
-        if all(c.hi <= lo or c.lo >= hi for c in clipped):
+        # the outer set has no point strictly inside when each component
+        # near the interval meets it at an end only
+        if all(c.hi <= lo or c.lo >= hi for c in around):
             x = lo if left else hi
             # only anchor on the gap edge itself when that edge is provably
             # not a point of the outer set; otherwise a degenerate hull
@@ -585,12 +735,22 @@ class IntermediateCantor(CantorGen):
             entry.removal_open(d) for entry in self.schedule().entries
             if entry.create_stage <= d)
 
+    def _children_of(self, d: int, comp: ClosedInterval) -> list[ClosedInterval]:
+        # a hole meeting comp lies in a widest hull meeting it; the pieces
+        # beyond comp that other holes would cut do not meet comp
+        holes = [entry.removal_open(d) for entry in self.schedule().entries
+                 if entry.create_stage <= d and entry.widest_hull.intersects(comp)]
+        pieces = IntervalSet(self.outer.near(d, comp), _normalized=True).subtract_opens(holes)
+        return [c for c in pieces if c.intersects(comp)]
+
     def component_persists(self, comp: ClosedInterval, d: int) -> bool:
         # slivers left beside a growing removal get eaten at deeper
-        # stages, so only hull-free components are certified to survive
+        # stages, so only hull-free components are certified to survive;
+        # the widest hull, checked first, holds hull(d)
         if not self.outer.component_persists(comp, d):
             return False
-        return not any(entry.hull(d).intersects(comp)
+        return not any(entry.widest_hull.intersects(comp)
+                       and entry.hull(d).intersects(comp)
                        for entry in self.schedule().entries)
 
     def membership(self, t: Fraction, max_stage: int = DEFAULT_MAX_STAGE) -> Membership:

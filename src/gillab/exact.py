@@ -163,11 +163,6 @@ class IntervalSet:
             i += 1
         return out
 
-    def components_strictly_inside(self, lo: Fraction, hi: Fraction) -> list[ClosedInterval]:
-        """Components contained in the open interval (lo, hi)."""
-        return [c for c in self.components_overlapping(ClosedInterval(lo, hi))
-                if c.lo > lo and c.hi < hi]
-
     def issubset(self, other: "IntervalSet") -> bool:
         for comp in self._components:
             i = other._bisect(comp.lo)

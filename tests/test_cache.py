@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gillab import cache
 from gillab.cache import _content_hash, family_filename, load_family, save_family
 from gillab.cantor import build_family
 from gillab.errors import CacheError
@@ -88,6 +89,36 @@ class TestCache:
         payload["stages"] = 2
         rewrite(path, payload, rehash=False)
         with pytest.raises(CacheError, match="differs from cache"):
+            load_family(1, 24, tmp_path)
+
+    def test_padded_cover_lists_fail_at_the_first_wrong_depth(
+            self, small_family, tmp_path, monkeypatch):
+        # 41 covers per member under a recomputed hash once made the
+        # rebuild render C_0 at depth 40, (d+3)*2^d components: a hang
+        path = save_family(small_family, 3, tmp_path)
+        payload = json.loads(path.read_text())
+        for member in payload["members"].values():
+            member["stages"] += [member["stages"][-1]] * 37
+            assert len(member["stages"]) == 41
+        rewrite(path, payload, rehash=True)
+        rebuilt = []
+
+        def build(*args):
+            rebuilt.append(build_family(*args))
+            return rebuilt[-1]
+
+        monkeypatch.setattr(cache, "build_family", build)
+        with pytest.raises(CacheError, match="differs from cache .* at stage 4 "):
+            load_family(1, 24, tmp_path)
+        fam, = rebuilt
+        assert max(len(fam.member(r)._stage_memo) - 1 for r in fam.grid()) == 4
+
+    def test_missing_member_fails_at_stage_zero(self, small_family, tmp_path):
+        path = save_family(small_family, 3, tmp_path)
+        payload = json.loads(path.read_text())
+        del payload["members"]["1/2"]
+        rewrite(path, payload, rehash=True)
+        with pytest.raises(CacheError, match="at stage 0 of member 1/2"):
             load_family(1, 24, tmp_path)
 
     def test_missing_field(self, small_family, tmp_path):

@@ -17,6 +17,8 @@ from gillab.cantor import (
     IntermediateCantor,
     Membership,
     MiddleThirds,
+    RemovalSchedule,
+    ScheduleEntry,
     build_family,
     point_membership,
 )
@@ -390,3 +392,239 @@ class TestInnerFirstMembership:
             gen = fam.member(r)
             if isinstance(gen, IntermediateCantor):
                 assert gen._stage_memo == [], r
+
+
+# ---------------------------------------------------------------------------
+# local cover queries against the whole memoised covers
+
+
+def sample_windows(cover: IntervalSet, per_cover: int = 10) -> list[ClosedInterval]:
+    """Component ends, midpoints, gap midpoints and spans of a few
+    evenly spread components of the cover."""
+    comps = cover.components
+    step = max(1, len(comps) // per_cover)
+    windows = []
+    for i in range(0, len(comps), step):
+        c = comps[i]
+        mid = (c.lo + c.hi) / 2
+        windows += [ClosedInterval(c.lo, c.lo), ClosedInterval(c.hi, c.hi),
+                    ClosedInterval(mid, mid), c]
+        if i + 1 < len(comps):
+            gap_mid = (c.hi + comps[i + 1].lo) / 2
+            windows += [ClosedInterval(gap_mid, gap_mid),
+                        ClosedInterval(mid, (comps[i + 1].lo + comps[i + 1].hi) / 2)]
+    windows += [ClosedInterval(F(0), F(0)), ClosedInterval(F(1), F(1))]
+    return windows
+
+
+def built(level: int, budget: int):
+    fam = build_family(level, budget, 15)
+    for r in fam.grid():
+        gen = fam.member(r)
+        if isinstance(gen, IntermediateCantor):
+            gen.schedule()
+    return fam
+
+
+def assert_near_matches(level: int, max_depth: int) -> None:
+    ref, fam = built(level, 56), built(level, 56)
+    gens = [fam.member(r) for r in fam.grid()]
+    # forget every cover the schedule search left behind, so that each
+    # query below descends from stage 0 before its depth is materialised
+    for gen in gens:
+        gen._stage_memo.clear()
+    for materialised in (False, True):
+        for r, gen in zip(fam.grid(), gens):
+            for d in range(max_depth + 1):
+                cover = ref.member(r).stage(d)
+                if materialised:
+                    assert gen.stage(d) == cover, (r, d)
+                else:
+                    assert len(gen._stage_memo) <= max(d, 1), (r, d)
+                windows = sample_windows(cover)
+                if d <= 6:
+                    windows.append(UNIT)
+                for w in windows:
+                    assert gen.near(d, w) == cover.components_overlapping(w), (r, d, w)
+
+
+class TestNear:
+    def test_level_two_members_to_depth_ten(self):
+        assert_near_matches(2, 10)
+
+    def test_level_three_members_to_depth_eight(self):
+        assert_near_matches(3, 8)
+
+    def test_negative_depth_rejected(self, family):
+        with pytest.raises(ValueError):
+            family.c1.near(-1, UNIT)
+
+    def test_walk_matches_the_cover(self, family):
+        gen = build_family(2, 56, 15).member(F(1, 2))
+        for materialised in (False, True):
+            for d in (3, 7):
+                cover = family.member(F(1, 2)).stage(d).components
+                if materialised:
+                    gen.stage(d)
+                for c in cover[::max(1, len(cover) // 8)]:
+                    for x in (c.lo, (c.lo + c.hi) / 2, c.hi):
+                        right = [k for k in cover if k.hi >= x]
+                        left = [k for k in reversed(cover) if k.lo <= x]
+                        assert list(gen.walk(d, x, True)) == right, (d, x)
+                        assert list(gen.walk(d, x, False)) == left, (d, x)
+
+
+def synthetic_intermediate(seed: int, count: int = 14) -> IntermediateCantor:
+    """Intermediate set between two middle-thirds sets whose schedule is
+    planted: edge-anchored holes at random points, so unlike a searched
+    schedule they cut cover components, overlap and touch, and leave
+    degenerate components between touching holes."""
+    rnd = random.Random(seed)
+    ends = sorted({F(rnd.randrange(1, 162), 162) for _ in range(2 * count)})
+    holes = list(zip(ends[::2], ends[1::2]))
+    holes += [(hi, hi + F(1, 81)) for _, hi in holes[::3]]   # touching
+    holes += [(lo - F(1, 243), lo + F(1, 243)) for lo, _ in holes[1::4]]  # overlapping
+    gen = IntermediateCantor(MiddleThirds(ClosedInterval(F(0), F(1, 3))),
+                             MiddleThirds(UNIT), 1)
+    gen._schedule = RemovalSchedule(entries=[
+        ScheduleEntry(i, (lo + hi) / 2, EdgeAnchor(lo), EdgeAnchor(hi),
+                      rnd.randrange(4))
+        for i, (lo, hi) in enumerate(holes)])
+    return gen
+
+
+class TestSyntheticSchedules:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_near_and_walk_where_holes_cut_components(self, seed):
+        ref, gen = synthetic_intermediate(seed), synthetic_intermediate(seed)
+        rnd = random.Random(seed)
+        degenerate = 0
+        for d in range(7):
+            cover = ref.stage(d)
+            comps = cover.components
+            degenerate += sum(c.is_degenerate for c in comps)
+            windows = sample_windows(cover, len(comps)) + [UNIT]
+            for _ in range(40):
+                a, b = sorted(F(rnd.randrange(163), 162) for _ in range(2))
+                windows.append(ClosedInterval(a, b))
+            for w in windows:
+                assert gen.near(d, w) == cover.components_overlapping(w), (d, w)
+            for w in windows[::3]:
+                x = w.lo
+                assert list(gen.walk(d, x, True)) == [c for c in comps if c.hi >= x]
+                assert list(gen.walk(d, x, False)) == [c for c in reversed(comps)
+                                                       if c.lo <= x]
+            assert len(gen._stage_memo) == 1
+        assert degenerate > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_free_gap_around_degenerate_inner_components(self, seed):
+        rnd = random.Random(100 + seed)
+        hosts = [IntermediateCantor(synthetic_intermediate(seed), MiddleThirds(UNIT), 1)
+                 for _ in range(2)]
+        hulls = []
+        for i in range(6):
+            lo = F(rnd.randrange(1, 160), 162)
+            hulls.append(ScheduleEntry(i, lo, EdgeAnchor(lo),
+                                       EdgeAnchor(lo + F(rnd.randrange(1, 9), 324)),
+                                       rnd.randrange(4)))
+        found = 0
+        for e in range(6):
+            live = [entry for entry in hulls if entry.create_stage <= e]
+            inner = hosts[1].inner.stage(e).components
+            points = [p for c in inner for p in (c.lo, c.hi)]
+            points += [F(rnd.randrange(163), 162) for _ in range(60)]
+            for x in points:
+                for br in (ClosedInterval(x, x), ClosedInterval(x, x + F(1, 729))):
+                    got = hosts[0]._free_gap(live, br, e)
+                    assert got == reference_gap(hosts[1], live, br, e), (e, br)
+                    found += got is not None
+        assert found > 50
+
+
+def sorted_ga_stage(ga: GapAttachedCantor, d: int) -> IntervalSet:
+    """Stage-d cover of a gap-attached set as one sorted normalisation."""
+    comps = list(ga.core.stage(d))
+    for g in range(d + 1):
+        for gap in ga.gaps_of_generation(g):
+            for k in ga.attachments(gap):
+                comps.extend(k.stage(d - g))
+    return IntervalSet(comps)
+
+
+class TestOrderedGapAttachedCover:
+    def test_matches_sorted_reference(self):
+        ga = GapAttachedCantor(MiddleThirds(C1_BASE))
+        for d in range(13):
+            assert ga.stage(d) == sorted_ga_stage(ga, d), d
+
+    def test_generation_of_every_gap(self, family):
+        c0 = family.c0
+        for g in range(8):
+            for gap in c0.gaps_of_generation(g):
+                assert c0.generation(gap) == g, (g, gap)
+
+
+def reference_gap(gen: IntermediateCantor, live, br: ClosedInterval, e: int):
+    """The gap lookup as a union and complement over all of [0, 1]."""
+    hulls = [entry.hull(e) for entry in live]
+    if any(h.intersects(br) for h in hulls):
+        return None
+    blocked = gen.inner.stage(e).union(IntervalSet(hulls))
+    gap = blocked.complement_in(UNIT).component_containing(br.lo)
+    if gap is None or not (gap.lo < br.lo and br.hi < gap.hi):
+        return None
+    return gap.lo, gap.hi
+
+
+def reference_reuse(sched, br: ClosedInterval, e: int):
+    """Index of the first entry whose stage-e hole swallows br, scanning
+    every entry."""
+    for entry in sched.entries:
+        if entry.create_stage <= e:
+            rlo, rhi = entry.removal_open(e)
+            if rlo < br.lo and br.hi < rhi:
+                return entry.index
+    return None
+
+
+class TestScheduleSearch:
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_every_try_matches_the_whole_cover_lookup(self, level, monkeypatch):
+        free_gap, try_stage = IntermediateCantor._free_gap, IntermediateCantor._try_stage
+        tries = {"gap": 0, "reuse": 0}
+
+        def checked_gap(self, live, br, e):
+            got = free_gap(self, live, br, e)
+            assert got == reference_gap(self, live, br, e), (self.describe(), br, e)
+            tries["gap"] += 1
+            return got
+
+        def checked_try(self, sched, p, br, e):
+            want = reference_reuse(sched, br, e)
+            before = len(sched.reuses)
+            verdict = try_stage(self, sched, p, br, e)
+            if want is None:
+                assert verdict != "reuse"
+            else:
+                assert verdict == "reuse" and sched.reuses[before:] == [(p, want)]
+                tries["reuse"] += 1
+            return verdict
+
+        monkeypatch.setattr(IntermediateCantor, "_free_gap", checked_gap)
+        monkeypatch.setattr(IntermediateCantor, "_try_stage", checked_try)
+        built(level, 56)
+        assert tries["gap"] > 100 and tries["reuse"] > 50, tries
+
+    def test_level_three_build_stays_local(self):
+        # the schedule search reads local answers only: no cover deeper
+        # than depth 10 (reached by the cover walk of membership) is built
+        fam = built(3, 56)
+        gens = [fam.member(r) for r in fam.grid()]
+        gens += [k for pair in fam.c0._k_memo.values() for k in pair]
+        assert max(len(gen._stage_memo) - 1 for gen in gens) == 10
+        scheds = [fam.member(r).schedule() for r in fam.grid()
+                  if isinstance(fam.member(r), IntermediateCantor)]
+        assert len(scheds) == 7
+        assert sum(len(s.entries) for s in scheds) == 149
+        assert sum(len(s.reuses) for s in scheds) == 189

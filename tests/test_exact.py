@@ -79,11 +79,6 @@ class TestQueries:
         assert s.component_containing(F(3, 4)) == iv("1/2", 1)
         assert s.component_containing(F(3, 8)) is None
 
-    def test_strictly_inside(self):
-        s = IntervalSet.of(("1/8", "1/4"), ("3/8", "1/2"), ("5/8", "3/4"))
-        inside = s.components_strictly_inside(F(1, 4), F(3, 4))
-        assert inside == [iv("3/8", "1/2")]
-
     def test_issubset(self):
         big = IntervalSet.of((0, "1/2"), ("3/4", 1))
         small = IntervalSet.of(("1/8", "1/4"), ("3/4", "7/8"))

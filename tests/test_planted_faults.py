@@ -1,0 +1,54 @@
+"""Planted faults: each checker must fail on a deliberately broken input."""
+
+import json
+from fractions import Fraction as F
+
+from click.testing import CliRunner
+
+from gillab import cli
+from gillab.cantor import CantorAddress, EdgeAnchor, build_family
+
+
+def family_with_hole_on_inner_cover():
+    """Level-1 family whose C_{1/2} has one removal anchor moved onto C_1.
+
+    The entry's left anchor becomes the midpoint of the nearest C_1
+    stage component left of its hole, so the widened hole swallows that
+    component's right end: C_1 is no longer inside C_{1/2}.
+    """
+    fam = build_family(1, 24, 15)
+    mid = fam.member(F(1, 2))
+    for entry in mid.schedule().entries:
+        s = entry.create_stage
+        hole_lo, _ = entry.removal_open(s)
+        left = [c for c in fam.c1.stage(s) if c.hi < hole_lo]
+        if left and isinstance(entry.a, CantorAddress) and s <= 4:
+            c = left[-1]
+            entry.a = EdgeAnchor((c.lo + c.hi) / 2)
+            assert mid._stage_memo == []   # covers not yet built
+            return fam, s
+    raise AssertionError("no entry to plant the fault in")
+
+
+def test_control_family_nests():
+    assert build_family(1, 24, 15).check_nesting(range(5))["ok"]
+
+
+def test_hole_on_inner_cover_fails_nesting():
+    fam, s = family_with_hole_on_inner_cover()
+    rep = fam.check_nesting(range(5))
+    assert not rep["ok"]
+    assert {"r": "1", "s": "1/2", "stage": s} in rep["failures"]
+
+
+def test_hole_on_inner_cover_fails_verify_nesting(tmp_path, monkeypatch):
+    fam, _ = family_with_hole_on_inner_cover()
+    monkeypatch.setattr(cli, "build_family", lambda level, budget: fam)
+    threads = tmp_path / "threads.json"
+    threads.write_text("[]")
+    res = CliRunner().invoke(cli.main, [
+        "verify", "nesting", "--level", "1", "--budget", "24", "--stage", "4",
+        "--threads-file", str(threads)])
+    assert res.exit_code == cli.EXIT_VERIFY_FAILED, res.output
+    report = json.loads(res.output)
+    assert not report["ok"] and not report["suites"]["nesting"]["ok"]
