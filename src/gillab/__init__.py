@@ -10,7 +10,7 @@ from .cantor import (
     MiddleThirds,
     build_family,
 )
-from .bonding import BaseMap, FBracket, SetValuedMap, eval_F, eval_f, make_map
+from .bonding import FBracket, SetValuedMap, eval_F, eval_f, make_map
 from .dynamics import (
     Cycle,
     StepCertificate,
@@ -34,7 +34,7 @@ from .errors import BoxCountError, BracketSearchError, CacheError, GillabError
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcSystem", "BaseMap", "BoxCountError", "BoxCover", "BracketSearchError",
+    "ArcSystem", "BoxCountError", "BoxCover", "BracketSearchError",
     "CacheError", "CantorFamily", "ClosedInterval", "Cycle", "FBracket",
     "GapAttachedCantor", "GillabError", "IntermediateCantor", "IntervalSet",
     "Membership", "MiddleThirds", "SetValuedMap", "StepCertificate",

@@ -1,16 +1,19 @@
-"""The base map f, the set-valued bonding map F, and property checkers.
+"""The bonding map F and its property checkers.
 
-The base map is exactly evaluable because membership of a rational point
-in the gap-attached Cantor set is exactly decidable.  Two modes exist:
+F is one object, ``SetValuedMap(mode, family)``.  It is {f(t)} off C0
+and [0, sup of the membership indices] on C0; the sup is reported as a
+certified bracket over the family's dyadic grid.  The base map f
+vanishes on {0} + C0 + {1}, and the mode says what it does on each
+maximal gap (a, b) of that set:
 
 * ``zero`` -- f identically 0 (default for inverse-limit work);
-* ``tent`` -- on each maximal gap (a, b) of {0} + C0 + {1}, the tent
-  with apex at the midpoint and height min((b-a)/4, 1/32).  Heights
-  vanish with gap length, which gives continuity on C0, keeps every
-  value below 1/8 = min C0, and keeps f(t) < t on (0, 1].
+* ``tent`` -- the tent with apex at the midpoint and height
+  min((b-a)/4, 1/32).  Heights vanish with gap length, which gives
+  continuity on C0, keeps every value below 1/8 = min C0, and keeps
+  f(t) < t on (0, 1].
 
-F(t) is {f(t)} off C0 and [0, sup of the membership indices] on C0; the
-sup is reported as a certified bracket over the family's dyadic grid.
+f is exactly evaluable because membership of a rational point in the
+gap-attached Cantor set is exactly decidable.
 """
 
 from __future__ import annotations
@@ -38,31 +41,22 @@ INTERIOR_GRID = 8
 MODES = ("zero", "tent")
 
 
-@dataclass(frozen=True)
-class BaseMap:
-    """Continuous single-valued base map; vanishes on {0} plus the big set."""
-
-    mode: str
-    c0: GapAttachedCantor
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+def _tent(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """(apex, half-width, height) of the tent on the gap (a, b)."""
+    return (a + b) / 2, (b - a) / 2, min((b - a) / 4, MAX_TENT_HEIGHT)
 
 
-def eval_f(base: BaseMap, t: Fraction) -> Fraction:
+def eval_f(m: SetValuedMap, t: Fraction) -> Fraction:
     """Exact value of the base map at a rational point of [0, 1]."""
     if t < 0 or t > 1:
         raise ValueError("point outside [0, 1]")
-    if base.mode == "zero":
+    if m.mode == "zero":
         return ZERO
-    if base.c0.membership(t).is_in:
+    c0 = m.family.c0
+    if c0.membership(t).is_in:
         return ZERO
-    a, b = base.c0.gap_of(t)
-    height = min((b - a) / 4, MAX_TENT_HEIGHT)
-    mid = (a + b) / 2
-    half = (b - a) / 2
-    return height * (1 - abs(t - mid) / half)
+    apex, half, height = _tent(*c0.gap_of(t))
+    return height * (1 - abs(t - apex) / half)
 
 
 @dataclass(frozen=True)
@@ -84,18 +78,16 @@ class FBracket:
 
 
 class SetValuedMap:
-    """The bonding map: base map plus a dyadic family of nested sets."""
+    """The bonding map F: a base-map mode plus a dyadic family of nested
+    sets.  ``f_sup`` is the sup of the base map f over [0, 1]."""
 
-    def __init__(self, base: BaseMap, family: CantorFamily):
-        if base.c0 is not family.c0:
-            raise ValueError("base map and family must share the big set")
-        self.base = base
+    def __init__(self, mode: str, family: CantorFamily):
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        self.mode = mode
         self.family = family
+        self.f_sup = ZERO if mode == "zero" else MAX_TENT_HEIGHT
         self._cover_cache: dict[tuple[int, int], "GraphCover"] = {}
-
-    @property
-    def mode(self) -> str:
-        return self.base.mode
 
     def positive_grid(self, level: int) -> list[Fraction]:
         if level > self.family.level:
@@ -113,7 +105,7 @@ class SetValuedMap:
 
 
 def make_map(mode: str, family: CantorFamily) -> SetValuedMap:
-    return SetValuedMap(BaseMap(mode, family.c0), family)
+    return SetValuedMap(mode, family)
 
 
 def eval_F(m: SetValuedMap, t: Fraction, level: Optional[int] = None,
@@ -123,7 +115,7 @@ def eval_F(m: SetValuedMap, t: Fraction, level: Optional[int] = None,
         level = m.family.level
     c0m = m.family.c0.membership(t)
     if c0m.is_out:
-        v = eval_f(m.base, t)
+        v = eval_f(m, t)
         return FBracket(v, v, v)
     lower = ZERO
     upper = ONE
@@ -177,20 +169,19 @@ class GraphCover:
         return rows
 
 
-def _tent_hull_max(base: BaseMap, seg: ClosedInterval) -> Fraction:
-    """Exact max of the tent map over a segment disjoint from the big set."""
-    mid_t = (seg.lo + seg.hi) / 2
-    a, b = base.c0.gap_of(mid_t)
-    apex = (a + b) / 2
+def _f_max_on(m: SetValuedMap, seg: ClosedInterval) -> Fraction:
+    """Exact max of the base map over a segment disjoint from the big set."""
+    if m.mode == "zero":
+        return ZERO
+    apex, _, height = _tent(*m.family.c0.gap_of((seg.lo + seg.hi) / 2))
     if seg.lo <= apex <= seg.hi:
-        return min((b - a) / 4, MAX_TENT_HEIGHT)
-    return max(eval_f(base, seg.lo), eval_f(base, seg.hi))
+        return height
+    return max(eval_f(m, seg.lo), eval_f(m, seg.hi))
 
 
 def _build_graph_cover(m: SetValuedMap, stage: int, level: int) -> GraphCover:
     cov = m.family.c0.stage(stage)
     grid = m.positive_grid(level)
-    f_bound = ZERO if m.mode == "zero" else MAX_TENT_HEIGHT
     boxes: list[tuple[ClosedInterval, ClosedInterval]] = []
     for comp in cov:
         ub = ONE
@@ -198,13 +189,9 @@ def _build_graph_cover(m: SetValuedMap, stage: int, level: int) -> GraphCover:
             if m.family.member(r).stage(stage).intersect_interval(comp).is_empty:
                 ub = r
                 break
-        boxes.append((comp, ClosedInterval(ZERO, max(ub, f_bound))))
+        boxes.append((comp, ClosedInterval(ZERO, max(ub, m.f_sup))))
     for gap in cov.complement_in(UNIT):
-        if m.mode == "zero":
-            ymax = ZERO
-        else:
-            ymax = _tent_hull_max(m.base, gap)
-        boxes.append((gap, ClosedInterval(ZERO, ymax)))
+        boxes.append((gap, ClosedInterval(ZERO, _f_max_on(m, gap))))
     boxes.sort(key=lambda pair: (pair[0].lo, pair[0].hi))
     return GraphCover(boxes, stage, level)
 
@@ -249,8 +236,8 @@ def check_usc(m: SetValuedMap, samples: int, stage: int, seed: int = 0) -> dict:
             terms = []
             for k in range(1, 5):
                 tk = target + gap.width / (8 * k)
-                terms.append((tk, eval_f(m.base, tk)))
-            limit = (target, eval_f(m.base, target))
+                terms.append((tk, eval_f(m, tk)))
+            limit = (target, eval_f(m, target))
         else:
             terms = [(ZERO, ZERO)] * 4
             limit = (ZERO, ZERO)
@@ -374,7 +361,9 @@ def check_light(m: SetValuedMap, y_grid: int, stage: int) -> dict:
                 "witness_interval": [str(a), str(b)],
                 "ok": True}
     grid = m.positive_grid(m.family.level)
-    gaps = _true_gaps(c0, stage)
+    # a tent lower than the lowest row 1/y_grid meets no row
+    tents = [tent for tent in (_tent(a, b) for a, b in _true_gaps(c0, stage))
+             if tent[2] * y_grid >= 1]
     measures: dict[Fraction, Fraction] = {}
     rows = []
     for k in range(1, y_grid + 1):
@@ -384,16 +373,11 @@ def check_light(m: SetValuedMap, y_grid: int, stage: int) -> dict:
         if r not in measures:
             measures[r] = m.family.member(r).stage(stage).measure()
         tent_points = []
-        for a, b in gaps:
-            if b - a < 4 * y:
-                continue
-            h = min((b - a) / 4, MAX_TENT_HEIGHT)
+        for apex, half, h in tents:
             if h < y:
                 continue
-            mid = (a + b) / 2
-            half = (b - a) / 2
             off = half * (1 - y / h)
-            tent_points.extend([mid - off, mid + off])
+            tent_points.extend([apex - off, apex + off])
         rows.append({"y": str(y), "cover_index": str(r),
                      "cover_measure": str(measures[r]),
                      "tent_point_count": len(tent_points)})

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -62,10 +63,6 @@ class Membership:
     @property
     def is_out(self) -> bool:
         return self.verdict == OUT
-
-    @property
-    def is_unknown(self) -> bool:
-        return self.verdict == UNKNOWN
 
 
 class CantorGen:
@@ -564,10 +561,11 @@ class ScheduleEntry:
         s = max(d, self.create_stage)
         return ClosedInterval(self.a.bracket(s).lo, self.b.bracket(s).hi)
 
-    @property
+    @cached_property
     def widest_hull(self) -> ClosedInterval:
-        """The create-stage hull; hulls shrink as brackets nest, so it
-        holds removal_open(d) and hull(d) at every stage d."""
+        """The create-stage hull, fixed once the entry exists; hulls
+        shrink as brackets nest, so it holds removal_open(d) and hull(d)
+        at every stage d."""
         return self.hull(self.create_stage)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import click
 
 from . import bonding, cache, dynamics, invlimit
-from .cantor import build_family, point_membership
+from .cantor import DEFAULT_SEARCH_CEILING, build_family, point_membership
 from .errors import CacheError, GillabError
 from .exact import rat
 
@@ -184,12 +184,15 @@ def _suite_endpoints(fam, m, stage, seed, threads):
     for src in (Fraction(0), Fraction(1, 2)):
         if src not in fam.members:
             continue
-        for p in fam.member(src).endpoints(50):
+        # only the first budget endpoints are scheduled for removal, and
+        # a removal can take effect as deep as the search ceiling
+        for p in fam.member(src).endpoints(min(50, fam.stage_budget)):
             for r in fam.grid():
                 if r <= src:
                     continue
                 checked += 1
-                verdict = point_membership(fam.member(r), p, 12)
+                verdict = point_membership(fam.member(r), p,
+                                           DEFAULT_SEARCH_CEILING)
                 if not verdict.is_out:
                     failures.append({"source": str(src), "target": str(r),
                                      "verdict": verdict.verdict})
@@ -236,8 +239,8 @@ def _suite_arcs(fam, m, stage, seed, threads):
         else:
             n_tail = invlimit.tail_index(m, th)
             entry["tail_index"] = n_tail
-            sysm = invlimit.ArcSystem(m, th, max(6, n_tail))
-            chain = invlimit.verify_arc_chain(sysm, max(6, n_tail))
+            chain = invlimit.verify_arc_chain(
+                invlimit.ArcSystem(m, th, max(6, n_tail)))
             entry["arc_chain_ok"] = chain["ok"]
             ok = ok and chain["ok"]
         ok = ok and valid["ok"]

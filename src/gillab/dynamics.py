@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bonding import BaseMap, SetValuedMap, eval_F, eval_f
+from .bonding import SetValuedMap, eval_F, eval_f
 
 
 @dataclass(frozen=True)
@@ -97,12 +97,12 @@ def make_cycle(m: SetValuedMap, n: int) -> Cycle:
     return Cycle(tuple(pts), certs)
 
 
-def iterate_f(base: BaseMap, t: Fraction, k: int) -> list[Fraction]:
-    """Exact forward iterates f(t), f^2(t), ..., f^k(t)."""
+def iterate_f(m: SetValuedMap, t: Fraction, k: int) -> list[Fraction]:
+    """Exact forward iterates f(t), f^2(t), ..., f^k(t) of m's base map."""
     out = []
     x = t
     for _ in range(k):
-        x = eval_f(base, x)
+        x = eval_f(m, x)
         out.append(x)
     return out
 

@@ -62,11 +62,6 @@ class ClosedInterval:
     def __str__(self) -> str:
         return f"{self.lo}..{self.hi}"
 
-    @staticmethod
-    def parse(text: str) -> "ClosedInterval":
-        lo, hi = text.split("..")
-        return ClosedInterval(Fraction(lo), Fraction(hi))
-
 
 UNIT = ClosedInterval(ZERO, ONE)
 
@@ -291,11 +286,3 @@ class IntervalSet:
     def to_text(self) -> str:
         """Canonical text form, e.g. ``1/4..5/12;7/12..3/4``."""
         return ";".join(str(c) for c in self._components)
-
-    @staticmethod
-    def from_text(text: str) -> "IntervalSet":
-        text = text.strip()
-        if not text:
-            return IntervalSet()
-        return IntervalSet(ClosedInterval.parse(part) for part in text.split(";"))
-

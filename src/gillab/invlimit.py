@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .bonding import MAX_TENT_HEIGHT, MIN_C0, SetValuedMap, eval_F
+from .bonding import MIN_C0, SetValuedMap, eval_F
 from .dynamics import Cycle, certify_step, iterate_f
 from .errors import BoxCountError
 from .exact import UNIT, ClosedInterval, IntervalSet, ONE, ZERO
@@ -101,7 +101,7 @@ def make_thread(m: SetValuedMap, pivot: Optional[Fraction], tail_cycle: Cycle,
     # the tail head lies in the smallest set, where F is never a singleton
     if not certify_step(m, tail_cycle.points[0], pivot).ok:
         raise ValueError(f"pivot {pivot} not certified in the image of the tail head")
-    iters = iterate_f(m.base, pivot, prefix_len - 1)
+    iters = iterate_f(m, pivot, prefix_len - 1)
     prefix = tuple(reversed(iters)) + (pivot,)
     return Thread(prefix, tail_cycle.points)
 
@@ -136,16 +136,6 @@ def tail_index(m: SetValuedMap, th: Thread) -> int:
     return n
 
 
-def thread_pair_agreement(a: Thread, b: Thread, depth: int) -> dict:
-    """Largest differing coordinate index below depth, with agreement beyond."""
-    diffs = [n for n in range(depth) if a.coordinate(n) != b.coordinate(n)]
-    last = diffs[-1] if diffs else -1
-    agree_beyond = all(a.coordinate(n) == b.coordinate(n)
-                       for n in range(last + 1, depth + 8))
-    return {"last_differing_index": last, "agree_beyond": agree_beyond,
-            "differing": diffs}
-
-
 # ---------------------------------------------------------------------------
 # arc systems
 
@@ -158,6 +148,8 @@ class ArcSystem:
     {(f^n(t), ..., f(t), t, x_{n+1}, x_{n+2}, ...) : 0 <= t <= x_n};
     consecutive arcs meet exactly at the joints
     y^i = (0, ..., 0, x_i, x_{i+1}, ...).
+    The thread is validated once, on construction, so its
+    ``tail_start`` is the tail index N.
     """
 
     m: SetValuedMap
@@ -170,12 +162,8 @@ class ArcSystem:
         if self.depth < tail_index(self.m, self.thread):
             raise ValueError("depth must reach the tail index")
 
-    @property
-    def tail_start(self) -> int:
-        return tail_index(self.m, self.thread)
-
     def arc_range(self) -> range:
-        return range(max(self.tail_start - 1, 0), self.depth + 1)
+        return range(max(self.thread.tail_start - 1, 0), self.depth + 1)
 
     def joint(self, i: int) -> Thread:
         """y^i: i zero coordinates, then the thread's coordinates from i."""
@@ -191,7 +179,7 @@ class ArcSystem:
         x_n = self.thread.coordinate(n)
         if not (ZERO <= t <= x_n):
             raise ValueError(f"parameter {t} outside [0, {x_n}]")
-        iters = iterate_f(self.m.base, t, n)  # f(t), ..., f^n(t)
+        iters = iterate_f(self.m, t, n)  # f(t), ..., f^n(t)
         coords = []
         for k in range(count):
             if k < n:
@@ -205,10 +193,11 @@ class ArcSystem:
 
 def arc_params(sys: ArcSystem, n: int) -> list[Fraction]:
     """Canonical exact parameter grid for arc n: endpoints, midpoint,
-    and in tent mode the gap breakpoints below the parameter range."""
+    and, when the base map is not identically 0, its breakpoints below
+    the parameter range."""
     x_n = sys.thread.coordinate(n)
     pts = {ZERO, x_n, x_n / 2}
-    if sys.m.mode == "tent":
+    if sys.m.f_sup > 0:
         pts.update(p for p in (Fraction(1, 16), Fraction(1, 8)) if p < x_n)
     return sorted(pts)
 
@@ -216,7 +205,7 @@ def arc_params(sys: ArcSystem, n: int) -> list[Fraction]:
 def arc_points(sys: ArcSystem, n: int, params: list[Fraction],
                coords: tuple[int, int]) -> list[tuple[Fraction, Fraction, Fraction]]:
     """Exact planar projections (param, coord_i, coord_j) of arc n."""
-    if n < sys.tail_start - 1:
+    if n < sys.thread.tail_start - 1:
         raise ValueError("arc index below the chain start")
     i, j = coords
     count = max(i, j) + 1
@@ -227,8 +216,9 @@ def arc_points(sys: ArcSystem, n: int, params: list[Fraction],
     return out
 
 
-def verify_arc_chain(sys: ArcSystem, M: int) -> dict:
-    """Exact verification of the two arc-chain facts up to depth M.
+def verify_arc_chain(sys: ArcSystem) -> dict:
+    """Exact verification of the two arc-chain facts up to the system's
+    depth M.
 
     For each n: (i) arc n+1 coordinates at index n stay strictly below
     1/8 while x_n is at least 1/8, separating arc n+1 from all earlier
@@ -236,19 +226,16 @@ def verify_arc_chain(sys: ArcSystem, M: int) -> dict:
     coordinate n+1 equals x_{n+1} is exactly the joint y^{n+1}, which is
     also the parameter-0 point of arc n.
     """
-    if M < sys.tail_start:
-        raise ValueError("depth must reach the tail index")
-    th = sys.thread
-    f_sup = ZERO if sys.m.mode == "zero" else MAX_TENT_HEIGHT
+    th, M, f_sup = sys.thread, sys.depth, sys.m.f_sup
     checks = []
     failures = []
     span = M + len(th.tail_period) + 4
-    for n in range(max(sys.tail_start - 1, 0), M):
+    for n in range(max(th.tail_start - 1, 0), M):
         x_n = th.coordinate(n)
         x_n1 = th.coordinate(n + 1)
         # the separation fact needs x_n >= 1/8, which holds once the tail
         # has begun; at n = N-1 only the joint fact is claimed
-        sep_ok = f_sup < MIN_C0 and (n < sys.tail_start or x_n >= MIN_C0)
+        sep_ok = f_sup < MIN_C0 and (n < th.tail_start or x_n >= MIN_C0)
         # the arc-(n+1) point at parameter x_{n+1}: its leading n+1
         # coordinates are iterates of a big-set point, hence all zero
         point = sys.arc_point(n + 1, x_n1, span)
@@ -262,8 +249,8 @@ def verify_arc_chain(sys: ArcSystem, M: int) -> dict:
             failures.append(rec)
     # the thread itself sits on the first arc at parameter x_{N-1}
     anchor_ok = True
-    if sys.tail_start >= 1:
-        n0 = sys.tail_start - 1
+    if th.tail_start >= 1:
+        n0 = th.tail_start - 1
         anchor_ok = (sys.arc_point(n0, th.coordinate(n0), span)
                      == th.coordinates(span))
     joint_decay = [{"i": i, "max_leading": str(max(
@@ -347,9 +334,8 @@ def check_treelike_hypotheses(m: SetValuedMap, stage: int) -> dict:
     stage-TREELIKE_GAP_STAGE cover.
     """
     c0 = m.family.c0
-    f_sup = ZERO if m.mode == "zero" else MAX_TENT_HEIGHT
     cover_min = c0.stage(stage).min()
-    preimage_ok = f_sup < cover_min and cover_min == MIN_C0
+    preimage_ok = m.f_sup < cover_min and cover_min == MIN_C0
     widths = [str(c0.stage(d).max_component_width()) for d in range(stage + 1)]
     shrinking = all(
         c0.stage(d + 1).max_component_width() <= c0.stage(d).max_component_width()
@@ -360,7 +346,7 @@ def check_treelike_hypotheses(m: SetValuedMap, stage: int) -> dict:
         eval_F(m, (seg.lo + seg.hi) / 2).is_singleton
         for seg in c0.stage(TREELIKE_GAP_STAGE).complement_in(UNIT))
     return {"preimage_ok": bool(preimage_ok),
-            "singleton_sup": str(f_sup), "cover_min": str(cover_min),
+            "singleton_sup": str(m.f_sup), "cover_min": str(cover_min),
             "max_component_widths": widths,
             "widths_shrink": bool(shrinking),
             "nondegenerate_only_on_big_set": gap_singletons,

@@ -102,7 +102,7 @@ class TestAcceptance:
             (tent_map, make_thread(tent_map, F(1, 16), make_cycle(tent_map, 3), 3)),
         ]
         for m, th in canned:
-            rep = verify_arc_chain(ArcSystem(m, th, 6), 6)
+            rep = verify_arc_chain(ArcSystem(m, th, 6))
             assert rep["ok"], rep["failures"][:2]
             assert all(r["max_leading"] == "0"
                        for r in rep["joint_leading_coordinates"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gillab.bonding import (
     MAX_TENT_HEIGHT,
     MIN_C0,
-    BaseMap,
+    SetValuedMap,
     check_empty_interior,
     check_ivp_consistency,
     check_light,
@@ -62,39 +62,39 @@ def per_value_light_rows(m, y_grid, stage):
 class TestBaseMap:
     def test_unknown_mode_rejected(self, family):
         with pytest.raises(ValueError):
-            BaseMap("sine", family.c0)
+            SetValuedMap("sine", family)
 
     def test_zero_mode_is_zero(self, zero_map):
+        assert zero_map.f_sup == 0
         for t in (F(0), F(1, 16), F(1, 2), F(1)):
-            assert eval_f(zero_map.base, t) == 0
+            assert eval_f(zero_map, t) == 0
 
     def test_tent_known_values(self, tent_map):
-        base = tent_map.base
-        assert eval_f(base, F(1, 16)) == F(1, 32)
-        assert eval_f(base, F(1, 32)) == F(1, 64)
-        assert eval_f(base, F(1, 2)) == F(1, 72)
-        assert eval_f(base, F(0)) == 0
-        assert eval_f(base, F(1)) == 0
+        assert eval_f(tent_map, F(1, 16)) == F(1, 32)
+        assert eval_f(tent_map, F(1, 32)) == F(1, 64)
+        assert eval_f(tent_map, F(1, 2)) == F(1, 72)
+        assert eval_f(tent_map, F(0)) == 0
+        assert eval_f(tent_map, F(1)) == 0
 
     def test_tent_vanishes_on_big_set(self, tent_map):
         for t in (F(1, 8), F(1, 4), F(19, 24), F(7, 8)):
-            assert eval_f(tent_map.base, t) == 0
+            assert eval_f(tent_map, t) == 0
 
     def test_halving_rule_below_apex(self, tent_map):
         # on (0, 1/8) the tent has apex 1/16 and height 1/32, so the
         # left leg is t/2
         for t in (F(1, 64), F(1, 100), F(3, 64)):
-            assert eval_f(tent_map.base, t) == t / 2
+            assert eval_f(tent_map, t) == t / 2
 
     def test_outside_unit_rejected(self, tent_map):
         with pytest.raises(ValueError):
-            eval_f(tent_map.base, F(9, 8))
+            eval_f(tent_map, F(9, 8))
 
     @given(unit_rationals)
     @settings(max_examples=100)
     def test_contraction_bounds(self, tent_map, t):
-        v = eval_f(tent_map.base, t)
-        assert 0 <= v <= MAX_TENT_HEIGHT < MIN_C0
+        v = eval_f(tent_map, t)
+        assert 0 <= v <= tent_map.f_sup == MAX_TENT_HEIGHT < MIN_C0
         if t > 0:
             assert v < t
 
@@ -151,7 +151,7 @@ class TestGraphCover:
             for d in range(7):
                 cov = m.graph_cover(d, 2)
                 for t in (F(0), F(1, 16), F(1, 2), F(9, 10), F(1)):
-                    assert cov.contains_point(t, eval_f(m.base, t)), (m.mode, d, t)
+                    assert cov.contains_point(t, eval_f(m, t)), (m.mode, d, t)
 
     def test_full_fibers_inside(self, zero_map):
         cov = zero_map.graph_cover(6, 2)

@@ -53,6 +53,15 @@ class TestVerify:
     def test_unknown_suite_usage_error(self):
         assert invoke("verify", "nonsense", *SMALL).exit_code == 2
 
+    @pytest.mark.parametrize("level", ["2", "4"])
+    def test_endpoints_pass_below_the_suite_count(self, level):
+        # budget 24 schedules fewer endpoints than the 50 the suite
+        # checks at the default budget; only scheduled ones are checked
+        res = invoke("verify", "endpoints", "--level", level,
+                     "--budget", "24", "--stage", "8")
+        assert res.exit_code == 0, res.output[-400:]
+        assert json.loads(res.output)["suites"]["endpoints"]["ok"]
+
     def test_deterministic_bytes(self):
         a = invoke("verify", "treelike", "--seed", "5", *SMALL).output
         b = invoke("verify", "treelike", "--seed", "5", *SMALL).output

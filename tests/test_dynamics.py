@@ -78,20 +78,20 @@ class TestMakeCycle:
 
 class TestIterateF:
     def test_zero_mode(self, zero_map):
-        assert iterate_f(zero_map.base, F(1, 2), 4) == [0, 0, 0, 0]
+        assert iterate_f(zero_map, F(1, 2), 4) == [0, 0, 0, 0]
 
     def test_tent_dyadic_decay(self, tent_map):
-        assert iterate_f(tent_map.base, F(1, 16), 4) == [
+        assert iterate_f(tent_map, F(1, 16), 4) == [
             F(1, 32), F(1, 64), F(1, 128), F(1, 256)]
 
     def test_tent_big_set_collapses(self, tent_map):
-        assert iterate_f(tent_map.base, F(1, 4), 3) == [0, 0, 0]
+        assert iterate_f(tent_map, F(1, 4), 3) == [0, 0, 0]
 
     def test_fixed_point_zero(self, tent_map):
-        assert iterate_f(tent_map.base, F(0), 3) == [0, 0, 0]
+        assert iterate_f(tent_map, F(0), 3) == [0, 0, 0]
 
     def test_strictly_decreasing_once_positive(self, tent_map):
-        vals = iterate_f(tent_map.base, F(1, 2), 6)
+        vals = iterate_f(tent_map, F(1, 2), 6)
         positive = [v for v in vals if v > 0]
         assert positive == sorted(positive, reverse=True)
         assert all(v < F(1, 8) for v in vals)

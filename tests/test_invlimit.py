@@ -17,7 +17,6 @@ from gillab.invlimit import (
     make_thread,
     mahavier_cover,
     tail_index,
-    thread_pair_agreement,
     verify_arc_chain,
     verify_thread,
 )
@@ -83,14 +82,6 @@ class TestThreads:
         for i in range(n, n + 6):
             assert c0.membership(th.coordinate(i)).is_in
 
-    def test_pair_agreement_shadow(self, zero_map):
-        cyc = make_cycle(zero_map, 2)
-        a = make_thread(zero_map, F(0), cyc, 2)
-        b = make_thread(zero_map, F(1, 16), cyc, 2)
-        rep = thread_pair_agreement(a, b, 8)
-        assert rep["last_differing_index"] == 1
-        assert rep["agree_beyond"]
-
 
 class TestArcs:
     def test_zero_thread_rejected(self, zero_map):
@@ -118,18 +109,18 @@ class TestArcs:
     def test_chain_exact(self, zero_map, tent_map):
         for m in (zero_map, tent_map):
             th = make_thread(m, None, make_cycle(m, 2), 0)
-            rep = verify_arc_chain(ArcSystem(m, th, 8), 6)
+            rep = verify_arc_chain(ArcSystem(m, th, 6))
             assert rep["ok"], rep["failures"][:2]
 
     def test_chain_with_prefix(self, tent_map):
         th = make_thread(tent_map, F(1, 16), make_cycle(tent_map, 3), 3)
-        rep = verify_arc_chain(ArcSystem(tent_map, th, 8), 7)
+        rep = verify_arc_chain(ArcSystem(tent_map, th, 7))
         assert rep["ok"]
         assert rep["thread_on_first_arc"]
 
     def test_joint_leading_coordinates_zero(self, zero_map):
         th = make_thread(zero_map, None, make_cycle(zero_map, 2), 0)
-        rep = verify_arc_chain(ArcSystem(zero_map, th, 8), 6)
+        rep = verify_arc_chain(ArcSystem(zero_map, th, 6))
         assert all(r["max_leading"] == "0" for r in rep["joint_leading_coordinates"])
 
     def test_arc_points_projection(self, tent_map):
