@@ -17,13 +17,16 @@ Every generator exposes nested stage covers (normalized
 :class:`~gillab.exact.IntervalSet` values) whose intersection is the
 represented set.  Identical build parameters yield bit-identical covers.
 
-Beside the memoised whole covers (``stage``) each generator answers one
-local query, ``near(d, window)``: the stage-d components that meet a
-closed window.  It reads a memoised cover when there is one and
-otherwise descends from the stage-(d-1) components near the window, one
-"children of a component" rule per generator.  The removal-schedule
-search and the symbolic addresses read only such local answers, so
-building a family never materialises a deep cover it does not report.
+:class:`CantorGen` runs every memo and walk; a generator states only its
+rules: ``_compute_stage`` (a whole cover), ``_children_of`` (the children
+of one component) and ``_discover_endpoints`` (the endpoints first seen
+at one stage).  Beside the memoised covers (``stage``) each generator
+answers one local query, ``near(d, window)``: the stage-d components
+meeting a closed window, descended from those of stage d-1 when no cover
+is memoised.  Addresses walk the cover tree through ``near`` alone, with
+[0, 1] as the window of the roots, and the removal-schedule search reads
+only local answers, so building a family never materialises a deep cover
+it does not report.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import BracketSearchError
-from .exact import ClosedInterval, IntervalSet, ZERO, ONE
+from .exact import UNIT, ClosedInterval, IntervalSet, ZERO, ONE
 
 IN = "in"
 OUT = "out"
@@ -70,6 +73,7 @@ class CantorGen:
 
     def __init__(self):
         self._stage_memo: list[IntervalSet] = []
+        self._endpoint_stages: list[list[Fraction]] = []
         self._children_memo: dict[tuple[int, ClosedInterval],
                                   tuple[ClosedInterval, ...]] = {}
 
@@ -80,6 +84,10 @@ class CantorGen:
         """Stage-d components inside the stage-(d-1) component comp, in order."""
         raise NotImplementedError
 
+    def _discover_endpoints(self, s: int) -> list[Fraction]:
+        """Endpoints first discovered at stage s, in order."""
+        raise NotImplementedError
+
     def stage(self, d: int) -> IntervalSet:
         """Depth-d cover; computed at most once per depth."""
         if d < 0:
@@ -87,6 +95,13 @@ class CantorGen:
         while len(self._stage_memo) <= d:
             self._stage_memo.append(self._compute_stage(len(self._stage_memo)))
         return self._stage_memo[d]
+
+    def new_endpoints(self, s: int) -> list[Fraction]:
+        """Endpoints first discovered at stage s; computed at most once per stage."""
+        while len(self._endpoint_stages) <= s:
+            self._endpoint_stages.append(
+                self._discover_endpoints(len(self._endpoint_stages)))
+        return self._endpoint_stages[s]
 
     def near(self, d: int, window: ClosedInterval) -> list[ClosedInterval]:
         """Stage-d components meeting the closed window, in order.
@@ -132,8 +147,13 @@ class CantorGen:
         raise NotImplementedError
 
     def endpoints(self, count: int) -> list[PointLike]:
-        """The first `count` endpoints: Fractions, or addresses."""
-        raise NotImplementedError
+        """The first `count` endpoints, stage by stage in discovery order."""
+        out: list[PointLike] = []
+        s = 0
+        while len(out) < count:
+            out.extend(self.new_endpoints(s))
+            s += 1
+        return out[:count]
 
     def describe(self) -> str:
         """Canonical parameter string; drives cache keys."""
@@ -146,22 +166,6 @@ class CantorGen:
         address anchored on it can be refined forever.
         """
         return True
-
-    def _cover_out(self, t: Fraction, max_stage: int) -> Optional[Membership]:
-        for d in range(max_stage + 1):
-            if not self.stage(d).contains_point(t):
-                return Membership(OUT, d)
-        return None
-
-
-def _endpoints_by_stage(self, count: int) -> list[Fraction]:
-    """The first `count` endpoints, stage by stage in discovery order."""
-    out: list[Fraction] = []
-    s = 0
-    while len(out) < count:
-        out.extend(self.new_endpoints(s))
-        s += 1
-    return out[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +206,6 @@ class MiddleThirds(CantorGen):
             raise ValueError("middle-thirds base must be nondegenerate")
         super().__init__()
         self.base = base
-        self._endpoint_stages: list[list[Fraction]] = []
 
     def describe(self) -> str:
         return f"MT[{self.base.lo},{self.base.hi}]"
@@ -240,28 +243,20 @@ class MiddleThirds(CantorGen):
             else:
                 return (a + w3, b - w3)
 
-    def new_endpoints(self, s: int) -> list[Fraction]:
-        """Endpoints first discovered at stage s, left to right.
-
-        For s >= 1 these are the ends of the gaps opened at stage s,
-        in (left end, right end) pairs.
-        """
-        while len(self._endpoint_stages) <= s:
-            k = len(self._endpoint_stages)
-            if k == 0:
-                eps = [self.base.lo, self.base.hi]
-            else:
-                eps = []
-                for c in self.stage(k - 1):
-                    left, right = self._children_of(k, c)
-                    eps.append(left.hi)
-                    eps.append(right.lo)
-            self._endpoint_stages.append(eps)
-        return self._endpoint_stages[s]
+    def _discover_endpoints(self, s: int) -> list[Fraction]:
+        """The base ends at stage 0; for s >= 1 the ends of the gaps
+        opened at stage s, left to right in (left end, right end) pairs."""
+        if s == 0:
+            return [self.base.lo, self.base.hi]
+        eps: list[Fraction] = []
+        for c in self.stage(s - 1):
+            left, right = self._children_of(s, c)
+            eps += (left.hi, right.lo)
+        return eps
 
     # bound in each class body rather than inherited: bench/tracing.py
     # wraps vars(cls)["endpoints"] of every generator class
-    endpoints = _endpoints_by_stage
+    endpoints = CantorGen.endpoints
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +280,6 @@ class GapAttachedCantor(CantorGen):
         span = core.base.width
         self.window = ClosedInterval(core.base.lo - span / 4, core.base.hi + span / 4)
         self._k_memo: dict[tuple[Fraction, Fraction], tuple[MiddleThirds, MiddleThirds]] = {}
-        self._endpoint_stages: list[list[Fraction]] = []
 
     def describe(self) -> str:
         return f"GA({self.core.describe()})"
@@ -406,36 +400,22 @@ class GapAttachedCantor(CantorGen):
             return kb.gap_of(t)
         return (ka.base.hi, kb.base.lo)
 
-    def new_endpoints(self, s: int) -> list[Fraction]:
-        while len(self._endpoint_stages) <= s:
-            k = len(self._endpoint_stages)
-            eps: list[Fraction] = []
-            for g in range(k + 1):
-                for gap in self.gaps_of_generation(g):
-                    for att in self.attachments(gap):
-                        for p in att.new_endpoints(k - g):
-                            # attachment extremes landing on the core are
-                            # interior points of this set, not endpoints
-                            if not self.core.membership(p).is_in:
-                                eps.append(p)
-            eps.sort()
-            self._endpoint_stages.append(eps)
-        return self._endpoint_stages[s]
+    def _discover_endpoints(self, s: int) -> list[Fraction]:
+        """The stage-(s - g) endpoints of each generation-g attachment,
+        in increasing order."""
+        # attachment extremes landing on the core are interior points of
+        # this set, not endpoints
+        return sorted(p for g in range(s + 1)
+                      for gap in self.gaps_of_generation(g)
+                      for att in self.attachments(gap)
+                      for p in att.new_endpoints(s - g)
+                      if not self.core.membership(p).is_in)
 
-    endpoints = _endpoints_by_stage  # see MiddleThirds.endpoints
+    endpoints = CantorGen.endpoints  # see MiddleThirds.endpoints
 
 
 # ---------------------------------------------------------------------------
 # symbolic addresses
-
-
-def _children(gen: CantorGen, k: int,
-              parent: Optional[ClosedInterval]) -> Sequence[ClosedInterval]:
-    """Stage-k cover components inside the stage-(k-1) component parent;
-    every stage-0 component when k is 0."""
-    if k == 0:
-        return gen.stage(0).components
-    return gen.near(k, parent)
 
 
 class CantorAddress:
@@ -461,8 +441,7 @@ class CantorAddress:
         """Rational bracketing component at stage d; brackets nest."""
         while len(self._brackets) <= d:
             k = len(self._brackets)
-            children = _children(self.gen, k,
-                                 self._brackets[-1] if k else None)
+            children = self.gen.near(k, self._brackets[-1] if k else UNIT)
             if not children:
                 raise BracketSearchError(
                     f"cover component vanished while refining address {self}")
@@ -489,10 +468,10 @@ class CantorAddress:
     def for_component(gen: CantorGen, comp: ClosedInterval, stage: int) -> "CantorAddress":
         """Address whose stage-`stage` bracket is the given cover component."""
         path = []
-        current = None
+        current = UNIT
         # walk the ancestor chain of comp through the covers
         for k in range(stage + 1):
-            children = _children(gen, k, current)
+            children = gen.near(k, current)
             idx = next((i for i, c in enumerate(children)
                         if c.contains_interval(comp)), None)
             if idx is None:
@@ -614,33 +593,25 @@ class IntermediateCantor(CantorGen):
         return self._schedule
 
     def _build_schedule(self) -> RemovalSchedule:
+        """Each outer endpoint, in discovery order, is reused or scheduled
+        at the first stage from its decision depth that isolates it."""
         sched = RemovalSchedule()
         for p in self.outer.endpoints(self.budget):
-            self._process_endpoint(sched, p)
+            pm = point_membership(self.inner, p, self.search_ceiling)
+            if not pm.is_out:
+                raise BracketSearchError(
+                    f"outer endpoint {p!r} not certified outside the inner set "
+                    f"by stage {self.search_ceiling}")
+            stages = range(max(2, pm.decided_at_stage or 0), self.search_ceiling + 1)
+            if not any(self._try_stage(sched, p, point_bracket(p, e), e) for e in stages):
+                raise BracketSearchError(f"bracket search for endpoint {p!r} "
+                                         f"exhausted at stage {self.search_ceiling}")
         return sched
 
-    def _process_endpoint(self, sched: RemovalSchedule, p: PointLike) -> None:
-        pm = point_membership(self.inner, p, self.search_ceiling)
-        if not pm.is_out:
-            raise BracketSearchError(
-                f"outer endpoint {p!r} not certified outside the inner set "
-                f"by stage {self.search_ceiling}")
-        e = max(2, pm.decided_at_stage or 0)
-        while e <= self.search_ceiling:
-            br = point_bracket(p, e)
-            verdict = self._try_stage(sched, p, br, e)
-            if verdict == "reuse":
-                return
-            if isinstance(verdict, ScheduleEntry):
-                verdict.index = len(sched.entries)
-                sched.entries.append(verdict)
-                return
-            e += 1
-        raise BracketSearchError(
-            f"bracket search for endpoint {p!r} exhausted at stage {self.search_ceiling}")
-
     def _try_stage(self, sched: RemovalSchedule, p: PointLike,
-                   br: ClosedInterval, e: int):
+                   br: ClosedInterval, e: int) -> bool:
+        """Record p at stage e, as a reuse of an earlier removal that
+        swallows br or as a new entry; False if br needs refinement."""
         live = [entry for entry in sched.entries if entry.create_stage <= e]
         # already swallowed by an earlier removal?  an entry whose widest
         # hull cannot hold the bracket cannot swallow it
@@ -651,17 +622,18 @@ class IntermediateCantor(CantorGen):
             rlo, rhi = entry.removal_open(e)
             if rlo < br.lo and br.hi < rhi:
                 sched.reuses.append((p, entry.index))
-                return "reuse"
+                return True
         gap = self._free_gap(live, br, e)
         if gap is None:
-            return None
+            return False
         a = self._anchor(gap[0], br.lo, e, left=True)
         if a is None:
-            return None
+            return False
         b = self._anchor(br.hi, gap[1], e, left=False)
         if b is None:
-            return None
-        return ScheduleEntry(index=-1, point=p, a=a, b=b, create_stage=e)
+            return False
+        sched.entries.append(ScheduleEntry(len(sched.entries), p, a, b, e))
+        return True
 
     def _free_gap(self, live: list[ScheduleEntry], br: ClosedInterval,
                   e: int) -> Optional[tuple[Fraction, Fraction]]:
@@ -758,9 +730,9 @@ class IntermediateCantor(CantorGen):
         inner_m = self.inner.membership(t, max_stage)
         if inner_m.is_in:
             return inner_m
-        out = self._cover_out(t, max_stage)
-        if out is not None:
-            return out
+        for d in range(max_stage + 1):
+            if not self.stage(d).contains_point(t):
+                return Membership(OUT, d)
         return Membership(UNKNOWN, None)
 
     def endpoints(self, count: int) -> list[CantorAddress]:
@@ -808,14 +780,15 @@ class CantorFamily:
     def describe(self) -> str:
         return f"family(level={self.level},budget={self.stage_budget})"
 
-    def check_nesting(self, stages: range) -> dict:
-        """Exact cover inclusion stage_d(C_r) <= stage_d(C_s) for r > s."""
+    def check_nesting(self, stage: int) -> dict:
+        """Exact cover inclusion stage_d(C_r) <= stage_d(C_s) for r > s
+        at every depth d <= stage."""
         grid = self.grid()
         failures = []
         checked = 0
         for i, s in enumerate(grid):
             for r in grid[i + 1:]:
-                for d in stages:
+                for d in range(stage + 1):
                     checked += 1
                     if not self.member(r).stage(d).issubset(self.member(s).stage(d)):
                         failures.append({"r": str(r), "s": str(s), "stage": d})

@@ -33,7 +33,7 @@ _OPTIONS = {
     "stage": click.option("--stage", type=click.IntRange(min=0),
                           default=DEFAULT_STAGE, show_default=True,
                           help="Cover refinement depth."),
-    "mode": click.option("--mode", type=click.Choice(["zero", "tent"]),
+    "mode": click.option("--mode", type=click.Choice(bonding.MODES),
                          default="zero", show_default=True,
                          help="Base map mode."),
     "seed": click.option("--seed", type=int, default=0, show_default=True,
@@ -57,8 +57,16 @@ def _emit(obj) -> None:
     click.echo(json.dumps(obj, sort_keys=True, indent=2))
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return rat(text)
+    except (ValueError, ZeroDivisionError):
+        raise click.UsageError(f"not a rational: {text!r}")
+
+
 class _Group(click.Group):
-    """Command group whose usage errors print as one line."""
+    """Command group whose errors print as one line: usage errors exit 2,
+    cache errors 3 and any other library error 1."""
 
     def invoke(self, ctx):
         try:
@@ -66,6 +74,12 @@ class _Group(click.Group):
         except click.UsageError as ex:
             ex.ctx = None  # without a context click omits the usage banner
             raise
+        except CacheError as ex:
+            click.echo(f"cache error: {ex}", err=True)
+            sys.exit(EXIT_CACHE)
+        except GillabError as ex:
+            click.echo(f"error: {ex}", err=True)
+            sys.exit(EXIT_VERIFY_FAILED)
 
 
 @click.group(cls=_Group)
@@ -101,18 +115,14 @@ def family_inspect(level, budget, stage, cache_dir):
     """Print per-member stage covers and a nesting audit from the cache."""
     if cache_dir is None:
         raise click.UsageError("family inspect needs --cache-dir or GILLAB_CACHE")
-    try:
-        fam = cache.load_family(level, budget, cache_dir)
-    except CacheError as ex:
-        click.echo(f"cache error: {ex}", err=True)
-        sys.exit(EXIT_CACHE)
+    fam = cache.load_family(level, budget, cache_dir)
     report = {
         "members": {str(r): {
             "describe": fam.member(r).describe(),
             "covers": [fam.member(r).stage(d).to_text()
                        for d in range(stage + 1)]}
             for r in fam.grid()},
-        "nesting": fam.check_nesting(range(stage + 1)),
+        "nesting": fam.check_nesting(stage),
     }
     _emit(report)
     if not report["nesting"]["ok"]:
@@ -128,10 +138,7 @@ def family_inspect(level, budget, stage, cache_dir):
 @_options("level", "budget", "stage", "mode")
 def cmd_eval(t, level, budget, stage, mode):
     """Certified bracket for F(T) at an exact rational T."""
-    try:
-        point = rat(t)
-    except (ValueError, ZeroDivisionError):
-        raise click.UsageError(f"not a rational: {t!r}")
+    point = _rational(t)
     if point < 0 or point > 1:
         raise click.UsageError("T must lie in [0, 1]")
     fam = build_family(level, budget)
@@ -175,7 +182,7 @@ def _load_threads(m, threads_file) -> list[invlimit.Thread]:
 
 
 def _suite_nesting(fam, m, stage, seed, threads):
-    return fam.check_nesting(range(stage + 1))
+    return fam.check_nesting(stage)
 
 
 def _suite_endpoints(fam, m, stage, seed, threads):
@@ -253,7 +260,7 @@ def _suite_treelike(fam, m, stage, seed, threads):
 
 
 def _suite_interior(fam, m, stage, seed, threads):
-    return bonding.check_empty_interior(m, list(range(stage + 1)))
+    return bonding.check_empty_interior(m, stage)
 
 
 SUITES = {
@@ -342,6 +349,9 @@ def _svg_boxes(boxes, size=1000):
 def cmd_export(kind, level, budget, stage, mode, fmt, out, member, n_coords,
                arc_n, coords, threads_file):
     """Emit a cover, arc projection, or member set as a file artifact."""
+    if fmt != "csv" and kind != "graph":
+        raise click.UsageError(f"{kind} export supports only csv")
+    r = _rational(member) if kind == "cantor" else None
     fam = build_family(level, budget)
     m = bonding.make_map(mode, fam)
     if kind == "graph":
@@ -356,8 +366,6 @@ def cmd_export(kind, level, budget, stage, mode, fmt, out, member, n_coords,
             text = "\n".join(cover.csv_rows()) + "\n"
     elif kind == "mahavier":
         cover = invlimit.mahavier_cover(m, n_coords, stage, level)
-        if fmt != "csv":
-            raise click.UsageError("mahavier export supports only csv")
         text = "\n".join(cover.csv_rows()) + "\n"
     elif kind == "arc":
         threads = _load_threads(m, threads_file)
@@ -380,12 +388,9 @@ def cmd_export(kind, level, budget, stage, mode, fmt, out, member, n_coords,
         rows += [f"{t},{a},{b}" for t, a, b in pts]
         text = "\n".join(rows) + "\n"
     else:
-        try:
-            r = rat(member)
-            gen = fam.member(r)
-        except (ValueError, KeyError):
+        if r not in fam.members:
             raise click.UsageError(f"unknown family index {member!r}")
-        text = gen.stage(stage).to_text() + "\n"
+        text = fam.member(r).stage(stage).to_text() + "\n"
     if out is None:
         click.echo(text, nl=False)
     else:
@@ -394,14 +399,7 @@ def cmd_export(kind, level, budget, stage, mode, fmt, out, member, n_coords,
 
 
 def run() -> None:
-    try:
-        main(standalone_mode=True)
-    except CacheError as ex:
-        click.echo(f"cache error: {ex}", err=True)
-        sys.exit(EXIT_CACHE)
-    except GillabError as ex:
-        click.echo(f"error: {ex}", err=True)
-        sys.exit(EXIT_VERIFY_FAILED)
+    main()
 
 
 if __name__ == "__main__":

@@ -73,18 +73,6 @@ class Cycle:
                 return p
         return n
 
-    def to_json_obj(self) -> dict:
-        return {
-            "points": [str(p) for p in self.points],
-            "period": self.period,
-            "least_rotation_period": self.least_rotation_period(),
-            "certificates": [
-                {"point": str(c.point), "successor": str(c.successor),
-                 "kind": c.kind, "bound": str(c.bound)}
-                for c in self.certificates
-            ],
-        }
-
 
 def make_cycle(m: SetValuedMap, n: int) -> Cycle:
     """Period-n cycle from the first n discovered endpoints of the

@@ -173,11 +173,6 @@ class IntervalSet:
             raise ValueError("empty interval set has no min")
         return self._components[0].lo
 
-    def max(self) -> Fraction:
-        if self.is_empty:
-            raise ValueError("empty interval set has no max")
-        return self._components[-1].hi
-
     def max_component_width(self) -> Fraction:
         if self.is_empty:
             return ZERO

@@ -32,7 +32,7 @@ def announce(capsys, request):
 
 class TestAcceptance:
     def test_01_family_nesting(self, family, announce):
-        rep = family.check_nesting(range(0, 9))
+        rep = family.check_nesting(8)
         assert rep["ok"], rep["failures"][:3]
         assert rep["checked"] == 90
         announce["ok"] = True
@@ -64,7 +64,7 @@ class TestAcceptance:
         announce["ok"] = True
 
     def test_05_empty_interior_shadow(self, zero_map, announce):
-        rep = check_empty_interior(zero_map, list(range(0, 9)))
+        rep = check_empty_interior(zero_map, 8)
         assert rep["ok"]
         for d, row in enumerate(rep["per_stage"]):
             assert F(row["c1_portion_area"]) == F(1, 2) * F(2, 3) ** d, d

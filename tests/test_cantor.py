@@ -122,7 +122,7 @@ class TestGapAttached:
     def test_extremes(self, family):
         for d in range(0, 10, 3):
             assert family.c0.stage(d).min() == F(1, 8)
-            assert family.c0.stage(d).max() == F(7, 8)
+            assert family.c0.stage(d).components[-1].hi == F(7, 8)
 
     def test_contains_core(self, family):
         for d in range(8):
@@ -256,7 +256,7 @@ class TestFamily:
         assert family.grid() == [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
 
     def test_nesting_exact(self, family):
-        rep = family.check_nesting(range(0, 9))
+        rep = family.check_nesting(8)
         assert rep["ok"], rep["failures"][:3]
         assert rep["checked"] == 90
 
@@ -602,19 +602,26 @@ class TestScheduleSearch:
 
         def checked_try(self, sched, p, br, e):
             want = reference_reuse(sched, br, e)
-            before = len(sched.reuses)
-            verdict = try_stage(self, sched, p, br, e)
+            before, entries_before = len(sched.reuses), len(sched.entries)
+            recorded = try_stage(self, sched, p, br, e)
+            # a try records one thing or nothing: a reuse, or a new entry
+            assert len(sched.entries) == entries_before + (recorded and want is None)
             if want is None:
-                assert verdict != "reuse"
+                assert sched.reuses[before:] == []
             else:
-                assert verdict == "reuse" and sched.reuses[before:] == [(p, want)]
+                assert recorded and sched.reuses[before:] == [(p, want)]
                 tries["reuse"] += 1
-            return verdict
+            return recorded
 
         monkeypatch.setattr(IntermediateCantor, "_free_gap", checked_gap)
         monkeypatch.setattr(IntermediateCantor, "_try_stage", checked_try)
-        built(level, 56)
+        fam = built(level, 56)
         assert tries["gap"] > 100 and tries["reuse"] > 50, tries
+        for r in fam.grid():
+            gen = fam.member(r)
+            if isinstance(gen, IntermediateCantor):
+                entries = gen.schedule().entries
+                assert [entry.index for entry in entries] == list(range(len(entries)))
 
     def test_level_three_build_stays_local(self):
         # the schedule search reads local answers only: no cover deeper

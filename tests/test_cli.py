@@ -1,10 +1,13 @@
+import hashlib
 import json
 
 import pytest
 from click.testing import CliRunner
 
 import gillab
+from gillab import cli, invlimit
 from gillab.cli import main
+from gillab.errors import BoxCountError
 
 runner = CliRunner()
 
@@ -61,6 +64,14 @@ class TestVerify:
                      "--budget", "24", "--stage", "8")
         assert res.exit_code == 0, res.output[-400:]
         assert json.loads(res.output)["suites"]["endpoints"]["ok"]
+
+    def test_tent_report_bytes(self):
+        # the tent branches of eval_f, _f_max_on and check_light, pinned
+        # at the default level, budget and seed
+        res = invoke("verify", "all", "--stage", "8", "--mode", "tent")
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() == (
+            "b5c378ba6fc8b3626dbad9460f47abd9a1bfec380cd6012ba4b4cfa359162a42")
 
     def test_deterministic_bytes(self):
         a = invoke("verify", "treelike", "--seed", "5", *SMALL).output
@@ -168,6 +179,10 @@ class TestExport:
     (["verify", "nesting", "--budget", "0"], None),
     (["eval", "1/4", "--budget", "-3"], None),
     (["verify", "arcs"], '[{"isZero": "false"}]'),
+    (["export", "cantor", "--member", "1/0"], None),
+    (["export", "cantor", "--format", "json"], None),
+    (["export", "arc", "--format", "svg"], None),
+    (["export", "mahavier", "--format", "json"], None),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, args, threads):
     if threads is not None:
@@ -179,6 +194,31 @@ def test_bad_input_exits_2_with_one_line(tmp_path, args, threads):
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr.startswith("Error: ") and res.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["cantor", "--member", "1/0"],
+    ["cantor", "--format", "svg"],
+    ["arc", "--format", "json"],
+    ["mahavier", "--format", "json"],
+])
+def test_export_input_is_checked_before_the_family_is_built(monkeypatch, args):
+    def unreachable(*a, **k):
+        raise AssertionError("family built before the input was checked")
+
+    monkeypatch.setattr(cli, "build_family", unreachable)
+    assert invoke("export", *args).exit_code == 2
+
+
+def test_library_error_exits_1_with_one_line(monkeypatch):
+    def too_many(*args, **kwargs):
+        raise BoxCountError("box count over the ceiling")
+
+    monkeypatch.setattr(invlimit, "mahavier_cover", too_many)
+    res = invoke("export", "mahavier", "--n", "2", "--stage", "2", *SMALL)
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert res.stderr == "error: box count over the ceiling\n"
 
 
 @pytest.mark.parametrize("args", [

@@ -69,12 +69,6 @@ class TestMakeCycle:
         for c in cyc.certificates:
             assert c.kind == "lower-bracket" and c.bound == 1
 
-    def test_json_export(self, zero_map):
-        obj = make_cycle(zero_map, 2).to_json_obj()
-        assert obj["points"] == ["1/4", "3/4"]
-        assert obj["period"] == 2
-        assert obj["least_rotation_period"] == 2
-
 
 class TestIterateF:
     def test_zero_mode(self, zero_map):

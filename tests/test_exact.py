@@ -84,7 +84,6 @@ class TestQueries:
     def test_min_max_width(self):
         s = IntervalSet.of(("1/8", "1/4"), ("1/2", 1))
         assert s.min() == F(1, 8)
-        assert s.max() == F(1)
         assert s.max_component_width() == F(1, 2)
 
 
