@@ -396,10 +396,10 @@ def check_not_almost_nonfissile(m: SetValuedMap) -> dict:
     fissile_failures = []
     for t in samples:
         fb = eval_F(m, t)
-        if fb.is_singleton or fb.lower_max <= ZERO:
+        # [0, lower_max] lies in F(t), so above 1/2 the box meets the graph
+        if fb.is_singleton or fb.lower_max <= y_range[0]:
             fissile_failures.append(str(t))
-    half = Fraction(1, 2)
-    half_fb = eval_F(m, half)
+    half_fb = eval_F(m, Fraction(1, 2))
     return {
         "box": {"x": [str(comp.lo), str(comp.hi)],
                 "y": [str(y_range[0]), str(y_range[1])]},

@@ -111,8 +111,6 @@ class CantorGen:
         components never touch, so every stage-d component meeting the
         window lies in a stage-(d-1) component meeting it.
         """
-        if d < 0:
-            raise ValueError(f"stage depth must be >= 0, got {d}")
         if d < len(self._stage_memo) or d == 0:
             return self.stage(d).components_overlapping(window)
         return [c for parent in self.near(d - 1, window)
@@ -553,6 +551,15 @@ class RemovalSchedule:
     entries: list[ScheduleEntry] = field(default_factory=list)
     reuses: list[tuple[PointLike, int]] = field(default_factory=list)
 
+    def meeting(self, window: ClosedInterval,
+                live_at: Optional[int] = None) -> Iterator[ScheduleEntry]:
+        """In order, the entries created by stage live_at (any, if None)
+        whose widest hull meets the closed window; no other hull meets it."""
+        for entry in self.entries:
+            if ((live_at is None or entry.create_stage <= live_at)
+                    and entry.widest_hull.intersects(window)):
+                yield entry
+
 
 class IntermediateCantor(CantorGen):
     """Cantor set strictly between inner and outer nested generators.
@@ -612,18 +619,13 @@ class IntermediateCantor(CantorGen):
                    br: ClosedInterval, e: int) -> bool:
         """Record p at stage e, as a reuse of an earlier removal that
         swallows br or as a new entry; False if br needs refinement."""
-        live = [entry for entry in sched.entries if entry.create_stage <= e]
-        # already swallowed by an earlier removal?  an entry whose widest
-        # hull cannot hold the bracket cannot swallow it
-        for entry in live:
-            widest = entry.widest_hull
-            if not (widest.lo < br.lo and br.hi < widest.hi):
-                continue
+        # already swallowed by an earlier removal?
+        for entry in sched.meeting(br, live_at=e):
             rlo, rhi = entry.removal_open(e)
             if rlo < br.lo and br.hi < rhi:
                 sched.reuses.append((p, entry.index))
                 return True
-        gap = self._free_gap(live, br, e)
+        gap = self._free_gap(sched, br, e)
         if gap is None:
             return False
         a = self._anchor(gap[0], br.lo, e, left=True)
@@ -635,10 +637,10 @@ class IntermediateCantor(CantorGen):
         sched.entries.append(ScheduleEntry(len(sched.entries), p, a, b, e))
         return True
 
-    def _free_gap(self, live: list[ScheduleEntry], br: ClosedInterval,
+    def _free_gap(self, sched: RemovalSchedule, br: ClosedInterval,
                   e: int) -> Optional[tuple[Fraction, Fraction]]:
-        """Ends of the gap of inner.stage(e) and the live hulls in [0, 1]
-        that holds br strictly inside; None if there is none yet.
+        """Ends of the gap in [0, 1] of inner.stage(e) and the hulls live
+        at e that holds br strictly inside; None if there is none yet.
 
         This is the component of ``(inner ∪ hulls).complement_in(UNIT)``
         containing br, found by walking the inner stage-e components
@@ -657,12 +659,9 @@ class IntermediateCantor(CantorGen):
         left = nearest(False)
         lo = left.hi if left is not None else ZERO
         hi = right.lo if right is not None else ONE
-        for entry in live:
-            # a widest hull outside (lo, hi) holds a hull(e) that can
-            # neither meet br nor narrow the gap
-            widest = entry.widest_hull
-            if widest.hi <= lo or widest.lo >= hi:
-                continue
+        # a hull outside [lo, hi], or only touching it, can neither meet
+        # br nor narrow the gap, so the first window serves to the end
+        for entry in sched.meeting(ClosedInterval(lo, hi), live_at=e):
             h = entry.hull(e)
             if h.hi < br.lo:
                 lo = max(lo, h.hi)
@@ -701,27 +700,23 @@ class IntermediateCantor(CantorGen):
     # -- covers and queries ---------------------------------------------
 
     def _compute_stage(self, d: int) -> IntervalSet:
+        # every hull lies in [0, 1]
         return self.outer.stage(d).subtract_opens(
-            entry.removal_open(d) for entry in self.schedule().entries
-            if entry.create_stage <= d)
+            entry.removal_open(d) for entry in self.schedule().meeting(UNIT, live_at=d))
 
     def _children_of(self, d: int, comp: ClosedInterval) -> list[ClosedInterval]:
-        # a hole meeting comp lies in a widest hull meeting it; the pieces
-        # beyond comp that other holes would cut do not meet comp
-        holes = [entry.removal_open(d) for entry in self.schedule().entries
-                 if entry.create_stage <= d and entry.widest_hull.intersects(comp)]
+        # the pieces beyond comp that other holes would cut do not meet comp
+        holes = [entry.removal_open(d) for entry in self.schedule().meeting(comp, live_at=d)]
         pieces = IntervalSet(self.outer.near(d, comp), _normalized=True).subtract_opens(holes)
         return [c for c in pieces if c.intersects(comp)]
 
     def component_persists(self, comp: ClosedInterval, d: int) -> bool:
         # slivers left beside a growing removal get eaten at deeper
-        # stages, so only hull-free components are certified to survive;
-        # the widest hull, checked first, holds hull(d)
+        # stages, so only hull-free components are certified to survive
         if not self.outer.component_persists(comp, d):
             return False
-        return not any(entry.widest_hull.intersects(comp)
-                       and entry.hull(d).intersects(comp)
-                       for entry in self.schedule().entries)
+        return not any(entry.hull(d).intersects(comp)
+                       for entry in self.schedule().meeting(comp))
 
     def membership(self, t: Fraction, max_stage: int = DEFAULT_MAX_STAGE) -> Membership:
         # inner first: every removal hole lies in a gap of the inner
@@ -776,9 +771,6 @@ class CantorFamily:
     @property
     def c1(self) -> MiddleThirds:
         return self.members[ONE]
-
-    def describe(self) -> str:
-        return f"family(level={self.level},budget={self.stage_budget})"
 
     def check_nesting(self, stage: int) -> dict:
         """Exact cover inclusion stage_d(C_r) <= stage_d(C_s) for r > s

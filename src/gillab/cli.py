@@ -11,7 +11,7 @@ from pathlib import Path
 import click
 
 from . import bonding, cache, dynamics, invlimit
-from .cantor import DEFAULT_SEARCH_CEILING, build_family, point_membership
+from .cantor import DEFAULT_MAX_STAGE, DEFAULT_SEARCH_CEILING, build_family, point_membership
 from .errors import CacheError, GillabError
 from .exact import rat
 
@@ -41,6 +41,11 @@ _OPTIONS = {
     "cache_dir": click.option("--cache-dir", type=click.Path(path_type=Path),
                               envvar="GILLAB_CACHE", default=None,
                               help="Family cache directory (env GILLAB_CACHE)."),
+    "threads_file": click.option(
+        "--threads-file", type=click.Path(exists=True, dir_okay=False, path_type=Path),
+        default=None, help="JSON list of threads (default: the canned threads)."),
+    "out": click.option("--out", type=click.Path(path_type=Path), default=None,
+                        help="Output path (default: stdout)."),
 }
 
 
@@ -208,7 +213,7 @@ def _suite_endpoints(fam, m, stage, seed, threads):
 
 def _suite_usc(fam, m, stage, seed, threads):
     usc = bonding.check_usc(m, 200, stage, seed=seed)
-    weak = bonding.check_weak_continuity(m, fam.c1.endpoints(50), 12)
+    weak = bonding.check_weak_continuity(m, fam.c1.endpoints(50), DEFAULT_MAX_STAGE)
     return {"usc": usc, "weak_continuity": weak,
             "ok": usc["ok"] and weak["ok"]}
 
@@ -244,10 +249,10 @@ def _suite_arcs(fam, m, stage, seed, threads):
         if th.is_zero:
             entry["arc_chain"] = "rejected (zero thread)"
         else:
-            n_tail = invlimit.tail_index(m, th)
-            entry["tail_index"] = n_tail
+            # ArcSystem validates the thread, so tail_start is its tail index
             chain = invlimit.verify_arc_chain(
-                invlimit.ArcSystem(m, th, max(6, n_tail)))
+                invlimit.ArcSystem(m, th, max(6, th.tail_start)))
+            entry["tail_index"] = th.tail_start
             entry["arc_chain_ok"] = chain["ok"]
             ok = ok and chain["ok"]
         ok = ok and valid["ok"]
@@ -278,12 +283,9 @@ SUITES = {
 
 @main.command("verify")
 @click.argument("suite", type=click.Choice(sorted(SUITES) + ["all"]))
-@_options("level", "budget", "stage", "mode", "seed")
+@_options("level", "budget", "stage", "mode", "seed", "threads_file")
 @click.option("--max-period", type=click.IntRange(min=1), default=12,
               show_default=True, help="Largest cycle period for the cycles suite.")
-@click.option("--threads-file",
-              type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              default=None, help="JSON list of threads for the arcs suite.")
 def cmd_verify(suite, level, budget, stage, mode, seed, max_period,
                threads_file):
     """Run a verification suite; exit 0 iff every check passes."""
@@ -291,15 +293,10 @@ def cmd_verify(suite, level, budget, stage, mode, seed, max_period,
     m = bonding.make_map(mode, fam)
     threads = _load_threads(m, threads_file)
     names = sorted(SUITES) if suite == "all" else [suite]
-    results = {}
-    ok = True
-    for name in names:
-        if name == "cycles":
-            rep = _suite_cycles(fam, m, stage, seed, threads, max_period)
-        else:
-            rep = SUITES[name](fam, m, stage, seed, threads)
-        results[name] = rep
-        ok = ok and rep["ok"]
+    results = {name: _suite_cycles(fam, m, stage, seed, threads, max_period)
+               if name == "cycles" else SUITES[name](fam, m, stage, seed, threads)
+               for name in names}
+    ok = all(rep["ok"] for rep in results.values())
     _emit({"config": dict(level=level, budget=budget, stage=stage, mode=mode,
                           seed=seed, suite=suite, maxPeriod=max_period),
            "suites": results, "ok": ok})
@@ -327,75 +324,86 @@ def _svg_boxes(boxes, size=1000):
     return "\n".join(lines) + "\n"
 
 
-@main.command("export")
-@click.argument("kind", type=click.Choice(["graph", "mahavier", "arc", "cantor"]))
-@_options("level", "budget", "stage", "mode")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json", "svg"]),
-              default="csv", show_default=True)
-@click.option("--out", type=click.Path(path_type=Path), default=None,
-              help="Output path (default: stdout).")
-@click.option("--member", default="1/2", show_default=True,
-              help="Family index for cantor export.")
-@click.option("--n", "n_coords", type=click.IntRange(min=1), default=2,
-              show_default=True, help="Last coordinate index for mahavier export.")
-@click.option("--arc-n", type=click.IntRange(min=0), default=1,
-              show_default=True, help="Arc index for arc export.")
-@click.option("--coords", default="0,1", show_default=True,
-              help="Comma-separated coordinate pair for arc export.")
-@click.option("--threads-file",
-              type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              default=None, help="JSON list of threads; the first nonzero "
-              "one is exported.")
-def cmd_export(kind, level, budget, stage, mode, fmt, out, member, n_coords,
-               arc_n, coords, threads_file):
-    """Emit a cover, arc projection, or member set as a file artifact."""
-    if fmt != "csv" and kind != "graph":
-        raise click.UsageError(f"{kind} export supports only csv")
-    r = _rational(member) if kind == "cantor" else None
-    fam = build_family(level, budget)
-    m = bonding.make_map(mode, fam)
-    if kind == "graph":
-        cover = m.graph_cover(stage, level)
-        if fmt == "svg":
-            text = _svg_boxes(cover.boxes)
-        elif fmt == "json":
-            text = json.dumps({"stage": stage, "level": level, "boxes": [
-                [str(xb.lo), str(xb.hi), str(yb.lo), str(yb.hi)]
-                for xb, yb in cover.boxes]}, sort_keys=True, indent=2) + "\n"
-        else:
-            text = "\n".join(cover.csv_rows()) + "\n"
-    elif kind == "mahavier":
-        cover = invlimit.mahavier_cover(m, n_coords, stage, level)
-        text = "\n".join(cover.csv_rows()) + "\n"
-    elif kind == "arc":
-        threads = _load_threads(m, threads_file)
-        th = next((t for t in threads if not t.is_zero), None)
-        if th is None:
-            raise click.UsageError("arc export needs a nonzero thread")
-        sysm = invlimit.ArcSystem(m, th, max(6, invlimit.tail_index(m, th)))
-        try:
-            i, j = (int(c) for c in coords.split(","))
-        except ValueError:
-            raise click.UsageError("--coords must look like 0,1")
-        if min(i, j) < 0:
-            raise click.UsageError("--coords must be nonnegative")
-        first = sysm.arc_range().start
-        if arc_n < first:
-            raise click.UsageError(f"--arc-n must be >= {first} for this thread")
-        params = invlimit.arc_params(sysm, arc_n)
-        pts = invlimit.arc_points(sysm, arc_n, params, (i, j))
-        rows = [f"param,coord_{i},coord_{j}"]
-        rows += [f"{t},{a},{b}" for t, a, b in pts]
-        text = "\n".join(rows) + "\n"
-    else:
-        if r not in fam.members:
-            raise click.UsageError(f"unknown family index {member!r}")
-        text = fam.member(r).stage(stage).to_text() + "\n"
+def _write(text: str, out) -> None:
     if out is None:
         click.echo(text, nl=False)
     else:
         Path(out).write_text(text)
         click.echo(f"wrote {out}")
+
+
+@main.group()
+def export():
+    """Emit a cover, arc projection, or member set as a file artifact."""
+
+
+@export.command("graph")
+@_options("level", "budget", "stage", "mode", "out")
+@click.option("--format", "fmt", type=click.Choice(["csv", "json", "svg"]),
+              default="csv", show_default=True)
+def export_graph(level, budget, stage, mode, out, fmt):
+    """Outer box cover of the graph of F."""
+    cover = bonding.make_map(mode, build_family(level, budget)).graph_cover(stage, level)
+    if fmt == "svg":
+        text = _svg_boxes(cover.boxes)
+    elif fmt == "json":
+        text = json.dumps({"stage": stage, "level": level, "boxes": [
+            [str(xb.lo), str(xb.hi), str(yb.lo), str(yb.hi)]
+            for xb, yb in cover.boxes]}, sort_keys=True, indent=2) + "\n"
+    else:
+        text = "\n".join(cover.csv_rows()) + "\n"
+    _write(text, out)
+
+
+@export.command("mahavier")
+@_options("level", "budget", "stage", "mode", "out")
+@click.option("--n", "n_coords", type=click.IntRange(min=1), default=2,
+              show_default=True, help="Last coordinate index.")
+def export_mahavier(level, budget, stage, mode, out, n_coords):
+    """Box cover of the Mahavier product on coordinates 0..n."""
+    m = bonding.make_map(mode, build_family(level, budget))
+    cover = invlimit.mahavier_cover(m, n_coords, stage, level)
+    _write("\n".join(cover.csv_rows()) + "\n", out)
+
+
+@export.command("arc")
+@_options("level", "budget", "mode", "threads_file", "out")
+@click.option("--arc-n", type=click.IntRange(min=0), default=1,
+              show_default=True, help="Arc index.")
+@click.option("--coords", default="0,1", show_default=True,
+              help="Comma-separated coordinate pair.")
+def export_arc(level, budget, mode, threads_file, out, arc_n, coords):
+    """Points of one arc through the first nonzero thread."""
+    try:
+        i, j = (int(c) for c in coords.split(","))
+    except ValueError:
+        raise click.UsageError("--coords must look like 0,1")
+    if min(i, j) < 0:
+        raise click.UsageError("--coords must be nonnegative")
+    m = bonding.make_map(mode, build_family(level, budget))
+    th = next((t for t in _load_threads(m, threads_file) if not t.is_zero), None)
+    if th is None:
+        raise click.UsageError("arc export needs a nonzero thread")
+    sysm = invlimit.ArcSystem(m, th, max(6, th.tail_start))
+    first = sysm.arc_range().start
+    if arc_n < first:
+        raise click.UsageError(f"--arc-n must be >= {first} for this thread")
+    pts = invlimit.arc_points(sysm, arc_n, invlimit.arc_params(sysm, arc_n), (i, j))
+    rows = [f"param,coord_{i},coord_{j}"] + [f"{t},{a},{b}" for t, a, b in pts]
+    _write("\n".join(rows) + "\n", out)
+
+
+@export.command("cantor")
+@_options("level", "budget", "stage", "out")
+@click.option("--member", default="1/2", show_default=True,
+              help="Family index, a rational on the grid.")
+def export_cantor(level, budget, stage, out, member):
+    """Stage cover of one member set, in its text form."""
+    r = _rational(member)
+    fam = build_family(level, budget)
+    if r not in fam.members:
+        raise click.UsageError(f"unknown family index {member!r}")
+    _write(fam.member(r).stage(stage).to_text() + "\n", out)
 
 
 def run() -> None:

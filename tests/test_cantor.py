@@ -528,6 +528,7 @@ class TestSyntheticSchedules:
             hulls.append(ScheduleEntry(i, lo, EdgeAnchor(lo),
                                        EdgeAnchor(lo + F(rnd.randrange(1, 9), 324)),
                                        rnd.randrange(4)))
+        sched = RemovalSchedule(entries=hulls)
         found = 0
         for e in range(6):
             live = [entry for entry in hulls if entry.create_stage <= e]
@@ -536,10 +537,35 @@ class TestSyntheticSchedules:
             points += [F(rnd.randrange(163), 162) for _ in range(60)]
             for x in points:
                 for br in (ClosedInterval(x, x), ClosedInterval(x, x + F(1, 729))):
-                    got = hosts[0]._free_gap(live, br, e)
+                    got = hosts[0]._free_gap(sched, br, e)
                     assert got == reference_gap(hosts[1], live, br, e), (e, br)
                     found += got is not None
         assert found > 50
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_component_persists_where_hulls_touch_and_overlap(self, seed):
+        gen = synthetic_intermediate(seed)
+        rnd = random.Random(200 + seed)
+        windows = [ClosedInterval(*sorted(F(rnd.randrange(163), 162) for _ in range(2)))
+                   for _ in range(200)]
+        for entry in gen.schedule().entries:
+            h = entry.widest_hull   # windows touching a hull at one end
+            windows += [ClosedInterval(h.hi, h.hi + F(1, 729)),
+                        ClosedInterval(h.lo - F(1, 729), h.lo)]
+        assert_persists_matches_scan(gen, windows, range(6))
+
+
+def assert_persists_matches_scan(gen: IntermediateCantor, windows, depths):
+    """component_persists equals a scan of every entry's stage-d hull, and
+    answers both ways."""
+    seen = set()
+    for d in depths:
+        for w in windows:
+            want = gen.outer.component_persists(w, d) and not any(
+                entry.hull(d).intersects(w) for entry in gen.schedule().entries)
+            assert gen.component_persists(w, d) == want, (d, w)
+            seen.add(want)
+    assert seen == {True, False}
 
 
 def sorted_ga_stage(ga: GapAttachedCantor, d: int) -> IntervalSet:
@@ -594,8 +620,9 @@ class TestScheduleSearch:
         free_gap, try_stage = IntermediateCantor._free_gap, IntermediateCantor._try_stage
         tries = {"gap": 0, "reuse": 0}
 
-        def checked_gap(self, live, br, e):
-            got = free_gap(self, live, br, e)
+        def checked_gap(self, sched, br, e):
+            got = free_gap(self, sched, br, e)
+            live = [entry for entry in sched.entries if entry.create_stage <= e]
             assert got == reference_gap(self, live, br, e), (self.describe(), br, e)
             tries["gap"] += 1
             return got
@@ -635,3 +662,19 @@ class TestScheduleSearch:
         assert len(scheds) == 7
         assert sum(len(s.entries) for s in scheds) == 149
         assert sum(len(s.reuses) for s in scheds) == 189
+
+
+class TestComponentPersists:
+    def test_level_two_members(self):
+        fam = built(2, 56)
+        for r in fam.grid():
+            gen = fam.member(r)
+            if not isinstance(gen, IntermediateCantor):
+                continue
+            for d in (2, 4, 6, 8):
+                # spread components, and those near each hole, where the
+                # schedule search asks
+                windows = sample_windows(gen.outer.stage(min(d, 6)), 20)
+                windows += [c for entry in gen.schedule().entries
+                            for c in gen.outer.near(d, entry.widest_hull)]
+                assert_persists_matches_scan(gen, windows, [d])

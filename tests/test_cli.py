@@ -11,7 +11,8 @@ from gillab.errors import BoxCountError
 
 runner = CliRunner()
 
-SMALL = ["--level", "1", "--budget", "24", "--stage", "4"]
+FAMILY = ["--level", "1", "--budget", "24"]
+SMALL = FAMILY + ["--stage", "4"]
 
 
 def invoke(*args):
@@ -149,15 +150,48 @@ class TestExport:
         assert res.output.splitlines()[0] == "x0_lo,x0_hi,x1_lo,x1_hi,x2_lo,x2_hi"
 
     def test_arc_csv(self):
-        res = invoke("export", "arc", "--arc-n", "1", "--coords", "0,1", *SMALL)
+        res = invoke("export", "arc", "--arc-n", "1", "--coords", "0,1", *FAMILY)
         assert res.exit_code == 0
         assert res.output.splitlines()[0] == "param,coord_0,coord_1"
 
     def test_bad_coords(self):
-        assert invoke("export", "arc", "--coords", "zz", *SMALL).exit_code == 2
+        assert invoke("export", "arc", "--coords", "zz", *FAMILY).exit_code == 2
 
     def test_unknown_member(self):
         assert invoke("export", "cantor", "--member", "1/3", *SMALL).exit_code == 2
+
+
+# a zero thread, then one that is a thread in tent mode
+ARC_THREADS = ('[{"isZero": true}, {"prefix": ["1/64", "1/32", "1/16"], '
+               '"tailPeriod": ["1/4", "3/4"]}]')
+
+
+@pytest.mark.parametrize("args, threads, digest", [
+    (["graph", "--stage", "3"], None,
+     "a2d17d16ac19411e7dbed19b7bd18345a1bdb5ecd4dd05f6479ca210ce480474"),
+    (["graph", "--stage", "3", "--format", "json"], None,
+     "212b1f46218ab99627565c0bae1115ccd64506765975164c4b4dc72d215d723e"),
+    (["graph", "--stage", "3", "--format", "svg", "--mode", "tent"], None,
+     "ed4bb3925ea9b566993b3f849368c2b6b12f2e051dc223525b2ff3b76cb5fe1e"),
+    (["mahavier", "--stage", "2", "--n", "2"], None,
+     "0759d99e871fd058e30eaee000a46e94c686ce884e53fbe160522dab31487e86"),
+    (["arc", "--arc-n", "1", "--coords", "0,1"], None,
+     "6617ee1ef5e60af8adea7ba9c5007125b7416bfb089636af1d119434112e4c37"),
+    (["arc", "--arc-n", "3", "--coords", "1,3", "--mode", "tent"], ARC_THREADS,
+     "794ee0749623ae2e24d51979368f66927a0546fef3f7696ce52ad1a51fe4fcd2"),
+    (["cantor", "--stage", "3", "--member", "1/2"], None,
+     "75167438e302f5cff7ff8bb65545401849343ebaa3bb4019ebdd2b6e551b1c7d"),
+])
+def test_export_bytes(tmp_path, args, threads, digest):
+    # each kind's output at level 1, budget 24, pinned when one command
+    # served every kind
+    if threads is not None:
+        path = tmp_path / "threads.json"
+        path.write_text(threads)
+        args = args + ["--threads-file", str(path)]
+    res = invoke("export", args[0], *FAMILY, *args[1:])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
 
 
 @pytest.mark.parametrize("args, threads", [
@@ -189,11 +223,17 @@ def test_bad_input_exits_2_with_one_line(tmp_path, args, threads):
         path = tmp_path / "threads.json"
         path.write_text(threads)
         args = args + ["--threads-file", str(path)]
-    # the bad value comes last, so it overrides SMALL's
-    res = invoke(args[0], *SMALL, *args[1:])
+    # SMALL goes after the command (and the kind of an export), where it
+    # is accepted, and the bad value comes last, so it overrides SMALL's;
+    # arc reads no --stage
+    cut = 2 if args[0] == "export" else 1
+    small = FAMILY if args[:2] == ["export", "arc"] else SMALL
+    res = invoke(*args[:cut], *small, *args[cut:])
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr.startswith("Error: ") and res.stderr.count("\n") == 1
+    # the row fails on its own value, not on an option SMALL added
+    assert not [opt for opt in small[::2] if opt in res.stderr and opt not in args]
 
 
 @pytest.mark.parametrize("args", [
@@ -231,11 +271,15 @@ def test_library_error_exits_1_with_one_line(monkeypatch):
     ["export", "cantor", "--seed", "3"],
     ["export", "cantor", "--cache-dir", "x"],
     ["verify", "nesting", "--cache-dir", "x"],
+    ["export", "graph", "--stage", "1", "--member", "1/0"],
+    ["export", "graph", "--stage", "1", "--coords", "zz"],
+    ["export", "cantor", "--stage", "1", "--n", "7", "--arc-n", "9"],
+    ["export", "arc", "--stage", "4"],
 ])
 def test_options_a_command_ignores_are_rejected(args):
     res = invoke(*args)
     assert res.exit_code == 2
-    assert "No such option" in res.stderr
+    assert res.stderr.startswith("Error: No such option") and res.stderr.count("\n") == 1
 
 
 def test_every_public_name_resolves():

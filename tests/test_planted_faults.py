@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 from click.testing import CliRunner
 
-from gillab import cli
+from gillab import bonding, cli
+from gillab.bonding import FBracket, check_not_almost_nonfissile, make_map
 from gillab.cantor import CantorAddress, EdgeAnchor, build_family
 
 
@@ -52,3 +53,15 @@ def test_hole_on_inner_cover_fails_verify_nesting(tmp_path, monkeypatch):
     assert res.exit_code == cli.EXIT_VERIFY_FAILED, res.output
     report = json.loads(res.output)
     assert not report["ok"] and not report["suites"]["nesting"]["ok"]
+
+
+def test_graph_below_the_box_fails_not_almost_nonfissile(monkeypatch):
+    m = make_map("zero", build_family(1, 24, 15))
+    assert check_not_almost_nonfissile(m)["ok"]
+    # F(t) = [0, 1/4] everywhere: the graph never enters the box's
+    # y-range [1/2, 1], so the box certifies nothing
+    monkeypatch.setattr(bonding, "eval_F",
+                        lambda m, t, *args: FBracket(F(1, 4), F(1, 4)))
+    rep = check_not_almost_nonfissile(m)
+    assert rep["sampled_points"] > 0
+    assert not rep["ok"] and rep["fissile_failures"]
