@@ -36,6 +36,7 @@ MIN_C0 = Fraction(1, 8)
 
 WEAK_CONTINUITY_TOLERANCE = Fraction(1, 64)
 NONFISSILE_STAGE = 6
+NONFISSILE_SAMPLE_STAGE = 8
 INTERIOR_GRID = 8
 
 MODES = ("zero", "tent")
@@ -392,7 +393,9 @@ def check_not_almost_nonfissile(m: SetValuedMap) -> dict:
     quarter = Fraction(1, 4)
     comp = m.family.c0.stage(NONFISSILE_STAGE).component_containing(quarter)
     y_range = (Fraction(1, 2), ONE)
-    samples = [p for p in m.family.c1.endpoints(32) if comp.contains(p)]
+    # the ends of C_1's stage components are points of C_1
+    samples = sorted({e for c in m.family.c1.near(NONFISSILE_SAMPLE_STAGE, comp)
+                      for e in (c.lo, c.hi) if comp.contains(e)})
     fissile_failures = []
     for t in samples:
         fb = eval_F(m, t)

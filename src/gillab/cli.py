@@ -384,6 +384,11 @@ def export_arc(level, budget, mode, threads_file, out, arc_n, coords):
     th = next((t for t in _load_threads(m, threads_file) if not t.is_zero), None)
     if th is None:
         raise click.UsageError("arc export needs a nonzero thread")
+    failures = invlimit.verify_thread(m, th)["failures"]
+    if failures:
+        k = failures[0]["i"]
+        raise click.UsageError(
+            f"not a thread of F: x_{k - 1} in F(x_{k}) is not certified")
     sysm = invlimit.ArcSystem(m, th, max(6, th.tail_start))
     first = sysm.arc_range().start
     if arc_n < first:

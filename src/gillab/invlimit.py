@@ -10,6 +10,7 @@ for n >= N.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -286,8 +287,17 @@ class BoxCover:
     def csv_rows(self) -> list[str]:
         head = ",".join(f"x{i}_lo,x{i}_hi" for i in range(self.dimension))
         rows = [head]
+        # boxes share their interval objects, so each one is rendered
+        # once; the boxes keep every keyed object alive for the call
+        text: dict[int, str] = {}
         for box in self.boxes:
-            rows.append(",".join(f"{iv.lo},{iv.hi}" for iv in box))
+            parts = []
+            for iv in box:
+                part = text.get(id(iv))
+                if part is None:
+                    part = text[id(iv)] = f"{iv.lo},{iv.hi}"
+                parts.append(part)
+            rows.append(",".join(parts))
         return rows
 
 
@@ -296,30 +306,79 @@ def mahavier_cover(m: SetValuedMap, n: int, stage: int, level: int,
     """Compose graph-cover boxes into an outer cover of (x_0, ..., x_n).
 
     A pair (x_i, x_{i-1}) lies in the graph of F, covered by a box
-    (T, Y) with x_i in T and x_{i-1} in Y.  Chains of boxes survive only
-    while consecutive coordinate constraints intersect; constraints are
-    propagated eagerly and empty chains pruned.
+    (T, Y) with x_i in T and x_{i-1} in Y.  A chain of boxes b_1, ...,
+    b_n covers the tuples with x_0 in Y_1, x_i in T_i & Y_{i+1} for
+    0 < i < n and x_n in T_n, and survives while every constraint is
+    nonempty.  Every Y is [0, h] and every T lies in [0, 1], so T & Y
+    is [T.lo, min(T.hi, h)] exactly when h >= T.lo: a tail finds its
+    heads by one bisection of the boxes sorted by h.  Each distinct
+    interval is built once and ranked once in ClosedInterval order, so
+    the chains sort, in coordinate-tuple order, by integer keys.  A step
+    that yields more than ``ceiling`` chains raises BoxCountError.
     """
     if n < 1:
         raise ValueError("need at least two coordinates")
     gboxes = m.graph_cover(stage, level).boxes
-    chains: list[tuple[ClosedInterval, ...]] = [
-        (yb, tb) for tb, yb in gboxes]
+    if not all(yb.lo == ZERO <= tb.lo for tb, yb in gboxes):
+        raise ValueError("every graph-cover box must be T x [0, h] with T.lo >= 0")
+    interned: dict[ClosedInterval, ClosedInterval] = {}
+
+    def intern(iv: ClosedInterval) -> ClosedInterval:
+        return interned.setdefault(iv, iv)
+
+    xs = [intern(tb) for tb, _ in gboxes]
+    ys = [intern(yb) for _, yb in gboxes]
+    by_height = sorted(range(len(gboxes)), key=lambda j: ys[j].hi)
+    heights = [ys[j].hi for j in by_height]
+    # heads[i]: each box j that can follow box i, with T_i & Y_j
+    heads = [[(j, intern(ClosedInterval(tb.lo, min(tb.hi, ys[j].hi))))
+              for j in by_height[bisect_left(heights, tb.lo):]] for tb in xs]
+    ranked = sorted(interned.values())
+    rank = {id(iv): r for r, iv in enumerate(ranked)}
+    base = len(ranked)
+    digits = [[rank[id(iv)] for _, iv in meets] for meets in heads]
+    # a chain is its coordinate ranks so far, read as one integer in base
+    # `base`, and the index of its last box, whose T is still to come
+    keys = [rank[id(yb)] for yb in ys]
+    last = list(range(len(gboxes)))
     for _ in range(2, n + 1):
-        nxt = []
-        for chain in chains:
-            last = chain[-1]
-            for tb, yb in gboxes:
-                shared = last.intersect(yb)
-                if shared is None:
-                    continue
-                nxt.append(chain[:-1] + (shared, tb))
-                if len(nxt) > ceiling:
-                    raise BoxCountError(
-                        f"box chains exceeded ceiling {ceiling}")
-        chains = nxt
-    chains.sort()
-    return BoxCover(n + 1, chains, stage, level)
+        if sum(len(heads[i]) for i in last) > ceiling:
+            raise BoxCountError(f"box chains exceeded ceiling {ceiling}")
+        keys = [key * base + r for key, i in zip(keys, last) for r in digits[i]]
+        last = [j for i in last for j, _ in heads[i]]
+    keys = [key * base + rank[id(xs[i])] for key, i in zip(keys, last)]
+    keys.sort()
+    return BoxCover(n + 1, _decode(keys, ranked, n + 1), stage, level)
+
+
+def _decode(keys: list[int], ranked: list[ClosedInterval],
+            length: int) -> list[tuple[ClosedInterval, ...]]:
+    """The interval tuples whose ranks are the base-len(ranked) digits of
+    each key; the leading and the last two coordinates are each decoded
+    once per distinct value."""
+    base = len(ranked)
+
+    def tup(key: int, count: int) -> tuple[ClosedInterval, ...]:
+        out = []
+        for _ in range(count):
+            key, r = divmod(key, base)
+            out.append(ranked[r])
+        return tuple(reversed(out))
+
+    split = base * base
+    fronts: dict[int, tuple] = {}
+    backs: dict[int, tuple] = {}
+    boxes = []
+    for key in keys:
+        front, back = divmod(key, split)
+        f = fronts.get(front)
+        if f is None:
+            f = fronts[front] = tup(front, length - 2)
+        b = backs.get(back)
+        if b is None:
+            b = backs[back] = tup(back, 2)
+        boxes.append(f + b)
+    return boxes
 
 
 def check_treelike_hypotheses(m: SetValuedMap, stage: int) -> dict:

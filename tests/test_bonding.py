@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gillab.bonding import (
     MAX_TENT_HEIGHT,
     MIN_C0,
+    MODES,
     SetValuedMap,
     check_empty_interior,
     check_ivp_consistency,
@@ -19,6 +20,7 @@ from gillab.bonding import (
     eval_f,
     make_map,
 )
+from gillab.cantor import build_family
 from gillab.exact import UNIT
 
 unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=729)
@@ -231,6 +233,13 @@ class TestCheckers:
         rep = check_not_almost_nonfissile(zero_map)
         assert rep["ok"]
         assert rep["nonfissile_example"]["singleton"]
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_not_almost_nonfissile_samples_points_of_c1(self, level, mode):
+        m = make_map(mode, build_family(level, 56, 15))
+        rep = check_not_almost_nonfissile(m)
+        assert rep["ok"] and rep["sampled_points"] >= 4
 
     def test_empty_interior(self, zero_map):
         rep = check_empty_interior(zero_map, 6)

@@ -217,6 +217,9 @@ def test_export_bytes(tmp_path, args, threads, digest):
     (["export", "cantor", "--format", "json"], None),
     (["export", "arc", "--format", "svg"], None),
     (["export", "mahavier", "--format", "json"], None),
+    # x_0 = 1/64 is not in F(1/32) = {0}: zero mode certifies no step
+    (["export", "arc", "--arc-n", "3"],
+     '[{"prefix": ["1/64", "1/32", "1/16"], "tailPeriod": ["1/4", "3/4"]}]'),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, args, threads):
     if threads is not None:

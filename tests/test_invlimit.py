@@ -2,14 +2,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from gillab.cantor import IN, GapAttachedCantor, Membership
+from gillab.bonding import GraphCover, make_map
+from gillab.cantor import IN, GapAttachedCantor, Membership, build_family
 from gillab.dynamics import make_cycle
 from gillab.errors import BoxCountError
-from gillab.exact import UNIT, IntervalSet
+from gillab.exact import UNIT, ClosedInterval, IntervalSet
 from gillab.invlimit import (
     TREELIKE_GAP_STAGE,
     ZERO_THREAD,
     ArcSystem,
+    BoxCover,
     Thread,
     arc_params,
     arc_points,
@@ -168,6 +170,69 @@ class TestMahavier:
         rows = cov.csv_rows()
         assert rows[0] == "x0_lo,x0_hi,x1_lo,x1_hi"
         assert len(rows) == len(cov.boxes) + 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ceiling_is_the_largest_step(self, zero_map, n):
+        count = len(mahavier_cover(zero_map, n, 2, 2).boxes)
+        assert len(mahavier_cover(zero_map, n, 2, 2, ceiling=count).boxes) == count
+        with pytest.raises(BoxCountError, match=f"exceeded ceiling {count - 1}$"):
+            mahavier_cover(zero_map, n, 2, 2, ceiling=count - 1)
+
+    def test_lifted_y_box_raises(self, family):
+        m = make_map("zero", family)
+        cover = m.graph_cover(2, 2)
+        k = next(k for k, (_, yb) in enumerate(cover.boxes) if yb.hi == 1)
+        boxes = list(cover.boxes)
+        boxes[k] = (boxes[k][0], ClosedInterval(F(1, 2), F(1)))
+        lifted = GraphCover(boxes, 2, 2)
+        # the fault is silent for the all-pairs enumeration: it only
+        # drops the chains whose constraint ends below 1/2
+        assert len(all_pairs_chains(lifted.boxes, 2)[2]) < len(
+            mahavier_cover(m, 2, 2, 2).boxes)
+        m.graph_cover = lambda stage, level: lifted
+        with pytest.raises(ValueError, match=r"\[0, h\]"):
+            mahavier_cover(m, 2, 2, 2)
+
+
+def all_pairs_chains(gboxes, n):
+    """{k: sorted chains on coordinates 0..k} for k <= n, by intersecting
+    every chain's last constraint with every y-box."""
+    chains = [(yb, tb) for tb, yb in gboxes]
+    out = {1: sorted(chains)}
+    for k in range(2, n + 1):
+        nxt = []
+        for chain in chains:
+            for tb, yb in gboxes:
+                shared = chain[-1].intersect(yb)
+                if shared is not None:
+                    nxt.append(chain[:-1] + (shared, tb))
+        chains = nxt
+        out[k] = sorted(chains)
+    return out
+
+
+def csv_reference(cover: BoxCover) -> list[str]:
+    head = ",".join(f"x{i}_lo,x{i}_hi" for i in range(cover.dimension))
+    return [head] + [",".join(f"{iv.lo},{iv.hi}" for iv in box)
+                     for box in cover.boxes]
+
+
+@pytest.fixture(scope="module")
+def level3_family():
+    return build_family(3, 56, 15)
+
+
+@pytest.mark.parametrize("mode", ["zero", "tent"])
+@pytest.mark.parametrize("level", [2, 3])
+def test_mahavier_matches_all_pairs_enumeration(family, level3_family, level, mode):
+    m = make_map(mode, family if level == 2 else level3_family)
+    for stage in range(4):
+        expected = all_pairs_chains(m.graph_cover(stage, level).boxes, 3)
+        for n in (1, 2, 3):
+            cov = mahavier_cover(m, n, stage, level)
+            assert cov.boxes == expected[n], (stage, n)
+            ref = BoxCover(n + 1, expected[n], stage, level)
+            assert cov.csv_rows() == csv_reference(ref), (stage, n)
 
 
 class TestTreelike:

@@ -65,3 +65,17 @@ def test_graph_below_the_box_fails_not_almost_nonfissile(monkeypatch):
     rep = check_not_almost_nonfissile(m)
     assert rep["sampled_points"] > 0
     assert not rep["ok"] and rep["fissile_failures"]
+
+
+def test_uncertified_step_fails_verify_arcs(tmp_path):
+    # x_0 = 1/64 is not in F(1/32) = {0} in zero mode
+    threads = tmp_path / "threads.json"
+    threads.write_text('[{"prefix": ["1/64", "1/32", "1/16"], '
+                       '"tailPeriod": ["1/4", "3/4"]}]')
+    res = CliRunner().invoke(cli.main, [
+        "verify", "arcs", "--level", "1", "--budget", "24",
+        "--threads-file", str(threads)])
+    assert res.exit_code == cli.EXIT_VERIFY_FAILED, res.output
+    report = json.loads(res.output)
+    assert report["ok"] is False and report["suites"]["arcs"]["ok"] is False
+    assert report["suites"]["arcs"]["threads"][0]["valid"] is False
