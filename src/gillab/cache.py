@@ -43,10 +43,10 @@ def _serialize_anchor(anchor) -> dict:
     return {"kind": "address", "path": anchor.serialize()}
 
 
-def _member_payload(gen, stages: int) -> dict:
+def _member_payload(gen, texts: list[str]) -> dict:
     payload = {
         "describe": gen.describe(),
-        "stages": [gen.stage(d).to_text() for d in range(stages + 1)],
+        "stages": texts,
     }
     if isinstance(gen, IntermediateCantor):
         sched = gen.schedule()
@@ -62,13 +62,14 @@ def _member_payload(gen, stages: int) -> dict:
     return payload
 
 
-def _family_payload(fam: CantorFamily, stages: int) -> dict:
+def _family_payload(fam: CantorFamily, stages: int,
+                    texts: dict[str, list[str]]) -> dict:
     return {
         "version": FORMAT_VERSION,
         "level": fam.level,
         "budget": fam.stage_budget,
         "stages": stages,
-        "members": {str(r): _member_payload(fam.member(r), stages)
+        "members": {str(r): _member_payload(fam.member(r), texts[str(r)])
                     for r in fam.grid()},
     }
 
@@ -78,9 +79,10 @@ def _content_hash(payload: dict) -> str:
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-def _render(fam: CantorFamily, stages: int) -> str:
-    """The cache file text for the family's covers up to depth stages."""
-    payload = _family_payload(fam, stages)
+def _render(fam: CantorFamily, stages: int, texts: dict[str, list[str]]) -> str:
+    """The cache file text for the family's covers up to depth stages,
+    given each member's cover texts by depth."""
+    payload = _family_payload(fam, stages, texts)
     payload["contentHash"] = _content_hash(payload)
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -90,7 +92,9 @@ def save_family(fam: CantorFamily, stages: int, cache_dir: Path) -> Path:
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / family_filename(fam.level, fam.stage_budget)
-    path.write_text(_render(fam, stages))
+    texts = {str(r): [fam.member(r).stage(d).to_text() for d in range(stages + 1)]
+             for r in fam.grid()}
+    path.write_text(_render(fam, stages, texts))
     return path
 
 
@@ -118,7 +122,9 @@ def load_family(level: int, budget: int, cache_dir: Path,
         raise CacheError(f"cache file {path} holds no stage covers") from ex
     fam = build_family(level, budget, search_ceiling)
     # depth by depth, so that a padded cover list fails at its first
-    # wrong depth instead of rendering covers exponential in its length
+    # wrong depth instead of rendering covers exponential in its length;
+    # the texts rendered here are the ones the whole-file compare uses
+    texts: dict[str, list[str]] = {str(r): [] for r in fam.grid()}
     for d in range(stages + 1):
         for r in fam.grid():
             want = fam.member(r).stage(d).to_text()
@@ -129,6 +135,7 @@ def load_family(level: int, budget: int, cache_dir: Path,
             if not same:
                 raise CacheError(f"rebuilt family differs from cache file {path} "
                                  f"at stage {d} of member {r}")
-    if _render(fam, stages) != text:
+            texts[str(r)].append(want)
+    if _render(fam, stages, texts) != text:
         raise CacheError(f"rebuilt family differs from cache file {path}")
     return fam

@@ -27,11 +27,16 @@ is memoised.  Addresses walk the cover tree through ``near`` alone, with
 [0, 1] as the window of the roots, and the removal-schedule search reads
 only local answers, so building a family never materialises a deep cover
 it does not report.
+
+Membership is point-local too: ``first_out(t, max_stage)`` is the first
+depth whose cover misses t, found from t's ternary digits (walked on
+integers), the core gap holding t and the removal holes around it, with
+no cover built.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -111,10 +116,21 @@ class CantorGen:
         components never touch, so every stage-d component meeting the
         window lies in a stage-(d-1) component meeting it.
         """
-        if d < len(self._stage_memo) or d == 0:
-            return self.stage(d).components_overlapping(window)
-        return [c for parent in self.near(d - 1, window)
-                for c in self._cached_children(d, parent) if c.intersects(window)]
+        def descend(d: int) -> list[ClosedInterval]:
+            if d < len(self._stage_memo) or d == 0:
+                return self.stage(d).components_overlapping(window)
+            return [c for parent in descend(d - 1)
+                    for c in self._cached_children(d, parent) if c.intersects(window)]
+
+        # a stage-(d-1) component holds all the stage-d components that
+        # meet it, since distinct components never touch; only the top
+        # depth is looked up, as hashing the window costs about as much
+        # as one step of the descent
+        if d >= len(self._stage_memo):
+            children = self._children_memo.get((d, window))
+            if children is not None:
+                return list(children)
+        return descend(d)
 
     def walk(self, d: int, x: Fraction, rightward: bool) -> Iterator[ClosedInterval]:
         """Stage-d components from x outward, lazily: left to right those
@@ -142,6 +158,11 @@ class CantorGen:
         return children
 
     def membership(self, t: Fraction, max_stage: int = DEFAULT_MAX_STAGE) -> Membership:
+        raise NotImplementedError
+
+    def first_out(self, t: Fraction, max_stage: int) -> Optional[int]:
+        """The first depth d <= max_stage with t outside stage(d), or None;
+        equal to walking the covers, but builds none of them."""
         raise NotImplementedError
 
     def endpoints(self, count: int) -> list[PointLike]:
@@ -174,26 +195,43 @@ def _standard_membership(u: Fraction) -> tuple[bool, int]:
     """Exact membership of u in the middle-thirds set on [0, 1].
 
     Returns (verdict, depth).  Terminates for every rational: the orbit
-    u -> 3u / 3u-2 keeps a bounded denominator, so it either exits
-    through a middle third or cycles through valid digits.
+    u -> 3u / 3u-2 keeps the denominator q of u, so its numerators either
+    exit through a middle third or cycle through valid digits.
     """
-    third = Fraction(1, 3)
-    two_thirds = Fraction(2, 3)
+    p, q = u.numerator, u.denominator
     seen = set()
     depth = 0
     while True:
-        if u == 0 or u == 1:
+        if p == 0 or p == q:
             return True, depth
-        if u in seen:
+        if p in seen:
             return True, depth
-        seen.add(u)
-        if u <= third:
-            u = 3 * u
-        elif u >= two_thirds:
-            u = 3 * u - 2
+        seen.add(p)
+        if 3 * p <= q:
+            p = 3 * p
+        elif 3 * p >= 2 * q:
+            p = 3 * p - 2 * q
         else:
             return False, depth
         depth += 1
+
+
+def _ternary_exit(u: Fraction, digits: Optional[int]) -> Optional[tuple[int, int]]:
+    """The first digit k < digits (any k, if None) at which u in [0, 1]
+    falls into an open middle third, with the index m of the stage-k
+    interval it falls from, so the gap is ((3m+1)/3^(k+1), (3m+2)/3^(k+1));
+    None if u stays in the cover for all those digits."""
+    p, q = u.numerator, u.denominator
+    k = m = 0
+    while digits is None or k < digits:
+        if 3 * p <= q:
+            p, m = 3 * p, 3 * m
+        elif 3 * p >= 2 * q:
+            p, m = 3 * p - 2 * q, 3 * m + 2
+        else:
+            return k, m
+        k += 1
+    return None
 
 
 class MiddleThirds(CantorGen):
@@ -222,24 +260,27 @@ class MiddleThirds(CantorGen):
     def membership(self, t: Fraction, max_stage: int = DEFAULT_MAX_STAGE) -> Membership:
         if not self.base.contains(t):
             return Membership(OUT, 0)
-        u = (t - self.base.lo) / self.base.width
-        inside, depth = _standard_membership(u)
+        inside, depth = _standard_membership(self._in_unit(t))
         return Membership(IN if inside else OUT, depth)
+
+    def _in_unit(self, t: Fraction) -> Fraction:
+        """t rescaled so that the base becomes [0, 1]."""
+        return (t - self.base.lo) / self.base.width
+
+    def first_out(self, t: Fraction, max_stage: int) -> Optional[int]:
+        if not self.base.contains(t):
+            return 0
+        hit = _ternary_exit(self._in_unit(t), max_stage)
+        return None if hit is None else hit[0] + 1
 
     def gap_of(self, t: Fraction) -> tuple[Fraction, Fraction]:
         """Exact maximal gap (a, b) of the set within base containing t.
 
         Requires membership(t) to be Out with t strictly inside base.
         """
-        a, b = self.base.lo, self.base.hi
-        while True:
-            w3 = (b - a) / 3
-            if t <= a + w3:
-                b = a + w3
-            elif t >= b - w3:
-                a = b - w3
-            else:
-                return (a + w3, b - w3)
+        k, m = _ternary_exit(self._in_unit(t), None)
+        w = self.base.width / 3 ** (k + 1)
+        return (self.base.lo + (3 * m + 1) * w, self.base.lo + (3 * m + 2) * w)
 
     def _discover_endpoints(self, s: int) -> list[Fraction]:
         """The base ends at stage 0; for s >= 1 the ends of the gaps
@@ -372,6 +413,24 @@ class GapAttachedCantor(CantorGen):
         if kb.base.contains(t):
             return kb.membership(t)
         return Membership(OUT, core_m.decided_at_stage)
+
+    def first_out(self, t: Fraction, max_stage: int) -> Optional[int]:
+        # outside the core t leaves the cover with its core gap, at the
+        # gap's generation g, unless an attachment of that gap holds it
+        # to depth g + (the attachment's own exit depth)
+        if not self.window.contains(t):
+            return 0
+        if t < self.core.base.lo or t > self.core.base.hi:
+            g = 0
+        else:
+            g = self.core.first_out(t, max_stage)
+            if g is None:
+                return None
+        for k in self.attachments(self._core_gap_of(t)):
+            if k.base.contains(t):
+                sub = k.first_out(t, max_stage - g)
+                return None if sub is None else g + sub
+        return g
 
     def _core_gap_of(self, t: Fraction) -> tuple[Fraction, Fraction]:
         """Maximal gap of the core within the window containing t (t not in core)."""
@@ -550,14 +609,29 @@ class ScheduleEntry:
 class RemovalSchedule:
     entries: list[ScheduleEntry] = field(default_factory=list)
     reuses: list[tuple[PointLike, int]] = field(default_factory=list)
+    # (widest_hull.lo, position) of every entry indexed so far, sorted,
+    # and the widest hull's width: a hull meeting a window starts at
+    # most that far left of it
+    _by_lo: list[tuple[Fraction, int]] = field(
+        default_factory=list, init=False, repr=False, compare=False)
+    _reach: Fraction = field(default=ZERO, init=False, repr=False, compare=False)
 
     def meeting(self, window: ClosedInterval,
                 live_at: Optional[int] = None) -> Iterator[ScheduleEntry]:
         """In order, the entries created by stage live_at (any, if None)
         whose widest hull meets the closed window; no other hull meets it."""
-        for entry in self.entries:
-            if ((live_at is None or entry.create_stage <= live_at)
-                    and entry.widest_hull.intersects(window)):
+        # the search appends entries, so index those added since last time
+        for k in range(len(self._by_lo), len(self.entries)):
+            hull = self.entries[k].widest_hull
+            insort(self._by_lo, (hull.lo, k))
+            self._reach = max(self._reach, hull.width)
+        first = bisect_left(self._by_lo, (window.lo - self._reach,))
+        last = bisect_right(self._by_lo, (window.hi, len(self.entries)))
+        hits = sorted(k for _, k in self._by_lo[first:last]
+                      if self.entries[k].widest_hull.hi >= window.lo)
+        for k in hits:
+            entry = self.entries[k]
+            if live_at is None or entry.create_stage <= live_at:
                 yield entry
 
 
@@ -725,10 +799,24 @@ class IntermediateCantor(CantorGen):
         inner_m = self.inner.membership(t, max_stage)
         if inner_m.is_in:
             return inner_m
-        for d in range(max_stage + 1):
-            if not self.stage(d).contains_point(t):
-                return Membership(OUT, d)
-        return Membership(UNKNOWN, None)
+        d = self.first_out(t, max_stage)
+        return Membership(UNKNOWN, None) if d is None else Membership(OUT, d)
+
+    def first_out(self, t: Fraction, max_stage: int) -> Optional[int]:
+        # stage(d) is outer.stage(d) less the holes live at d, so t leaves
+        # it with the outer set or in the first hole that opens over it
+        best = self.outer.first_out(t, max_stage)
+        stop = max_stage + 1 if best is None else best
+        for entry in self.schedule().meeting(ClosedInterval(t, t)):
+            for s in range(entry.create_stage, stop):
+                # hulls nest: once t is outside one, no later hole holds it
+                if not entry.hull(s).contains(t):
+                    break
+                lo, hi = entry.removal_open(s)
+                if lo < t < hi:
+                    stop = s
+                    break
+        return None if stop > max_stage else stop
 
     def endpoints(self, count: int) -> list[CantorAddress]:
         out: list[CantorAddress] = []

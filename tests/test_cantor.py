@@ -19,6 +19,7 @@ from gillab.cantor import (
     MiddleThirds,
     RemovalSchedule,
     ScheduleEntry,
+    _standard_membership,
     build_family,
     point_membership,
 )
@@ -357,17 +358,55 @@ class TestSweptCovers:
                 assert gen.stage(d).to_text() == per_hole_stage(gen, d).to_text(), (r, d)
 
 
+def hole_points(fam, max_stage: int) -> list[F]:
+    """Where a removal hole of an intermediate member can decide a
+    verdict: the ends of its hole and hull at each stage from its
+    creation to max_stage, their midpoints, and a point inside each
+    anchor bracket."""
+    points = set()
+    for r in fam.grid():
+        gen = fam.member(r)
+        if not isinstance(gen, IntermediateCantor):
+            continue
+        for entry in gen.schedule().entries:
+            for s in range(entry.create_stage, max_stage + 1):
+                lo, hi = entry.removal_open(s)
+                h = entry.hull(s)
+                points.update((lo, hi, (lo + hi) / 2, h.lo, h.hi, (h.lo + h.hi) / 2,
+                               (h.lo + lo) / 2, (hi + h.hi) / 2))
+    return sorted(points)
+
+
+def probe_points(fam, max_stage: int, seed: int) -> list[F]:
+    rnd = random.Random(seed)
+    return (fam.c1.endpoints(40) + fam.c0.endpoints(60)
+            + [F(rnd.randrange(q + 1), q)
+               for q in (rnd.randrange(1, 5000) for _ in range(150))]
+            + hole_points(fam, max_stage))
+
+
+@pytest.fixture(scope="module")
+def level_three():
+    """A level-3 family (budget 56) with its schedules, for tests that
+    only read it."""
+    return built(3, 56)
+
+
+def assert_matches_cover_first(fam, max_stage: int) -> None:
+    points = probe_points(fam, max_stage, 11)
+    for r in fam.grid():
+        gen = fam.member(r)
+        for t in points:
+            assert gen.membership(t, max_stage) == cover_first(gen, t, max_stage), (r, t)
+
+
 class TestInnerFirstMembership:
     @pytest.mark.parametrize("max_stage", [8, 12])
     def test_matches_cover_first(self, family, max_stage):
-        rnd = random.Random(11)
-        points = (family.c1.endpoints(40) + family.c0.endpoints(60)
-                  + [F(rnd.randrange(q + 1), q)
-                     for q in (rnd.randrange(1, 5000) for _ in range(150))])
-        for r in family.grid():
-            gen = family.member(r)
-            for t in points:
-                assert gen.membership(t, max_stage) == cover_first(gen, t, max_stage), (r, t)
+        assert_matches_cover_first(family, max_stage)
+
+    def test_matches_cover_first_at_level_three(self, level_three):
+        assert_matches_cover_first(level_three, 8)
 
     @pytest.mark.parametrize("max_stage", [8, 12])
     def test_addresses_through_point_membership(self, family, max_stage):
@@ -381,6 +420,15 @@ class TestInnerFirstMembership:
                 assert (point_membership(gen, p, max_stage)
                         == cover_first_point(gen, p, max_stage)), (r, p)
 
+    def test_deep_stage_builds_no_cover(self):
+        # a verdict at depth 20 needs no cover past the set-up depth
+        fam = built(2, 56)
+        assert max(len(fam.member(r)._stage_memo) for r in fam.grid()) - 1 <= 2
+        fb = eval_F(make_map("tent", fam), F(3781, 12636), 2, 20)
+        assert (fb.lower_max, fb.upper_max) == (0, 1)
+        for r in fam.grid():
+            assert len(fam.member(r)._stage_memo) - 1 <= 2, r
+
     def test_smallest_set_point_builds_no_cover(self):
         # an endpoint of C_1 lies in every inner set, so no intermediate
         # member needs a stage cover to certify it
@@ -392,6 +440,126 @@ class TestInnerFirstMembership:
             gen = fam.member(r)
             if isinstance(gen, IntermediateCantor):
                 assert gen._stage_memo == [], r
+
+
+def cover_exit(gen, t: F, max_stage: int):
+    """First depth d <= max_stage whose materialised cover misses t."""
+    return next((d for d in range(max_stage + 1)
+                 if not gen.stage(d).contains_point(t)), None)
+
+
+def fraction_standard_membership(u: F) -> tuple[bool, int]:
+    """The ternary walk on Fractions, as it was before integer numerators."""
+    seen = set()
+    depth = 0
+    while True:
+        if u == 0 or u == 1 or u in seen:
+            return True, depth
+        seen.add(u)
+        if u <= F(1, 3):
+            u = 3 * u
+        elif u >= F(2, 3):
+            u = 3 * u - 2
+        else:
+            return False, depth
+        depth += 1
+
+
+def fraction_gap_of(mt: MiddleThirds, t: F) -> tuple[F, F]:
+    """The gap lookup by shrinking the base interval on Fractions."""
+    a, b = mt.base.lo, mt.base.hi
+    while True:
+        w3 = (b - a) / 3
+        if t <= a + w3:
+            b = a + w3
+        elif t >= b - w3:
+            a = b - w3
+        else:
+            return (a + w3, b - w3)
+
+
+class TestFirstOut:
+    @pytest.mark.parametrize("level, max_stage", [(2, 10), (3, 8)])
+    def test_matches_the_cover_walk(self, request, level, max_stage):
+        fam = request.getfixturevalue("family" if level == 2 else "level_three")
+        c0 = fam.c0
+        points = probe_points(fam, max_stage, 12)
+        # the window ends, points beyond them and in every side gap
+        points += [F(0), F(1), F(1, 16), F(15, 16), c0.window.lo, c0.window.hi,
+                   F(3, 16), F(13, 16), F(7, 48), F(41, 48)]
+        comps = c0.stage(6).components
+        points += [(c.hi + n.lo) / 2 for c, n in zip(comps, comps[1:])]
+        gens = [fam.member(r) for r in fam.grid()]
+        gens += list(c0.attachments(c0.core.gap_of(F(1, 2))))
+        for gen in gens:
+            for t in points:
+                want = cover_exit(gen, t, max_stage)
+                # a smaller budget answers only what the walk finds in it
+                for m in (0, 1, 4, max_stage):
+                    got = gen.first_out(t, m)
+                    assert got == (want if want is not None and want <= m else None), (
+                        gen.describe(), t, m)
+
+    @given(st.integers(1, 9999).flatmap(
+        lambda q: st.tuples(st.integers(0, q), st.just(q))))
+    @settings(max_examples=300)
+    def test_integer_walks_match_fraction_walks(self, pq):
+        u = F(*pq)
+        assert _standard_membership(u) == fraction_standard_membership(u)
+        if not _standard_membership(u)[0]:
+            for mt in (MiddleThirds(UNIT), MiddleThirds(C1_BASE)):
+                t = mt.base.lo + u * mt.base.width
+                assert mt.gap_of(t) == fraction_gap_of(mt, t), (mt.describe(), t)
+
+
+def scan_meeting(sched: RemovalSchedule, window: ClosedInterval, live_at):
+    """The hole query as a scan of every entry."""
+    return [entry for entry in sched.entries
+            if (live_at is None or entry.create_stage <= live_at)
+            and entry.widest_hull.intersects(window)]
+
+
+def meeting_windows(sched: RemovalSchedule, rnd: random.Random) -> list[ClosedInterval]:
+    windows = [UNIT]
+    for _ in range(60):
+        a, b = sorted(F(rnd.randrange(4097), 4096) for _ in range(2))
+        windows += [ClosedInterval(a, b), ClosedInterval(a, a)]
+    for entry in sched.entries:
+        h = entry.widest_hull   # windows at, inside and just beside a hull
+        windows += [ClosedInterval(h.lo, h.lo), ClosedInterval(h.hi, h.hi),
+                    ClosedInterval(h.hi + F(1, 3 ** 12), h.hi + F(1, 3 ** 11)),
+                    ClosedInterval(h.lo - F(1, 3 ** 11), h.lo - F(1, 3 ** 12)),
+                    ClosedInterval((h.lo + h.hi) / 2, h.hi + F(1, 64))]
+    return windows
+
+
+class TestHoleIndex:
+    @pytest.mark.parametrize("source", ["level 2", "level 3", "synthetic"])
+    def test_meeting_matches_the_linear_scan(self, request, source):
+        if source == "synthetic":
+            scheds = [synthetic_intermediate(seed).schedule() for seed in range(4)]
+        else:
+            fam = request.getfixturevalue("family" if source == "level 2" else "level_three")
+            scheds = [fam.member(r).schedule() for r in fam.grid()
+                      if isinstance(fam.member(r), IntermediateCantor)]
+        rnd = random.Random(source)
+        hits = 0
+        for sched in scheds:
+            windows = meeting_windows(sched, rnd)
+            for w in windows:
+                for live_at in [None, *range(16)]:
+                    want = scan_meeting(sched, w, live_at)
+                    assert list(sched.meeting(w, live_at)) == want, (w, live_at)
+                    hits += len(want)
+            # the index follows appends, as while the search builds it
+            grown = RemovalSchedule()
+            for entry in sched.entries:
+                grown.entries.append(entry)
+                for w in windows[::7]:
+                    for live_at in (None, entry.create_stage, 15):
+                        assert (list(grown.meeting(w, live_at))
+                                == scan_meeting(grown, w, live_at)), (w, live_at)
+        assert hits > 0
 
 
 # ---------------------------------------------------------------------------
@@ -651,12 +819,12 @@ class TestScheduleSearch:
                 assert [entry.index for entry in entries] == list(range(len(entries)))
 
     def test_level_three_build_stays_local(self):
-        # the schedule search reads local answers only: no cover deeper
-        # than depth 10 (reached by the cover walk of membership) is built
+        # the schedule search reads local answers only, and membership
+        # is point-local: no cover deeper than depth 2 is built
         fam = built(3, 56)
         gens = [fam.member(r) for r in fam.grid()]
         gens += [k for pair in fam.c0._k_memo.values() for k in pair]
-        assert max(len(gen._stage_memo) - 1 for gen in gens) == 10
+        assert max(len(gen._stage_memo) - 1 for gen in gens) <= 2
         scheds = [fam.member(r).schedule() for r in fam.grid()
                   if isinstance(fam.member(r), IntermediateCantor)]
         assert len(scheds) == 7
