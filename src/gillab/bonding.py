@@ -49,14 +49,20 @@ def _tent(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction, Fraction]:
 
 def eval_f(m: SetValuedMap, t: Fraction) -> Fraction:
     """Exact value of the base map at a rational point of [0, 1]."""
+    # C0 lies inside (0, 1), so a point it holds needs no range check
+    if m.mode == "tent" and m.family.c0.membership(t).is_in:
+        return ZERO
+    return _f_off_c0(m, t)
+
+
+def _f_off_c0(m: SetValuedMap, t: Fraction) -> Fraction:
+    """The base map at a rational point of [0, 1] outside C0: zero, or
+    the tent on the gap holding t."""
     if t < 0 or t > 1:
         raise ValueError("point outside [0, 1]")
     if m.mode == "zero":
         return ZERO
-    c0 = m.family.c0
-    if c0.membership(t).is_in:
-        return ZERO
-    apex, half, height = _tent(*c0.gap_of(t))
+    apex, half, height = _tent(*m.family.c0.gap_of(t))
     return height * (1 - abs(t - apex) / half)
 
 
@@ -114,9 +120,8 @@ def eval_F(m: SetValuedMap, t: Fraction, level: Optional[int] = None,
     """Certified bracket for F(t) over the level's dyadic grid."""
     if level is None:
         level = m.family.level
-    c0m = m.family.c0.membership(t)
-    if c0m.is_out:
-        v = eval_f(m, t)
+    if m.family.c0.membership(t).is_out:
+        v = _f_off_c0(m, t)
         return FBracket(v, v, v)
     lower = ZERO
     upper = ONE

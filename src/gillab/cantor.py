@@ -3,8 +3,7 @@
 Three generator kinds:
 
 * :class:`MiddleThirds` -- the standard middle-thirds set on a rational
-  base interval; membership of a rational point is exactly decidable by
-  ternary digit analysis.
+  base interval.
 * :class:`GapAttachedCantor` -- the enlarged set built by attaching a
   pair of scaled middle-thirds sets to every maximal gap of a
   middle-thirds set within a slightly wider window; the smallest set of
@@ -28,10 +27,15 @@ is memoised.  Addresses walk the cover tree through ``near`` alone, with
 only local answers, so building a family never materialises a deep cover
 it does not report.
 
-Membership is point-local too: ``first_out(t, max_stage)`` is the first
-depth whose cover misses t, found from t's ternary digits (walked on
-integers), the core gap holding t and the removal holes around it, with
-no cover built.
+Membership is point-local too.  Each generator states one point query,
+``first_out(t, max_stage)``: the first depth whose cover misses t, found
+from one walk of t's ternary digits (on integers), the core gap holding
+t and the removal holes around it, with no cover built.  ``membership``
+reads it, so a verdict ``OUT d`` means t lies outside ``stage(d)`` for
+every generator.  The middle-thirds and gap-attached sets are exact: the
+walk ends for every rational, and a point that never leaves is IN.
+An intermediate set says IN only by its inner set's certificate and
+UNKNOWN when neither that nor its covers to ``max_stage`` decide.
 """
 
 from __future__ import annotations
@@ -57,8 +61,10 @@ DEFAULT_SEARCH_CEILING = 15
 class Membership:
     """Three-valued membership verdict.
 
-    ``out`` is definitive (the point misses the recorded stage cover);
-    ``in`` carries an exact certificate; ``unknown`` invites refinement.
+    ``out`` with depth d is definitive: the point lies outside
+    ``stage(d)``, and d is the first such depth.  ``in`` is exact for the
+    middle-thirds and gap-attached sets; an intermediate set gives it only
+    by its inner set's certificate.  ``unknown`` invites refinement.
     """
 
     verdict: str
@@ -158,11 +164,16 @@ class CantorGen:
         return children
 
     def membership(self, t: Fraction, max_stage: int = DEFAULT_MAX_STAGE) -> Membership:
-        raise NotImplementedError
+        """Exact verdict from ``first_out`` with no depth bound; max_stage
+        is not read.  Only a generator whose ``first_out`` ends without a
+        bound may use it."""
+        d = self.first_out(t, None)
+        return Membership(IN) if d is None else Membership(OUT, d)
 
-    def first_out(self, t: Fraction, max_stage: int) -> Optional[int]:
-        """The first depth d <= max_stage with t outside stage(d), or None;
-        equal to walking the covers, but builds none of them."""
+    def first_out(self, t: Fraction, max_stage: Optional[int]) -> Optional[int]:
+        """The first depth d <= max_stage (any d, if None) with t outside
+        stage(d), or None; equal to walking the covers, but builds none
+        of them."""
         raise NotImplementedError
 
     def endpoints(self, count: int) -> list[PointLike]:
@@ -175,7 +186,8 @@ class CantorGen:
         return out[:count]
 
     def describe(self) -> str:
-        """Canonical parameter string; drives cache keys."""
+        """Canonical parameter string; names the member in family reports
+        and cache payloads, and tells generators apart."""
         raise NotImplementedError
 
     def component_persists(self, comp: ClosedInterval, d: int) -> bool:
@@ -191,39 +203,24 @@ class CantorGen:
 # middle-thirds generator
 
 
-def _standard_membership(u: Fraction) -> tuple[bool, int]:
-    """Exact membership of u in the middle-thirds set on [0, 1].
-
-    Returns (verdict, depth).  Terminates for every rational: the orbit
-    u -> 3u / 3u-2 keeps the denominator q of u, so its numerators either
-    exit through a middle third or cycle through valid digits.
-    """
-    p, q = u.numerator, u.denominator
-    seen = set()
-    depth = 0
-    while True:
-        if p == 0 or p == q:
-            return True, depth
-        if p in seen:
-            return True, depth
-        seen.add(p)
-        if 3 * p <= q:
-            p = 3 * p
-        elif 3 * p >= 2 * q:
-            p = 3 * p - 2 * q
-        else:
-            return False, depth
-        depth += 1
-
-
 def _ternary_exit(u: Fraction, digits: Optional[int]) -> Optional[tuple[int, int]]:
     """The first digit k < digits (any k, if None) at which u in [0, 1]
     falls into an open middle third, with the index m of the stage-k
     interval it falls from, so the gap is ((3m+1)/3^(k+1), (3m+2)/3^(k+1));
-    None if u stays in the cover for all those digits."""
+    None if u stays in the cover for all those digits.
+
+    Ends for every rational even with no digit bound: the orbit
+    u -> 3u / 3u-2 keeps the denominator q of u, so its numerators either
+    exit through a middle third or repeat, and a repeat means u is in
+    the set.
+    """
     p, q = u.numerator, u.denominator
+    seen = set()
     k = m = 0
     while digits is None or k < digits:
+        if p in seen:
+            return None
+        seen.add(p)
         if 3 * p <= q:
             p, m = 3 * p, 3 * m
         elif 3 * p >= 2 * q:
@@ -257,17 +254,16 @@ class MiddleThirds(CantorGen):
         return IntervalSet([c for parent in self.stage(d - 1)
                             for c in self._children_of(d, parent)], _normalized=True)
 
-    def membership(self, t: Fraction, max_stage: int = DEFAULT_MAX_STAGE) -> Membership:
-        if not self.base.contains(t):
-            return Membership(OUT, 0)
-        inside, depth = _standard_membership(self._in_unit(t))
-        return Membership(IN if inside else OUT, depth)
-
     def _in_unit(self, t: Fraction) -> Fraction:
         """t rescaled so that the base becomes [0, 1]."""
         return (t - self.base.lo) / self.base.width
 
-    def first_out(self, t: Fraction, max_stage: int) -> Optional[int]:
+    def _gap(self, k: int, m: int) -> tuple[Fraction, Fraction]:
+        """The gap opened at stage k + 1 in the m-th stage-k component."""
+        w = self.base.width / 3 ** (k + 1)
+        return (self.base.lo + (3 * m + 1) * w, self.base.lo + (3 * m + 2) * w)
+
+    def first_out(self, t: Fraction, max_stage: Optional[int]) -> Optional[int]:
         if not self.base.contains(t):
             return 0
         hit = _ternary_exit(self._in_unit(t), max_stage)
@@ -278,9 +274,7 @@ class MiddleThirds(CantorGen):
 
         Requires membership(t) to be Out with t strictly inside base.
         """
-        k, m = _ternary_exit(self._in_unit(t), None)
-        w = self.base.width / 3 ** (k + 1)
-        return (self.base.lo + (3 * m + 1) * w, self.base.lo + (3 * m + 2) * w)
+        return self._gap(*_ternary_exit(self._in_unit(t), None))
 
     def _discover_endpoints(self, s: int) -> list[Fraction]:
         """The base ends at stage 0; for s >= 1 the ends of the gaps
@@ -294,7 +288,9 @@ class MiddleThirds(CantorGen):
         return eps
 
     # bound in each class body rather than inherited: bench/tracing.py
-    # wraps vars(cls)["endpoints"] of every generator class
+    # wraps vars(cls)["membership"] and vars(cls)["endpoints"] of every
+    # generator class
+    membership = CantorGen.membership
     endpoints = CantorGen.endpoints
 
 
@@ -372,23 +368,23 @@ class GapAttachedCantor(CantorGen):
             else:
                 out.append(c)
 
-        def emit_gap(gap: tuple[Fraction, Fraction]) -> None:
-            depth = d - self.generation(gap)
+        def emit_gap(g: int, gap: tuple[Fraction, Fraction]) -> None:
             for k in self.attachments(gap):
-                for c in attached(k, depth):
+                for c in attached(k, d - g):
                     emit(c)
 
         # a window end outside the core pieces lies in a core gap opened
         # by stage d, so that gap's attachments are in the stage-d cover
         if not core_pieces or window.lo < core_pieces[0].lo:
-            emit_gap(self._core_gap_of(window.lo))
+            emit_gap(*self._core_exit(window.lo, d))
         for c, nxt in zip(core_pieces, core_pieces[1:]):
             emit(c)
-            emit_gap((c.hi, nxt.lo))
+            gap = (c.hi, nxt.lo)
+            emit_gap(self.generation(gap), gap)
         if core_pieces:
             emit(core_pieces[-1])
             if window.hi > core_pieces[-1].hi:
-                emit_gap(self._core_gap_of(window.hi))
+                emit_gap(*self._core_exit(window.hi, d))
         return out
 
     def _compute_stage(self, d: int) -> IntervalSet:
@@ -400,45 +396,35 @@ class GapAttachedCantor(CantorGen):
         return self._joined(d, comp, self.core.near(d, comp),
                             lambda k, depth: k.near(depth, comp))
 
-    def membership(self, t: Fraction, max_stage: int = DEFAULT_MAX_STAGE) -> Membership:
-        core_m = self.core.membership(t)
-        if core_m.is_in:
-            return core_m
-        if t < self.window.lo or t > self.window.hi:
-            return Membership(OUT, 0)
-        gap = self._core_gap_of(t)
-        ka, kb = self.attachments(gap)
-        if ka.base.contains(t):
-            return ka.membership(t)
-        if kb.base.contains(t):
-            return kb.membership(t)
-        return Membership(OUT, core_m.decided_at_stage)
+    def _core_exit(self, t: Fraction, max_stage: Optional[int]
+                   ) -> Optional[tuple[int, tuple[Fraction, Fraction]]]:
+        """For t in the window, (g, gap): the maximal gap of the core
+        within the window holding t and its generation g, which is the
+        first core depth missing t; None if the core holds t to depth
+        max_stage (for ever, if None).  One walk of t's ternary digits."""
+        core = self.core
+        if t < core.base.lo:
+            return 0, (self.window.lo, core.base.lo)
+        if t > core.base.hi:
+            return 0, (core.base.hi, self.window.hi)
+        hit = _ternary_exit(core._in_unit(t), max_stage)
+        return None if hit is None else (hit[0] + 1, core._gap(*hit))
 
-    def first_out(self, t: Fraction, max_stage: int) -> Optional[int]:
+    def first_out(self, t: Fraction, max_stage: Optional[int]) -> Optional[int]:
         # outside the core t leaves the cover with its core gap, at the
         # gap's generation g, unless an attachment of that gap holds it
         # to depth g + (the attachment's own exit depth)
         if not self.window.contains(t):
             return 0
-        if t < self.core.base.lo or t > self.core.base.hi:
-            g = 0
-        else:
-            g = self.core.first_out(t, max_stage)
-            if g is None:
-                return None
-        for k in self.attachments(self._core_gap_of(t)):
+        hit = self._core_exit(t, max_stage)
+        if hit is None:
+            return None
+        g, gap = hit
+        for k in self.attachments(gap):
             if k.base.contains(t):
-                sub = k.first_out(t, max_stage - g)
+                sub = k.first_out(t, None if max_stage is None else max_stage - g)
                 return None if sub is None else g + sub
         return g
-
-    def _core_gap_of(self, t: Fraction) -> tuple[Fraction, Fraction]:
-        """Maximal gap of the core within the window containing t (t not in core)."""
-        if t < self.core.base.lo:
-            return (self.window.lo, self.core.base.lo)
-        if t > self.core.base.hi:
-            return (self.core.base.hi, self.window.hi)
-        return self.core.gap_of(t)
 
     def gap_of(self, t: Fraction) -> tuple[Fraction, Fraction]:
         """Exact maximal gap of {0} + this set + {1} containing t.
@@ -449,8 +435,7 @@ class GapAttachedCantor(CantorGen):
             return (ZERO, self.window.lo)
         if t > self.window.hi:
             return (self.window.hi, ONE)
-        a, b = self._core_gap_of(t)
-        ka, kb = self.attachments((a, b))
+        ka, kb = self.attachments(self._core_exit(t, None)[1])
         if ka.base.contains(t):
             return ka.gap_of(t)
         if kb.base.contains(t):
@@ -468,7 +453,9 @@ class GapAttachedCantor(CantorGen):
                       for p in att.new_endpoints(s - g)
                       if not self.core.membership(p).is_in)
 
-    endpoints = CantorGen.endpoints  # see MiddleThirds.endpoints
+    # see MiddleThirds.membership
+    membership = CantorGen.membership
+    endpoints = CantorGen.endpoints
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +662,9 @@ class IntermediateCantor(CantorGen):
 
     def _build_schedule(self) -> RemovalSchedule:
         """Each outer endpoint, in discovery order, is reused or scheduled
-        at the first stage from its decision depth that isolates it."""
+        at the first stage that isolates it.  The search starts where the
+        inner cover first misses the endpoint: inside that cover no gap
+        can hold it."""
         sched = RemovalSchedule()
         for p in self.outer.endpoints(self.budget):
             pm = point_membership(self.inner, p, self.search_ceiling)

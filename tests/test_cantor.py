@@ -19,7 +19,7 @@ from gillab.cantor import (
     MiddleThirds,
     RemovalSchedule,
     ScheduleEntry,
-    _standard_membership,
+    _ternary_exit,
     build_family,
     point_membership,
 )
@@ -82,9 +82,12 @@ class TestMiddleThirds:
         if m.is_in:
             assert all(mt.stage(d).contains_point(u) for d in range(8))
         elif m.decided_at_stage <= 10:
-            # an Out point leaves the cover once refinement reaches the
-            # gap that excludes it, at one past its decision depth
-            assert not mt.stage(m.decided_at_stage + 1).contains_point(u)
+            # an Out point leaves the cover at its decision depth, and
+            # not before
+            d = m.decided_at_stage
+            assert d >= 1
+            assert not mt.stage(d).contains_point(u)
+            assert mt.stage(d - 1).contains_point(u)
 
     def test_known_points(self):
         mt = MiddleThirds(ClosedInterval(F(0), F(1)))
@@ -499,14 +502,23 @@ class TestFirstOut:
                     got = gen.first_out(t, m)
                     assert got == (want if want is not None and want <= m else None), (
                         gen.describe(), t, m)
+                    # OUT d means t misses stage(d), first at d, for every set
+                    verdict = gen.membership(t, m)
+                    if verdict.is_in:
+                        assert want is None, (gen.describe(), t, m)
+                    elif want is not None and want <= m:
+                        assert verdict == Membership(OUT, want), (gen.describe(), t, m)
 
     @given(st.integers(1, 9999).flatmap(
         lambda q: st.tuples(st.integers(0, q), st.just(q))))
     @settings(max_examples=300)
     def test_integer_walks_match_fraction_walks(self, pq):
         u = F(*pq)
-        assert _standard_membership(u) == fraction_standard_membership(u)
-        if not _standard_membership(u)[0]:
+        inside, depth = fraction_standard_membership(u)
+        hit = _ternary_exit(u, None)
+        assert (hit is None) == inside
+        if not inside:
+            assert hit[0] == depth
             for mt in (MiddleThirds(UNIT), MiddleThirds(C1_BASE)):
                 t = mt.base.lo + u * mt.base.width
                 assert mt.gap_of(t) == fraction_gap_of(mt, t), (mt.describe(), t)
