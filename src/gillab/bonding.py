@@ -24,11 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cantor import (
-    CantorFamily,
-    DEFAULT_MAX_STAGE,
-    GapAttachedCantor,
-)
+from .cantor import CantorFamily, DEFAULT_MAX_STAGE
 from .exact import UNIT, ClosedInterval, IntervalSet, ONE, ZERO
 
 MAX_TENT_HEIGHT = Fraction(1, 32)
@@ -175,16 +171,6 @@ class GraphCover:
         return rows
 
 
-def _f_max_on(m: SetValuedMap, seg: ClosedInterval) -> Fraction:
-    """Exact max of the base map over a segment disjoint from the big set."""
-    if m.mode == "zero":
-        return ZERO
-    apex, _, height = _tent(*m.family.c0.gap_of((seg.lo + seg.hi) / 2))
-    if seg.lo <= apex <= seg.hi:
-        return height
-    return max(eval_f(m, seg.lo), eval_f(m, seg.hi))
-
-
 def _build_graph_cover(m: SetValuedMap, stage: int, level: int) -> GraphCover:
     cov = m.family.c0.stage(stage)
     grid = m.positive_grid(level)
@@ -196,8 +182,11 @@ def _build_graph_cover(m: SetValuedMap, stage: int, level: int) -> GraphCover:
                 ub = r
                 break
         boxes.append((comp, ClosedInterval(ZERO, max(ub, m.f_sup))))
+    # each gap of the C0 cover is a maximal gap, so f's max on it is the
+    # height of its tent
     for gap in cov.complement_in(UNIT):
-        boxes.append((gap, ClosedInterval(ZERO, _f_max_on(m, gap))))
+        top = ZERO if m.mode == "zero" else _tent(gap.lo, gap.hi)[2]
+        boxes.append((gap, ClosedInterval(ZERO, top)))
     boxes.sort(key=lambda pair: (pair[0].lo, pair[0].hi))
     return GraphCover(boxes, stage, level)
 
@@ -346,12 +335,6 @@ def check_ivp_consistency(m: SetValuedMap, grid: int, seed: int = 0) -> dict:
             "ok": not shape_failures and not spot_failures}
 
 
-def _true_gaps(c0: GapAttachedCantor, stage: int) -> list[tuple[Fraction, Fraction]]:
-    """True maximal gaps of {0}+C0+{1} met by the stage cover's gaps, sorted."""
-    return sorted({c0.gap_of((seg.lo + seg.hi) / 2)
-                   for seg in c0.stage(stage).complement_in(UNIT)})
-
-
 def check_light(m: SetValuedMap, y_grid: int, stage: int) -> dict:
     """Point-preimage interior check, split by mode.
 
@@ -367,8 +350,10 @@ def check_light(m: SetValuedMap, y_grid: int, stage: int) -> dict:
                 "witness_interval": [str(a), str(b)],
                 "ok": True}
     grid = m.positive_grid(m.family.level)
-    # a tent lower than the lowest row 1/y_grid meets no row
-    tents = [tent for tent in (_tent(a, b) for a, b in _true_gaps(c0, stage))
+    # the stage cover's gaps are the maximal gaps of {0}+C0+{1} it
+    # leaves; a tent lower than the lowest row 1/y_grid meets no row
+    tents = [tent for tent in (_tent(gap.lo, gap.hi)
+                               for gap in c0.stage(stage).complement_in(UNIT))
              if tent[2] * y_grid >= 1]
     measures: dict[Fraction, Fraction] = {}
     rows = []

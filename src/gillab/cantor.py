@@ -15,6 +15,12 @@ Three generator kinds:
 Every generator exposes nested stage covers (normalized
 :class:`~gillab.exact.IntervalSet` values) whose intersection is the
 represented set.  Identical build parameters yield bit-identical covers.
+For the middle-thirds and gap-attached sets both ends of every stage-d
+component are points of the set, so each component of
+``stage(d).complement_in(UNIT)`` is the closure of a maximal gap of
+{0} + set + {1}: a reader of those gaps takes them off the cover, and
+``gap_of`` is the query for the gap holding one point.  An intermediate
+set makes no such claim.
 
 :class:`CantorGen` runs every memo and walk; a generator states only its
 rules: ``_compute_stage`` (a whole cover), ``_children_of`` (the children
@@ -232,7 +238,11 @@ def _ternary_exit(u: Fraction, digits: Optional[int]) -> Optional[tuple[int, int
 
 
 class MiddleThirds(CantorGen):
-    """Middle-thirds Cantor set on a nondegenerate rational base interval."""
+    """Middle-thirds Cantor set on a nondegenerate rational base interval.
+
+    Both ends of every stage-d component are points of the set, so the
+    gaps of a stage cover are maximal gaps.
+    """
 
     def __init__(self, base: ClosedInterval):
         if base.is_degenerate:
@@ -306,7 +316,9 @@ class GapAttachedCantor(CantorGen):
     [b - (b-a)/3, b]; the two side gaps between window and core count as
     generation 0, the gap opened at core stage g as generation g.  A
     generation-g attachment is refined to depth d - g inside the depth-d
-    cover, which keeps cover sizes polynomial in the depth.
+    cover, which keeps cover sizes polynomial in the depth.  Both ends
+    of every stage-d component are points of the set, so the gaps of a
+    stage cover are maximal gaps.
     """
 
     def __init__(self, core: MiddleThirds):
@@ -335,17 +347,6 @@ class GapAttachedCantor(CantorGen):
                     MiddleThirds(ClosedInterval(b - w3, b)))
             self._k_memo[gap] = pair
         return pair
-
-    def generation(self, gap: tuple[Fraction, Fraction]) -> int:
-        """The core stage at which a maximal gap of the core opens."""
-        a, b = gap
-        if a < self.core.base.lo or b > self.core.base.hi:
-            return 0
-        # a generation-g gap is 3^-g of the core base wide
-        ratio, g = int(self.core.base.width / (b - a)), 0
-        while ratio > 1:
-            ratio, g = ratio // 3, g + 1
-        return g
 
     def _joined(self, d: int, window: ClosedInterval,
                 core_pieces: Sequence[ClosedInterval],
@@ -379,8 +380,7 @@ class GapAttachedCantor(CantorGen):
             emit_gap(*self._core_exit(window.lo, d))
         for c, nxt in zip(core_pieces, core_pieces[1:]):
             emit(c)
-            gap = (c.hi, nxt.lo)
-            emit_gap(self.generation(gap), gap)
+            emit_gap(*self._core_exit((c.hi + nxt.lo) / 2, d))
         if core_pieces:
             emit(core_pieces[-1])
             if window.hi > core_pieces[-1].hi:

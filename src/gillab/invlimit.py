@@ -68,9 +68,17 @@ class Thread:
         is_zero = obj.get("isZero", False)
         if not isinstance(is_zero, bool):
             raise ValueError(f"isZero must be a JSON boolean, got {is_zero!r}")
-        return Thread(tuple(Fraction(s) for s in obj.get("prefix", [])),
-                      tuple(Fraction(s) for s in obj.get("tailPeriod", [])),
+        return Thread(_coordinates(obj, "prefix"), _coordinates(obj, "tailPeriod"),
                       is_zero)
+
+
+def _coordinates(obj: dict, key: str) -> tuple[Fraction, ...]:
+    """The coordinates under key, written as to_json_obj writes them: a
+    JSON list of strings, so no float, bool or bare string is misread."""
+    coords = obj.get(key, [])
+    if not (isinstance(coords, list) and all(isinstance(s, str) for s in coords)):
+        raise ValueError(f"{key} must be a JSON list of strings, got {coords!r}")
+    return tuple(Fraction(s) for s in coords)
 
 
 ZERO_THREAD = Thread(prefix=(), tail_period=(), is_zero=True)

@@ -524,6 +524,31 @@ class TestFirstOut:
                 assert mt.gap_of(t) == fraction_gap_of(mt, t), (mt.describe(), t)
 
 
+def maximal_gap(gen, t: F) -> tuple[F, F]:
+    """The maximal gap of {0} + gen + {1} holding t, by the point query;
+    a middle-thirds set's gap_of answers only inside its base."""
+    if isinstance(gen, MiddleThirds) and not gen.base.contains(t):
+        return (F(0), gen.base.lo) if t < gen.base.lo else (gen.base.hi, F(1))
+    return gen.gap_of(t)
+
+
+class TestCoverGaps:
+    def test_cover_gaps_are_maximal_gaps(self, family):
+        # C_1, C_0 and the attachments that TestFirstOut probes; no
+        # intermediate set claims this
+        c0 = family.c0
+        gens = [family.c1, c0, *c0.attachments(c0.core.gap_of(F(1, 2)))]
+        for gen in gens:
+            for d in range(10):
+                cover = gen.stage(d)
+                for c in cover:
+                    for e in (c.lo, c.hi):
+                        assert gen.membership(e).is_in, (gen.describe(), d, e)
+                for seg in cover.complement_in(UNIT):
+                    assert (seg.lo, seg.hi) == maximal_gap(gen, (seg.lo + seg.hi) / 2), (
+                        gen.describe(), d, seg)
+
+
 def scan_meeting(sched: RemovalSchedule, window: ClosedInterval, live_at):
     """The hole query as a scan of every entry."""
     return [entry for entry in sched.entries
@@ -768,7 +793,7 @@ class TestOrderedGapAttachedCover:
         c0 = family.c0
         for g in range(8):
             for gap in c0.gaps_of_generation(g):
-                assert c0.generation(gap) == g, (g, gap)
+                assert c0._core_exit((gap[0] + gap[1]) / 2, g) == (g, gap), (g, gap)
 
 
 def reference_gap(gen: IntermediateCantor, live, br: ClosedInterval, e: int):

@@ -67,7 +67,7 @@ class TestVerify:
         assert json.loads(res.output)["suites"]["endpoints"]["ok"]
 
     def test_tent_report_bytes(self):
-        # the tent branches of eval_f, _f_max_on and check_light, pinned
+        # the tent branches of eval_f, the graph cover and check_light, pinned
         # at the default level, budget and seed
         res = invoke("verify", "all", "--stage", "8", "--mode", "tent")
         assert res.exit_code == 0
@@ -220,6 +220,10 @@ def test_export_bytes(tmp_path, args, threads, digest):
     # x_0 = 1/64 is not in F(1/32) = {0}: zero mode certifies no step
     (["export", "arc", "--arc-n", "3"],
      '[{"prefix": ["1/64", "1/32", "1/16"], "tailPeriod": ["1/4", "3/4"]}]'),
+    # coordinates are JSON strings: no float, bare string or bool
+    (["verify", "arcs"], '[{"prefix": [0.1], "tailPeriod": ["1/4", "3/4"]}]'),
+    (["verify", "arcs"], '[{"prefix": "0", "tailPeriod": ["1/4", "3/4"]}]'),
+    (["verify", "arcs"], '[{"prefix": [true], "tailPeriod": ["1/4", "3/4"]}]'),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, args, threads):
     if threads is not None:

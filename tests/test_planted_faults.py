@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 from click.testing import CliRunner
 
-from gillab import bonding, cli
+from gillab import bonding, cli, invlimit
 from gillab.bonding import FBracket, check_not_almost_nonfissile, make_map
 from gillab.cantor import CantorAddress, EdgeAnchor, build_family
 
@@ -79,3 +79,21 @@ def test_uncertified_step_fails_verify_arcs(tmp_path):
     report = json.loads(res.output)
     assert report["ok"] is False and report["suites"]["arcs"]["ok"] is False
     assert report["suites"]["arcs"]["threads"][0]["valid"] is False
+
+
+def test_tent_above_min_c0_fails_treelike(monkeypatch):
+    # tents as high as 1/4 rise above 1/8 = min C_0, so a value of F off
+    # C_0 can land in C_0
+    args = ["verify", "treelike", "--mode", "tent", "--level", "1", "--budget", "24"]
+    assert invlimit.check_treelike_hypotheses(
+        make_map("tent", build_family(1, 24, 15)), 4)["preimage_ok"]
+    assert CliRunner().invoke(cli.main, args).exit_code == 0
+    monkeypatch.setattr(bonding, "MAX_TENT_HEIGHT", F(1, 4))
+    rep = invlimit.check_treelike_hypotheses(
+        make_map("tent", build_family(1, 24, 15)), 4)
+    assert rep["singleton_sup"] == "1/4"
+    assert not rep["preimage_ok"] and not rep["ok"]
+    res = CliRunner().invoke(cli.main, args)
+    assert res.exit_code == cli.EXIT_VERIFY_FAILED, res.output
+    report = json.loads(res.output)
+    assert not report["ok"] and not report["suites"]["treelike"]["preimage_ok"]
