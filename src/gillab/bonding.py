@@ -173,14 +173,12 @@ class GraphCover:
 
 def _build_graph_cover(m: SetValuedMap, stage: int, level: int) -> GraphCover:
     cov = m.family.c0.stage(stage)
-    grid = m.positive_grid(level)
+    covers = [(r, m.family.member(r).stage(stage)) for r in m.positive_grid(level)]
     boxes: list[tuple[ClosedInterval, ClosedInterval]] = []
     for comp in cov:
-        ub = ONE
-        for r in grid:
-            if m.family.member(r).stage(stage).intersect_interval(comp).is_empty:
-                ub = r
-                break
+        # F(t) = [0, sup{r : t in C_r}]: the first member whose cover
+        # misses comp caps the box
+        ub = next((r for r, cover in covers if not cover.components_overlapping(comp)), ONE)
         boxes.append((comp, ClosedInterval(ZERO, max(ub, m.f_sup))))
     # each gap of the C0 cover is a maximal gap, so f's max on it is the
     # height of its tent

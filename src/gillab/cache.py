@@ -19,7 +19,6 @@ from .cantor import (
     DEFAULT_SEARCH_CEILING,
     CantorAddress,
     CantorFamily,
-    EdgeAnchor,
     IntermediateCantor,
     build_family,
 )
@@ -38,9 +37,9 @@ def family_filename(level: int, budget: int) -> str:
 
 
 def _serialize_anchor(anchor) -> dict:
-    if isinstance(anchor, EdgeAnchor):
-        return {"kind": "edge", "point": str(anchor.point)}
-    return {"kind": "address", "path": anchor.serialize()}
+    if isinstance(anchor, CantorAddress):
+        return {"kind": "address", "path": anchor.serialize()}
+    return {"kind": "edge", "point": str(anchor)}
 
 
 def _member_payload(gen, texts: list[str]) -> dict:

@@ -151,7 +151,7 @@ class CantorGen:
             cover = self.stage(d)
             comps = cover.components
             if rightward:
-                first = bisect_left(comps, x, key=lambda c: c.hi)
+                first = cover._bisect(x)
                 return (comps[k] for k in range(first, len(comps)))
             last = bisect_right(comps, x, key=lambda c: c.lo) - 1
             return (comps[k] for k in range(last, -1, -1))
@@ -282,9 +282,13 @@ class MiddleThirds(CantorGen):
     def gap_of(self, t: Fraction) -> tuple[Fraction, Fraction]:
         """Exact maximal gap (a, b) of the set within base containing t.
 
-        Requires membership(t) to be Out with t strictly inside base.
+        Raises ValueError unless t lies in base and outside the set.
         """
-        return self._gap(*_ternary_exit(self._in_unit(t), None))
+        # the walk ends only for u in [0, 1]
+        hit = _ternary_exit(self._in_unit(t), None) if self.base.contains(t) else None
+        if hit is None:
+            raise ValueError(f"{t} lies in no gap of {self.describe()} within its base")
+        return self._gap(*hit)
 
     def _discover_endpoints(self, s: int) -> list[Fraction]:
         """The base ends at stage 0; for s >= 1 the ends of the gaps
@@ -429,13 +433,16 @@ class GapAttachedCantor(CantorGen):
     def gap_of(self, t: Fraction) -> tuple[Fraction, Fraction]:
         """Exact maximal gap of {0} + this set + {1} containing t.
 
-        Requires membership(t) to be Out.
+        Raises ValueError for a point of the set.
         """
         if t < self.window.lo:
             return (ZERO, self.window.lo)
         if t > self.window.hi:
             return (self.window.hi, ONE)
-        ka, kb = self.attachments(self._core_exit(t, None)[1])
+        hit = self._core_exit(t, None)
+        if hit is None:
+            raise ValueError(f"{t} is a point of the core of {self.describe()}")
+        ka, kb = self.attachments(hit[1])
         if ka.base.contains(t):
             return ka.gap_of(t)
         if kb.base.contains(t):
@@ -525,20 +532,6 @@ class CantorAddress:
         return CantorAddress(gen, tuple(path))
 
 
-@dataclass(frozen=True)
-class EdgeAnchor:
-    """Degenerate bracket used when a removal is anchored at a gap edge."""
-
-    point: Fraction
-
-    def bracket(self, d: int) -> ClosedInterval:
-        return ClosedInterval(self.point, self.point)
-
-    def serialize(self) -> str:
-        return f"edge:{self.point}"
-
-
-AddressLike = Union[CantorAddress, EdgeAnchor]
 PointLike = Union[Fraction, CantorAddress]
 
 
@@ -571,18 +564,18 @@ class ScheduleEntry:
 
     index: int
     point: PointLike
-    a: AddressLike
-    b: AddressLike
+    a: PointLike
+    b: PointLike
     create_stage: int
 
     def removal_open(self, d: int) -> tuple[Fraction, Fraction]:
         """Open interval removed at stage d >= create_stage; grows with d."""
         s = max(d, self.create_stage)
-        return (self.a.bracket(s).hi, self.b.bracket(s).lo)
+        return (point_bracket(self.a, s).hi, point_bracket(self.b, s).lo)
 
     def hull(self, d: int) -> ClosedInterval:
         s = max(d, self.create_stage)
-        return ClosedInterval(self.a.bracket(s).lo, self.b.bracket(s).hi)
+        return ClosedInterval(point_bracket(self.a, s).lo, point_bracket(self.b, s).hi)
 
     @cached_property
     def widest_hull(self) -> ClosedInterval:
@@ -740,8 +733,9 @@ class IntermediateCantor(CantorGen):
         """Removal anchor strictly inside the open interval (lo, hi).
 
         Returns the outer-cover component nearest the endpoint as an
-        alternating address, an EdgeAnchor when the outer set provably
-        has no points strictly inside, or None (needs refinement).
+        alternating address, the interval's end x itself when the outer
+        set provably has no points strictly inside and x is not a point
+        of it, or None (needs refinement).
         """
         around = self.outer.near(e, ClosedInterval(lo, hi))
         comps = [c for c in around
@@ -757,7 +751,7 @@ class IntermediateCantor(CantorGen):
             # not a point of the outer set; otherwise a degenerate hull
             # there would block the edge point's own schedule entry forever
             if x == ZERO or x == ONE or self.outer.membership(x, e).is_out:
-                return EdgeAnchor(x)
+                return x
         return None
 
     # -- covers and queries ---------------------------------------------

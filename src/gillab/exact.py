@@ -9,8 +9,10 @@ no two components sharing an endpoint).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 ZERO = Fraction(0)
@@ -64,6 +66,7 @@ class ClosedInterval:
 
 
 UNIT = ClosedInterval(ZERO, ONE)
+_HI = attrgetter("hi")
 
 
 def _normalize(intervals: Iterable[ClosedInterval]) -> tuple[ClosedInterval, ...]:
@@ -129,14 +132,7 @@ class IntervalSet:
 
     def _bisect(self, t: Fraction) -> int:
         """Index of first component with hi >= t."""
-        lo, hi = 0, len(self._components)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._components[mid].hi < t:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect_left(self._components, t, key=_HI)
 
     def contains_point(self, t: Fraction) -> bool:
         i = self._bisect(t)

@@ -65,11 +65,21 @@ class Thread:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Thread":
+        """Read what to_json_obj writes; a key it does not write, such as a
+        misspelled one, is an error and not a default."""
+        unknown = sorted(set(obj) - {"prefix", "tailStart", "tailPeriod", "isZero"})
+        if unknown:
+            raise ValueError(f"unknown thread keys {unknown}")
         is_zero = obj.get("isZero", False)
         if not isinstance(is_zero, bool):
             raise ValueError(f"isZero must be a JSON boolean, got {is_zero!r}")
-        return Thread(_coordinates(obj, "prefix"), _coordinates(obj, "tailPeriod"),
-                      is_zero)
+        thread = Thread(_coordinates(obj, "prefix"), _coordinates(obj, "tailPeriod"),
+                        is_zero)
+        start = obj.get("tailStart", thread.tail_start)
+        if type(start) is not int or start != thread.tail_start:
+            raise ValueError(f"tailStart must be the prefix length "
+                             f"{thread.tail_start}, got {start!r}")
+        return thread
 
 
 def _coordinates(obj: dict, key: str) -> tuple[Fraction, ...]:

@@ -21,7 +21,7 @@ from gillab.bonding import (
     make_map,
 )
 from gillab.cantor import build_family
-from gillab.exact import UNIT
+from gillab.exact import ClosedInterval, UNIT
 
 unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=729)
 
@@ -181,6 +181,26 @@ class TestGraphCover:
                         expected = any(xb.contains(t) and yb.contains(y)
                                        for xb, yb in holders)
                         assert cov.contains_point(t, y) == expected, (m.mode, d, t, y)
+
+    @pytest.mark.parametrize("level, modes, max_stage", [
+        (2, ("zero", "tent"), 8), (3, ("zero",), 6)])
+    def test_component_boxes_match_intersection_scan(self, family, level, modes,
+                                                     max_stage):
+        # the cap over a C_0 component is the first grid member whose stage
+        # cover has an empty intersection with it, or 1
+        fam = family if level == family.level else build_family(level, 56, 15)
+        for mode in modes:
+            m = make_map(mode, fam)
+            for d in range(max_stage + 1):
+                comps = fam.c0.stage(d).components
+                want = []
+                for comp in comps:
+                    ub = next((r for r in m.positive_grid(level)
+                               if fam.member(r).stage(d).intersect_interval(comp).is_empty),
+                              F(1))
+                    want.append((comp, ClosedInterval(F(0), max(ub, m.f_sup))))
+                got = [box for box in m.graph_cover(d, level).boxes if box[0] in comps]
+                assert got == want, (level, mode, d)
 
     def test_csv_rows(self, zero_map):
         rows = zero_map.graph_cover(1, 2).csv_rows()

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gillab
 from gillab.bonding import eval_F, make_map
 from gillab.cantor import (
     C1_BASE,
@@ -12,7 +17,6 @@ from gillab.cantor import (
     OUT,
     UNKNOWN,
     CantorAddress,
-    EdgeAnchor,
     GapAttachedCantor,
     IntermediateCantor,
     Membership,
@@ -101,6 +105,29 @@ class TestMiddleThirds:
         assert mt.gap_of(F(1, 2)) == (F(1, 3), F(2, 3))
         assert mt.gap_of(F(1, 5)) == (F(1, 9), F(2, 9))
 
+    @pytest.mark.parametrize("t", [F(1, 4), F(5, 12), F(3, 4)])
+    def test_gap_of_rejects_a_point_of_the_set(self, t):
+        with pytest.raises(ValueError):
+            MiddleThirds(C1_BASE).gap_of(t)
+
+    def test_gap_of_rejects_a_point_outside_the_base(self):
+        # the ternary walk of a point outside the base once never ended,
+        # so the queries run in a child process with a deadline
+        code = ("import sys\n"
+                "from fractions import Fraction as F\n"
+                "from gillab.cantor import build_family\n"
+                "c1 = build_family(0, 8).c1\n"
+                "for t in (F(1, 8), F(7, 8), F(-1)):\n"
+                "    try:\n"
+                "        c1.gap_of(t)\n"
+                "    except ValueError:\n"
+                "        continue\n"
+                "    sys.exit(f'no ValueError at {t}')\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(gillab.__file__).parents[1]))
+        res = subprocess.run([sys.executable, "-c", code], env=env, timeout=30,
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+
     def test_endpoint_discovery_order(self, family):
         pts = family.c1.endpoints(6)
         assert pts == [F(1, 4), F(3, 4), F(5, 12), F(7, 12), F(11, 36), F(13, 36)]
@@ -149,6 +176,12 @@ class TestGapAttached:
         assert family.c0.gap_of(F(1, 16)) == (F(0), F(1, 8))
         assert family.c0.gap_of(F(15, 16)) == (F(7, 8), F(1))
 
+    # core points, the window ends and an attachment end
+    @pytest.mark.parametrize("t", [F(1, 4), F(5, 12), F(1, 8), F(7, 8), F(19, 24)])
+    def test_gap_of_rejects_a_point_of_the_set(self, family, t):
+        with pytest.raises(ValueError):
+            family.c0.gap_of(t)
+
     def test_attachment_bases_for_central_gap(self, family):
         ka, kb = family.c0.attachments((F(5, 12), F(7, 12)))
         assert ka.base == ClosedInterval(F(5, 12), F(17, 36))
@@ -189,7 +222,6 @@ class TestAddresses:
 
     def test_serialize(self, family):
         assert CantorAddress(family.c0, (1, 0)).serialize() == "1.0:(LR)"
-        assert EdgeAnchor(F(0)).serialize() == "edge:0"
 
     def test_for_component_round_trip(self, family):
         comp = family.c0.stage(3).components[5]
@@ -223,8 +255,8 @@ class TestIntermediate:
         assert len(sched.entries) + len(sched.reuses) == 56
         assert max(e.create_stage for e in sched.entries) <= 12
         assert sched.entries[0].point == F(1, 8)
-        assert isinstance(sched.entries[0].a, EdgeAnchor)
-        assert sched.entries[0].a.point == F(0)
+        assert isinstance(sched.entries[0].a, F)
+        assert sched.entries[0].a == 0
 
     def test_removals_grow(self, family):
         entry = family.member(F(1, 2)).schedule().entries[1]
@@ -692,8 +724,7 @@ def synthetic_intermediate(seed: int, count: int = 14) -> IntermediateCantor:
     gen = IntermediateCantor(MiddleThirds(ClosedInterval(F(0), F(1, 3))),
                              MiddleThirds(UNIT), 1)
     gen._schedule = RemovalSchedule(entries=[
-        ScheduleEntry(i, (lo + hi) / 2, EdgeAnchor(lo), EdgeAnchor(hi),
-                      rnd.randrange(4))
+        ScheduleEntry(i, (lo + hi) / 2, lo, hi, rnd.randrange(4))
         for i, (lo, hi) in enumerate(holes)])
     return gen
 
@@ -730,8 +761,7 @@ class TestSyntheticSchedules:
         hulls = []
         for i in range(6):
             lo = F(rnd.randrange(1, 160), 162)
-            hulls.append(ScheduleEntry(i, lo, EdgeAnchor(lo),
-                                       EdgeAnchor(lo + F(rnd.randrange(1, 9), 324)),
+            hulls.append(ScheduleEntry(i, lo, lo, lo + F(rnd.randrange(1, 9), 324),
                                        rnd.randrange(4)))
         sched = RemovalSchedule(entries=hulls)
         found = 0

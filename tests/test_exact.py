@@ -81,6 +81,14 @@ class TestQueries:
         assert small.issubset(big)
         assert not big.issubset(small)
 
+    @given(interval_sets(), st.data())
+    def test_bisect_matches_linear_scan(self, s, data):
+        ends = [x for c in s for x in (c.lo, c.hi)]
+        between = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+        t = data.draw(st.sampled_from(ends + between + [F(-1), F(2)]) | rationals)
+        want = next((i for i, c in enumerate(s.components) if c.hi >= t), len(s))
+        assert s._bisect(t) == want
+
     def test_min_max_width(self):
         s = IntervalSet.of(("1/8", "1/4"), ("1/2", 1))
         assert s.min() == F(1, 8)

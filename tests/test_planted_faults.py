@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from gillab import bonding, cli, invlimit
 from gillab.bonding import FBracket, check_not_almost_nonfissile, make_map
-from gillab.cantor import CantorAddress, EdgeAnchor, build_family
+from gillab.cantor import CantorAddress, build_family
 
 
 def family_with_hole_on_inner_cover():
@@ -25,7 +25,7 @@ def family_with_hole_on_inner_cover():
         left = [c for c in fam.c1.stage(s) if c.hi < hole_lo]
         if left and isinstance(entry.a, CantorAddress) and s <= 4:
             c = left[-1]
-            entry.a = EdgeAnchor((c.lo + c.hi) / 2)
+            entry.a = (c.lo + c.hi) / 2
             assert mid._stage_memo == []   # covers not yet built
             return fam, s
     raise AssertionError("no entry to plant the fault in")
