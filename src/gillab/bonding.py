@@ -12,20 +12,20 @@ maximal gap (a, b) of that set:
   continuity on C0, keeps every value below 1/8 = min C0, and keeps
   f(t) < t on (0, 1].
 
-f is exactly evaluable because membership of a rational point in the
-gap-attached Cantor set is exactly decidable.
+f is exactly evaluable because one exact query, ``gap_of``, gives the
+maximal gap of {0} + C0 + {1} holding a rational point, or None on C0.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .cantor import CantorFamily, DEFAULT_MAX_STAGE
-from .exact import UNIT, ClosedInterval, IntervalSet, ONE, ZERO
+from .exact import UNIT, ClosedInterval, ONE, ZERO
 
 MAX_TENT_HEIGHT = Fraction(1, 32)
 MIN_C0 = Fraction(1, 8)
@@ -43,23 +43,18 @@ def _tent(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     return (a + b) / 2, (b - a) / 2, min((b - a) / 4, MAX_TENT_HEIGHT)
 
 
+def _f_in_gap(m: SetValuedMap, t: Fraction,
+              gap: Optional[tuple[Fraction, Fraction]]) -> Fraction:
+    """The base map at t, given gap = ``c0.gap_of(t)`` (None on C0)."""
+    if gap is None or m.mode == "zero":
+        return ZERO
+    apex, half, height = _tent(*gap)
+    return height * (1 - abs(t - apex) / half)
+
+
 def eval_f(m: SetValuedMap, t: Fraction) -> Fraction:
     """Exact value of the base map at a rational point of [0, 1]."""
-    # C0 lies inside (0, 1), so a point it holds needs no range check
-    if m.mode == "tent" and m.family.c0.membership(t).is_in:
-        return ZERO
-    return _f_off_c0(m, t)
-
-
-def _f_off_c0(m: SetValuedMap, t: Fraction) -> Fraction:
-    """The base map at a rational point of [0, 1] outside C0: zero, or
-    the tent on the gap holding t."""
-    if t < 0 or t > 1:
-        raise ValueError("point outside [0, 1]")
-    if m.mode == "zero":
-        return ZERO
-    apex, half, height = _tent(*m.family.c0.gap_of(t))
-    return height * (1 - abs(t - apex) / half)
+    return _f_in_gap(m, t, m.family.c0.gap_of(t))
 
 
 @dataclass(frozen=True)
@@ -116,8 +111,9 @@ def eval_F(m: SetValuedMap, t: Fraction, level: Optional[int] = None,
     """Certified bracket for F(t) over the level's dyadic grid."""
     if level is None:
         level = m.family.level
-    if m.family.c0.membership(t).is_out:
-        v = _f_off_c0(m, t)
+    gap = m.family.c0.gap_of(t)
+    if gap is not None:
+        v = _f_in_gap(m, t, gap)
         return FBracket(v, v, v)
     lower = ZERO
     upper = ONE
@@ -160,9 +156,13 @@ class GraphCover:
     def area(self) -> Fraction:
         return sum((xb.width * yb.width for xb, yb in self.boxes), ZERO)
 
-    def column_footprint(self, min_height: Fraction) -> IntervalSet:
-        """x-set over which the cover reaches at least min_height."""
-        return IntervalSet(xb for xb, yb in self.boxes if yb.hi >= min_height)
+    def floor(self, xb: ClosedInterval) -> Fraction:
+        """Lowest top of the boxes whose x-interval meets the interior of
+        xb, a nondegenerate interval in [0, 1].  The x-intervals tile
+        [0, 1], so xb x [0, y] lies in the cover iff y <= floor(xb)."""
+        first = bisect_right(self.boxes, xb.lo, key=lambda box: box[0].hi)
+        last = bisect_left(self.boxes, xb.hi, key=lambda box: box[0].lo)
+        return min(yb.hi for _, yb in self.boxes[first:last])
 
     def csv_rows(self) -> list[str]:
         rows = ["x_lo,x_hi,y_lo,y_hi"]
@@ -207,6 +207,7 @@ def check_usc(m: SetValuedMap, samples: int, stage: int, seed: int = 0) -> dict:
     rng = random.Random(seed)
     c1 = m.family.c1
     eps = c1.endpoints(64)
+    gaps = m.family.c0.stage(3).complement_in(UNIT).components
     results = []
     failures = []
     for i in range(samples):
@@ -223,7 +224,6 @@ def check_usc(m: SetValuedMap, samples: int, stage: int, seed: int = 0) -> dict:
             limit = (t, ONE)
         elif kind == 1:
             # sequence along the single-valued graph inside a gap
-            gaps = m.family.c0.stage(3).complement_in(UNIT).components
             gap = gaps[rng.randrange(len(gaps))]
             target = (gap.lo + gap.hi) / 2
             terms = []
@@ -409,30 +409,28 @@ def check_empty_interior(m: SetValuedMap, stage: int) -> dict:
     open box."""
     level, grid_n = m.family.level, INTERIOR_GRID
     stages = range(stage + 1)
+    columns = [ClosedInterval(Fraction(i, grid_n), Fraction(i + 1, grid_n))
+               for i in range(grid_n)]
     per_stage = []
     areas = []
+    floors = []   # floors[d][i]: the floor of column i at stage d
     for d in stages:
         cover = m.graph_cover(d, level)
         total = cover.area()
         c1_area = m.family.c1.stage(d).measure()
         areas.append(total)
+        floors.append([cover.floor(xb) for xb in columns])
         per_stage.append({"stage": d, "total_area": str(total),
                           "c1_portion_area": str(c1_area),
                           "footprint": str(m.family.c0.stage(d).measure())})
     decreasing = all(a > b for a, b in zip(areas, areas[1:]))
     escapes = []
     all_escape = True
-    for i in range(grid_n):
+    for i, xb in enumerate(columns):
         for j in range(grid_n):
-            xb = ClosedInterval(Fraction(i, grid_n), Fraction(i + 1, grid_n))
             y_hi = Fraction(j + 1, grid_n)
-            first_escape = None
-            for d in stages:
-                cover = m.graph_cover(d, level)
-                tall = cover.column_footprint(y_hi)
-                if not IntervalSet([xb]).issubset(tall):
-                    first_escape = d
-                    break
+            # the box escapes at the first stage leaving part of it uncovered
+            first_escape = next((d for d in stages if floors[d][i] < y_hi), None)
             if first_escape is None:
                 all_escape = False
             escapes.append({"box": [str(xb.lo), str(xb.hi), str(Fraction(j, grid_n)),

@@ -19,8 +19,8 @@ For the middle-thirds and gap-attached sets both ends of every stage-d
 component are points of the set, so each component of
 ``stage(d).complement_in(UNIT)`` is the closure of a maximal gap of
 {0} + set + {1}: a reader of those gaps takes them off the cover, and
-``gap_of`` is the query for the gap holding one point.  An intermediate
-set makes no such claim.
+``gap_of`` is the query for the gap holding one point (None for a point
+of the set).  An intermediate set makes no such claim.
 
 :class:`CantorGen` runs every memo and walk; a generator states only its
 rules: ``_compute_stage`` (a whole cover), ``_children_of`` (the children
@@ -128,12 +128,6 @@ class CantorGen:
         components never touch, so every stage-d component meeting the
         window lies in a stage-(d-1) component meeting it.
         """
-        def descend(d: int) -> list[ClosedInterval]:
-            if d < len(self._stage_memo) or d == 0:
-                return self.stage(d).components_overlapping(window)
-            return [c for parent in descend(d - 1)
-                    for c in self._cached_children(d, parent) if c.intersects(window)]
-
         # a stage-(d-1) component holds all the stage-d components that
         # meet it, since distinct components never touch; only the top
         # depth is looked up, as hashing the window costs about as much
@@ -142,7 +136,13 @@ class CantorGen:
             children = self._children_memo.get((d, window))
             if children is not None:
                 return list(children)
-        return descend(d)
+        # descend from the deepest memoised cover (stage 0 if none is)
+        start = min(d, max(len(self._stage_memo) - 1, 0))
+        comps = self.stage(start).components_overlapping(window)
+        for k in range(start + 1, d + 1):
+            comps = [c for parent in comps
+                     for c in self._cached_children(k, parent) if c.intersects(window)]
+        return comps
 
     def walk(self, d: int, x: Fraction, rightward: bool) -> Iterator[ClosedInterval]:
         """Stage-d components from x outward, lazily: left to right those
@@ -279,16 +279,17 @@ class MiddleThirds(CantorGen):
         hit = _ternary_exit(self._in_unit(t), max_stage)
         return None if hit is None else hit[0] + 1
 
-    def gap_of(self, t: Fraction) -> tuple[Fraction, Fraction]:
-        """Exact maximal gap (a, b) of the set within base containing t.
+    def gap_of(self, t: Fraction) -> Optional[tuple[Fraction, Fraction]]:
+        """Exact maximal gap (a, b) of the set within base containing t,
+        or None for a point of the set.
 
-        Raises ValueError unless t lies in base and outside the set.
+        Raises ValueError for t outside base.
         """
         # the walk ends only for u in [0, 1]
-        hit = _ternary_exit(self._in_unit(t), None) if self.base.contains(t) else None
-        if hit is None:
-            raise ValueError(f"{t} lies in no gap of {self.describe()} within its base")
-        return self._gap(*hit)
+        if not self.base.contains(t):
+            raise ValueError(f"{t} lies outside the base of {self.describe()}")
+        hit = _ternary_exit(self._in_unit(t), None)
+        return None if hit is None else self._gap(*hit)
 
     def _discover_endpoints(self, s: int) -> list[Fraction]:
         """The base ends at stage 0; for s >= 1 the ends of the gaps
@@ -430,23 +431,25 @@ class GapAttachedCantor(CantorGen):
                 return None if sub is None else g + sub
         return g
 
-    def gap_of(self, t: Fraction) -> tuple[Fraction, Fraction]:
-        """Exact maximal gap of {0} + this set + {1} containing t.
+    def gap_of(self, t: Fraction) -> Optional[tuple[Fraction, Fraction]]:
+        """Exact maximal gap of {0} + this set + {1} containing t, or None
+        for a point of the set.
 
-        Raises ValueError for a point of the set.
+        Raises ValueError for t outside [0, 1].
         """
+        if not UNIT.contains(t):
+            raise ValueError(f"{t} lies outside [0, 1]")
         if t < self.window.lo:
             return (ZERO, self.window.lo)
         if t > self.window.hi:
             return (self.window.hi, ONE)
         hit = self._core_exit(t, None)
         if hit is None:
-            raise ValueError(f"{t} is a point of the core of {self.describe()}")
+            return None
         ka, kb = self.attachments(hit[1])
-        if ka.base.contains(t):
-            return ka.gap_of(t)
-        if kb.base.contains(t):
-            return kb.gap_of(t)
+        for k in (ka, kb):
+            if k.base.contains(t):
+                return k.gap_of(t)
         return (ka.base.hi, kb.base.lo)
 
     def _discover_endpoints(self, s: int) -> list[Fraction]:

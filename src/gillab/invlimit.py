@@ -413,18 +413,15 @@ def check_treelike_hypotheses(m: SetValuedMap, stage: int) -> dict:
     c0 = m.family.c0
     cover_min = c0.stage(stage).min()
     preimage_ok = m.f_sup < cover_min and cover_min == MIN_C0
-    widths = [str(c0.stage(d).max_component_width()) for d in range(stage + 1)]
-    shrinking = all(
-        c0.stage(d + 1).max_component_width() <= c0.stage(d).max_component_width()
-        for d in range(stage)) and (
-        c0.stage(stage).max_component_width()
-        < c0.stage(0).max_component_width() / 8)
+    widths = [c0.stage(d).max_component_width() for d in range(stage + 1)]
+    shrinking = (all(b <= a for a, b in zip(widths, widths[1:]))
+                 and widths[-1] < widths[0] / 8)
     gap_singletons = all(
         eval_F(m, (seg.lo + seg.hi) / 2).is_singleton
         for seg in c0.stage(TREELIKE_GAP_STAGE).complement_in(UNIT))
     return {"preimage_ok": bool(preimage_ok),
             "singleton_sup": str(m.f_sup), "cover_min": str(cover_min),
-            "max_component_widths": widths,
+            "max_component_widths": [str(w) for w in widths],
             "widths_shrink": bool(shrinking),
             "nondegenerate_only_on_big_set": gap_singletons,
             "ok": bool(preimage_ok and shrinking and gap_singletons)}

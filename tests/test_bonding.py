@@ -1,4 +1,5 @@
 import functools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +10,9 @@ from gillab.bonding import (
     MAX_TENT_HEIGHT,
     MIN_C0,
     MODES,
+    FBracket,
     SetValuedMap,
+    _tent,
     check_empty_interior,
     check_ivp_consistency,
     check_light,
@@ -21,7 +24,7 @@ from gillab.bonding import (
     make_map,
 )
 from gillab.cantor import build_family
-from gillab.exact import ClosedInterval, UNIT
+from gillab.exact import ClosedInterval, IntervalSet, UNIT
 
 unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=729)
 
@@ -59,6 +62,27 @@ def per_value_light_rows(m, y_grid, stage):
                      "cover_measure": str(measure(r)),
                      "tent_point_count": len(tent_points)})
     return rows
+
+
+def two_query_F(m, t: F) -> FBracket:
+    """F(t) as first written: ask C0's membership, then the tent on the
+    gap holding t, or scan the grid on C0."""
+    c0 = m.family.c0
+    if c0.membership(t).is_out:
+        v = F(0)
+        if m.mode == "tent":
+            apex, half, height = _tent(*c0.gap_of(t))
+            v = height * (1 - abs(t - apex) / half)
+        return FBracket(v, v, v)
+    lower, upper = F(0), F(1)
+    for r in m.positive_grid(m.family.level):
+        mem = m.family.member(r).membership(t)
+        if mem.is_in:
+            lower = r
+        elif mem.is_out:
+            upper = r
+            break
+    return FBracket(lower, upper)
 
 
 class TestBaseMap:
@@ -135,6 +159,12 @@ class TestEvalF:
             if not fb.is_singleton:
                 assert 0 <= fb.lower_max <= fb.upper_max <= 1
 
+    @given(unit_rationals)
+    @settings(max_examples=100)
+    def test_matches_the_two_query_path(self, zero_map, tent_map, t):
+        for m in (zero_map, tent_map):
+            assert eval_F(m, t) == two_query_F(m, t), (m.mode, t)
+
 
 class TestGraphCover:
     def test_boxes_sorted_and_cached(self, tent_map):
@@ -144,9 +174,39 @@ class TestGraphCover:
         xs = [xb.lo for xb, _ in cov1.boxes]
         assert xs == sorted(xs)
 
-    def test_footprint_covers_unit(self, tent_map):
-        cov = tent_map.graph_cover(5, 2)
-        assert cov.column_footprint(F(0)).to_text() == "0..1"
+    def test_footprint_covers_unit(self, zero_map, tent_map):
+        # the x-intervals tile [0, 1]: nondegenerate, from 0 to 1, each
+        # starting where the one before it ends
+        for m in (zero_map, tent_map):
+            for d in range(9):
+                xs = [xb for xb, _ in m.graph_cover(d, 2).boxes]
+                assert all(not xb.is_degenerate for xb in xs), (m.mode, d)
+                assert xs[0].lo == 0 and xs[-1].hi == 1, (m.mode, d)
+                assert all(a.hi == b.lo for a, b in zip(xs, xs[1:])), (m.mode, d)
+
+    @pytest.mark.parametrize("level, modes, max_stage", [
+        (2, ("zero", "tent"), 8), (3, ("zero",), 6)])
+    def test_floor_matches_footprint(self, family, level, modes, max_stage):
+        # the column test as it was: xb lies in the union of the boxes at
+        # least y tall
+        fam = family if level == family.level else build_family(level, 56, 15)
+        rnd = random.Random(level)
+        columns = [ClosedInterval(F(i, n), F(i + 1, n)) for n in (8, 16) for i in range(n)]
+        for _ in range(12):
+            a, b = sorted(rnd.sample(range(1000), 2))
+            columns.append(ClosedInterval(F(a, 999), F(b, 999)))
+        for mode in modes:
+            m = make_map(mode, fam)
+            for d in range(max_stage + 1):
+                cov = m.graph_cover(d, level)
+                tops = sorted({yb.hi for _, yb in cov.boxes})
+                # box x-intervals touch their neighbours at both ends
+                windows = columns + [xb for xb, _ in cov.boxes[::len(cov.boxes) // 16 + 1]]
+                for y in tops + [(a + b) / 2 for a, b in zip(tops, tops[1:])]:
+                    tall = IntervalSet(xb for xb, yb in cov.boxes if yb.hi >= y)
+                    for xb in windows:
+                        assert ((cov.floor(xb) >= y)
+                                == IntervalSet([xb]).issubset(tall)), (mode, d, xb, y)
 
     def test_graph_points_inside(self, zero_map, tent_map):
         for m in (zero_map, tent_map):

@@ -106,9 +106,8 @@ class TestMiddleThirds:
         assert mt.gap_of(F(1, 5)) == (F(1, 9), F(2, 9))
 
     @pytest.mark.parametrize("t", [F(1, 4), F(5, 12), F(3, 4)])
-    def test_gap_of_rejects_a_point_of_the_set(self, t):
-        with pytest.raises(ValueError):
-            MiddleThirds(C1_BASE).gap_of(t)
+    def test_gap_of_is_none_on_a_point_of_the_set(self, t):
+        assert MiddleThirds(C1_BASE).gap_of(t) is None
 
     def test_gap_of_rejects_a_point_outside_the_base(self):
         # the ternary walk of a point outside the base once never ended,
@@ -178,7 +177,12 @@ class TestGapAttached:
 
     # core points, the window ends and an attachment end
     @pytest.mark.parametrize("t", [F(1, 4), F(5, 12), F(1, 8), F(7, 8), F(19, 24)])
-    def test_gap_of_rejects_a_point_of_the_set(self, family, t):
+    def test_gap_of_is_none_on_a_point_of_the_set(self, family, t):
+        assert family.c0.gap_of(t) is None
+
+    # no gap of {0} + C_0 + {1} holds a point outside [0, 1]
+    @pytest.mark.parametrize("t", [F(-1), F(2), F(9, 8)])
+    def test_gap_of_rejects_a_point_outside_the_unit(self, family, t):
         with pytest.raises(ValueError):
             family.c0.gap_of(t)
 
@@ -513,17 +517,22 @@ def fraction_gap_of(mt: MiddleThirds, t: F) -> tuple[F, F]:
             return (a + w3, b - w3)
 
 
+def first_out_points(fam, max_stage: int) -> list[F]:
+    c0 = fam.c0
+    points = probe_points(fam, max_stage, 12)
+    # the window ends, points beyond them and in every side gap
+    points += [F(0), F(1), F(1, 16), F(15, 16), c0.window.lo, c0.window.hi,
+               F(3, 16), F(13, 16), F(7, 48), F(41, 48)]
+    comps = c0.stage(6).components
+    return points + [(c.hi + n.lo) / 2 for c, n in zip(comps, comps[1:])]
+
+
 class TestFirstOut:
     @pytest.mark.parametrize("level, max_stage", [(2, 10), (3, 8)])
     def test_matches_the_cover_walk(self, request, level, max_stage):
         fam = request.getfixturevalue("family" if level == 2 else "level_three")
         c0 = fam.c0
-        points = probe_points(fam, max_stage, 12)
-        # the window ends, points beyond them and in every side gap
-        points += [F(0), F(1), F(1, 16), F(15, 16), c0.window.lo, c0.window.hi,
-                   F(3, 16), F(13, 16), F(7, 48), F(41, 48)]
-        comps = c0.stage(6).components
-        points += [(c.hi + n.lo) / 2 for c, n in zip(comps, comps[1:])]
+        points = first_out_points(fam, max_stage)
         gens = [fam.member(r) for r in fam.grid()]
         gens += list(c0.attachments(c0.core.gap_of(F(1, 2))))
         for gen in gens:
@@ -540,6 +549,23 @@ class TestFirstOut:
                         assert want is None, (gen.describe(), t, m)
                     elif want is not None and want <= m:
                         assert verdict == Membership(OUT, want), (gen.describe(), t, m)
+
+    def test_gap_of_matches_first_out(self, family):
+        # gap_of answers None exactly on the points that never leave the
+        # covers, and a gap it returns holds t
+        c0 = family.c0
+        gens = [family.c1, c0, *c0.attachments(c0.core.gap_of(F(1, 2)))]
+        for gen in gens:
+            for t in first_out_points(family, 10):
+                if isinstance(gen, MiddleThirds) and not gen.base.contains(t):
+                    assert gen.first_out(t, None) == 0, (gen.describe(), t)
+                    with pytest.raises(ValueError):
+                        gen.gap_of(t)
+                    continue
+                gap = gen.gap_of(t)
+                assert (gap is None) == (gen.first_out(t, None) is None), (gen.describe(), t)
+                if gap is not None:
+                    assert gap[0] <= t <= gap[1], (gen.describe(), t, gap)
 
     @given(st.integers(1, 9999).flatmap(
         lambda q: st.tuples(st.integers(0, q), st.just(q))))
@@ -695,6 +721,12 @@ class TestNear:
     def test_negative_depth_rejected(self, family):
         with pytest.raises(ValueError):
             family.c1.near(-1, UNIT)
+
+    def test_deep_descent_is_a_loop(self):
+        # a descent 1200 levels deep needs no stack frame per level; a
+        # non-endpoint of C_1 lies in exactly one component at any depth
+        comps = MiddleThirds(C1_BASE).near(1200, ClosedInterval(F(3, 8), F(3, 8)))
+        assert len(comps) == 1
 
     def test_walk_matches_the_cover(self, family):
         gen = build_family(2, 56, 15).member(F(1, 2))

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from gillab.bonding import GraphCover, make_map
-from gillab.cantor import IN, GapAttachedCantor, Membership, build_family
+from gillab.cantor import GapAttachedCantor, build_family
 from gillab.dynamics import make_cycle
 from gillab.errors import BoxCountError
 from gillab.exact import UNIT, ClosedInterval, IntervalSet
@@ -257,12 +257,12 @@ class TestTreelike:
         segs = zero_map.family.c0.stage(TREELIKE_GAP_STAGE).complement_in(UNIT)
         seg = segs.components[len(segs) // 2]
         target = (seg.lo + seg.hi) / 2
-        original = GapAttachedCantor.membership
+        original = GapAttachedCantor.gap_of
 
-        def planted(self, t, *args):
-            return Membership(IN, 0) if t == target else original(self, t, *args)
+        def planted(self, t):
+            return None if t == target else original(self, t)
 
-        monkeypatch.setattr(GapAttachedCantor, "membership", planted)
+        monkeypatch.setattr(GapAttachedCantor, "gap_of", planted)
         rep = check_treelike_hypotheses(zero_map, 8)
         assert rep["nondegenerate_only_on_big_set"] is False
         assert not rep["ok"]
