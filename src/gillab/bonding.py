@@ -173,19 +173,35 @@ class GraphCover:
 
 def _build_graph_cover(m: SetValuedMap, stage: int, level: int) -> GraphCover:
     cov = m.family.c0.stage(stage)
-    covers = [(r, m.family.member(r).stage(stage)) for r in m.positive_grid(level)]
-    boxes: list[tuple[ClosedInterval, ClosedInterval]] = []
-    for comp in cov:
+    q = cov.q
+    grid = m.positive_grid(level)
+    covers = [m.family.member(r).stage(stage) for r in grid]
+    caps = [ClosedInterval(ZERO, max(ub, m.f_sup)) for ub in grid + [ONE]]
+    # (lo, hi, y-interval) of each box, with the x-interval over q
+    rows: list[tuple[int, int, ClosedInterval]] = []
+    for lo, hi in zip(*cov.numerators()):
         # F(t) = [0, sup{r : t in C_r}]: the first member whose cover
-        # misses comp caps the box
-        ub = next((r for r, cover in covers if not cover.components_overlapping(comp)), ONE)
-        boxes.append((comp, ClosedInterval(ZERO, max(ub, m.f_sup))))
+        # misses the component caps the box
+        rows.append((lo, hi, caps[next((i for i, cover in enumerate(covers)
+                                        if not cover.meets(lo, hi, q)), len(grid))]))
     # each gap of the C0 cover is a maximal gap, so f's max on it is the
-    # height of its tent
-    for gap in cov.complement_in(UNIT):
-        top = ZERO if m.mode == "zero" else _tent(gap.lo, gap.hi)[2]
-        boxes.append((gap, ClosedInterval(ZERO, top)))
-    boxes.sort(key=lambda pair: (pair[0].lo, pair[0].hi))
+    # height of its tent, which depends on the gap's width alone
+    tents: dict[int, ClosedInterval] = {}
+    for lo, hi in zip(*cov.complement_in(UNIT).numerators(q)):
+        top = tents.get(hi - lo)
+        if top is None:
+            height = ZERO if m.mode == "zero" else _tent(ZERO, Fraction(hi - lo, q))[2]
+            top = tents[hi - lo] = ClosedInterval(ZERO, height)
+        rows.append((lo, hi, top))
+    rows.sort()
+    # the x-intervals tile [0, 1], so each box shares its left end with
+    # the box before it
+    boxes: list[tuple[ClosedInterval, ClosedInterval]] = []
+    end_n, end = None, None
+    for lo, hi, top in rows:
+        a = end if lo == end_n else Fraction(lo, q)
+        end_n, end = hi, a if hi == lo else Fraction(hi, q)
+        boxes.append((ClosedInterval(a, end), top))
     return GraphCover(boxes, stage, level)
 
 

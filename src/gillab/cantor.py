@@ -15,6 +15,14 @@ Three generator kinds:
 Every generator exposes nested stage covers (normalized
 :class:`~gillab.exact.IntervalSet` values) whose intersection is the
 represented set.  Identical build parameters yield bit-identical covers.
+A cover holds int numerators over one denominator, and every stage-d end
+of every member lies on the grid 1/(24*3^d).  ``_compute_stage`` builds
+each cover in ints: the middle thirds from the parent numerators, the
+gap-attached cover as the union of the core and attachment covers over
+one denominator, and an intermediate cover by subtracting its holes in
+ints from the outer one.  Fractions appear only at the edge: in the
+components a query returns, and in the local cover tree (``near``,
+``walk`` and ``_children_of``), which stays on ClosedInterval values.
 For the middle-thirds and gap-attached sets both ends of every stage-d
 component are points of the set, so each component of
 ``stage(d).complement_in(UNIT)`` is the closure of a maximal gap of
@@ -50,7 +58,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import BracketSearchError
 from .exact import UNIT, ClosedInterval, IntervalSet, ZERO, ONE
@@ -138,23 +146,26 @@ class CantorGen:
                 return list(children)
         # descend from the deepest memoised cover (stage 0 if none is)
         start = min(d, max(len(self._stage_memo) - 1, 0))
-        comps = self.stage(start).components_overlapping(window)
+        cover = self.stage(start)
+        comps = [(cover if start else self._roots)[k] for k in cover.overlapping(window)]
         for k in range(start + 1, d + 1):
             comps = [c for parent in comps
                      for c in self._cached_children(k, parent) if c.intersects(window)]
         return comps
+
+    @cached_property
+    def _roots(self) -> tuple[ClosedInterval, ...]:
+        """``stage(0).components``, made once: most descents start at
+        them, and the same objects make the children memo's keys compare
+        by identity."""
+        return self.stage(0).components
 
     def walk(self, d: int, x: Fraction, rightward: bool) -> Iterator[ClosedInterval]:
         """Stage-d components from x outward, lazily: left to right those
         with hi >= x, or right to left those with lo <= x."""
         if d < len(self._stage_memo) or d == 0:
             cover = self.stage(d)
-            comps = cover.components
-            if rightward:
-                first = cover._bisect(x)
-                return (comps[k] for k in range(first, len(comps)))
-            last = bisect_right(comps, x, key=lambda c: c.lo) - 1
-            return (comps[k] for k in range(last, -1, -1))
+            return map((cover if d else self._roots).__getitem__, cover.outward(x, rightward))
         if rightward:
             return (c for parent in self.walk(d - 1, x, True)
                     for c in self._cached_children(d, parent) if c.hi >= x)
@@ -261,8 +272,15 @@ class MiddleThirds(CantorGen):
     def _compute_stage(self, d: int) -> IntervalSet:
         if d == 0:
             return IntervalSet([self.base])
-        return IntervalSet([c for parent in self.stage(d - 1)
-                            for c in self._children_of(d, parent)], _normalized=True)
+        # the thirds of [a, b] over q are [3a, 3a + (b-a)] and
+        # [3b - (b-a), 3b] over 3q
+        parent = self.stage(d - 1)
+        lo: list[int] = []
+        hi: list[int] = []
+        for a, b in zip(*parent.numerators()):
+            lo += (3 * a, a + 2 * b)
+            hi += (2 * a + b, 3 * b)
+        return IntervalSet.over(3 * parent.q, lo, hi)
 
     def _in_unit(self, t: Fraction) -> Fraction:
         """t rescaled so that the base becomes [0, 1]."""
@@ -353,18 +371,22 @@ class GapAttachedCantor(CantorGen):
             self._k_memo[gap] = pair
         return pair
 
-    def _joined(self, d: int, window: ClosedInterval,
-                core_pieces: Sequence[ClosedInterval],
-                attached: Callable[[MiddleThirds, int], Sequence[ClosedInterval]]
-                ) -> list[ClosedInterval]:
-        """Stage-d components inside window, in order, with no sort.
+    def _compute_stage(self, d: int) -> IntervalSet:
+        # the core cover and the cover of every attachment of a core gap
+        # opened by stage d, joined over one denominator
+        return IntervalSet.union_of(
+            [self.core.stage(d)] + [k.stage(d - g) for g in range(d + 1)
+                                    for gap in self.gaps_of_generation(g)
+                                    for k in self.attachments(gap)])
 
-        core_pieces are the core's stage-d components meeting window.
-        The attachment pieces of the core gap left of the first one come
-        first, then each core piece with those of the gap after it; the
-        pieces that touch are joined.  attached(k, depth) gives the
-        depth-`depth` components of attachment k that are wanted.
+    def _children_of(self, d: int, comp: ClosedInterval) -> list[ClosedInterval]:
+        """The stage-d components inside comp, in order, with no sort.
+
+        The attachment pieces of the core gap left of the first core
+        piece meeting comp come first, then each core piece with those
+        of the gap after it; the pieces that touch are joined.
         """
+        core_pieces = self.core.near(d, comp)
         out: list[ClosedInterval] = []
 
         def emit(c: ClosedInterval) -> None:
@@ -376,30 +398,21 @@ class GapAttachedCantor(CantorGen):
 
         def emit_gap(g: int, gap: tuple[Fraction, Fraction]) -> None:
             for k in self.attachments(gap):
-                for c in attached(k, d - g):
+                for c in k.near(d - g, comp):
                     emit(c)
 
-        # a window end outside the core pieces lies in a core gap opened
+        # an end of comp outside the core pieces lies in a core gap opened
         # by stage d, so that gap's attachments are in the stage-d cover
-        if not core_pieces or window.lo < core_pieces[0].lo:
-            emit_gap(*self._core_exit(window.lo, d))
+        if not core_pieces or comp.lo < core_pieces[0].lo:
+            emit_gap(*self._core_exit(comp.lo, d))
         for c, nxt in zip(core_pieces, core_pieces[1:]):
             emit(c)
             emit_gap(*self._core_exit((c.hi + nxt.lo) / 2, d))
         if core_pieces:
             emit(core_pieces[-1])
-            if window.hi > core_pieces[-1].hi:
-                emit_gap(*self._core_exit(window.hi, d))
+            if comp.hi > core_pieces[-1].hi:
+                emit_gap(*self._core_exit(comp.hi, d))
         return out
-
-    def _compute_stage(self, d: int) -> IntervalSet:
-        return IntervalSet(self._joined(d, self.window, self.core.stage(d).components,
-                                        lambda k, depth: k.stage(depth).components),
-                           _normalized=True)
-
-    def _children_of(self, d: int, comp: ClosedInterval) -> list[ClosedInterval]:
-        return self._joined(d, comp, self.core.near(d, comp),
-                            lambda k, depth: k.near(depth, comp))
 
     def _core_exit(self, t: Fraction, max_stage: Optional[int]
                    ) -> Optional[tuple[int, tuple[Fraction, Fraction]]]:
@@ -767,7 +780,10 @@ class IntermediateCantor(CantorGen):
     def _children_of(self, d: int, comp: ClosedInterval) -> list[ClosedInterval]:
         # the pieces beyond comp that other holes would cut do not meet comp
         holes = [entry.removal_open(d) for entry in self.schedule().meeting(comp, live_at=d)]
-        pieces = IntervalSet(self.outer.near(d, comp), _normalized=True).subtract_opens(holes)
+        around = self.outer.near(d, comp)
+        if not holes:
+            return around
+        pieces = IntervalSet(around, _normalized=True).subtract_opens(holes)
         return [c for c in pieces if c.intersects(comp)]
 
     def component_persists(self, comp: ClosedInterval, d: int) -> bool:

@@ -1,19 +1,28 @@
 """Exact rational scalars, closed intervals, and normalized interval sets.
 
-Every quantity in the package is a ``fractions.Fraction``; there is no
-floating point anywhere in the core.  An :class:`IntervalSet` is the
-canonical currency for stage covers: a finite union of closed rational
-intervals kept in a unique normalized form (sorted, pairwise disjoint,
-no two components sharing an endpoint).
+There is no floating point anywhere in the core.  Scalars and the ends
+of a :class:`ClosedInterval` are ``fractions.Fraction`` values.  An
+:class:`IntervalSet` is the canonical currency for stage covers: a
+finite union of closed rational intervals kept in a unique normalized
+form (sorted, pairwise disjoint, no two components sharing an
+endpoint).  It holds its components as ``int`` numerator pairs over one
+positive ``int`` denominator q, so its queries, comparisons and sweeps
+are integer work.  Fractions and ClosedIntervals are made only at the
+edge, for the components a query returns and in ``components``;
+``to_text`` writes each end n/q in lowest terms, byte for byte as
+``str(Fraction(n, q))``.  A rational argument p/s is compared through
+the ceiling or floor of p*q/s, and two sets over different denominators
+are rescaled to their lcm, so nothing is ever rounded.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
-from typing import Iterable, Iterator, Optional
+from math import gcd, lcm
+from operator import sub
+from typing import Iterable, Iterator, Optional, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -26,7 +35,7 @@ def rat(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ClosedInterval:
     """Closed interval [lo, hi] with rational endpoints; lo <= hi."""
 
@@ -66,146 +75,233 @@ class ClosedInterval:
 
 
 UNIT = ClosedInterval(ZERO, ONE)
-_HI = attrgetter("hi")
 
 
-def _normalize(intervals: Iterable[ClosedInterval]) -> tuple[ClosedInterval, ...]:
-    items = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
-    merged: list[ClosedInterval] = []
-    for iv in items:
-        if merged and iv.lo <= merged[-1].hi:
-            last = merged[-1]
-            if iv.hi > last.hi:
-                merged[-1] = ClosedInterval(last.lo, iv.hi)
+def _over(q: int, t) -> int:
+    """Numerator of the rational t over q, a multiple of its denominator."""
+    return t.numerator * (q // t.denominator)
+
+
+def _text(n: int, q: int) -> str:
+    """n/q in lowest terms, written as ``str(Fraction(n, q))`` writes it."""
+    g = gcd(n, q)
+    return str(n // g) if g == q else f"{n // g}/{q // g}"
+
+
+def _unzip(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The lo and the hi tuple of (lo, hi) pairs."""
+    return tuple(zip(*pairs)) or ((), ())
+
+
+def _normalize(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Sorted (lo, hi) numerator pairs with overlapping or touching ones merged."""
+    merged: list[tuple[int, int]] = []
+    for pair in sorted(pairs):
+        if merged and pair[0] <= merged[-1][1]:
+            if pair[1] > merged[-1][1]:
+                merged[-1] = (merged[-1][0], pair[1])
         else:
-            merged.append(iv)
-    return tuple(merged)
+            merged.append(pair)
+    return merged
 
 
 class IntervalSet:
     """Normalized finite disjoint union of closed rational intervals.
 
     Normalization is canonical: any two construction orders of the same
-    point set produce identical component tuples, so ``==`` is set
-    equality.  Degenerate (single-point) components are permitted.
+    point set produce identical components, so ``==`` is set equality.
+    Degenerate (single-point) components are permitted.  Component k is
+    [lo[k]/q, hi[k]/q] for int numerator tuples lo, hi and one positive
+    int denominator q.
     """
 
-    __slots__ = ("_components",)
+    __slots__ = ("_q", "_lo", "_hi")
 
     def __init__(self, intervals: Iterable[ClosedInterval] = (), *, _normalized=False):
-        if _normalized:
-            self._components = tuple(intervals)
-        else:
-            self._components = _normalize(intervals)
+        ivs = list(intervals)
+        q = lcm(*(x.denominator for iv in ivs for x in (iv.lo, iv.hi)))
+        pairs = [(_over(q, iv.lo), _over(q, iv.hi)) for iv in ivs]
+        self._q = q
+        self._lo, self._hi = _unzip(pairs if _normalized else _normalize(pairs))
 
     @staticmethod
     def of(*pairs) -> "IntervalSet":
         """Build from (lo, hi) pairs of rationals/strings."""
         return IntervalSet(ClosedInterval(rat(a), rat(b)) for a, b in pairs)
 
+    @staticmethod
+    def over(q: int, lo: Sequence[int], hi: Sequence[int]) -> "IntervalSet":
+        """The set of components [lo[k]/q, hi[k]/q]; lo and hi must already
+        be normalized (ascending, lo[k] <= hi[k] < lo[k+1])."""
+        s = IntervalSet.__new__(IntervalSet)
+        s._q, s._lo, s._hi = q, tuple(lo), tuple(hi)
+        return s
+
+    @staticmethod
+    def _of_pairs(q: int, pairs: Sequence[tuple[int, int]]) -> "IntervalSet":
+        return IntervalSet.over(q, *_unzip(pairs))
+
+    @staticmethod
+    def union_of(sets: Iterable["IntervalSet"]) -> "IntervalSet":
+        """The union of the sets, over the lcm of their denominators."""
+        sets = list(sets)
+        q = lcm(*(s._q for s in sets))
+        return IntervalSet._of_pairs(q, _normalize(
+            pair for s in sets for pair in zip(*s.numerators(q))))
+
+    @property
+    def q(self) -> int:
+        """The denominator every component end is written over."""
+        return self._q
+
+    def numerators(self, q: Optional[int] = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The lo and hi numerator tuples over q, a multiple of the set's
+        denominator (by default the denominator itself)."""
+        if q is None or q == self._q:
+            return self._lo, self._hi
+        f, rest = divmod(q, self._q)
+        if rest:
+            raise ValueError(f"{q} is not a multiple of the denominator {self._q}")
+        return tuple(x * f for x in self._lo), tuple(x * f for x in self._hi)
+
+    def __getitem__(self, k: int) -> ClosedInterval:
+        """Component k, made on demand."""
+        return ClosedInterval(Fraction(self._lo[k], self._q), Fraction(self._hi[k], self._q))
+
     @property
     def components(self) -> tuple[ClosedInterval, ...]:
-        return self._components
+        return tuple(self)
 
     @property
     def is_empty(self) -> bool:
-        return not self._components
+        return not self._lo
 
     def __iter__(self) -> Iterator[ClosedInterval]:
-        return iter(self._components)
+        return map(self.__getitem__, range(len(self._lo)))
 
     def __len__(self) -> int:
-        return len(self._components)
+        return len(self._lo)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntervalSet):
             return NotImplemented
-        return self._components == other._components
+        q = lcm(self._q, other._q)
+        return self.numerators(q) == other.numerators(q)
 
     def __hash__(self) -> int:
-        return hash(self._components)
+        # over the least common denominator, which equal sets share
+        g = gcd(self._q, *self._lo, *self._hi)
+        return hash((self._q // g, tuple(x // g for x in self._lo),
+                     tuple(x // g for x in self._hi)))
 
     def __repr__(self) -> str:
         return f"IntervalSet({self.to_text()!r})"
 
     # -- queries ---------------------------------------------------------
 
+    def _ceil(self, p: int, s: int) -> int:
+        """The least numerator n with n/q >= p/s."""
+        return -(-p * self._q // s)
+
+    def _floor(self, p: int, s: int) -> int:
+        """The greatest numerator n with n/q <= p/s."""
+        return p * self._q // s
+
     def _bisect(self, t: Fraction) -> int:
         """Index of first component with hi >= t."""
-        return bisect_left(self._components, t, key=_HI)
+        return bisect_left(self._hi, self._ceil(t.numerator, t.denominator))
+
+    def _index_containing(self, t: Fraction) -> Optional[int]:
+        i = self._bisect(t)
+        if i < len(self._lo) and self._lo[i] <= self._floor(t.numerator, t.denominator):
+            return i
+        return None
 
     def contains_point(self, t: Fraction) -> bool:
-        i = self._bisect(t)
-        return i < len(self._components) and self._components[i].lo <= t
+        return self._index_containing(t) is not None
 
     def component_containing(self, t: Fraction) -> Optional[ClosedInterval]:
-        i = self._bisect(t)
-        if i < len(self._components) and self._components[i].lo <= t:
-            return self._components[i]
-        return None
+        i = self._index_containing(t)
+        return None if i is None else self[i]
+
+    def overlapping(self, window: ClosedInterval) -> range:
+        """Indices of the components intersecting the closed window."""
+        last = bisect_right(self._lo, self._floor(window.hi.numerator, window.hi.denominator))
+        return range(self._bisect(window.lo), last)
 
     def components_overlapping(self, window: ClosedInterval) -> list[ClosedInterval]:
         """Components intersecting the closed window, in order."""
-        out = []
-        i = self._bisect(window.lo)
-        n = len(self._components)
-        while i < n and self._components[i].lo <= window.hi:
-            out.append(self._components[i])
-            i += 1
-        return out
+        return [self[k] for k in self.overlapping(window)]
+
+    def meets(self, lo: int, hi: int, q: int) -> bool:
+        """Whether some component meets the closed interval [lo/q, hi/q]."""
+        i = bisect_left(self._hi, self._ceil(lo, q))
+        return i < len(self._hi) and self._lo[i] <= self._floor(hi, q)
+
+    def outward(self, t: Fraction, rightward: bool) -> range:
+        """Indices of the components from t outward: ascending those with
+        hi >= t, or descending those with lo <= t."""
+        if rightward:
+            return range(self._bisect(t), len(self._lo))
+        return range(bisect_right(self._lo, self._floor(t.numerator, t.denominator)) - 1, -1, -1)
 
     def issubset(self, other: "IntervalSet") -> bool:
-        for comp in self._components:
-            i = other._bisect(comp.lo)
-            if i >= len(other._components):
-                return False
-            oc = other._components[i]
-            if not (oc.lo <= comp.lo and comp.hi <= oc.hi):
+        q = lcm(self._q, other._q)
+        olo, ohi = other.numerators(q)
+        n = len(ohi)
+        for lo, hi in zip(*self.numerators(q)):
+            i = bisect_left(ohi, lo)
+            if i == n or olo[i] > lo or hi > ohi[i]:
                 return False
         return True
 
     def min(self) -> Fraction:
         if self.is_empty:
             raise ValueError("empty interval set has no min")
-        return self._components[0].lo
+        return Fraction(self._lo[0], self._q)
 
     def max_component_width(self) -> Fraction:
         if self.is_empty:
             return ZERO
-        return max(c.width for c in self._components)
+        return Fraction(max(map(sub, self._hi, self._lo)), self._q)
 
     # -- algebra ---------------------------------------------------------
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(self._components + other._components)
+        return IntervalSet.union_of((self, other))
 
     __or__ = union
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out: list[ClosedInterval] = []
-        a, b = self._components, other._components
+        q = lcm(self._q, other._q)
+        alo, ahi = self.numerators(q)
+        blo, bhi = other.numerators(q)
+        out: list[tuple[int, int]] = []
         i = j = 0
-        while i < len(a) and j < len(b):
-            iv = a[i].intersect(b[j])
-            if iv is not None:
-                out.append(iv)
-            if a[i].hi < b[j].hi:
+        while i < len(alo) and j < len(blo):
+            lo, hi = max(alo[i], blo[j]), min(ahi[i], bhi[j])
+            if lo <= hi:
+                out.append((lo, hi))
+            if ahi[i] < bhi[j]:
                 i += 1
             else:
                 j += 1
         # adjacent results can share endpoints only via degenerate touches;
         # normalization keeps the form canonical either way
-        return IntervalSet(out)
+        return IntervalSet._of_pairs(q, _normalize(out))
 
     __and__ = intersect
 
+    def _window(self, window: ClosedInterval) -> tuple[int, int, int, int]:
+        """(q, f, lo, hi): q the lcm of the set's and the window's
+        denominators, f = q / self.q, and the window's ends over q."""
+        q = lcm(self._q, window.lo.denominator, window.hi.denominator)
+        return q, q // self._q, _over(q, window.lo), _over(q, window.hi)
+
     def intersect_interval(self, window: ClosedInterval) -> "IntervalSet":
-        out = []
-        for c in self.components_overlapping(window):
-            iv = c.intersect(window)
-            if iv is not None:
-                out.append(iv)
-        return IntervalSet(out, _normalized=True)
+        q, f, wlo, whi = self._window(window)
+        return IntervalSet._of_pairs(q, [(max(self._lo[k] * f, wlo), min(self._hi[k] * f, whi))
+                                         for k in self.overlapping(window)])
 
     def complement_in(self, window: ClosedInterval) -> "IntervalSet":
         """Closure of window minus self, as a normalized IntervalSet.
@@ -214,19 +310,19 @@ class IntervalSet:
         self within the window.  Degenerate components of self do not
         split the complement (the closure swallows isolated points).
         """
-        gaps: list[ClosedInterval] = []
-        cursor = window.lo
-        for c in self.components_overlapping(window):
-            lo = max(c.lo, window.lo)
-            hi = min(c.hi, window.hi)
+        q, f, wlo, whi = self._window(window)
+        gaps: list[tuple[int, int]] = []
+        cursor = wlo
+        for k in self.overlapping(window):
+            lo, hi = max(self._lo[k] * f, wlo), min(self._hi[k] * f, whi)
             if lo > cursor:
-                gaps.append(ClosedInterval(cursor, lo))
+                gaps.append((cursor, lo))
             cursor = max(cursor, hi)
-        if cursor < window.hi:
-            gaps.append(ClosedInterval(cursor, window.hi))
+        if cursor < whi:
+            gaps.append((cursor, whi))
         if not gaps and self.is_empty:
-            gaps = [window]
-        return IntervalSet(gaps)
+            gaps = [(wlo, whi)]
+        return IntervalSet._of_pairs(q, _normalize(gaps))
 
     def subtract_open(self, lo: Fraction, hi: Fraction) -> "IntervalSet":
         """Remove the open interval (lo, hi); endpoints lo, hi survive."""
@@ -236,44 +332,60 @@ class IntervalSet:
         """Remove every open interval (lo, hi) of holes in one sorted sweep.
 
         Holes may overlap, nest, touch or be empty (lo >= hi); the result
-        is the same as subtracting them one at a time.  Components that
-        no hole meets are kept as the same objects.
+        is the same as subtracting them one at a time.  Runs of
+        components that no hole meets are copied as they are.
         """
+        holes = list(holes)
+        q = lcm(self._q, *(x.denominator for hole in holes for x in hole))
         # merge overlapping holes into disjoint open intervals; holes that
         # only touch stay apart, since their shared end point survives
-        merged: list[list[Fraction]] = []
-        for lo, hi in sorted(h for h in holes if h[0] < h[1]):
-            if merged and lo < merged[-1][1]:
-                if hi > merged[-1][1]:
-                    merged[-1][1] = hi
-            else:
-                merged.append([lo, hi])
-        out: list[ClosedInterval] = []
-        j, n = 0, len(merged)
-        for c in self._components:
-            while j < n and merged[j][1] <= c.lo:
-                j += 1
-            if j == n or merged[j][0] >= c.hi:
-                out.append(c)
+        merged: list[list[int]] = []
+        for a, b in sorted((_over(q, lo), _over(q, hi)) for lo, hi in holes):
+            if a >= b:
                 continue
-            cursor = c.lo
-            while j < n and merged[j][0] < c.hi:
-                lo, hi = merged[j]
-                if cursor <= lo:
-                    out.append(ClosedInterval(cursor, lo))
-                cursor = hi
-                if hi > c.hi:
-                    break  # the hole reaches into the next component
-                j += 1
-            if cursor <= c.hi:
-                out.append(ClosedInterval(cursor, c.hi))
-        return IntervalSet(out, _normalized=True)
+            if merged and a < merged[-1][1]:
+                if b > merged[-1][1]:
+                    merged[-1][1] = b
+            else:
+                merged.append([a, b])
+        lo, hi = self.numerators(q)
+        out_lo: list[int] = []
+        out_hi: list[int] = []
+        # component k is still to be written, from start (from lo[k] if None)
+        k, start = 0, None
+
+        def keep_until(i: int) -> None:
+            nonlocal k, start
+            if i > k and start is not None:
+                out_lo.append(start)
+                out_hi.append(hi[k])
+                k, start = k + 1, None
+            out_lo.extend(lo[k:i])
+            out_hi.extend(hi[k:i])
+            k = max(k, i)
+
+        for a, b in merged:
+            # the components ending at or before a are untouched by (a, b)
+            keep_until(bisect_right(hi, a, k))
+            while k < len(lo) and lo[k] < b:
+                s = lo[k] if start is None else start
+                if s <= a:
+                    out_lo.append(s)
+                    out_hi.append(a)
+                if hi[k] >= b:
+                    start = b   # the rest may meet the next hole
+                    break
+                k, start = k + 1, None
+        keep_until(len(lo))
+        return IntervalSet.over(q, out_lo, out_hi)
 
     def measure(self) -> Fraction:
-        return sum((c.width for c in self._components), ZERO)
+        return Fraction(sum(self._hi) - sum(self._lo), self._q)
 
     # -- serialization ---------------------------------------------------
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``1/4..5/12;7/12..3/4``."""
-        return ";".join(str(c) for c in self._components)
+        q = self._q
+        return ";".join(f"{_text(lo, q)}..{_text(hi, q)}"
+                        for lo, hi in zip(self._lo, self._hi))

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bonding import MIN_C0, SetValuedMap, eval_F
+from .cantor import DEFAULT_MAX_STAGE
 from .dynamics import Cycle, certify_step, iterate_f
 from .errors import BoxCountError
 from .exact import UNIT, ClosedInterval, IntervalSet, ONE, ZERO
@@ -125,7 +126,7 @@ def make_thread(m: SetValuedMap, pivot: Optional[Fraction], tail_cycle: Cycle,
     return Thread(prefix, tail_cycle.points)
 
 
-def verify_thread(m: SetValuedMap, th: Thread, depth: int = 12) -> dict:
+def verify_thread(m: SetValuedMap, th: Thread, depth: int = DEFAULT_MAX_STAGE) -> dict:
     """Re-certify every represented consecutive pair of the thread."""
     if th.is_zero:
         return {"ok": True, "zero": True, "steps": []}

@@ -110,6 +110,17 @@ class TestFamily:
     def test_build_requires_cache_dir(self):
         assert invoke("family", "build", *SMALL).exit_code == 2
 
+    def test_inspect_bytes(self, tmp_path):
+        # level 2, budget 56, stage 8, pinned when covers held Fraction
+        # components: every cover text renders n/q in lowest terms
+        args = ["--cache-dir", str(tmp_path), "--level", "2", "--budget", "56",
+                "--stage", "8"]
+        assert invoke("family", "build", *args).exit_code == 0
+        res = invoke("family", "inspect", *args)
+        assert res.exit_code == 0, res.output
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() == (
+            "b43692ae5a975b5d11ef53b4a643cffce19b6683eee68c43069192b766ff12c4")
+
     def test_rebuild_byte_identical(self, tmp_path):
         invoke("family", "build", "--cache-dir", str(tmp_path), *SMALL)
         files = list(tmp_path.iterdir())

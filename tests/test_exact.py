@@ -189,7 +189,7 @@ class TestSubtractOpens:
         kept = [c for c in s
                 if all(hi <= lo or c.hi <= lo or c.lo >= hi for lo, hi in holes)]
         for c in kept:
-            assert any(r is c for r in swept), c
+            assert any(r == c for r in swept), c
 
     def test_overlapping_and_nested_holes(self):
         s = IntervalSet.of((0, 1))
@@ -207,14 +207,14 @@ class TestSubtractOpens:
         s = IntervalSet.of((0, "1/4"), ("3/8", "3/8"), ("1/2", "3/4"), ("7/8", 1))
         r = s.subtract_opens([(F(1, 8), F(5, 8))])
         assert r == IntervalSet.of((0, "1/8"), ("5/8", "3/4"), ("7/8", 1))
-        assert r.components[-1] is s.components[-1]
+        assert r.components[-1] == s.components[-1]
 
     def test_hole_touching_component_ends_and_empty_holes(self):
         s = IntervalSet.of((0, "1/4"), ("1/2", 1))
         r = s.subtract_opens([(F(1, 4), F(1, 2)), (F(3, 4), F(3, 4)),
                               (F(7, 8), F(5, 8))])
         assert r.components == s.components
-        assert all(a is b for a, b in zip(r, s))
+        assert all(a == b for a, b in zip(r, s))
 
 
 class TestSerialization:

@@ -3,11 +3,13 @@
 import json
 from fractions import Fraction as F
 
+import pytest
 from click.testing import CliRunner
 
 from gillab import bonding, cli, invlimit
 from gillab.bonding import FBracket, check_not_almost_nonfissile, make_map
 from gillab.cantor import CantorAddress, build_family
+from gillab.exact import ClosedInterval, IntervalSet
 
 
 def family_with_hole_on_inner_cover():
@@ -53,6 +55,51 @@ def test_hole_on_inner_cover_fails_verify_nesting(tmp_path, monkeypatch):
     assert res.exit_code == cli.EXIT_VERIFY_FAILED, res.output
     report = json.loads(res.output)
     assert not report["ok"] and not report["suites"]["nesting"]["ok"]
+
+
+POKE_STAGE = 3
+
+
+def family_with_one_step_poke(end: str):
+    """Level-1 family whose C_{1/2} stage-3 cover pokes out of C_0 by
+    exactly one grid step 1/(24*3^3) at one component end.
+
+    The first component with that end on C_0's boundary is widened by
+    one step, to a point outside C_0's cover; the covers stay on the
+    grid, so the next component still starts beyond the new end.
+    """
+    fam = build_family(1, 24, 15)
+    mid, outer = fam.member(F(1, 2)), fam.c0.stage(POKE_STAGE)
+    step = F(1, 24 * 3 ** POKE_STAGE)
+    comps = list(mid.stage(POKE_STAGE))
+    for k, c in enumerate(comps):
+        lo, hi = (c.lo - step, c.hi) if end == "lo" else (c.lo, c.hi + step)
+        if not (outer.contains_point(lo) and outer.contains_point(hi)):
+            comps[k] = ClosedInterval(lo, hi)
+            mid._stage_memo[POKE_STAGE] = IntervalSet(comps, _normalized=True)
+            assert IntervalSet(comps) == mid.stage(POKE_STAGE)   # still normalized
+            return fam
+    raise AssertionError("no component end to widen")
+
+
+@pytest.mark.parametrize("end", ["lo", "hi"])
+def test_one_step_poke_fails_nesting(end):
+    rep = family_with_one_step_poke(end).check_nesting(4)
+    assert not rep["ok"]
+    assert rep["failures"] == [{"r": "1/2", "s": "0", "stage": POKE_STAGE}]
+
+
+@pytest.mark.parametrize("end", ["lo", "hi"])
+def test_one_step_poke_fails_verify_nesting(end, monkeypatch):
+    fam = family_with_one_step_poke(end)
+    monkeypatch.setattr(cli, "build_family", lambda level, budget: fam)
+    res = CliRunner().invoke(cli.main, [
+        "verify", "nesting", "--level", "1", "--budget", "24", "--stage", "4"])
+    assert res.exit_code == cli.EXIT_VERIFY_FAILED, res.output
+    report = json.loads(res.output)
+    assert not report["ok"]
+    assert report["suites"]["nesting"]["failures"] == [
+        {"r": "1/2", "s": "0", "stage": POKE_STAGE}]
 
 
 def test_graph_below_the_box_fails_not_almost_nonfissile(monkeypatch):
