@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .cantor import CantorFamily, DEFAULT_MAX_STAGE
@@ -38,9 +40,9 @@ INTERIOR_GRID = 8
 MODES = ("zero", "tent")
 
 
-def _tent(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """(apex, half-width, height) of the tent on the gap (a, b)."""
-    return (a + b) / 2, (b - a) / 2, min((b - a) / 4, MAX_TENT_HEIGHT)
+def _tent_height(width: Fraction) -> Fraction:
+    """Height of the tent on a gap of the given width."""
+    return min(width / 4, MAX_TENT_HEIGHT)
 
 
 def _f_in_gap(m: SetValuedMap, t: Fraction,
@@ -48,8 +50,9 @@ def _f_in_gap(m: SetValuedMap, t: Fraction,
     """The base map at t, given gap = ``c0.gap_of(t)`` (None on C0)."""
     if gap is None or m.mode == "zero":
         return ZERO
-    apex, half, height = _tent(*gap)
-    return height * (1 - abs(t - apex) / half)
+    a, b = gap
+    # the tent rises linearly from both ends to its apex at (a + b) / 2
+    return _tent_height(b - a) * (1 - abs(2 * t - a - b) / (b - a))
 
 
 def eval_f(m: SetValuedMap, t: Fraction) -> Fraction:
@@ -131,38 +134,61 @@ def eval_F(m: SetValuedMap, t: Fraction, level: Optional[int] = None,
 # outer cover of the graph
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphCover:
     """Finite outer box cover of the graph of F with exact corners.
 
-    The boxes are sorted by x-interval, and the x-intervals have
-    disjoint interiors (stage components and the gaps between them).
+    The x-intervals tile [0, 1]: box k is [ends[k]/q, ends[k+1]/q] x
+    [0, tops[k]], for int ends rising from 0 to q.  The queries are int
+    work on ``ends``; ``boxes`` makes the boxes at the edge.
     """
 
-    boxes: list[tuple[ClosedInterval, ClosedInterval]]
+    q: int
+    ends: tuple[int, ...]
+    tops: tuple[Fraction, ...]
     stage: int
     level: int
 
+    @cached_property
+    def boxes(self) -> list[tuple[ClosedInterval, ClosedInterval]]:
+        """The boxes in x order; the boxes of one top share its y-interval."""
+        xs = [Fraction(e, self.q) for e in self.ends]
+        ys: dict[Fraction, ClosedInterval] = {}
+        boxes = []
+        for a, b, top in zip(xs, xs[1:], self.tops):
+            yb = ys.get(top)
+            if yb is None:
+                yb = ys[top] = ClosedInterval(ZERO, top)
+            boxes.append((ClosedInterval(a, b), yb))
+        return boxes
+
     def contains_point(self, t: Fraction, y: Fraction) -> bool:
-        # with disjoint interiors in lo order the hi ends ascend too, so
-        # the boxes holding t form one run
-        i = bisect_left(self.boxes, t, key=lambda box: box[0].hi)
-        while i < len(self.boxes) and self.boxes[i][0].lo <= t:
-            if self.boxes[i][1].contains(y):
+        # box k holds t iff ends[k] <= t*q <= ends[k+1], so the boxes
+        # holding t form one run, from the first whose right end reaches t
+        p, s = t.numerator * self.q, t.denominator
+        k = bisect_left(self.ends, -(-p // s), 1) - 1
+        while k < len(self.tops) and self.ends[k] * s <= p:
+            if ZERO <= y <= self.tops[k]:
                 return True
-            i += 1
+            k += 1
         return False
 
     def area(self) -> Fraction:
-        return sum((xb.width * yb.width for xb, yb in self.boxes), ZERO)
+        # the boxes share a few tops, so each top's widths are summed first
+        widths: Counter[Fraction] = Counter()
+        for top, lo, hi in zip(self.tops, self.ends, self.ends[1:]):
+            widths[top] += hi - lo
+        return sum((top * w for top, w in widths.items()), ZERO) / self.q
 
     def floor(self, xb: ClosedInterval) -> Fraction:
         """Lowest top of the boxes whose x-interval meets the interior of
         xb, a nondegenerate interval in [0, 1].  The x-intervals tile
         [0, 1], so xb x [0, y] lies in the cover iff y <= floor(xb)."""
-        first = bisect_right(self.boxes, xb.lo, key=lambda box: box[0].hi)
-        last = bisect_left(self.boxes, xb.hi, key=lambda box: box[0].lo)
-        return min(yb.hi for _, yb in self.boxes[first:last])
+        q, lo, hi = self.q, xb.lo, xb.hi
+        # the boxes k with ends[k+1] > lo*q and ends[k] < hi*q
+        first = bisect_right(self.ends, lo.numerator * q // lo.denominator, 1) - 1
+        last = bisect_left(self.ends, -(-hi.numerator * q // hi.denominator), 0, len(self.tops))
+        return min(self.tops[first:last])
 
     def csv_rows(self) -> list[str]:
         rows = ["x_lo,x_hi,y_lo,y_hi"]
@@ -176,9 +202,9 @@ def _build_graph_cover(m: SetValuedMap, stage: int, level: int) -> GraphCover:
     q = cov.q
     grid = m.positive_grid(level)
     covers = [m.family.member(r).stage(stage) for r in grid]
-    caps = [ClosedInterval(ZERO, max(ub, m.f_sup)) for ub in grid + [ONE]]
-    # (lo, hi, y-interval) of each box, with the x-interval over q
-    rows: list[tuple[int, int, ClosedInterval]] = []
+    caps = [max(ub, m.f_sup) for ub in grid + [ONE]]
+    # (lo, hi, top) of each box, with the x-interval over q
+    rows: list[tuple[int, int, Fraction]] = []
     for lo, hi in zip(*cov.numerators()):
         # F(t) = [0, sup{r : t in C_r}]: the first member whose cover
         # misses the component caps the box
@@ -186,23 +212,17 @@ def _build_graph_cover(m: SetValuedMap, stage: int, level: int) -> GraphCover:
                                         if not cover.meets(lo, hi, q)), len(grid))]))
     # each gap of the C0 cover is a maximal gap, so f's max on it is the
     # height of its tent, which depends on the gap's width alone
-    tents: dict[int, ClosedInterval] = {}
+    tents: dict[int, Fraction] = {}
     for lo, hi in zip(*cov.complement_in(UNIT).numerators(q)):
         top = tents.get(hi - lo)
         if top is None:
-            height = ZERO if m.mode == "zero" else _tent(ZERO, Fraction(hi - lo, q))[2]
-            top = tents[hi - lo] = ClosedInterval(ZERO, height)
+            top = tents[hi - lo] = (ZERO if m.mode == "zero"
+                                    else _tent_height(Fraction(hi - lo, q)))
         rows.append((lo, hi, top))
+    # the components and the gaps between them tile [0, 1]
     rows.sort()
-    # the x-intervals tile [0, 1], so each box shares its left end with
-    # the box before it
-    boxes: list[tuple[ClosedInterval, ClosedInterval]] = []
-    end_n, end = None, None
-    for lo, hi, top in rows:
-        a = end if lo == end_n else Fraction(lo, q)
-        end_n, end = hi, a if hi == lo else Fraction(hi, q)
-        boxes.append((ClosedInterval(a, end), top))
-    return GraphCover(boxes, stage, level)
+    return GraphCover(q, (0, *(hi for _, hi, _ in rows)), tuple(top for _, _, top in rows),
+                      stage, level)
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +385,10 @@ def check_light(m: SetValuedMap, y_grid: int, stage: int) -> dict:
                 "ok": True}
     grid = m.positive_grid(m.family.level)
     # the stage cover's gaps are the maximal gaps of {0}+C0+{1} it
-    # leaves; a tent lower than the lowest row 1/y_grid meets no row
-    tents = [tent for tent in (_tent(gap.lo, gap.hi)
-                               for gap in c0.stage(stage).complement_in(UNIT))
-             if tent[2] * y_grid >= 1]
+    # leaves, and a tent's height depends on its gap's width alone
+    gaps = c0.stage(stage).complement_in(UNIT)
+    widths = Counter(hi - lo for lo, hi in zip(*gaps.numerators()))
+    tents = [(_tent_height(Fraction(w, gaps.q)), count) for w, count in widths.items()]
     measures: dict[Fraction, Fraction] = {}
     rows = []
     for k in range(1, y_grid + 1):
@@ -377,15 +397,11 @@ def check_light(m: SetValuedMap, y_grid: int, stage: int) -> dict:
         r = max(below) if below else ZERO
         if r not in measures:
             measures[r] = m.family.member(r).stage(stage).measure()
-        tent_points = []
-        for apex, half, h in tents:
-            if h < y:
-                continue
-            off = half * (1 - y / h)
-            tent_points.extend([apex - off, apex + off])
+        # each tent at least y tall meets the value y on both legs
         rows.append({"y": str(y), "cover_index": str(r),
                      "cover_measure": str(measures[r]),
-                     "tent_point_count": len(tent_points)})
+                     "tent_point_count": 2 * sum(count for h, count in tents
+                                                 if h >= y)})
     zero_row = {"y": "0", "cover_measure": str(c0.stage(stage).measure()),
                 "structure": "{0,1} plus the big set: nowhere dense"}
     return {"light": True, "mode": "tent", "rows": rows,

@@ -783,7 +783,7 @@ class IntermediateCantor(CantorGen):
         around = self.outer.near(d, comp)
         if not holes:
             return around
-        pieces = IntervalSet(around, _normalized=True).subtract_opens(holes)
+        pieces = IntervalSet(around).subtract_opens(holes)
         return [c for c in pieces if c.intersects(comp)]
 
     def component_persists(self, comp: ClosedInterval, d: int) -> bool:

@@ -117,12 +117,11 @@ class IntervalSet:
 
     __slots__ = ("_q", "_lo", "_hi")
 
-    def __init__(self, intervals: Iterable[ClosedInterval] = (), *, _normalized=False):
+    def __init__(self, intervals: Iterable[ClosedInterval] = ()):
         ivs = list(intervals)
         q = lcm(*(x.denominator for iv in ivs for x in (iv.lo, iv.hi)))
-        pairs = [(_over(q, iv.lo), _over(q, iv.hi)) for iv in ivs]
         self._q = q
-        self._lo, self._hi = _unzip(pairs if _normalized else _normalize(pairs))
+        self._lo, self._hi = _unzip(_normalize((_over(q, iv.lo), _over(q, iv.hi)) for iv in ivs))
 
     @staticmethod
     def of(*pairs) -> "IntervalSet":
@@ -266,31 +265,6 @@ class IntervalSet:
         return Fraction(max(map(sub, self._hi, self._lo)), self._q)
 
     # -- algebra ---------------------------------------------------------
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet.union_of((self, other))
-
-    __or__ = union
-
-    def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        q = lcm(self._q, other._q)
-        alo, ahi = self.numerators(q)
-        blo, bhi = other.numerators(q)
-        out: list[tuple[int, int]] = []
-        i = j = 0
-        while i < len(alo) and j < len(blo):
-            lo, hi = max(alo[i], blo[j]), min(ahi[i], bhi[j])
-            if lo <= hi:
-                out.append((lo, hi))
-            if ahi[i] < bhi[j]:
-                i += 1
-            else:
-                j += 1
-        # adjacent results can share endpoints only via degenerate touches;
-        # normalization keeps the form canonical either way
-        return IntervalSet._of_pairs(q, _normalize(out))
-
-    __and__ = intersect
 
     def _window(self, window: ClosedInterval) -> tuple[int, int, int, int]:
         """(q, f, lo, hi): q the lcm of the set's and the window's

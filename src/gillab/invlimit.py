@@ -227,12 +227,14 @@ def arc_points(sys: ArcSystem, n: int, params: list[Fraction],
     """Exact planar projections (param, coord_i, coord_j) of arc n."""
     if n < sys.thread.tail_start - 1:
         raise ValueError("arc index below the chain start")
-    i, j = coords
-    count = max(i, j) + 1
+    # coordinates past n are the thread's own, so only the prefix to n
+    # is built
+    count = min(max(coords), n) + 1
     out = []
     for t in params:
         c = sys.arc_point(n, t, count)
-        out.append((t, c[i], c[j]))
+        a, b = (c[k] if k < count else sys.thread.coordinate(k) for k in coords)
+        out.append((t, a, b))
     return out
 
 
@@ -338,8 +340,6 @@ def mahavier_cover(m: SetValuedMap, n: int, stage: int, level: int,
     if n < 1:
         raise ValueError("need at least two coordinates")
     gboxes = m.graph_cover(stage, level).boxes
-    if not all(yb.lo == ZERO <= tb.lo for tb, yb in gboxes):
-        raise ValueError("every graph-cover box must be T x [0, h] with T.lo >= 0")
     interned: dict[ClosedInterval, ClosedInterval] = {}
 
     def intern(iv: ClosedInterval) -> ClosedInterval:

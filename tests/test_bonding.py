@@ -12,7 +12,6 @@ from gillab.bonding import (
     MODES,
     FBracket,
     SetValuedMap,
-    _tent,
     check_empty_interior,
     check_ivp_consistency,
     check_light,
@@ -27,6 +26,11 @@ from gillab.cantor import build_family
 from gillab.exact import ClosedInterval, IntervalSet, UNIT
 
 unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=729)
+
+
+def tent(a, b):
+    """(apex, half-width, height) of the tent on the gap (a, b)."""
+    return (a + b) / 2, (b - a) / 2, min((b - a) / 4, MAX_TENT_HEIGHT)
 
 
 def per_value_light_rows(m, y_grid, stage):
@@ -71,7 +75,7 @@ def two_query_F(m, t: F) -> FBracket:
     if c0.membership(t).is_out:
         v = F(0)
         if m.mode == "tent":
-            apex, half, height = _tent(*c0.gap_of(t))
+            apex, half, height = tent(*c0.gap_of(t))
             v = height * (1 - abs(t - apex) / half)
         return FBracket(v, v, v)
     lower, upper = F(0), F(1)
@@ -225,6 +229,16 @@ class TestGraphCover:
         areas = [zero_map.graph_cover(d, 2).area() for d in range(7)]
         assert all(a > b for a, b in zip(areas, areas[1:]))
 
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_area_matches_box_sum(self, family, level):
+        fam = family if level == family.level else build_family(level, 56, 15)
+        for mode in MODES:
+            m = make_map(mode, fam)
+            for d in range(9):
+                cov = m.graph_cover(d, level)
+                want = sum((xb.width * yb.width for xb, yb in cov.boxes), F(0))
+                assert cov.area() == want, (level, mode, d)
+
     def test_lookup_matches_linear_scan(self, zero_map, tent_map):
         # every box corner, every shared box end, the box midpoints, and
         # y-values on, between and above the box heights
@@ -234,7 +248,8 @@ class TestGraphCover:
                 ts = sorted({x for xb, _ in cov.boxes
                              for x in (xb.lo, xb.hi, (xb.lo + xb.hi) / 2)})
                 ys = sorted({y for _, yb in cov.boxes for y in (yb.lo, yb.hi)})
-                ys += [(a + b) / 2 for a, b in zip(ys, ys[1:])] + [ys[-1] + F(1, 99)]
+                # a negative y lies below every box
+                ys += [(a + b) / 2 for a, b in zip(ys, ys[1:])] + [ys[-1] + F(1, 99), F(-1, 99)]
                 for t in ts:
                     holders = [(xb, yb) for xb, yb in cov.boxes if xb.contains(t)]
                     for y in ys:

@@ -863,7 +863,7 @@ def reference_gap(gen: IntermediateCantor, live, br: ClosedInterval, e: int):
     hulls = [entry.hull(e) for entry in live]
     if any(h.intersects(br) for h in hulls):
         return None
-    blocked = gen.inner.stage(e).union(IntervalSet(hulls))
+    blocked = IntervalSet.union_of((gen.inner.stage(e), IntervalSet(hulls)))
     gap = blocked.complement_in(UNIT).component_containing(br.lo)
     if gap is None or not (gap.lo < br.lo and br.hi < gap.hi):
         return None

@@ -1,12 +1,13 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
-from gillab.bonding import GraphCover, make_map
+from gillab.bonding import make_map
 from gillab.cantor import GapAttachedCantor, build_family
 from gillab.dynamics import make_cycle
 from gillab.errors import BoxCountError
-from gillab.exact import UNIT, ClosedInterval, IntervalSet
+from gillab.exact import UNIT, IntervalSet
 from gillab.invlimit import (
     TREELIKE_GAP_STAGE,
     ZERO_THREAD,
@@ -135,6 +136,25 @@ class TestArcs:
         assert params == sorted(params)
         assert all(0 <= p <= th.coordinate(3) for p in params)
 
+    def test_far_coordinate_builds_no_long_prefix(self, tent_map):
+        th = make_thread(tent_map, F(1, 16), make_cycle(tent_map, 2), 3)
+        sysm = ArcSystem(tent_map, th, 8)
+        params = arc_params(sysm, 3)
+        far = 10 ** 6
+        tracemalloc.start()
+        try:
+            pts = arc_points(sysm, 3, params, (0, far))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        # reference: the whole arc point up to the larger index
+        want = []
+        for t in params:
+            c = sysm.arc_point(3, t, far + 1)
+            want.append((t, c[0], c[far]))
+        assert pts == want
+
 
 class TestMahavier:
     def test_two_coordinate_cover_matches_graph(self, zero_map):
@@ -177,21 +197,6 @@ class TestMahavier:
         assert len(mahavier_cover(zero_map, n, 2, 2, ceiling=count).boxes) == count
         with pytest.raises(BoxCountError, match=f"exceeded ceiling {count - 1}$"):
             mahavier_cover(zero_map, n, 2, 2, ceiling=count - 1)
-
-    def test_lifted_y_box_raises(self, family):
-        m = make_map("zero", family)
-        cover = m.graph_cover(2, 2)
-        k = next(k for k, (_, yb) in enumerate(cover.boxes) if yb.hi == 1)
-        boxes = list(cover.boxes)
-        boxes[k] = (boxes[k][0], ClosedInterval(F(1, 2), F(1)))
-        lifted = GraphCover(boxes, 2, 2)
-        # the fault is silent for the all-pairs enumeration: it only
-        # drops the chains whose constraint ends below 1/2
-        assert len(all_pairs_chains(lifted.boxes, 2)[2]) < len(
-            mahavier_cover(m, 2, 2, 2).boxes)
-        m.graph_cover = lambda stage, level: lifted
-        with pytest.raises(ValueError, match=r"\[0, h\]"):
-            mahavier_cover(m, 2, 2, 2)
 
 
 def all_pairs_chains(gboxes, n):
