@@ -139,46 +139,47 @@ class GraphCover:
     """Finite outer box cover of the graph of F with exact corners.
 
     The x-intervals tile [0, 1]: box k is [ends[k]/q, ends[k+1]/q] x
-    [0, tops[k]], for int ends rising from 0 to q.  The queries are int
-    work on ``ends``; ``boxes`` makes the boxes at the edge.
+    [0, heights[ranks[k]]], for int ends rising from 0 to q and heights
+    ascending, so a taller box has a larger int rank.  The queries are
+    int work on ``ends`` and ``ranks``; ``boxes`` makes the boxes at the
+    edge.
     """
 
     q: int
     ends: tuple[int, ...]
-    tops: tuple[Fraction, ...]
+    heights: tuple[Fraction, ...]
+    ranks: tuple[int, ...]
     stage: int
     level: int
 
     @cached_property
     def boxes(self) -> list[tuple[ClosedInterval, ClosedInterval]]:
-        """The boxes in x order; the boxes of one top share its y-interval."""
+        """The boxes in x order; the boxes of one height share its y-interval."""
         xs = [Fraction(e, self.q) for e in self.ends]
-        ys: dict[Fraction, ClosedInterval] = {}
-        boxes = []
-        for a, b, top in zip(xs, xs[1:], self.tops):
-            yb = ys.get(top)
-            if yb is None:
-                yb = ys[top] = ClosedInterval(ZERO, top)
-            boxes.append((ClosedInterval(a, b), yb))
-        return boxes
+        ys = [ClosedInterval(ZERO, h) for h in self.heights]
+        return [(ClosedInterval(a, b), ys[k]) for a, b, k in zip(xs, xs[1:], self.ranks)]
 
     def contains_point(self, t: Fraction, y: Fraction) -> bool:
+        if y < ZERO:
+            return False
+        # y <= heights[k] iff k >= low, as the heights ascend
+        low = bisect_left(self.heights, y)
         # box k holds t iff ends[k] <= t*q <= ends[k+1], so the boxes
         # holding t form one run, from the first whose right end reaches t
         p, s = t.numerator * self.q, t.denominator
         k = bisect_left(self.ends, -(-p // s), 1) - 1
-        while k < len(self.tops) and self.ends[k] * s <= p:
-            if ZERO <= y <= self.tops[k]:
+        while k < len(self.ranks) and self.ends[k] * s <= p:
+            if self.ranks[k] >= low:
                 return True
             k += 1
         return False
 
     def area(self) -> Fraction:
-        # the boxes share a few tops, so each top's widths are summed first
-        widths: Counter[Fraction] = Counter()
-        for top, lo, hi in zip(self.tops, self.ends, self.ends[1:]):
-            widths[top] += hi - lo
-        return sum((top * w for top, w in widths.items()), ZERO) / self.q
+        # the boxes share a few heights, so each height's widths are summed first
+        widths = [0] * len(self.heights)
+        for k, lo, hi in zip(self.ranks, self.ends, self.ends[1:]):
+            widths[k] += hi - lo
+        return sum((h * w for h, w in zip(self.heights, widths)), ZERO) / self.q
 
     def floor(self, xb: ClosedInterval) -> Fraction:
         """Lowest top of the boxes whose x-interval meets the interior of
@@ -187,8 +188,8 @@ class GraphCover:
         q, lo, hi = self.q, xb.lo, xb.hi
         # the boxes k with ends[k+1] > lo*q and ends[k] < hi*q
         first = bisect_right(self.ends, lo.numerator * q // lo.denominator, 1) - 1
-        last = bisect_left(self.ends, -(-hi.numerator * q // hi.denominator), 0, len(self.tops))
-        return min(self.tops[first:last])
+        last = bisect_left(self.ends, -(-hi.numerator * q // hi.denominator), 0, len(self.ranks))
+        return self.heights[min(self.ranks[first:last])]
 
     def csv_rows(self) -> list[str]:
         rows = ["x_lo,x_hi,y_lo,y_hi"]
@@ -203,26 +204,27 @@ def _build_graph_cover(m: SetValuedMap, stage: int, level: int) -> GraphCover:
     grid = m.positive_grid(level)
     covers = [m.family.member(r).stage(stage) for r in grid]
     caps = [max(ub, m.f_sup) for ub in grid + [ONE]]
-    # (lo, hi, top) of each box, with the x-interval over q
-    rows: list[tuple[int, int, Fraction]] = []
+    gaps = cov.complement_in(UNIT).numerators(q)
+    # each gap of the C0 cover is a maximal gap, so f's max on it is the
+    # height of its tent, which depends on the gap's width alone
+    tents = {w: ZERO if m.mode == "zero" else _tent_height(Fraction(w, q))
+             for w in {hi - lo for lo, hi in zip(*gaps)}}
+    heights = sorted(set(caps) | set(tents.values()))
+    rank = {h: k for k, h in enumerate(heights)}
+    cap_ranks = [rank[cap] for cap in caps]
+    tent_ranks = {w: rank[h] for w, h in tents.items()}
+    # (lo, hi, rank of the top) of each box, with the x-interval over q
+    rows: list[tuple[int, int, int]] = []
     for lo, hi in zip(*cov.numerators()):
         # F(t) = [0, sup{r : t in C_r}]: the first member whose cover
         # misses the component caps the box
-        rows.append((lo, hi, caps[next((i for i, cover in enumerate(covers)
-                                        if not cover.meets(lo, hi, q)), len(grid))]))
-    # each gap of the C0 cover is a maximal gap, so f's max on it is the
-    # height of its tent, which depends on the gap's width alone
-    tents: dict[int, Fraction] = {}
-    for lo, hi in zip(*cov.complement_in(UNIT).numerators(q)):
-        top = tents.get(hi - lo)
-        if top is None:
-            top = tents[hi - lo] = (ZERO if m.mode == "zero"
-                                    else _tent_height(Fraction(hi - lo, q)))
-        rows.append((lo, hi, top))
+        rows.append((lo, hi, cap_ranks[next((i for i, cover in enumerate(covers)
+                                             if not cover.meets(lo, hi, q)), len(grid))]))
+    rows += [(lo, hi, tent_ranks[hi - lo]) for lo, hi in zip(*gaps)]
     # the components and the gaps between them tile [0, 1]
     rows.sort()
-    return GraphCover(q, (0, *(hi for _, hi, _ in rows)), tuple(top for _, _, top in rows),
-                      stage, level)
+    return GraphCover(q, (0, *(hi for _, hi, _ in rows)), tuple(heights),
+                      tuple(k for _, _, k in rows), stage, level)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +416,7 @@ def check_not_almost_nonfissile(m: SetValuedMap) -> dict:
     comp = m.family.c0.stage(NONFISSILE_STAGE).component_containing(quarter)
     y_range = (Fraction(1, 2), ONE)
     # the ends of C_1's stage components are points of C_1
-    samples = sorted({e for c in m.family.c1.near(NONFISSILE_SAMPLE_STAGE, comp)
+    samples = sorted({e for c in m.family.c1.stage(NONFISSILE_SAMPLE_STAGE)
                       for e in (c.lo, c.hi) if comp.contains(e)})
     fissile_failures = []
     for t in samples:

@@ -14,54 +14,47 @@ Three generator kinds:
 
 Every generator exposes nested stage covers (normalized
 :class:`~gillab.exact.IntervalSet` values) whose intersection is the
-represented set.  Identical build parameters yield bit-identical covers.
-A cover holds int numerators over one denominator, and every stage-d end
-of every member lies on the grid 1/(24*3^d).  ``_compute_stage`` builds
-each cover in ints: the middle thirds from the parent numerators, the
-gap-attached cover as the union of the core and attachment covers over
-one denominator, and an intermediate cover by subtracting its holes in
-ints from the outer one.  Fractions appear only at the edge: in the
-components a query returns, and in the local cover tree (``near``,
-``walk`` and ``_children_of``), which stays on ClosedInterval values.
+represented set; identical build parameters yield bit-identical covers.
+Each generator has one grid: every stage-d end of it is an int over
+``grid(d)``, its own q0 times 3^d.  A generator states its rules on
+that grid and :class:`CantorGen` runs the memos and walks:
+``_compute_stage`` builds a whole cover, and ``_children_of`` refines
+one component, a numerator pair, memoised by (d, lo, hi).  ``near(d,
+lo, hi, q)`` (the stage-d components meeting [lo/q, hi/q]) and
+``walk(d, n, q, rightward)`` (those from n/q outward) descend that tree
+from the deepest memoised cover, so the removal-schedule search builds
+no deep cover.  A rational window or point enters once, by ceiling and
+floor at the grid; brackets, holes and hulls are int triples (lo, hi,
+q).  Fractions appear only at the edge: in cover components, endpoints,
+rational anchors and the gaps ``gap_of`` gives.
+
 For the middle-thirds and gap-attached sets both ends of every stage-d
 component are points of the set, so each component of
 ``stage(d).complement_in(UNIT)`` is the closure of a maximal gap of
-{0} + set + {1}: a reader of those gaps takes them off the cover, and
-``gap_of`` is the query for the gap holding one point (None for a point
-of the set).  An intermediate set makes no such claim.
+{0} + set + {1}, and ``gap_of`` is the query for the gap holding one
+point (None for a point of the set).  An intermediate set makes no such
+claim.
 
-:class:`CantorGen` runs every memo and walk; a generator states only its
-rules: ``_compute_stage`` (a whole cover), ``_children_of`` (the children
-of one component) and ``_discover_endpoints`` (the endpoints first seen
-at one stage).  Beside the memoised covers (``stage``) each generator
-answers one local query, ``near(d, window)``: the stage-d components
-meeting a closed window, descended from those of stage d-1 when no cover
-is memoised.  Addresses walk the cover tree through ``near`` alone, with
-[0, 1] as the window of the roots, and the removal-schedule search reads
-only local answers, so building a family never materialises a deep cover
-it does not report.
-
-Membership is point-local too.  Each generator states one point query,
-``first_out(t, max_stage)``: the first depth whose cover misses t, found
-from one walk of t's ternary digits (on integers), the core gap holding
-t and the removal holes around it, with no cover built.  ``membership``
-reads it, so a verdict ``OUT d`` means t lies outside ``stage(d)`` for
-every generator.  The middle-thirds and gap-attached sets are exact: the
-walk ends for every rational, and a point that never leaves is IN.
-An intermediate set says IN only by its inner set's certificate and
-UNKNOWN when neither that nor its covers to ``max_stage`` decide.
+Membership is point-local: each generator states ``first_out(t,
+max_stage)``, the first depth whose cover misses t, from one walk of t's
+ternary digits, the core gap holding t and the removal holes around it.
+So a verdict ``OUT d`` means t lies outside ``stage(d)``.  The
+middle-thirds and gap-attached sets are exact; an intermediate set says
+IN only by its inner set's certificate and UNKNOWN when neither that nor
+its covers to ``max_stage`` decide.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import BracketSearchError
-from .exact import UNIT, ClosedInterval, IntervalSet, ZERO, ONE
+from .exact import UNIT, ClosedInterval, IntervalSet, ZERO, ONE, _normalize, _over
 
 IN = "in"
 OUT = "out"
@@ -69,6 +62,14 @@ UNKNOWN = "unknown"
 
 DEFAULT_MAX_STAGE = 12
 DEFAULT_SEARCH_CEILING = 15
+
+Pair = tuple[int, int]
+
+
+def _on(lo: int, hi: int, q: int, to: int) -> Pair:
+    """[lo/q, hi/q] on the grid 1/to: the ceiling of its left end and the
+    floor of its right end, exact for an interval on the grid."""
+    return -(-lo * to // q), hi * to // q
 
 
 @dataclass(frozen=True)
@@ -96,22 +97,28 @@ class Membership:
 class CantorGen:
     """Base class: memoized nested stage covers plus exact queries."""
 
+    _q0: int   # set by each generator: grid(d) = _q0 * 3^d
+
     def __init__(self):
         self._stage_memo: list[IntervalSet] = []
         self._endpoint_stages: list[list[Fraction]] = []
-        self._children_memo: dict[tuple[int, ClosedInterval],
-                                  tuple[ClosedInterval, ...]] = {}
+        self._children_memo: dict[tuple[int, int, int], tuple[Pair, ...]] = {}
 
     def _compute_stage(self, d: int) -> IntervalSet:
         raise NotImplementedError
 
-    def _children_of(self, d: int, comp: ClosedInterval) -> Sequence[ClosedInterval]:
-        """Stage-d components inside the stage-(d-1) component comp, in order."""
+    def _children_of(self, d: int, lo: int, hi: int) -> Sequence[Pair]:
+        """Stage-d components, over grid(d), inside the stage-(d-1)
+        component [lo, hi] over grid(d-1), in order."""
         raise NotImplementedError
 
     def _discover_endpoints(self, s: int) -> list[Fraction]:
         """Endpoints first discovered at stage s, in order."""
         raise NotImplementedError
+
+    def grid(self, d: int) -> int:
+        """The denominator every stage-d end is an int over."""
+        return self._q0 * 3 ** d
 
     def stage(self, d: int) -> IntervalSet:
         """Depth-d cover; computed at most once per depth."""
@@ -128,69 +135,52 @@ class CantorGen:
                 self._discover_endpoints(len(self._endpoint_stages)))
         return self._endpoint_stages[s]
 
-    def near(self, d: int, window: ClosedInterval) -> list[ClosedInterval]:
-        """Stage-d components meeting the closed window, in order.
-
-        Equals ``stage(d).components_overlapping(window)`` but builds no
-        cover deeper than the memo holds: the covers nest and their
-        components never touch, so every stage-d component meeting the
-        window lies in a stage-(d-1) component meeting it.
-        """
-        # a stage-(d-1) component holds all the stage-d components that
-        # meet it, since distinct components never touch; only the top
-        # depth is looked up, as hashing the window costs about as much
-        # as one step of the descent
-        if d >= len(self._stage_memo):
-            children = self._children_memo.get((d, window))
-            if children is not None:
-                return list(children)
+    def near(self, d: int, lo: int, hi: int, q: int) -> list[Pair]:
+        """Stage-d components meeting the closed window [lo/q, hi/q], in
+        order, over grid(d).  The covers nest and their components never
+        touch, so every one lies in a stage-(d-1) component meeting it."""
         # descend from the deepest memoised cover (stage 0 if none is)
         start = min(d, max(len(self._stage_memo) - 1, 0))
         cover = self.stage(start)
-        comps = [(cover if start else self._roots)[k] for k in cover.overlapping(window)]
+        clo, chi = cover.numerators(self.grid(start))
+        comps = [(clo[k], chi[k]) for k in cover.overlapping(lo, hi, q)]
         for k in range(start + 1, d + 1):
-            comps = [c for parent in comps
-                     for c in self._cached_children(k, parent) if c.intersects(window)]
+            wlo, whi = _on(lo, hi, q, self.grid(k))
+            comps = [c for parent in comps for c in self._cached_children(k, *parent)
+                     if c[0] <= whi and c[1] >= wlo]
         return comps
 
-    @cached_property
-    def _roots(self) -> tuple[ClosedInterval, ...]:
-        """``stage(0).components``, made once: most descents start at
-        them, and the same objects make the children memo's keys compare
-        by identity."""
-        return self.stage(0).components
-
-    def walk(self, d: int, x: Fraction, rightward: bool) -> Iterator[ClosedInterval]:
-        """Stage-d components from x outward, lazily: left to right those
-        with hi >= x, or right to left those with lo <= x."""
+    def walk(self, d: int, n: int, q: int, rightward: bool) -> Iterator[Pair]:
+        """Stage-d components over grid(d) from x = n/q outward, lazily: left
+        to right those with hi >= x, or right to left those with lo <= x."""
         if d < len(self._stage_memo) or d == 0:
             cover = self.stage(d)
-            return map((cover if d else self._roots).__getitem__, cover.outward(x, rightward))
+            clo, chi = cover.numerators(self.grid(d))
+            return ((clo[k], chi[k]) for k in cover.outward(n, q, rightward))
+        x_lo, x_hi = _on(n, n, q, self.grid(d))
         if rightward:
-            return (c for parent in self.walk(d - 1, x, True)
-                    for c in self._cached_children(d, parent) if c.hi >= x)
-        return (c for parent in self.walk(d - 1, x, False)
-                for c in reversed(self._cached_children(d, parent)) if c.lo <= x)
+            return (c for parent in self.walk(d - 1, n, q, True)
+                    for c in self._cached_children(d, *parent) if c[1] >= x_lo)
+        return (c for parent in self.walk(d - 1, n, q, False)
+                for c in reversed(self._cached_children(d, *parent)) if c[0] <= x_hi)
 
-    def _cached_children(self, d: int, comp: ClosedInterval) -> tuple[ClosedInterval, ...]:
-        """`_children_of`, memoised by (d, comp)."""
-        key = (d, comp)
+    def _cached_children(self, d: int, lo: int, hi: int) -> tuple[Pair, ...]:
+        """`_children_of`, memoised by (d, lo, hi)."""
+        key = (d, lo, hi)
         children = self._children_memo.get(key)
         if children is None:
-            children = self._children_memo[key] = tuple(self._children_of(d, comp))
+            children = self._children_memo[key] = tuple(self._children_of(d, lo, hi))
         return children
 
     def membership(self, t: Fraction, max_stage: int = DEFAULT_MAX_STAGE) -> Membership:
-        """Exact verdict from ``first_out`` with no depth bound; max_stage
-        is not read.  Only a generator whose ``first_out`` ends without a
-        bound may use it."""
+        """Exact verdict from ``first_out`` with no depth bound (max_stage is
+        not read), for a generator whose ``first_out`` ends without one."""
         d = self.first_out(t, None)
         return Membership(IN) if d is None else Membership(OUT, d)
 
     def first_out(self, t: Fraction, max_stage: Optional[int]) -> Optional[int]:
         """The first depth d <= max_stage (any d, if None) with t outside
-        stage(d), or None; equal to walking the covers, but builds none
-        of them."""
+        stage(d), or None, as walking the covers would find, building none."""
         raise NotImplementedError
 
     def endpoints(self, count: int) -> list[PointLike]:
@@ -203,16 +193,13 @@ class CantorGen:
         return out[:count]
 
     def describe(self) -> str:
-        """Canonical parameter string; names the member in family reports
-        and cache payloads, and tells generators apart."""
+        """Canonical parameter string: names a member in reports and caches."""
         raise NotImplementedError
 
-    def component_persists(self, comp: ClosedInterval, d: int) -> bool:
-        """Whether the stage-d cover component survives all refinement.
-
-        True guarantees the component meets the represented set, so an
-        address anchored on it can be refined forever.
-        """
+    def component_persists(self, d: int, lo: int, hi: int, q: int) -> bool:
+        """Whether the stage-d component [lo/q, hi/q] survives all
+        refinement: then it meets the set, and an address anchored on it
+        can be refined forever."""
         return True
 
 
@@ -220,18 +207,14 @@ class CantorGen:
 # middle-thirds generator
 
 
-def _ternary_exit(u: Fraction, digits: Optional[int]) -> Optional[tuple[int, int]]:
-    """The first digit k < digits (any k, if None) at which u in [0, 1]
-    falls into an open middle third, with the index m of the stage-k
-    interval it falls from, so the gap is ((3m+1)/3^(k+1), (3m+2)/3^(k+1));
-    None if u stays in the cover for all those digits.
-
-    Ends for every rational even with no digit bound: the orbit
-    u -> 3u / 3u-2 keeps the denominator q of u, so its numerators either
-    exit through a middle third or repeat, and a repeat means u is in
-    the set.
-    """
-    p, q = u.numerator, u.denominator
+def _ternary_exit(p: int, q: int, digits: Optional[int]) -> Optional[Pair]:
+    """The first digit k < digits (any k, if None) at which u = p/q in
+    [0, 1] falls into an open middle third, with the index m of the
+    stage-k interval it falls from, so the gap is ((3m+1)/3^(k+1),
+    (3m+2)/3^(k+1)); None if u stays in the cover for all those digits.
+    Ends for every rational even with no digit bound: the orbit u -> 3u /
+    3u-2 keeps q, so its numerators exit or repeat, and a repeat means u
+    is in the set."""
     seen = set()
     k = m = 0
     while digits is None or k < digits:
@@ -260,65 +243,63 @@ class MiddleThirds(CantorGen):
             raise ValueError("middle-thirds base must be nondegenerate")
         super().__init__()
         self.base = base
+        q = self._q0 = lcm(base.lo.denominator, base.hi.denominator)
+        self._a, self._b = _over(q, base.lo), _over(q, base.hi)
 
     def describe(self) -> str:
         return f"MT[{self.base.lo},{self.base.hi}]"
 
-    def _children_of(self, d: int, comp: ClosedInterval) -> tuple[ClosedInterval, ClosedInterval]:
-        w3 = comp.width / 3
-        return (ClosedInterval(comp.lo, comp.lo + w3),
-                ClosedInterval(comp.hi - w3, comp.hi))
+    def _children_of(self, d: int, lo: int, hi: int) -> tuple[Pair, Pair]:
+        # the thirds of [a, b] over q are [3a, 2a + b] and [a + 2b, 3b] over 3q
+        return (3 * lo, 2 * lo + hi), (lo + 2 * hi, 3 * hi)
 
     def _compute_stage(self, d: int) -> IntervalSet:
         if d == 0:
             return IntervalSet([self.base])
-        # the thirds of [a, b] over q are [3a, 3a + (b-a)] and
-        # [3b - (b-a), 3b] over 3q
+        # the thirds formula of _children_of, over the whole parent cover
         parent = self.stage(d - 1)
-        lo: list[int] = []
-        hi: list[int] = []
-        for a, b in zip(*parent.numerators()):
-            lo += (3 * a, a + 2 * b)
-            hi += (2 * a + b, 3 * b)
-        return IntervalSet.over(3 * parent.q, lo, hi)
+        pairs = list(zip(*parent.numerators()))
+        return IntervalSet.over(3 * parent.q, [x for a, b in pairs for x in (3 * a, a + 2 * b)],
+                                [x for a, b in pairs for x in (2 * a + b, 3 * b)])
 
-    def _in_unit(self, t: Fraction) -> Fraction:
-        """t rescaled so that the base becomes [0, 1]."""
-        return (t - self.base.lo) / self.base.width
+    def _in_unit(self, n: int, q: int) -> Pair:
+        """t = n/q rescaled so that the base becomes [0, 1], as p/s."""
+        return n * self._q0 - self._a * q, (self._b - self._a) * q
 
-    def _gap(self, k: int, m: int) -> tuple[Fraction, Fraction]:
-        """The gap opened at stage k + 1 in the m-th stage-k component."""
-        w = self.base.width / 3 ** (k + 1)
-        return (self.base.lo + (3 * m + 1) * w, self.base.lo + (3 * m + 2) * w)
+    def _gap(self, k: int, m: int) -> Pair:
+        """The gap opened at stage k + 1 in the m-th stage-k component,
+        as numerators over grid(k + 1)."""
+        lo, w = self._a * 3 ** (k + 1), self._b - self._a
+        return lo + (3 * m + 1) * w, lo + (3 * m + 2) * w
 
     def first_out(self, t: Fraction, max_stage: Optional[int]) -> Optional[int]:
         if not self.base.contains(t):
             return 0
-        hit = _ternary_exit(self._in_unit(t), max_stage)
+        hit = _ternary_exit(*self._in_unit(t.numerator, t.denominator), max_stage)
         return None if hit is None else hit[0] + 1
 
     def gap_of(self, t: Fraction) -> Optional[tuple[Fraction, Fraction]]:
         """Exact maximal gap (a, b) of the set within base containing t,
-        or None for a point of the set.
-
-        Raises ValueError for t outside base.
-        """
+        or None for a point of the set; ValueError for t outside base."""
         # the walk ends only for u in [0, 1]
         if not self.base.contains(t):
             raise ValueError(f"{t} lies outside the base of {self.describe()}")
-        hit = _ternary_exit(self._in_unit(t), None)
-        return None if hit is None else self._gap(*hit)
+        hit = _ternary_exit(*self._in_unit(t.numerator, t.denominator), None)
+        if hit is None:
+            return None
+        q = self.grid(hit[0] + 1)
+        lo, hi = self._gap(*hit)
+        return Fraction(lo, q), Fraction(hi, q)
 
     def _discover_endpoints(self, s: int) -> list[Fraction]:
         """The base ends at stage 0; for s >= 1 the ends of the gaps
         opened at stage s, left to right in (left end, right end) pairs."""
         if s == 0:
             return [self.base.lo, self.base.hi]
-        eps: list[Fraction] = []
-        for c in self.stage(s - 1):
-            left, right = self._children_of(s, c)
-            eps += (left.hi, right.lo)
-        return eps
+        # the middle third of [a, b] over q is [2a + b, a + 2b] over 3q
+        q = self.grid(s)
+        return [Fraction(x, q) for a, b in zip(*self.stage(s - 1).numerators())
+                for x in (2 * a + b, a + 2 * b)]
 
     # bound in each class body rather than inherited: bench/tracing.py
     # wraps vars(cls)["membership"] and vars(cls)["endpoints"] of every
@@ -349,26 +330,33 @@ class GapAttachedCantor(CantorGen):
         self.core = core
         span = core.base.width
         self.window = ClosedInterval(core.base.lo - span / 4, core.base.hi + span / 4)
-        self._k_memo: dict[tuple[Fraction, Fraction], tuple[MiddleThirds, MiddleThirds]] = {}
+        # every stage-d end is core.base.lo plus a multiple of span/(12*3^d)
+        q = self._q0 = lcm(core._q0, (span / 12).denominator)
+        self._scale = q // core._q0   # grid(d) / core.grid(d)
+        self._side_gaps = [(_over(q, self.window.lo), _over(q, core.base.lo)),
+                           (_over(q, core.base.hi), _over(q, self.window.hi))]
+        self._k_memo: dict[tuple[int, int, int], tuple[MiddleThirds, MiddleThirds]] = {}
 
     def describe(self) -> str:
         return f"GA({self.core.describe()})"
 
-    def gaps_of_generation(self, g: int) -> list[tuple[Fraction, Fraction]]:
+    def gaps_of_generation(self, g: int) -> list[Pair]:
         if g == 0:
-            return [(self.window.lo, self.core.base.lo),
-                    (self.core.base.hi, self.window.hi)]
-        ends = self.core.new_endpoints(g)
-        return list(zip(ends[::2], ends[1::2]))
+            return self._side_gaps
+        r = self._scale   # the middle third of each stage-(g-1) core component
+        return [((2 * a + b) * r, (a + 2 * b) * r)
+                for a, b in zip(*self.core.stage(g - 1).numerators())]
 
-    def attachments(self, gap: tuple[Fraction, Fraction]) -> tuple[MiddleThirds, MiddleThirds]:
-        pair = self._k_memo.get(gap)
+    def attachments(self, g: int, lo: int, hi: int) -> tuple[MiddleThirds, MiddleThirds]:
+        """The pair attached to the generation-g gap (lo, hi) over grid(g)."""
+        key = (g, lo, hi)
+        pair = self._k_memo.get(key)
         if pair is None:
-            a, b = gap
+            q = self.grid(g)
+            a, b = Fraction(lo, q), Fraction(hi, q)
             w3 = (b - a) / 3
-            pair = (MiddleThirds(ClosedInterval(a, a + w3)),
-                    MiddleThirds(ClosedInterval(b - w3, b)))
-            self._k_memo[gap] = pair
+            pair = self._k_memo[key] = (MiddleThirds(ClosedInterval(a, a + w3)),
+                                        MiddleThirds(ClosedInterval(b - w3, b)))
         return pair
 
     def _compute_stage(self, d: int) -> IntervalSet:
@@ -377,56 +365,42 @@ class GapAttachedCantor(CantorGen):
         return IntervalSet.union_of(
             [self.core.stage(d)] + [k.stage(d - g) for g in range(d + 1)
                                     for gap in self.gaps_of_generation(g)
-                                    for k in self.attachments(gap)])
+                                    for k in self.attachments(g, *gap)])
 
-    def _children_of(self, d: int, comp: ClosedInterval) -> list[ClosedInterval]:
-        """The stage-d components inside comp, in order, with no sort.
+    def _children_of(self, d: int, lo: int, hi: int) -> list[Pair]:
+        """The core pieces meeting the parent and the attachment pieces of
+        the core gaps meeting it, joined where they touch."""
+        p, q, r = self.grid(d - 1), self.grid(d), self._scale
+        pieces = [(a * r, b * r) for a, b in self.core.near(d, lo, hi, p)]
+        # an end of the parent outside the core pieces lies in a core gap
+        # opened by stage d, and so does the midpoint between two pieces
+        points = [(a + b, 2 * q) for (_, a), (b, _) in zip(pieces, pieces[1:])]
+        if not pieces or 3 * lo < pieces[0][0]:
+            points.append((lo, p))
+        if pieces and 3 * hi > pieces[-1][1]:
+            points.append((hi, p))
+        for n, m in points:
+            g, glo, ghi = self._core_exit(n, m, d)
+            for k in self.attachments(g, glo, ghi):
+                f = q // k.grid(d - g)
+                pieces += [(a * f, b * f) for a, b in k.near(d - g, lo, hi, p)]
+        return _normalize(pieces)
 
-        The attachment pieces of the core gap left of the first core
-        piece meeting comp come first, then each core piece with those
-        of the gap after it; the pieces that touch are joined.
-        """
-        core_pieces = self.core.near(d, comp)
-        out: list[ClosedInterval] = []
-
-        def emit(c: ClosedInterval) -> None:
-            if out and c.lo <= out[-1].hi:
-                if c.hi > out[-1].hi:
-                    out[-1] = ClosedInterval(out[-1].lo, c.hi)
-            else:
-                out.append(c)
-
-        def emit_gap(g: int, gap: tuple[Fraction, Fraction]) -> None:
-            for k in self.attachments(gap):
-                for c in k.near(d - g, comp):
-                    emit(c)
-
-        # an end of comp outside the core pieces lies in a core gap opened
-        # by stage d, so that gap's attachments are in the stage-d cover
-        if not core_pieces or comp.lo < core_pieces[0].lo:
-            emit_gap(*self._core_exit(comp.lo, d))
-        for c, nxt in zip(core_pieces, core_pieces[1:]):
-            emit(c)
-            emit_gap(*self._core_exit((c.hi + nxt.lo) / 2, d))
-        if core_pieces:
-            emit(core_pieces[-1])
-            if comp.hi > core_pieces[-1].hi:
-                emit_gap(*self._core_exit(comp.hi, d))
-        return out
-
-    def _core_exit(self, t: Fraction, max_stage: Optional[int]
-                   ) -> Optional[tuple[int, tuple[Fraction, Fraction]]]:
-        """For t in the window, (g, gap): the maximal gap of the core
-        within the window holding t and its generation g, which is the
-        first core depth missing t; None if the core holds t to depth
-        max_stage (for ever, if None).  One walk of t's ternary digits."""
-        core = self.core
-        if t < core.base.lo:
-            return 0, (self.window.lo, core.base.lo)
-        if t > core.base.hi:
-            return 0, (core.base.hi, self.window.hi)
-        hit = _ternary_exit(core._in_unit(t), max_stage)
-        return None if hit is None else (hit[0] + 1, core._gap(*hit))
+    def _core_exit(self, n: int, q: int, max_stage: Optional[int]) -> Optional[tuple[int, int, int]]:
+        """For t = n/q in the window, (g, lo, hi): the maximal gap (lo, hi)
+        over grid(g) of the core within the window holding t, g its
+        generation and the first core depth missing t; None if the core
+        holds t to depth max_stage (for ever, if None)."""
+        p, s = self.core._in_unit(n, q)
+        if p < 0:
+            return (0, *self._side_gaps[0])
+        if p > s:
+            return (0, *self._side_gaps[1])
+        hit = _ternary_exit(p, s, max_stage)
+        if hit is None:
+            return None
+        lo, hi = self.core._gap(*hit)
+        return hit[0] + 1, lo * self._scale, hi * self._scale
 
     def first_out(self, t: Fraction, max_stage: Optional[int]) -> Optional[int]:
         # outside the core t leaves the cover with its core gap, at the
@@ -434,11 +408,11 @@ class GapAttachedCantor(CantorGen):
         # to depth g + (the attachment's own exit depth)
         if not self.window.contains(t):
             return 0
-        hit = self._core_exit(t, max_stage)
+        hit = self._core_exit(t.numerator, t.denominator, max_stage)
         if hit is None:
             return None
-        g, gap = hit
-        for k in self.attachments(gap):
+        g = hit[0]
+        for k in self.attachments(*hit):
             if k.base.contains(t):
                 sub = k.first_out(t, None if max_stage is None else max_stage - g)
                 return None if sub is None else g + sub
@@ -446,20 +420,17 @@ class GapAttachedCantor(CantorGen):
 
     def gap_of(self, t: Fraction) -> Optional[tuple[Fraction, Fraction]]:
         """Exact maximal gap of {0} + this set + {1} containing t, or None
-        for a point of the set.
-
-        Raises ValueError for t outside [0, 1].
-        """
+        for a point of the set; ValueError for t outside [0, 1]."""
         if not UNIT.contains(t):
             raise ValueError(f"{t} lies outside [0, 1]")
         if t < self.window.lo:
             return (ZERO, self.window.lo)
         if t > self.window.hi:
             return (self.window.hi, ONE)
-        hit = self._core_exit(t, None)
+        hit = self._core_exit(t.numerator, t.denominator, None)
         if hit is None:
             return None
-        ka, kb = self.attachments(hit[1])
+        ka, kb = self.attachments(*hit)
         for k in (ka, kb):
             if k.base.contains(t):
                 return k.gap_of(t)
@@ -472,7 +443,7 @@ class GapAttachedCantor(CantorGen):
         # this set, not endpoints
         return sorted(p for g in range(s + 1)
                       for gap in self.gaps_of_generation(g)
-                      for att in self.attachments(gap)
+                      for att in self.attachments(g, *gap)
                       for p in att.new_endpoints(s - g)
                       if not self.core.membership(p).is_in)
 
@@ -501,14 +472,17 @@ class CantorAddress:
             raise ValueError("address prefix must select a root component")
         self.gen = gen
         self.prefix = tuple(prefix)
-        self._brackets: list[ClosedInterval] = []
+        self._brackets: list[Pair] = []
         self._flips = 0
 
-    def bracket(self, d: int) -> ClosedInterval:
-        """Rational bracketing component at stage d; brackets nest."""
+    def bracket(self, d: int) -> Pair:
+        """The bracketing stage-d component, as numerators over
+        gen.grid(d); brackets nest."""
         while len(self._brackets) <= d:
             k = len(self._brackets)
-            children = self.gen.near(k, self._brackets[-1] if k else UNIT)
+            # the stage-k components meeting a stage-(k-1) one are its children
+            children = (self.gen._cached_children(k, *self._brackets[-1]) if k
+                        else self.gen.near(0, 0, 1, 1))
             if not children:
                 raise BracketSearchError(
                     f"cover component vanished while refining address {self}")
@@ -532,29 +506,33 @@ class CantorAddress:
         return f"CantorAddress({self.serialize()})"
 
     @staticmethod
-    def for_component(gen: CantorGen, comp: ClosedInterval, stage: int) -> "CantorAddress":
-        """Address whose stage-`stage` bracket is the given cover component."""
+    def for_component(gen: CantorGen, comp: Pair, stage: int) -> "CantorAddress":
+        """Address whose stage-`stage` bracket is the given cover
+        component, a numerator pair over gen.grid(stage)."""
+        lo, hi = comp
         path = []
-        current = UNIT
+        children = gen.near(0, 0, 1, 1)
         # walk the ancestor chain of comp through the covers
         for k in range(stage + 1):
-            children = gen.near(k, current)
-            idx = next((i for i, c in enumerate(children)
-                        if c.contains_interval(comp)), None)
+            f = 3 ** (stage - k)
+            idx = next((i for i, (a, b) in enumerate(children)
+                        if a * f <= lo and hi <= b * f), None)
             if idx is None:
                 raise BracketSearchError("component is not part of the stage cover")
             path.append(idx)
-            current = children[idx]
+            if k < stage:
+                children = gen._cached_children(k + 1, *children[idx])
         return CantorAddress(gen, tuple(path))
 
 
 PointLike = Union[Fraction, CantorAddress]
 
 
-def point_bracket(p: PointLike, d: int) -> ClosedInterval:
+def point_bracket(p: PointLike, d: int) -> tuple[int, int, int]:
+    """(lo, hi, q): the stage-d bracket [lo/q, hi/q] of p."""
     if isinstance(p, CantorAddress):
-        return p.bracket(d)
-    return ClosedInterval(p, p)
+        return (*p.bracket(d), p.gen.grid(d))
+    return p.numerator, p.numerator, p.denominator
 
 
 def point_membership(gen: CantorGen, p: PointLike,
@@ -565,7 +543,7 @@ def point_membership(gen: CantorGen, p: PointLike,
     if p.gen is gen:
         return Membership(IN, 0)
     for d in range(max_stage + 1):
-        if not gen.near(d, p.bracket(d)):
+        if not gen.near(d, *point_bracket(p, d)):
             return Membership(OUT, d)
     return Membership(UNKNOWN, None)
 
@@ -584,20 +562,28 @@ class ScheduleEntry:
     b: PointLike
     create_stage: int
 
-    def removal_open(self, d: int) -> tuple[Fraction, Fraction]:
-        """Open interval removed at stage d >= create_stage; grows with d."""
+    def ends(self, d: int) -> tuple[int, int, int, int, int]:
+        """(a.lo, a.hi, b.lo, b.hi, q): the ends of the anchors' brackets
+        at stage max(d, create_stage), over one denominator q."""
         s = max(d, self.create_stage)
-        return (point_bracket(self.a, s).hi, point_bracket(self.b, s).lo)
+        (alo, ahi, qa), (blo, bhi, qb) = point_bracket(self.a, s), point_bracket(self.b, s)
+        q = lcm(qa, qb)
+        return alo * (q // qa), ahi * (q // qa), blo * (q // qb), bhi * (q // qb), q
 
-    def hull(self, d: int) -> ClosedInterval:
-        s = max(d, self.create_stage)
-        return ClosedInterval(point_bracket(self.a, s).lo, point_bracket(self.b, s).hi)
+    def removal_open(self, d: int) -> tuple[int, int, int]:
+        """(lo, hi, q): the open interval (lo/q, hi/q) removed at stage
+        d >= create_stage; grows with d."""
+        _, lo, hi, _, q = self.ends(d)
+        return lo, hi, q
+
+    def hull(self, d: int) -> tuple[int, int, int]:
+        lo, _, _, hi, q = self.ends(d)
+        return lo, hi, q
 
     @cached_property
-    def widest_hull(self) -> ClosedInterval:
-        """The create-stage hull, fixed once the entry exists; hulls
-        shrink as brackets nest, so it holds removal_open(d) and hull(d)
-        at every stage d."""
+    def widest_hull(self) -> tuple[int, int, int]:
+        """The create-stage hull; hulls shrink as brackets nest, so it holds
+        removal_open(d) and hull(d) at every stage d."""
         return self.hull(self.create_stage)
 
 
@@ -605,27 +591,28 @@ class ScheduleEntry:
 class RemovalSchedule:
     entries: list[ScheduleEntry] = field(default_factory=list)
     reuses: list[tuple[PointLike, int]] = field(default_factory=list)
-    # (widest_hull.lo, position) of every entry indexed so far, sorted,
-    # and the widest hull's width: a hull meeting a window starts at
-    # most that far left of it
-    _by_lo: list[tuple[Fraction, int]] = field(
-        default_factory=list, init=False, repr=False, compare=False)
-    _reach: Fraction = field(default=ZERO, init=False, repr=False, compare=False)
+    # the widest hulls of the entries indexed so far, over one denominator
+    # q: (lo, position) sorted, hi by position, q, and the widest width; a
+    # hull meeting a window starts at most that far left of it
+    _index: tuple = field(default=((), (), 1, 0), init=False, repr=False, compare=False)
 
-    def meeting(self, window: ClosedInterval,
+    def meeting(self, lo: int, hi: int, q: int,
                 live_at: Optional[int] = None) -> Iterator[ScheduleEntry]:
         """In order, the entries created by stage live_at (any, if None)
-        whose widest hull meets the closed window; no other hull meets it."""
-        # the search appends entries, so index those added since last time
-        for k in range(len(self._by_lo), len(self.entries)):
-            hull = self.entries[k].widest_hull
-            insort(self._by_lo, (hull.lo, k))
-            self._reach = max(self._reach, hull.width)
-        first = bisect_left(self._by_lo, (window.lo - self._reach,))
-        last = bisect_right(self._by_lo, (window.hi, len(self.entries)))
-        hits = sorted(k for _, k in self._by_lo[first:last]
-                      if self.entries[k].widest_hull.hi >= window.lo)
-        for k in hits:
+        whose widest hull meets the closed window [lo/q, hi/q]; no other
+        hull meets it."""
+        # the search appends entries, so index anew when it has
+        if len(self._index[1]) < len(self.entries):
+            hulls = [entry.widest_hull for entry in self.entries]
+            iq = lcm(*(h[2] for h in hulls))
+            self._index = (sorted((a * (iq // p), k) for k, (a, _, p) in enumerate(hulls)),
+                           [b * (iq // p) for _, b, p in hulls], iq,
+                           max((b - a) * (iq // p) for a, b, p in hulls))
+        by_lo, his, iq, reach = self._index
+        wlo, whi = _on(lo, hi, q, iq)
+        first = bisect_left(by_lo, (wlo - reach,))
+        last = bisect_right(by_lo, (whi, len(self.entries)))
+        for k in sorted(k for _, k in by_lo[first:last] if his[k] >= wlo):
             entry = self.entries[k]
             if live_at is None or entry.create_stage <= live_at:
                 yield entry
@@ -644,9 +631,8 @@ class IntermediateCantor(CantorGen):
 
     def __init__(self, inner: CantorGen, outer: CantorGen, budget: int,
                  search_ceiling: int = DEFAULT_SEARCH_CEILING):
-        # with inner == outer no outer endpoint lies outside the inner
-        # set, and with budget < 1 nothing is removed: either way the
-        # set would not lie strictly between its neighbours
+        # with inner == outer or budget < 1 nothing would be removed, and
+        # the set would not lie strictly between its neighbours
         if inner is outer or inner.describe() == outer.describe():
             raise ValueError("inner and outer generators must differ")
         if budget < 1:
@@ -661,6 +647,12 @@ class IntermediateCantor(CantorGen):
     def describe(self) -> str:
         return (f"IC(inner={self.inner.describe()},outer={self.outer.describe()},"
                 f"budget={self.budget})")
+
+    @cached_property
+    def _q0(self) -> int:
+        # a hole ends on the outer grid or at a rational anchor
+        return lcm(self.outer._q0, *(x.denominator for entry in self.schedule().entries
+                                     for x in (entry.a, entry.b) if isinstance(x, Fraction)))
 
     # -- schedule construction ------------------------------------------
 
@@ -688,81 +680,87 @@ class IntermediateCantor(CantorGen):
         return sched
 
     def _try_stage(self, sched: RemovalSchedule, p: PointLike,
-                   br: ClosedInterval, e: int) -> bool:
+                   br: tuple[int, int, int], e: int) -> bool:
         """Record p at stage e, as a reuse of an earlier removal that
-        swallows br or as a new entry; False if br needs refinement."""
+        swallows its bracket br = (lo, hi, q) or as a new entry; False if
+        br needs refinement."""
         # already swallowed by an earlier removal?
-        for entry in sched.meeting(br, live_at=e):
-            rlo, rhi = entry.removal_open(e)
-            if rlo < br.lo and br.hi < rhi:
+        for entry in sched.meeting(*br, live_at=e):
+            rlo, rhi, rq = entry.removal_open(e)
+            lo, hi = _on(*br, rq)
+            if rlo < lo and hi < rhi:
                 sched.reuses.append((p, entry.index))
                 return True
         gap = self._free_gap(sched, br, e)
         if gap is None:
             return False
-        a = self._anchor(gap[0], br.lo, e, left=True)
-        if a is None:
-            return False
-        b = self._anchor(br.hi, gap[1], e, left=False)
+        lo, hi, q = gap
+        f = q // br[2]
+        a = self._anchor(lo, br[0] * f, q, e, left=True)
+        b = None if a is None else self._anchor(br[1] * f, hi, q, e, left=False)
         if b is None:
             return False
         sched.entries.append(ScheduleEntry(len(sched.entries), p, a, b, e))
         return True
 
-    def _free_gap(self, sched: RemovalSchedule, br: ClosedInterval,
-                  e: int) -> Optional[tuple[Fraction, Fraction]]:
-        """Ends of the gap in [0, 1] of inner.stage(e) and the hulls live
-        at e that holds br strictly inside; None if there is none yet.
+    def _free_gap(self, sched: RemovalSchedule, br: tuple[int, int, int],
+                  e: int) -> Optional[tuple[int, int, int]]:
+        """(lo, hi, q): the gap (lo/q, hi/q) in [0, 1] of inner.stage(e)
+        and the hulls live at e that holds br strictly inside, q a multiple
+        of br's; None if there is none yet.  That is the component of
+        ``(inner ∪ hulls).complement_in(UNIT)`` holding br, found by
+        walking the inner stage-e components outward from br and clipping
+        by each hull that can still narrow it, with no cover built."""
+        blo, bhi, bq = br
+        g = self.inner.grid(e)
 
-        This is the component of ``(inner ∪ hulls).complement_in(UNIT)``
-        containing br, found by walking the inner stage-e components
-        outward from br and clipping by each hull that can still narrow
-        it; no inner cover is materialised.
-        """
         # complement_in's closure swallows isolated points, so only the
         # nondegenerate inner components bound the gap
-        def nearest(rightward: bool) -> Optional[ClosedInterval]:
-            return next((c for c in self.inner.walk(e, br.lo, rightward)
-                         if not c.is_degenerate), None)
+        def nearest(rightward: bool) -> Optional[Pair]:
+            return next((c for c in self.inner.walk(e, blo, bq, rightward)
+                         if c[0] < c[1]), None)
 
         right = nearest(True)
-        if right is not None and right.lo <= br.hi:
+        if right is not None and right[0] * bq <= bhi * g:
             return None
         left = nearest(False)
-        lo = left.hi if left is not None else ZERO
-        hi = right.lo if right is not None else ONE
+        lo = left[1] if left is not None else 0
+        hi = right[0] if right is not None else g
         # a hull outside [lo, hi], or only touching it, can neither meet
         # br nor narrow the gap, so the first window serves to the end
-        for entry in sched.meeting(ClosedInterval(lo, hi), live_at=e):
-            h = entry.hull(e)
-            if h.hi < br.lo:
-                lo = max(lo, h.hi)
-            elif h.lo > br.hi:
-                hi = min(hi, h.lo)
+        hulls = [entry.hull(e) for entry in sched.meeting(lo, hi, g, live_at=e)]
+        q = lcm(g, bq, *(h[2] for h in hulls))
+        lo, hi, blo, bhi = lo * (q // g), hi * (q // g), blo * (q // bq), bhi * (q // bq)
+        for hlo, hhi, hq in hulls:
+            f = q // hq
+            if hhi * f < blo:
+                lo = max(lo, hhi * f)
+            elif hlo * f > bhi:
+                hi = min(hi, hlo * f)
             else:
                 return None  # refine until the hull releases the point
-        if lo < br.lo and br.hi < hi:
-            return lo, hi
+        if lo < blo and bhi < hi:
+            return lo, hi, q
         return None
 
-    def _anchor(self, lo: Fraction, hi: Fraction, e: int, left: bool):
-        """Removal anchor strictly inside the open interval (lo, hi).
-
-        Returns the outer-cover component nearest the endpoint as an
-        alternating address, the interval's end x itself when the outer
-        set provably has no points strictly inside and x is not a point
-        of it, or None (needs refinement).
-        """
-        around = self.outer.near(e, ClosedInterval(lo, hi))
+    def _anchor(self, lo: int, hi: int, q: int, e: int, left: bool):
+        """Removal anchor strictly inside the open interval (lo/q, hi/q):
+        the outer-cover component nearest the endpoint as an alternating
+        address, the interval's end x itself when the outer set provably
+        has no points strictly inside and x is not a point of it, or None
+        (needs refinement)."""
+        # the outer grid points strictly inside; a component meets the
+        # open interval iff it meets the closed window they span
+        g = self.outer.grid(e)
+        glo, ghi = lo * g // q + 1, -(-hi * g // q) - 1
+        around = self.outer.near(e, glo, ghi, g)
         comps = [c for c in around
-                 if lo < c.lo and c.hi < hi and self.outer.component_persists(c, e)]
+                 if glo <= c[0] and c[1] <= ghi and self.outer.component_persists(e, *c, g)]
         if comps:
-            comp = comps[-1] if left else comps[0]
-            return CantorAddress.for_component(self.outer, comp, e)
-        # the outer set has no point strictly inside when each component
-        # near the interval meets it at an end only
-        if all(c.hi <= lo or c.lo >= hi for c in around):
-            x = lo if left else hi
+            return CantorAddress.for_component(self.outer, comps[-1] if left else comps[0], e)
+        # no component meets the open interval: no point of the set does
+        if not around:
+            x = Fraction(lo if left else hi, q)
             # only anchor on the gap edge itself when that edge is provably
             # not a point of the outer set; otherwise a degenerate hull
             # there would block the edge point's own schedule entry forever
@@ -773,31 +771,39 @@ class IntermediateCantor(CantorGen):
     # -- covers and queries ---------------------------------------------
 
     def _compute_stage(self, d: int) -> IntervalSet:
-        # every hull lies in [0, 1]
+        # every hull lies in [0, 1], and every live hole on grid(d)
+        q = self.grid(d)
         return self.outer.stage(d).subtract_opens(
-            entry.removal_open(d) for entry in self.schedule().meeting(UNIT, live_at=d))
+            q, [_on(*entry.removal_open(d), q)
+                for entry in self.schedule().meeting(0, 1, 1, live_at=d)])
 
-    def _children_of(self, d: int, comp: ClosedInterval) -> list[ClosedInterval]:
-        # the pieces beyond comp that other holes would cut do not meet comp
-        holes = [entry.removal_open(d) for entry in self.schedule().meeting(comp, live_at=d)]
-        around = self.outer.near(d, comp)
-        if not holes:
-            return around
-        pieces = IntervalSet(around).subtract_opens(holes)
-        return [c for c in pieces if c.intersects(comp)]
+    def _children_of(self, d: int, lo: int, hi: int) -> list[Pair]:
+        # the outer pieces meeting the parent less the holes meeting it;
+        # the pieces beyond it that other holes would cut do not meet it
+        p, q = self.grid(d - 1), self.grid(d)
+        pieces = [_on(a, b, self.outer.grid(d), q) for a, b in self.outer.near(d, lo, hi, p)]
+        holes = [_on(*entry.removal_open(d), q)
+                 for entry in self.schedule().meeting(lo, hi, p, live_at=d)]
+        if not (holes and pieces):
+            return pieces
+        cut = IntervalSet.over(q, *zip(*pieces)).subtract_opens(q, holes)
+        return [c for c in zip(*cut.numerators()) if c[0] <= 3 * hi and c[1] >= 3 * lo]
 
-    def component_persists(self, comp: ClosedInterval, d: int) -> bool:
+    def component_persists(self, d: int, lo: int, hi: int, q: int) -> bool:
         # slivers left beside a growing removal get eaten at deeper
         # stages, so only hull-free components are certified to survive
-        if not self.outer.component_persists(comp, d):
+        if not self.outer.component_persists(d, lo, hi, q):
             return False
-        return not any(entry.hull(d).intersects(comp)
-                       for entry in self.schedule().meeting(comp))
+        for entry in self.schedule().meeting(lo, hi, q):
+            hlo, hhi, hq = entry.hull(d)
+            wlo, whi = _on(lo, hi, q, hq)
+            if hlo <= whi and wlo <= hhi:
+                return False
+        return True
 
     def membership(self, t: Fraction, max_stage: int = DEFAULT_MAX_STAGE) -> Membership:
-        # inner first: every removal hole lies in a gap of the inner
-        # covers, so inner <= this set and an IN from the inner set is
-        # final; only the points it does not certify need the cover walk
+        # inner first: every removal hole lies in a gap of the inner covers,
+        # so inner <= this set, an IN from it is final, and only the rest walk
         inner_m = self.inner.membership(t, max_stage)
         if inner_m.is_in:
             return inner_m
@@ -809,13 +815,15 @@ class IntermediateCantor(CantorGen):
         # it with the outer set or in the first hole that opens over it
         best = self.outer.first_out(t, max_stage)
         stop = max_stage + 1 if best is None else best
-        for entry in self.schedule().meeting(ClosedInterval(t, t)):
+        n, m = t.numerator, t.denominator
+        for entry in self.schedule().meeting(n, n, m):
             for s in range(entry.create_stage, stop):
+                hlo, lo, hi, hhi, q = entry.ends(s)
+                t_lo, t_hi = _on(n, n, m, q)   # the ceiling and floor of t*q
                 # hulls nest: once t is outside one, no later hole holds it
-                if not entry.hull(s).contains(t):
+                if not (hlo <= t_hi and t_lo <= hhi):
                     break
-                lo, hi = entry.removal_open(s)
-                if lo < t < hi:
+                if lo < t_lo and t_hi < hi:
                     stop = s
                     break
         return None if stop > max_stage else stop

@@ -206,43 +206,29 @@ class IntervalSet:
         """The greatest numerator n with n/q <= p/s."""
         return p * self._q // s
 
-    def _bisect(self, t: Fraction) -> int:
-        """Index of first component with hi >= t."""
-        return bisect_left(self._hi, self._ceil(t.numerator, t.denominator))
-
-    def _index_containing(self, t: Fraction) -> Optional[int]:
-        i = self._bisect(t)
-        if i < len(self._lo) and self._lo[i] <= self._floor(t.numerator, t.denominator):
-            return i
-        return None
-
     def contains_point(self, t: Fraction) -> bool:
-        return self._index_containing(t) is not None
+        return self.meets(t.numerator, t.numerator, t.denominator)
 
     def component_containing(self, t: Fraction) -> Optional[ClosedInterval]:
-        i = self._index_containing(t)
-        return None if i is None else self[i]
+        ks = self.overlapping(t.numerator, t.numerator, t.denominator)
+        return self[ks.start] if ks else None
 
-    def overlapping(self, window: ClosedInterval) -> range:
-        """Indices of the components intersecting the closed window."""
-        last = bisect_right(self._lo, self._floor(window.hi.numerator, window.hi.denominator))
-        return range(self._bisect(window.lo), last)
-
-    def components_overlapping(self, window: ClosedInterval) -> list[ClosedInterval]:
-        """Components intersecting the closed window, in order."""
-        return [self[k] for k in self.overlapping(window)]
+    def overlapping(self, lo: int, hi: int, q: int) -> range:
+        """Indices of the components meeting the closed window [lo/q, hi/q]."""
+        return range(bisect_left(self._hi, self._ceil(lo, q)),
+                     bisect_right(self._lo, self._floor(hi, q)))
 
     def meets(self, lo: int, hi: int, q: int) -> bool:
         """Whether some component meets the closed interval [lo/q, hi/q]."""
         i = bisect_left(self._hi, self._ceil(lo, q))
         return i < len(self._hi) and self._lo[i] <= self._floor(hi, q)
 
-    def outward(self, t: Fraction, rightward: bool) -> range:
-        """Indices of the components from t outward: ascending those with
-        hi >= t, or descending those with lo <= t."""
+    def outward(self, n: int, q: int, rightward: bool) -> range:
+        """Indices of the components from n/q outward: ascending those
+        with hi >= n/q, or descending those with lo <= n/q."""
         if rightward:
-            return range(self._bisect(t), len(self._lo))
-        return range(bisect_right(self._lo, self._floor(t.numerator, t.denominator)) - 1, -1, -1)
+            return range(bisect_left(self._hi, self._ceil(n, q)), len(self._lo))
+        return range(bisect_right(self._lo, self._floor(n, q)) - 1, -1, -1)
 
     def issubset(self, other: "IntervalSet") -> bool:
         q = lcm(self._q, other._q)
@@ -275,7 +261,7 @@ class IntervalSet:
     def intersect_interval(self, window: ClosedInterval) -> "IntervalSet":
         q, f, wlo, whi = self._window(window)
         return IntervalSet._of_pairs(q, [(max(self._lo[k] * f, wlo), min(self._hi[k] * f, whi))
-                                         for k in self.overlapping(window)])
+                                         for k in self.overlapping(wlo, whi, q)])
 
     def complement_in(self, window: ClosedInterval) -> "IntervalSet":
         """Closure of window minus self, as a normalized IntervalSet.
@@ -287,7 +273,7 @@ class IntervalSet:
         q, f, wlo, whi = self._window(window)
         gaps: list[tuple[int, int]] = []
         cursor = wlo
-        for k in self.overlapping(window):
+        for k in self.overlapping(wlo, whi, q):
             lo, hi = max(self._lo[k] * f, wlo), min(self._hi[k] * f, whi)
             if lo > cursor:
                 gaps.append((cursor, lo))
@@ -300,21 +286,21 @@ class IntervalSet:
 
     def subtract_open(self, lo: Fraction, hi: Fraction) -> "IntervalSet":
         """Remove the open interval (lo, hi); endpoints lo, hi survive."""
-        return self.subtract_opens([(lo, hi)])
+        q = lcm(self._q, lo.denominator, hi.denominator)
+        return self.subtract_opens(q, [(_over(q, lo), _over(q, hi))])
 
-    def subtract_opens(self, holes: Iterable[tuple[Fraction, Fraction]]) -> "IntervalSet":
-        """Remove every open interval (lo, hi) of holes in one sorted sweep.
+    def subtract_opens(self, q: int, holes: Iterable[tuple[int, int]]) -> "IntervalSet":
+        """Remove every open interval (lo/q, hi/q) of holes in one sorted
+        sweep, over q, a multiple of the set's denominator.
 
         Holes may overlap, nest, touch or be empty (lo >= hi); the result
         is the same as subtracting them one at a time.  Runs of
         components that no hole meets are copied as they are.
         """
-        holes = list(holes)
-        q = lcm(self._q, *(x.denominator for hole in holes for x in hole))
         # merge overlapping holes into disjoint open intervals; holes that
         # only touch stay apart, since their shared end point survives
         merged: list[list[int]] = []
-        for a, b in sorted((_over(q, lo), _over(q, hi)) for lo, hi in holes):
+        for a, b in sorted(holes):
             if a >= b:
                 continue
             if merged and a < merged[-1][1]:

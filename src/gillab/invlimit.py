@@ -41,6 +41,8 @@ class Thread:
     def __post_init__(self):
         if not (self.is_zero or self.tail_period):
             raise ValueError("a nonzero thread needs a nonempty tail period")
+        if self.is_zero and (self.prefix or self.tail_period):
+            raise ValueError("the zero thread has no prefix or tail period")
         if not all(ZERO <= x <= ONE for x in self.prefix + self.tail_period):
             raise ValueError("thread coordinates must lie in [0, 1]")
 

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -25,9 +26,55 @@ from gillab.cantor import (
     ScheduleEntry,
     _ternary_exit,
     build_family,
+    point_bracket,
     point_membership,
 )
 from gillab.exact import ClosedInterval, IntervalSet, UNIT
+
+
+# the local cover tree answers in ints; these read its answers as
+# ClosedIntervals and give it rational windows as (lo, hi, q)
+
+
+def interval(lo: int, hi: int, q: int) -> ClosedInterval:
+    return ClosedInterval(F(lo, q), F(hi, q))
+
+
+def window(w: ClosedInterval) -> tuple[int, int, int]:
+    q = lcm(w.lo.denominator, w.hi.denominator)
+    return w.lo.numerator * (q // w.lo.denominator), w.hi.numerator * (q // w.hi.denominator), q
+
+
+def on_grid(gen, d: int, c: ClosedInterval) -> tuple[int, int]:
+    """A stage-d component as numerators over gen.grid(d)."""
+    q = gen.grid(d)
+    return int(c.lo * q), int(c.hi * q)
+
+
+def near(gen, d: int, w: ClosedInterval) -> list[ClosedInterval]:
+    return [interval(lo, hi, gen.grid(d)) for lo, hi in gen.near(d, *window(w))]
+
+
+def walk(gen, d: int, x: F, rightward: bool) -> list[ClosedInterval]:
+    return [interval(lo, hi, gen.grid(d))
+            for lo, hi in gen.walk(d, x.numerator, x.denominator, rightward)]
+
+
+def bracket(p, d: int) -> ClosedInterval:
+    return interval(*point_bracket(p, d))
+
+
+def hole(entry: ScheduleEntry, d: int) -> tuple[F, F]:
+    lo, hi, q = entry.removal_open(d)
+    return F(lo, q), F(hi, q)
+
+
+def hull(entry: ScheduleEntry, d: int) -> ClosedInterval:
+    return interval(*entry.hull(d))
+
+
+def overlapping(cover: IntervalSet, w: ClosedInterval) -> list[ClosedInterval]:
+    return [cover[k] for k in cover.overlapping(*window(w))]
 
 
 def ternary_in_standard(u: F) -> bool:
@@ -187,7 +234,8 @@ class TestGapAttached:
             family.c0.gap_of(t)
 
     def test_attachment_bases_for_central_gap(self, family):
-        ka, kb = family.c0.attachments((F(5, 12), F(7, 12)))
+        q = family.c0.grid(1)   # the gap (5/12, 7/12) of generation 1
+        ka, kb = family.c0.attachments(1, 5 * q // 12, 7 * q // 12)
         assert ka.base == ClosedInterval(F(5, 12), F(17, 36))
         assert kb.base == ClosedInterval(F(19, 36), F(7, 12))
 
@@ -211,17 +259,17 @@ class TestAddresses:
         addr = CantorAddress(family.c0, (1,))
         widths = []
         for d in range(10):
-            br = addr.bracket(d)
+            br = bracket(addr, d)
             widths.append(br.width)
             if d:
-                assert addr.bracket(d - 1).contains_interval(br)
+                assert bracket(addr, d - 1).contains_interval(br)
         assert widths[9] < widths[0] / 100
 
     def test_limit_point_interior(self, family):
         # alternating tails denote non-endpoints: both bracket ends move
         addr = CantorAddress(family.c0, (1,))
-        first = addr.bracket(0)
-        later = addr.bracket(12)
+        first = bracket(addr, 0)
+        later = bracket(addr, 12)
         assert later.lo > first.lo and later.hi < first.hi
 
     def test_serialize(self, family):
@@ -229,12 +277,12 @@ class TestAddresses:
 
     def test_for_component_round_trip(self, family):
         comp = family.c0.stage(3).components[5]
-        addr = CantorAddress.for_component(family.c0, comp, 3)
-        assert addr.bracket(3) == comp
+        addr = CantorAddress.for_component(family.c0, on_grid(family.c0, 3, comp), 3)
+        assert bracket(addr, 3) == comp
 
     def test_point_membership_of_address(self, family):
         comp = family.c1.stage(2).components[0]
-        addr = CantorAddress.for_component(family.c1, comp, 2)
+        addr = CantorAddress.for_component(family.c1, on_grid(family.c1, 2, comp), 2)
         # a point of the smallest set lies in every family member
         assert not point_membership(family.c0, addr).is_out
         assert point_membership(family.c1, addr).is_in
@@ -264,8 +312,8 @@ class TestIntermediate:
 
     def test_removals_grow(self, family):
         entry = family.member(F(1, 2)).schedule().entries[1]
-        lo1, hi1 = entry.removal_open(entry.create_stage)
-        lo2, hi2 = entry.removal_open(entry.create_stage + 4)
+        lo1, hi1 = hole(entry, entry.create_stage)
+        lo2, hi2 = hole(entry, entry.create_stage + 4)
         assert lo2 <= lo1 and hi1 <= hi2 and lo1 < hi1
 
     def test_strictly_between_neighbors(self, family):
@@ -337,7 +385,7 @@ def per_hole_stage(gen, d: int) -> IntervalSet:
     for entry in gen.schedule().entries:
         if entry.create_stage > d:
             continue
-        lo, hi = entry.removal_open(d)
+        lo, hi = hole(entry, d)
         out = []
         for c in cov:
             if c.hi <= lo or c.lo >= hi:
@@ -370,7 +418,7 @@ def cover_first_point(gen, p, max_stage: int) -> Membership:
     if p.gen is gen:
         return Membership(IN, 0)
     for d in range(max_stage + 1):
-        if not gen.stage(d).components_overlapping(p.bracket(d)):
+        if not overlapping(gen.stage(d), bracket(p, d)):
             return Membership(OUT, d)
     return Membership(UNKNOWN, None)
 
@@ -383,7 +431,7 @@ class TestSweptCovers:
             for d in range(11):
                 assert gen.stage(d).to_text() == per_hole_stage(gen, d).to_text(), (r, d)
                 if isinstance(gen, IntermediateCantor):
-                    holes = sorted(e.removal_open(d) for e in gen.schedule().entries
+                    holes = sorted(hole(e, d) for e in gen.schedule().entries
                                    if e.create_stage <= d)
                     overlaps += sum(c < b for (_, b), (c, _) in zip(holes, holes[1:]))
         # the sweep must carry a running right end: removal holes overlap
@@ -409,8 +457,8 @@ def hole_points(fam, max_stage: int) -> list[F]:
             continue
         for entry in gen.schedule().entries:
             for s in range(entry.create_stage, max_stage + 1):
-                lo, hi = entry.removal_open(s)
-                h = entry.hull(s)
+                lo, hi = hole(entry, s)
+                h = hull(entry, s)
                 points.update((lo, hi, (lo + hi) / 2, h.lo, h.hi, (h.lo + h.hi) / 2,
                                (h.lo + lo) / 2, (hi + h.hi) / 2))
     return sorted(points)
@@ -451,7 +499,7 @@ class TestInnerFirstMembership:
     def test_addresses_through_point_membership(self, family, max_stage):
         points = [p for r in family.grid()
                   for p in family.member(r).endpoints(12)]
-        points += [CantorAddress.for_component(family.c1, c, 3)
+        points += [CantorAddress.for_component(family.c1, on_grid(family.c1, 3, c), 3)
                    for c in family.c1.stage(3).components[::3]]
         for r in family.grid():
             gen = family.member(r)
@@ -534,7 +582,7 @@ class TestFirstOut:
         c0 = fam.c0
         points = first_out_points(fam, max_stage)
         gens = [fam.member(r) for r in fam.grid()]
-        gens += list(c0.attachments(c0.core.gap_of(F(1, 2))))
+        gens += list(c0.attachments(*c0._core_exit(1, 2, None)))
         for gen in gens:
             for t in points:
                 want = cover_exit(gen, t, max_stage)
@@ -554,7 +602,7 @@ class TestFirstOut:
         # gap_of answers None exactly on the points that never leave the
         # covers, and a gap it returns holds t
         c0 = family.c0
-        gens = [family.c1, c0, *c0.attachments(c0.core.gap_of(F(1, 2)))]
+        gens = [family.c1, c0, *c0.attachments(*c0._core_exit(1, 2, None))]
         for gen in gens:
             for t in first_out_points(family, 10):
                 if isinstance(gen, MiddleThirds) and not gen.base.contains(t):
@@ -573,7 +621,7 @@ class TestFirstOut:
     def test_integer_walks_match_fraction_walks(self, pq):
         u = F(*pq)
         inside, depth = fraction_standard_membership(u)
-        hit = _ternary_exit(u, None)
+        hit = _ternary_exit(u.numerator, u.denominator, None)
         assert (hit is None) == inside
         if not inside:
             assert hit[0] == depth
@@ -595,7 +643,7 @@ class TestCoverGaps:
         # C_1, C_0 and the attachments that TestFirstOut probes; no
         # intermediate set claims this
         c0 = family.c0
-        gens = [family.c1, c0, *c0.attachments(c0.core.gap_of(F(1, 2)))]
+        gens = [family.c1, c0, *c0.attachments(*c0._core_exit(1, 2, None))]
         for gen in gens:
             for d in range(10):
                 cover = gen.stage(d)
@@ -611,7 +659,7 @@ def scan_meeting(sched: RemovalSchedule, window: ClosedInterval, live_at):
     """The hole query as a scan of every entry."""
     return [entry for entry in sched.entries
             if (live_at is None or entry.create_stage <= live_at)
-            and entry.widest_hull.intersects(window)]
+            and interval(*entry.widest_hull).intersects(window)]
 
 
 def meeting_windows(sched: RemovalSchedule, rnd: random.Random) -> list[ClosedInterval]:
@@ -620,7 +668,7 @@ def meeting_windows(sched: RemovalSchedule, rnd: random.Random) -> list[ClosedIn
         a, b = sorted(F(rnd.randrange(4097), 4096) for _ in range(2))
         windows += [ClosedInterval(a, b), ClosedInterval(a, a)]
     for entry in sched.entries:
-        h = entry.widest_hull   # windows at, inside and just beside a hull
+        h = interval(*entry.widest_hull)   # windows at, inside and just beside a hull
         windows += [ClosedInterval(h.lo, h.lo), ClosedInterval(h.hi, h.hi),
                     ClosedInterval(h.hi + F(1, 3 ** 12), h.hi + F(1, 3 ** 11)),
                     ClosedInterval(h.lo - F(1, 3 ** 11), h.lo - F(1, 3 ** 12)),
@@ -644,7 +692,7 @@ class TestHoleIndex:
             for w in windows:
                 for live_at in [None, *range(16)]:
                     want = scan_meeting(sched, w, live_at)
-                    assert list(sched.meeting(w, live_at)) == want, (w, live_at)
+                    assert list(sched.meeting(*window(w), live_at)) == want, (w, live_at)
                     hits += len(want)
             # the index follows appends, as while the search builds it
             grown = RemovalSchedule()
@@ -652,7 +700,7 @@ class TestHoleIndex:
                 grown.entries.append(entry)
                 for w in windows[::7]:
                     for live_at in (None, entry.create_stage, 15):
-                        assert (list(grown.meeting(w, live_at))
+                        assert (list(grown.meeting(*window(w), live_at))
                                 == scan_meeting(grown, w, live_at)), (w, live_at)
         assert hits > 0
 
@@ -708,7 +756,7 @@ def assert_near_matches(level: int, max_depth: int) -> None:
                 if d <= 6:
                     windows.append(UNIT)
                 for w in windows:
-                    assert gen.near(d, w) == cover.components_overlapping(w), (r, d, w)
+                    assert near(gen, d, w) == overlapping(cover, w), (r, d, w)
 
 
 class TestNear:
@@ -720,12 +768,12 @@ class TestNear:
 
     def test_negative_depth_rejected(self, family):
         with pytest.raises(ValueError):
-            family.c1.near(-1, UNIT)
+            family.c1.near(-1, 0, 1, 1)
 
     def test_deep_descent_is_a_loop(self):
         # a descent 1200 levels deep needs no stack frame per level; a
         # non-endpoint of C_1 lies in exactly one component at any depth
-        comps = MiddleThirds(C1_BASE).near(1200, ClosedInterval(F(3, 8), F(3, 8)))
+        comps = MiddleThirds(C1_BASE).near(1200, 3, 3, 8)
         assert len(comps) == 1
 
     def test_walk_matches_the_cover(self, family):
@@ -739,8 +787,8 @@ class TestNear:
                     for x in (c.lo, (c.lo + c.hi) / 2, c.hi):
                         right = [k for k in cover if k.hi >= x]
                         left = [k for k in reversed(cover) if k.lo <= x]
-                        assert list(gen.walk(d, x, True)) == right, (d, x)
-                        assert list(gen.walk(d, x, False)) == left, (d, x)
+                        assert walk(gen, d, x, True) == right, (d, x)
+                        assert walk(gen, d, x, False) == left, (d, x)
 
 
 def synthetic_intermediate(seed: int, count: int = 14) -> IntermediateCantor:
@@ -776,12 +824,11 @@ class TestSyntheticSchedules:
                 a, b = sorted(F(rnd.randrange(163), 162) for _ in range(2))
                 windows.append(ClosedInterval(a, b))
             for w in windows:
-                assert gen.near(d, w) == cover.components_overlapping(w), (d, w)
+                assert near(gen, d, w) == overlapping(cover, w), (d, w)
             for w in windows[::3]:
                 x = w.lo
-                assert list(gen.walk(d, x, True)) == [c for c in comps if c.hi >= x]
-                assert list(gen.walk(d, x, False)) == [c for c in reversed(comps)
-                                                       if c.lo <= x]
+                assert walk(gen, d, x, True) == [c for c in comps if c.hi >= x]
+                assert walk(gen, d, x, False) == [c for c in reversed(comps) if c.lo <= x]
             assert len(gen._stage_memo) == 1
         assert degenerate > 0
 
@@ -804,7 +851,8 @@ class TestSyntheticSchedules:
             points += [F(rnd.randrange(163), 162) for _ in range(60)]
             for x in points:
                 for br in (ClosedInterval(x, x), ClosedInterval(x, x + F(1, 729))):
-                    got = hosts[0]._free_gap(sched, br, e)
+                    got = hosts[0]._free_gap(sched, window(br), e)
+                    got = got and (F(got[0], got[2]), F(got[1], got[2]))
                     assert got == reference_gap(hosts[1], live, br, e), (e, br)
                     found += got is not None
         assert found > 50
@@ -816,7 +864,7 @@ class TestSyntheticSchedules:
         windows = [ClosedInterval(*sorted(F(rnd.randrange(163), 162) for _ in range(2)))
                    for _ in range(200)]
         for entry in gen.schedule().entries:
-            h = entry.widest_hull   # windows touching a hull at one end
+            h = interval(*entry.widest_hull)   # windows touching a hull at one end
             windows += [ClosedInterval(h.hi, h.hi + F(1, 729)),
                         ClosedInterval(h.lo - F(1, 729), h.lo)]
         assert_persists_matches_scan(gen, windows, range(6))
@@ -828,9 +876,9 @@ def assert_persists_matches_scan(gen: IntermediateCantor, windows, depths):
     seen = set()
     for d in depths:
         for w in windows:
-            want = gen.outer.component_persists(w, d) and not any(
-                entry.hull(d).intersects(w) for entry in gen.schedule().entries)
-            assert gen.component_persists(w, d) == want, (d, w)
+            want = gen.outer.component_persists(d, *window(w)) and not any(
+                hull(entry, d).intersects(w) for entry in gen.schedule().entries)
+            assert gen.component_persists(d, *window(w)) == want, (d, w)
             seen.add(want)
     assert seen == {True, False}
 
@@ -840,7 +888,7 @@ def sorted_ga_stage(ga: GapAttachedCantor, d: int) -> IntervalSet:
     comps = list(ga.core.stage(d))
     for g in range(d + 1):
         for gap in ga.gaps_of_generation(g):
-            for k in ga.attachments(gap):
+            for k in ga.attachments(g, *gap):
                 comps.extend(k.stage(d - g))
     return IntervalSet(comps)
 
@@ -855,12 +903,12 @@ class TestOrderedGapAttachedCover:
         c0 = family.c0
         for g in range(8):
             for gap in c0.gaps_of_generation(g):
-                assert c0._core_exit((gap[0] + gap[1]) / 2, g) == (g, gap), (g, gap)
+                assert c0._core_exit(gap[0] + gap[1], 2 * c0.grid(g), g) == (g, *gap), (g, gap)
 
 
 def reference_gap(gen: IntermediateCantor, live, br: ClosedInterval, e: int):
     """The gap lookup as a union and complement over all of [0, 1]."""
-    hulls = [entry.hull(e) for entry in live]
+    hulls = [hull(entry, e) for entry in live]
     if any(h.intersects(br) for h in hulls):
         return None
     blocked = IntervalSet.union_of((gen.inner.stage(e), IntervalSet(hulls)))
@@ -875,7 +923,7 @@ def reference_reuse(sched, br: ClosedInterval, e: int):
     every entry."""
     for entry in sched.entries:
         if entry.create_stage <= e:
-            rlo, rhi = entry.removal_open(e)
+            rlo, rhi = hole(entry, e)
             if rlo < br.lo and br.hi < rhi:
                 return entry.index
     return None
@@ -890,12 +938,13 @@ class TestScheduleSearch:
         def checked_gap(self, sched, br, e):
             got = free_gap(self, sched, br, e)
             live = [entry for entry in sched.entries if entry.create_stage <= e]
-            assert got == reference_gap(self, live, br, e), (self.describe(), br, e)
+            assert (got and (F(got[0], got[2]), F(got[1], got[2]))) == reference_gap(
+                self, live, interval(*br), e), (self.describe(), br, e)
             tries["gap"] += 1
             return got
 
         def checked_try(self, sched, p, br, e):
-            want = reference_reuse(sched, br, e)
+            want = reference_reuse(sched, interval(*br), e)
             before, entries_before = len(sched.reuses), len(sched.entries)
             recorded = try_stage(self, sched, p, br, e)
             # a try records one thing or nothing: a reuse, or a new entry
@@ -943,5 +992,5 @@ class TestComponentPersists:
                 # schedule search asks
                 windows = sample_windows(gen.outer.stage(min(d, 6)), 20)
                 windows += [c for entry in gen.schedule().entries
-                            for c in gen.outer.near(d, entry.widest_hull)]
+                            for c in near(gen.outer, d, interval(*entry.widest_hull))]
                 assert_persists_matches_scan(gen, windows, [d])

@@ -238,6 +238,8 @@ def test_export_bytes(tmp_path, args, threads, digest):
     # only the keys to_json_obj writes: a misspelled prefix is no empty one
     (["verify", "arcs"], '[{"prefx": ["1/64", "1/32", "1/16"], "tailPeriod": ["1/4", "3/4"]}]'),
     (["verify", "arcs"], '[{"prefix": [], "tailStart": 2, "tailPeriod": ["1/4", "3/4"]}]'),
+    # every coordinate of the zero thread is 0: it carries none of its own
+    (["verify", "arcs"], '[{"isZero": true, "prefix": ["1/2"], "tailPeriod": ["1/4", "3/4"]}]'),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, args, threads):
     if threads is not None:

@@ -23,8 +23,8 @@ def family_with_hole_on_inner_cover():
     mid = fam.member(F(1, 2))
     for entry in mid.schedule().entries:
         s = entry.create_stage
-        hole_lo, _ = entry.removal_open(s)
-        left = [c for c in fam.c1.stage(s) if c.hi < hole_lo]
+        hole_lo, _, q = entry.removal_open(s)
+        left = [c for c in fam.c1.stage(s) if c.hi < F(hole_lo, q)]
         if left and isinstance(entry.a, CantorAddress) and s <= 4:
             c = left[-1]
             entry.a = (c.lo + c.hi) / 2
