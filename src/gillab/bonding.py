@@ -375,16 +375,20 @@ def check_light(m: SetValuedMap, y_grid: int, stage: int) -> dict:
     """Point-preimage interior check, split by mode.
 
     Zero mode is reported not light with an explicit gap witness for the
-    value 0.  Tent mode bounds every positive grid value's preimage by a
-    thin stage cover plus finitely many exact tent-leg points.
+    value 0: the gap of C0 holding 1/2, certified nondegenerate and with
+    F its singleton 0 at its midpoint.  Tent mode bounds every positive
+    grid value's preimage by a thin stage cover plus finitely many exact
+    tent-leg points.
     """
     c0 = m.family.c0
     if m.mode == "zero":
-        a, b = c0.gap_of(Fraction(1, 2))
+        gap = c0.gap_of(Fraction(1, 2))
+        ok = (gap is not None and gap[0] < gap[1]
+              and eval_F(m, (gap[0] + gap[1]) / 2).point_value == ZERO)
         return {"light": False, "mode": "zero",
                 "witness_value": "0",
-                "witness_interval": [str(a), str(b)],
-                "ok": True}
+                "witness_interval": [str(e) for e in gap] if gap else None,
+                "ok": ok}
     grid = m.positive_grid(m.family.level)
     # the stage cover's gaps are the maximal gaps of {0}+C0+{1} it
     # leaves, and a tent's height depends on its gap's width alone

@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .bonding import MIN_C0, SetValuedMap, eval_F
@@ -289,14 +290,33 @@ def verify_arc_chain(sys: ArcSystem) -> dict:
 # finite box covers of the inverse limit
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoxCover:
-    """Outer cover of truncated threads by boxes with exact corners."""
+    """Outer cover of truncated threads by boxes with exact corners.
+
+    Box k is the tuple of ranked[r] over the ``dimension`` digits r of
+    keys[k] in base len(ranked), leading digit first.  The intervals
+    ascend and the keys ascend, so the boxes come in coordinate-tuple
+    order.  ``csv_rows`` renders from the keys; ``boxes`` makes the
+    tuples at the edge, for the queries that read them.
+    """
 
     dimension: int
-    boxes: list[tuple[ClosedInterval, ...]]
+    ranked: tuple[ClosedInterval, ...]
+    keys: list[int]
     stage: int
     level: int
+
+    @cached_property
+    def boxes(self) -> list[tuple[ClosedInterval, ...]]:
+        """The boxes in key order; boxes that agree on their leading or
+        their last two coordinates share that part's intervals."""
+        ranked = self.ranked
+
+        def intervals(ranks) -> tuple[ClosedInterval, ...]:
+            return tuple(ranked[r] for r in ranks)
+
+        return self._rows(intervals, intervals)
 
     def contains_tuple(self, xs: list[Fraction]) -> bool:
         if len(xs) != self.dimension:
@@ -309,19 +329,36 @@ class BoxCover:
 
     def csv_rows(self) -> list[str]:
         head = ",".join(f"x{i}_lo,x{i}_hi" for i in range(self.dimension))
-        rows = [head]
-        # boxes share their interval objects, so each one is rendered
-        # once; the boxes keep every keyed object alive for the call
-        text: dict[int, str] = {}
-        for box in self.boxes:
-            parts = []
-            for iv in box:
-                part = text.get(id(iv))
-                if part is None:
-                    part = text[id(iv)] = f"{iv.lo},{iv.hi}"
-                parts.append(part)
-            rows.append(",".join(parts))
+        texts = [f"{iv.lo},{iv.hi}" for iv in self.ranked]
+        # a front is empty in dimension 2, so it carries its own commas
+        return [head] + self._rows(lambda ranks: "".join(texts[r] + "," for r in ranks),
+                                   lambda ranks: ",".join(texts[r] for r in ranks))
+
+    def _rows(self, front_of, back_of) -> list:
+        """front_of(leading ranks) + back_of(last two ranks) for each key.
+        One divmod splits a key, and each distinct part is made once."""
+        base = len(self.ranked)
+        lead, split = self.dimension - 2, base * base
+        fronts, backs, rows = {}, {}, []
+        for key in self.keys:
+            front, back = divmod(key, split)
+            f = fronts.get(front)
+            if f is None:
+                f = fronts[front] = front_of(_digits(front, lead, base))
+            b = backs.get(back)
+            if b is None:
+                b = backs[back] = back_of(divmod(back, base))
+            rows.append(f + b)
         return rows
+
+
+def _digits(key: int, count: int, base: int) -> list[int]:
+    """The last ``count`` digits of key in base ``base``, leading digit first."""
+    out = []
+    for _ in range(count):
+        key, r = divmod(key, base)
+        out.append(r)
+    return out[::-1]
 
 
 def mahavier_cover(m: SetValuedMap, n: int, stage: int, level: int,
@@ -369,37 +406,7 @@ def mahavier_cover(m: SetValuedMap, n: int, stage: int, level: int,
         last = [j for i in last for j, _ in heads[i]]
     keys = [key * base + rank[id(xs[i])] for key, i in zip(keys, last)]
     keys.sort()
-    return BoxCover(n + 1, _decode(keys, ranked, n + 1), stage, level)
-
-
-def _decode(keys: list[int], ranked: list[ClosedInterval],
-            length: int) -> list[tuple[ClosedInterval, ...]]:
-    """The interval tuples whose ranks are the base-len(ranked) digits of
-    each key; the leading and the last two coordinates are each decoded
-    once per distinct value."""
-    base = len(ranked)
-
-    def tup(key: int, count: int) -> tuple[ClosedInterval, ...]:
-        out = []
-        for _ in range(count):
-            key, r = divmod(key, base)
-            out.append(ranked[r])
-        return tuple(reversed(out))
-
-    split = base * base
-    fronts: dict[int, tuple] = {}
-    backs: dict[int, tuple] = {}
-    boxes = []
-    for key in keys:
-        front, back = divmod(key, split)
-        f = fronts.get(front)
-        if f is None:
-            f = fronts[front] = tup(front, length - 2)
-        b = backs.get(back)
-        if b is None:
-            b = backs[back] = tup(back, 2)
-        boxes.append(f + b)
-    return boxes
+    return BoxCover(n + 1, tuple(ranked), keys, stage, level)
 
 
 def check_treelike_hypotheses(m: SetValuedMap, stage: int) -> dict:

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from fractions import Fraction as F
 
@@ -12,7 +13,6 @@ from gillab.invlimit import (
     TREELIKE_GAP_STAGE,
     ZERO_THREAD,
     ArcSystem,
-    BoxCover,
     Thread,
     arc_params,
     arc_points,
@@ -216,10 +216,9 @@ def all_pairs_chains(gboxes, n):
     return out
 
 
-def csv_reference(cover: BoxCover) -> list[str]:
-    head = ",".join(f"x{i}_lo,x{i}_hi" for i in range(cover.dimension))
-    return [head] + [",".join(f"{iv.lo},{iv.hi}" for iv in box)
-                     for box in cover.boxes]
+def csv_reference(dimension: int, boxes) -> list[str]:
+    head = ",".join(f"x{i}_lo,x{i}_hi" for i in range(dimension))
+    return [head] + [",".join(f"{iv.lo},{iv.hi}" for iv in box) for box in boxes]
 
 
 @pytest.fixture(scope="module")
@@ -236,8 +235,20 @@ def test_mahavier_matches_all_pairs_enumeration(family, level3_family, level, mo
         for n in (1, 2, 3):
             cov = mahavier_cover(m, n, stage, level)
             assert cov.boxes == expected[n], (stage, n)
-            ref = BoxCover(n + 1, expected[n], stage, level)
-            assert cov.csv_rows() == csv_reference(ref), (stage, n)
+            assert cov.csv_rows() == csv_reference(n + 1, expected[n]), (stage, n)
+
+
+# sha256 of `gillab export mahavier --level 3 --budget 56 --stage 3 --n 3`
+BENCH_MAHAVIER_SHA256 = "a7ea747fc29b24598d90a6eaaae081463e0b7c41d2071d33d9a9af5e042b93d5"
+
+
+def test_bench_configuration_csv_is_rendered_from_the_keys(level3_family):
+    cover = mahavier_cover(make_map("zero", level3_family), 3, 3, 3)
+    text = "\n".join(cover.csv_rows()) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == BENCH_MAHAVIER_SHA256
+    assert len(cover.keys) == 156107
+    # the CSV path decodes no key into a box tuple
+    assert "boxes" not in vars(cover)
 
 
 class TestTreelike:

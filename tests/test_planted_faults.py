@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from gillab import bonding, cli, invlimit
-from gillab.bonding import FBracket, check_not_almost_nonfissile, make_map
+from gillab.bonding import FBracket, check_light, check_not_almost_nonfissile, make_map
 from gillab.cantor import CantorAddress, build_family
 from gillab.exact import ClosedInterval, IntervalSet
 
@@ -113,6 +113,29 @@ def test_graph_below_the_box_fails_not_almost_nonfissile(monkeypatch):
     rep = check_not_almost_nonfissile(m)
     assert rep["sampled_points"] > 0
     assert not rep["ok"] and rep["fissile_failures"]
+
+
+def test_nonsingleton_on_the_witness_gap_fails_verify_light(monkeypatch):
+    args = ["verify", "light", "--level", "1", "--budget", "24", "--stage", "4"]
+    m = make_map("zero", build_family(1, 24, 15))
+    assert check_light(m, 16, 4)["ok"]
+    assert CliRunner().invoke(cli.main, args).exit_code == 0
+    original = bonding.eval_F
+
+    # F(1/2) = [0, 1/4]: the midpoint of the zero-mode witness gap
+    # (17/36, 19/36) no longer maps to the singleton 0
+    def planted(m, t, *args):
+        return FBracket(F(0), F(1, 4)) if t == F(1, 2) else original(m, t, *args)
+
+    monkeypatch.setattr(bonding, "eval_F", planted)
+    rep = check_light(m, 16, 4)
+    assert rep["witness_interval"] == ["17/36", "19/36"]
+    assert not rep["ok"]
+    res = CliRunner().invoke(cli.main, args)
+    assert res.exit_code == cli.EXIT_VERIFY_FAILED, res.output
+    report = json.loads(res.output)
+    assert not report["ok"] and not report["suites"]["light"]["ok"]
+    assert report["suites"]["light"]["tent"]["ok"]
 
 
 def test_uncertified_step_fails_verify_arcs(tmp_path):
