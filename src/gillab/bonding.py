@@ -24,10 +24,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Optional
 
-from .cantor import CantorFamily, DEFAULT_MAX_STAGE
-from .exact import UNIT, ClosedInterval, ONE, ZERO
+from .cantor import CantorFamily, CantorGen, DEFAULT_MAX_STAGE
+from .exact import UNIT, ClosedInterval, ONE, ZERO, _over
 
 MAX_TENT_HEIGHT = Fraction(1, 32)
 MIN_C0 = Fraction(1, 8)
@@ -50,9 +51,17 @@ def _f_in_gap(m: SetValuedMap, t: Fraction,
     """The base map at t, given gap = ``c0.gap_of(t)`` (None on C0)."""
     if gap is None or m.mode == "zero":
         return ZERO
+    # t, a and b as n, lo and hi over q: the tent of width w = (hi - lo)/q
+    # rises linearly from both ends to its apex at (a + b) / 2, so its
+    # value is _tent_height(w) * (w - d/q) / w for d = |2n - lo - hi|
     a, b = gap
-    # the tent rises linearly from both ends to its apex at (a + b) / 2
-    return _tent_height(b - a) * (1 - abs(2 * t - a - b) / (b - a))
+    q = lcm(t.denominator, a.denominator, b.denominator)
+    n, lo, hi = _over(q, t), _over(q, a), _over(q, b)
+    w, rise = hi - lo, hi - lo - abs(2 * n - lo - hi)
+    h = MAX_TENT_HEIGHT
+    if w * h.denominator <= 4 * q * h.numerator:   # _tent_height(w) = w / 4
+        return Fraction(rise, 4 * q)
+    return Fraction(rise * h.numerator, w * h.denominator)
 
 
 def eval_f(m: SetValuedMap, t: Fraction) -> Fraction:
@@ -89,12 +98,21 @@ class SetValuedMap:
         self.family = family
         self.f_sup = ZERO if mode == "zero" else MAX_TENT_HEIGHT
         self._cover_cache: dict[tuple[int, int], "GraphCover"] = {}
+        self._grid_members: dict[int, list[tuple[Fraction, CantorGen]]] = {}
 
     def positive_grid(self, level: int) -> list[Fraction]:
         if level > self.family.level:
             raise ValueError("requested level exceeds the family level")
         denom = 2 ** level
         return [Fraction(k, denom) for k in range(1, denom + 1)]
+
+    def grid_members(self, level: int) -> list[tuple[Fraction, CantorGen]]:
+        """(r, C_r) for each r of ``positive_grid(level)``, made once per level."""
+        pairs = self._grid_members.get(level)
+        if pairs is None:
+            pairs = self._grid_members[level] = [
+                (r, self.family.member(r)) for r in self.positive_grid(level)]
+        return pairs
 
     def graph_cover(self, stage: int, level: int) -> "GraphCover":
         key = (stage, level)
@@ -120,8 +138,8 @@ def eval_F(m: SetValuedMap, t: Fraction, level: Optional[int] = None,
         return FBracket(v, v, v)
     lower = ZERO
     upper = ONE
-    for r in m.positive_grid(level):
-        mem = m.family.member(r).membership(t, max_stage)
+    for r, gen in m.grid_members(level):
+        mem = gen.membership(t, max_stage)
         if mem.is_in:
             lower = r
         elif mem.is_out:
@@ -320,9 +338,9 @@ def check_weak_continuity(m: SetValuedMap, points: list[Fraction],
         other, d = found
         entry = {"point": str(t), "witness": str(other),
                  "distance": str(abs(other - t)), "stage": d}
-        for s in m.positive_grid(m.family.level):
+        for s, gen in m.grid_members(m.family.level):
             entry.setdefault("indices", []).append(str(s))
-            if not m.family.member(s).membership(other).is_in:
+            if not gen.membership(other).is_in:
                 failures.append({"point": str(t), "index": str(s),
                                  "reason": "witness lost certification"})
         witnesses.append(entry)

@@ -26,7 +26,10 @@ from the deepest memoised cover, so the removal-schedule search builds
 no deep cover.  A rational window or point enters once, by ceiling and
 floor at the grid; brackets, holes and hulls are int triples (lo, hi,
 q).  Fractions appear only at the edge: in cover components, endpoints,
-rational anchors and the gaps ``gap_of`` gives.
+rational anchors and the gaps ``gap_of`` gives.  A point query is int
+work too: ``first_out``, ``gap_of`` and ``membership`` read t = n/m once
+as its numerator and denominator, and test the base, window and unit
+by comparing int products, so no query compares two Fractions.
 
 For the middle-thirds and gap-attached sets both ends of every stage-d
 component are points of the set, so each component of
@@ -54,7 +57,7 @@ from math import lcm
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import BracketSearchError
-from .exact import UNIT, ClosedInterval, IntervalSet, ZERO, ONE, _normalize, _over
+from .exact import ClosedInterval, IntervalSet, ZERO, ONE, _normalize, _over
 
 IN = "in"
 OUT = "out"
@@ -179,8 +182,10 @@ class CantorGen:
         return Membership(IN) if d is None else Membership(OUT, d)
 
     def first_out(self, t: Fraction, max_stage: Optional[int]) -> Optional[int]:
-        """The first depth d <= max_stage (any d, if None) with t outside
-        stage(d), or None, as walking the covers would find, building none."""
+        """The first depth d <= max_stage with t outside stage(d), or None,
+        as walking the covers would find, building none.  max_stage None
+        means any depth, for a generator whose walk ends without a bound
+        (an intermediate set rejects it)."""
         raise NotImplementedError
 
     def endpoints(self, count: int) -> list[PointLike]:
@@ -272,24 +277,40 @@ class MiddleThirds(CantorGen):
         lo, w = self._a * 3 ** (k + 1), self._b - self._a
         return lo + (3 * m + 1) * w, lo + (3 * m + 2) * w
 
-    def first_out(self, t: Fraction, max_stage: Optional[int]) -> Optional[int]:
-        if not self.base.contains(t):
+    def _unit(self, n: int, q: int) -> Optional[Pair]:
+        """``_in_unit(n, q)`` = (p, s) for t = n/q in the base, where 0 <= p
+        <= s; None for t outside it."""
+        p, s = self._in_unit(n, q)
+        return (p, s) if 0 <= p <= s else None
+
+    def _first_out(self, n: int, q: int, max_stage: Optional[int]) -> Optional[int]:
+        """``first_out`` at t = n/q; 0 exactly for t outside the base."""
+        u = self._unit(n, q)
+        if u is None:
             return 0
-        hit = _ternary_exit(*self._in_unit(t.numerator, t.denominator), max_stage)
+        hit = _ternary_exit(*u, max_stage)
         return None if hit is None else hit[0] + 1
 
-    def gap_of(self, t: Fraction) -> Optional[tuple[Fraction, Fraction]]:
-        """Exact maximal gap (a, b) of the set within base containing t,
-        or None for a point of the set; ValueError for t outside base."""
-        # the walk ends only for u in [0, 1]
-        if not self.base.contains(t):
-            raise ValueError(f"{t} lies outside the base of {self.describe()}")
-        hit = _ternary_exit(*self._in_unit(t.numerator, t.denominator), None)
+    def first_out(self, t: Fraction, max_stage: Optional[int]) -> Optional[int]:
+        return self._first_out(t.numerator, t.denominator, max_stage)
+
+    def _gap_in(self, p: int, s: int) -> Optional[tuple[Fraction, Fraction]]:
+        """``gap_of`` at the point u = p/s of the unit base, 0 <= p <= s."""
+        hit = _ternary_exit(p, s, None)
         if hit is None:
             return None
         q = self.grid(hit[0] + 1)
         lo, hi = self._gap(*hit)
         return Fraction(lo, q), Fraction(hi, q)
+
+    def gap_of(self, t: Fraction) -> Optional[tuple[Fraction, Fraction]]:
+        """Exact maximal gap (a, b) of the set within base containing t,
+        or None for a point of the set; ValueError for t outside base."""
+        # the walk ends only for u in [0, 1]
+        u = self._unit(t.numerator, t.denominator)
+        if u is None:
+            raise ValueError(f"{t} lies outside the base of {self.describe()}")
+        return self._gap_in(*u)
 
     def _discover_endpoints(self, s: int) -> list[Fraction]:
         """The base ends at stage 0; for s >= 1 the ends of the gaps
@@ -406,34 +427,38 @@ class GapAttachedCantor(CantorGen):
         # outside the core t leaves the cover with its core gap, at the
         # gap's generation g, unless an attachment of that gap holds it
         # to depth g + (the attachment's own exit depth)
-        if not self.window.contains(t):
+        n, m = t.numerator, t.denominator
+        if not self._side_gaps[0][0] * m <= n * self._q0 <= self._side_gaps[1][1] * m:
             return 0
-        hit = self._core_exit(t.numerator, t.denominator, max_stage)
+        hit = self._core_exit(n, m, max_stage)
         if hit is None:
             return None
         g = hit[0]
         for k in self.attachments(*hit):
-            if k.base.contains(t):
-                sub = k.first_out(t, None if max_stage is None else max_stage - g)
+            # 0 exactly when t lies outside the attachment's base
+            sub = k._first_out(n, m, None if max_stage is None else max_stage - g)
+            if sub != 0:
                 return None if sub is None else g + sub
         return g
 
     def gap_of(self, t: Fraction) -> Optional[tuple[Fraction, Fraction]]:
         """Exact maximal gap of {0} + this set + {1} containing t, or None
         for a point of the set; ValueError for t outside [0, 1]."""
-        if not UNIT.contains(t):
+        n, m = t.numerator, t.denominator
+        if not 0 <= n <= m:
             raise ValueError(f"{t} lies outside [0, 1]")
-        if t < self.window.lo:
+        if n * self._q0 < self._side_gaps[0][0] * m:
             return (ZERO, self.window.lo)
-        if t > self.window.hi:
+        if n * self._q0 > self._side_gaps[1][1] * m:
             return (self.window.hi, ONE)
-        hit = self._core_exit(t.numerator, t.denominator, None)
+        hit = self._core_exit(n, m, None)
         if hit is None:
             return None
         ka, kb = self.attachments(*hit)
         for k in (ka, kb):
-            if k.base.contains(t):
-                return k.gap_of(t)
+            u = k._unit(n, m)
+            if u is not None:
+                return k._gap_in(*u)
         return (ka.base.hi, kb.base.lo)
 
     def _discover_endpoints(self, s: int) -> list[Fraction]:
@@ -542,8 +567,16 @@ def point_membership(gen: CantorGen, p: PointLike,
         return gen.membership(p, max_stage)
     if p.gen is gen:
         return Membership(IN, 0)
+    # one descent: the brackets nest, so each stage-d component meeting
+    # bracket(d) is a child of a stage-(d-1) one meeting bracket(d-1)
+    comps = gen.near(0, *point_bracket(p, 0))
     for d in range(max_stage + 1):
-        if not gen.near(d, *point_bracket(p, d)):
+        if d:
+            lo, hi, q = point_bracket(p, d)
+            wlo, whi = _on(lo, hi, q, gen.grid(d))
+            comps = [c for parent in comps for c in gen._cached_children(d, *parent)
+                     if c[0] <= whi and c[1] >= wlo]
+        if not comps:
             return Membership(OUT, d)
     return Membership(UNKNOWN, None)
 
@@ -811,6 +844,10 @@ class IntermediateCantor(CantorGen):
         return Membership(UNKNOWN, None) if d is None else Membership(OUT, d)
 
     def first_out(self, t: Fraction, max_stage: int) -> Optional[int]:
+        # an anchor's limit point stays inside every hull, so a walk with
+        # no depth bound need not end there
+        if max_stage is None:
+            raise ValueError("an intermediate set's first_out needs a max_stage")
         # stage(d) is outer.stage(d) less the holes live at d, so t leaves
         # it with the outer set or in the first hole that opens over it
         best = self.outer.first_out(t, max_stage)
@@ -860,7 +897,7 @@ class CantorFamily:
         return sorted(self.members)
 
     def member(self, r: Fraction) -> CantorGen:
-        return self.members[Fraction(r)]
+        return self.members[r if isinstance(r, Fraction) else Fraction(r)]
 
     @property
     def c0(self) -> GapAttachedCantor:

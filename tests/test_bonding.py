@@ -89,6 +89,35 @@ def two_query_F(m, t: F) -> FBracket:
     return FBracket(lower, upper)
 
 
+def grid_scan_F(m, t: F, level: int, max_stage: int) -> FBracket:
+    """eval_F with a positive_grid scan through member(r), and the tent
+    formula on Fractions."""
+    gap = m.family.c0.gap_of(t)
+    if gap is not None:
+        v = F(0)
+        if m.mode == "tent":
+            a, b = gap
+            v = min((b - a) / 4, MAX_TENT_HEIGHT) * (1 - abs(2 * t - a - b) / (b - a))
+        return FBracket(v, v, v)
+    lower, upper = F(0), F(1)
+    for r in m.positive_grid(level):
+        mem = m.family.member(r).membership(t, max_stage)
+        if mem.is_in:
+            lower = r
+        elif mem.is_out:
+            upper = r
+            break
+    return FBracket(lower, upper)
+
+
+def assert_matches_grid_scan(m, t: F) -> None:
+    for level in range(m.family.level + 1):
+        for max_stage in (4, 12):
+            got, want = eval_F(m, t, level, max_stage), grid_scan_F(m, t, level, max_stage)
+            assert got == want, (m.mode, t, level, max_stage)
+            assert str(got.point_value) == str(want.point_value)
+
+
 class TestBaseMap:
     def test_unknown_mode_rejected(self, family):
         with pytest.raises(ValueError):
@@ -168,6 +197,22 @@ class TestEvalF:
     def test_matches_the_two_query_path(self, zero_map, tent_map, t):
         for m in (zero_map, tent_map):
             assert eval_F(m, t) == two_query_F(m, t), (m.mode, t)
+
+    @given(unit_rationals)
+    @settings(max_examples=100)
+    def test_matches_the_grid_scan(self, zero_map, tent_map, t):
+        for m in (zero_map, tent_map):
+            assert_matches_grid_scan(m, t)
+
+    def test_matches_the_grid_scan_on_gap_ends_and_apexes(self, zero_map, tent_map):
+        # the stage-5 gaps reach both tent heights, width/4 and 1/32
+        gaps = zero_map.family.c0.stage(5).complement_in(UNIT)
+        points = {x for g in gaps for x in (g.lo, g.hi, (g.lo + g.hi) / 2, (3 * g.lo + g.hi) / 4)}
+        heights = {min(g.width / 4, MAX_TENT_HEIGHT) for g in gaps}
+        assert MAX_TENT_HEIGHT in heights and min(heights) < MAX_TENT_HEIGHT
+        for t in sorted(points):
+            for m in (zero_map, tent_map):
+                assert_matches_grid_scan(m, t)
 
 
 class TestGraphCover:

@@ -14,6 +14,7 @@ import gillab
 from gillab.bonding import eval_F, make_map
 from gillab.cantor import (
     C1_BASE,
+    DEFAULT_SEARCH_CEILING,
     IN,
     OUT,
     UNKNOWN,
@@ -29,6 +30,7 @@ from gillab.cantor import (
     point_bracket,
     point_membership,
 )
+from gillab.cli import _suite_endpoints
 from gillab.exact import ClosedInterval, IntervalSet, UNIT
 
 
@@ -332,6 +334,15 @@ class TestIntermediate:
         assert mid.membership(F(1, 4)).is_in   # smallest-set point
         assert mid.membership(F(1, 2)).is_out  # central gap of the big set
         assert mid.membership(F(7, 8), 12).is_out
+
+    def test_first_out_rejects_an_unbounded_walk(self):
+        # an anchor's limit point stays inside every hull, so an IC's
+        # first_out needs a depth bound; None once raised TypeError
+        mid = build_family(1, 8).member(F(1, 2))
+        for t in (F(1, 4), F(1, 2), F(3, 4), F(5, 12)):
+            with pytest.raises(ValueError, match="max_stage") as info:
+                mid.first_out(t, None)
+            assert "\n" not in str(info.value)
 
     def test_endpoints_are_addresses(self, family):
         eps = family.member(F(1, 2)).endpoints(10)
@@ -994,3 +1005,190 @@ class TestComponentPersists:
                 windows += [c for entry in gen.schedule().entries
                             for c in near(gen.outer, d, interval(*entry.widest_hull))]
                 assert_persists_matches_scan(gen, windows, [d])
+
+
+# point queries on int numerators, against the ClosedInterval.contains
+# entry checks they made while they compared Fractions
+
+
+def contains_first_out(gen, t: F, max_stage):
+    """first_out with Fraction entry checks; an intermediate set scans
+    every hole at every stage."""
+    n, m = t.numerator, t.denominator
+    if isinstance(gen, MiddleThirds):
+        if not gen.base.contains(t):
+            return 0
+        hit = _ternary_exit(*gen._in_unit(n, m), max_stage)
+        return None if hit is None else hit[0] + 1
+    if isinstance(gen, GapAttachedCantor):
+        if not gen.window.contains(t):
+            return 0
+        hit = gen._core_exit(n, m, max_stage)
+        if hit is None:
+            return None
+        g = hit[0]
+        for k in gen.attachments(*hit):
+            if k.base.contains(t):
+                sub = contains_first_out(k, t, None if max_stage is None else max_stage - g)
+                return None if sub is None else g + sub
+        return g
+    stop = contains_first_out(gen.outer, t, max_stage)
+    stop = max_stage + 1 if stop is None else stop
+    for entry in gen.schedule().entries:
+        for s in range(entry.create_stage, stop):
+            lo, hi = hole(entry, s)
+            if lo < t < hi:
+                stop = s
+                break
+    return None if stop > max_stage else stop
+
+
+def contains_membership(gen, t: F, max_stage: int) -> Membership:
+    if isinstance(gen, IntermediateCantor):
+        inner = contains_membership(gen.inner, t, max_stage)
+        if inner.is_in:
+            return inner
+        d = contains_first_out(gen, t, max_stage)
+        return Membership(UNKNOWN) if d is None else Membership(OUT, d)
+    d = contains_first_out(gen, t, None)
+    return Membership(IN) if d is None else Membership(OUT, d)
+
+
+def contains_gap_of(gen, t: F):
+    if isinstance(gen, MiddleThirds):
+        if not gen.base.contains(t):
+            raise ValueError(f"{t} lies outside the base of {gen.describe()}")
+        hit = _ternary_exit(*gen._in_unit(t.numerator, t.denominator), None)
+        if hit is None:
+            return None
+        q = gen.grid(hit[0] + 1)
+        lo, hi = gen._gap(*hit)
+        return F(lo, q), F(hi, q)
+    if not UNIT.contains(t):
+        raise ValueError(f"{t} lies outside [0, 1]")
+    if t < gen.window.lo:
+        return (F(0), gen.window.lo)
+    if t > gen.window.hi:
+        return (gen.window.hi, F(1))
+    hit = gen._core_exit(t.numerator, t.denominator, None)
+    if hit is None:
+        return None
+    ka, kb = gen.attachments(*hit)
+    for k in (ka, kb):
+        if k.base.contains(t):
+            return contains_gap_of(k, t)
+    return (ka.base.hi, kb.base.lo)
+
+
+def outcome(query, *args):
+    """The answer, or the text of the ValueError raised instead."""
+    try:
+        return query(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def point_query_gens(fam) -> list:
+    """Every member, plus the attachments of C_0's central gap and of
+    its left side gap."""
+    c0 = fam.c0
+    return ([fam.member(r) for r in fam.grid()]
+            + list(c0.attachments(*c0._core_exit(1, 2, None)))
+            + list(c0.attachments(0, *c0._side_gaps[0])))
+
+
+def end_points(fam) -> list[F]:
+    """0, 1 and every base, window and attachment end, with the points
+    1/q outside and inside each, q its denominator or 3^9 times it."""
+    ends = {F(0), F(1), fam.c0.window.lo, fam.c0.window.hi}
+    for gen in point_query_gens(fam):
+        if isinstance(gen, MiddleThirds):
+            ends |= {gen.base.lo, gen.base.hi}
+    return sorted({e + sign * F(1, q) for e in ends for sign in (-1, 0, 1)
+                   for q in (e.denominator, 3 ** 9 * e.denominator)})
+
+
+def assert_point_queries_match(fam, t: F) -> None:
+    for gen in point_query_gens(fam):
+        for max_stage in (0, 1, 4, 12):
+            assert gen.first_out(t, max_stage) == contains_first_out(gen, t, max_stage), (
+                gen.describe(), t, max_stage)
+        for max_stage in (4, 12):
+            assert gen.membership(t, max_stage) == contains_membership(gen, t, max_stage), (
+                gen.describe(), t, max_stage)
+        if not isinstance(gen, IntermediateCantor):
+            assert gen.first_out(t, None) == contains_first_out(gen, t, None), (gen.describe(), t)
+            assert outcome(gen.gap_of, t) == outcome(contains_gap_of, gen, t), (gen.describe(), t)
+
+
+class TestIntPointQueries:
+    @given(unit_rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_match_fraction_entry_checks(self, family, level_three, t):
+        for fam in (family, level_three):
+            assert_point_queries_match(fam, t)
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_match_fraction_entry_checks_at_every_end(self, request, level):
+        fam = request.getfixturevalue("family" if level == 2 else "level_three")
+        for t in end_points(fam):
+            assert_point_queries_match(fam, t)
+
+    def test_answer_with_fraction_order_disabled(self, level_three, monkeypatch):
+        # the family and its schedules are built; the first pass also
+        # makes each attachment a query meets, whose base checks its ends
+        fam = level_three
+        m = make_map("tent", fam)
+        points = probe_points(fam, 8, 13) + end_points(fam)
+        points = [t for t in points if 0 <= t <= 1]
+        gens = point_query_gens(fam)
+
+        def answers():
+            out = []
+            for t in points:
+                for gen in gens:
+                    out += [gen.first_out(t, 8), gen.membership(t, 8)]
+                    if not isinstance(gen, IntermediateCantor):
+                        out += [gen.first_out(t, None), outcome(gen.gap_of, t)]
+                out.append(eval_F(m, t, 3, 8))
+            return out
+
+        want = answers()
+
+        def refuse(self, other):
+            raise AssertionError("a point query compared Fractions")
+
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(F, name, refuse)
+        assert answers() == want
+
+
+def per_depth_point_membership(gen, p, max_stage: int) -> Membership:
+    """point_membership asking near at every depth, from the memo down."""
+    if not isinstance(p, CantorAddress):
+        return gen.membership(p, max_stage)
+    if p.gen is gen:
+        return Membership(IN, 0)
+    for d in range(max_stage + 1):
+        if not gen.near(d, *point_bracket(p, d)):
+            return Membership(OUT, d)
+    return Membership(UNKNOWN, None)
+
+
+class TestPointMembershipDescent:
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_matches_per_depth_near_on_the_endpoint_suite(self, request, level):
+        # every pair `verify endpoints` checks: the first endpoints of
+        # C_0 and C_{1/2} against each smaller member
+        fam = request.getfixturevalue("family" if level == 2 else "level_three")
+        checked = 0
+        for src in (F(0), F(1, 2)):
+            for p in fam.member(src).endpoints(min(50, fam.stage_budget)):
+                for r in fam.grid():
+                    if r > src:
+                        gen = fam.member(r)
+                        checked += 1
+                        assert (point_membership(gen, p, DEFAULT_SEARCH_CEILING)
+                                == per_depth_point_membership(gen, p, DEFAULT_SEARCH_CEILING)
+                                ), (src, r, p)
+        assert checked == _suite_endpoints(fam, None, 0, 0, None)["checked"]
