@@ -101,6 +101,8 @@ class SetValuedMap:
         self._grid_members: dict[int, list[tuple[Fraction, CantorGen]]] = {}
 
     def positive_grid(self, level: int) -> list[Fraction]:
+        if level < 0:
+            raise ValueError("level must be >= 0")
         if level > self.family.level:
             raise ValueError("requested level exceeds the family level")
         denom = 2 ** level
@@ -129,23 +131,30 @@ def make_map(mode: str, family: CantorFamily) -> SetValuedMap:
 
 def eval_F(m: SetValuedMap, t: Fraction, level: Optional[int] = None,
            max_stage: int = DEFAULT_MAX_STAGE) -> FBracket:
-    """Certified bracket for F(t) over the level's dyadic grid."""
+    """Certified bracket for F(t) over the level's dyadic grid.
+
+    On C0 it asks each generator once: an intermediate member holds t
+    only if C1 does, so one C1 walk certifies [0, 1]; otherwise the
+    bracket closes at the first member, in ascending r, whose removal
+    holes take t out by max_stage, one hole scan per member.
+    """
     if level is None:
         level = m.family.level
     gap = m.family.c0.gap_of(t)
     if gap is not None:
         v = _f_in_gap(m, t, gap)
         return FBracket(v, v, v)
-    lower = ZERO
-    upper = ONE
-    for r, gen in m.grid_members(level):
-        mem = gen.membership(t, max_stage)
-        if mem.is_in:
-            lower = r
-        elif mem.is_out:
-            upper = r
-            break
-    return FBracket(lower, upper)
+    members = m.grid_members(level)
+    if m.family.c1.first_out(t, None) is None:
+        return FBracket(ONE, ONE)
+    # t is outside C1, the last member, and no member holds it for sure.
+    # A member's outer set is C0, which holds t, or a member before it on
+    # the grid, which the loop passed with no exit, so the member's exit
+    # is its hole scan's alone
+    for r, gen in members[:-1]:
+        if gen._hole_exit(t, max_stage, None) is not None:
+            return FBracket(ZERO, r)
+    return FBracket(ZERO, ONE)
 
 
 # ---------------------------------------------------------------------------

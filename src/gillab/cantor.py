@@ -44,7 +44,12 @@ ternary digits, the core gap holding t and the removal holes around it.
 So a verdict ``OUT d`` means t lies outside ``stage(d)``.  The
 middle-thirds and gap-attached sets are exact; an intermediate set says
 IN only by its inner set's certificate and UNKNOWN when neither that nor
-its covers to ``max_stage`` decide.
+its covers to ``max_stage`` decide.  Its inner set is itself
+intermediate or not, and only the first generator down that chain that
+is not intermediate (C_1 in every family) can say IN, so
+``IntermediateCantor.membership`` asks that generator directly.  An
+intermediate set's ``first_out`` is one scan of its own holes
+(``_hole_exit``), given its outer set's exit depth.
 """
 
 from __future__ import annotations
@@ -835,11 +840,15 @@ class IntermediateCantor(CantorGen):
         return True
 
     def membership(self, t: Fraction, max_stage: int = DEFAULT_MAX_STAGE) -> Membership:
-        # inner first: every removal hole lies in a gap of the inner covers,
-        # so inner <= this set, an IN from it is final, and only the rest walk
-        inner_m = self.inner.membership(t, max_stage)
-        if inner_m.is_in:
-            return inner_m
+        # every removal hole lies in a gap of the inner covers, so inner <=
+        # this set and an IN from it is final; an intermediate set says IN
+        # only through its inner set, so the first generator down the inner
+        # chain that is not intermediate answers IN for the whole chain
+        bottom = self.inner
+        while isinstance(bottom, IntermediateCantor):
+            bottom = bottom.inner
+        if bottom.membership(t, max_stage).is_in:
+            return Membership(IN)
         d = self.first_out(t, max_stage)
         return Membership(UNKNOWN, None) if d is None else Membership(OUT, d)
 
@@ -848,10 +857,14 @@ class IntermediateCantor(CantorGen):
         # no depth bound need not end there
         if max_stage is None:
             raise ValueError("an intermediate set's first_out needs a max_stage")
-        # stage(d) is outer.stage(d) less the holes live at d, so t leaves
-        # it with the outer set or in the first hole that opens over it
-        best = self.outer.first_out(t, max_stage)
-        stop = max_stage + 1 if best is None else best
+        return self._hole_exit(t, max_stage, self.outer.first_out(t, max_stage))
+
+    def _hole_exit(self, t: Fraction, max_stage: int,
+                   outer_exit: Optional[int]) -> Optional[int]:
+        """``first_out`` given the outer set's, outer_exit: stage(d) is
+        outer.stage(d) less the holes live at d, so t leaves it with the
+        outer set or in the first hole that opens over it."""
+        stop = max_stage + 1 if outer_exit is None else outer_exit
         n, m = t.numerator, t.denominator
         for entry in self.schedule().meeting(n, n, m):
             for s in range(entry.create_stage, stop):

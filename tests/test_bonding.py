@@ -22,7 +22,13 @@ from gillab.bonding import (
     eval_f,
     make_map,
 )
-from gillab.cantor import build_family
+from gillab.cantor import (
+    OUT,
+    UNKNOWN,
+    IntermediateCantor,
+    Membership,
+    build_family,
+)
 from gillab.exact import ClosedInterval, IntervalSet, UNIT
 
 unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=729)
@@ -118,6 +124,66 @@ def assert_matches_grid_scan(m, t: F) -> None:
             assert str(got.point_value) == str(want.point_value)
 
 
+def recursive_membership(gen, t: F, max_stage: int) -> Membership:
+    """An intermediate set's membership as a chain: ask the inner set's
+    own membership, itself a chain, then walk this set's first_out."""
+    if not isinstance(gen, IntermediateCantor):
+        return gen.membership(t, max_stage)
+    inner_m = recursive_membership(gen.inner, t, max_stage)
+    if inner_m.is_in:
+        return inner_m
+    d = gen.first_out(t, max_stage)
+    return Membership(UNKNOWN, None) if d is None else Membership(OUT, d)
+
+
+def per_member_F(m, t: F, level: int, max_stage: int, seen: set) -> FBracket:
+    """eval_F as a membership chain per grid member, each verdict from
+    ``recursive_membership``; adds (verdict, generator kind) to seen."""
+    if m.family.c0.gap_of(t) is not None:
+        v = eval_f(m, t)
+        return FBracket(v, v, v)
+    lower, upper = F(0), F(1)
+    for r, gen in m.grid_members(level):
+        mem = recursive_membership(gen, t, max_stage)
+        seen.add((mem.verdict, type(gen).__name__))
+        if mem.is_in:
+            lower = r
+        elif mem.is_out:
+            upper = r
+            break
+    return FBracket(lower, upper)
+
+
+@functools.lru_cache(maxsize=None)
+def family_at(level: int):
+    """The family at level (budget 24 at level 4, else 56), with every
+    schedule built."""
+    fam = build_family(level, 24 if level == 4 else 56, 15)
+    for r in fam.grid():
+        if isinstance(fam.member(r), IntermediateCantor):
+            fam.member(r).schedule()
+    return fam
+
+
+def chain_points(fam, seed: int = 5) -> list[F]:
+    """Random p/q (q < 5000), C_1 and C_0 endpoints, and around every
+    removal hole at its create stage and 3 stages on: each end +- 1/q
+    and the midpoint."""
+    rnd = random.Random(seed)
+    points = {F(rnd.randrange(q + 1), q) for q in (rnd.randrange(1, 5000) for _ in range(150))}
+    points.update(fam.c1.endpoints(40) + fam.c0.endpoints(60))
+    for r in fam.grid():
+        gen = fam.member(r)
+        if not isinstance(gen, IntermediateCantor):
+            continue
+        for entry in gen.schedule().entries:
+            for s in (entry.create_stage, entry.create_stage + 3):
+                lo, hi, q = entry.removal_open(s)
+                points.update(F(n, q) for n in (lo - 1, lo, lo + 1, hi - 1, hi, hi + 1))
+                points.add(F(lo + hi, 2 * q))
+    return sorted(t for t in points if 0 <= t <= 1)
+
+
 class TestBaseMap:
     def test_unknown_mode_rejected(self, family):
         with pytest.raises(ValueError):
@@ -186,6 +252,14 @@ class TestEvalF:
         with pytest.raises(ValueError):
             eval_F(zero_map, F(1, 4), level=5)
 
+    def test_negative_level_rejected(self, zero_map):
+        # 1/4 and 1/8 lie in C_0, so the grid is read
+        for t in (F(1, 4), F(1, 8)):
+            with pytest.raises(ValueError, match="level must be >= 0"):
+                eval_F(zero_map, t, level=-1)
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            zero_map.graph_cover(2, -1)
+
     def test_bracket_order(self, zero_map):
         for t in (F(1, 8), F(1, 6), F(5, 24), F(1, 4)):
             fb = eval_F(zero_map, t)
@@ -213,6 +287,45 @@ class TestEvalF:
         for t in sorted(points):
             for m in (zero_map, tent_map):
                 assert_matches_grid_scan(m, t)
+
+
+class TestOneQueryPerGenerator:
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_matches_the_membership_chain_per_member(self, level):
+        fam = family_at(level)
+        seen: set = set()
+        # on C_0 the mode is not read, so one chain serves both modes
+        chains: dict = {}
+        for t in chain_points(fam):
+            for mode in MODES:
+                m = make_map(mode, fam)
+                for sub in range(level + 1):
+                    for max_stage in (0, 1, 2, 4, 8, 12):
+                        key = (t, sub, max_stage)
+                        want = chains.get(key) or per_member_F(m, t, sub, max_stage, seen)
+                        if not want.is_singleton:
+                            chains[key] = want
+                        got = eval_F(m, t, sub, max_stage)
+                        assert got == want, (level, mode, t, sub, max_stage)
+                        assert str(got.point_value) == str(want.point_value)
+        # every branch of the chain is taken: IN, OUT at an intermediate
+        # member, and UNKNOWN
+        assert ("in", "IntermediateCantor") in seen
+        assert ("out", "IntermediateCantor") in seen
+        assert ("unknown", "IntermediateCantor") in seen
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_membership_matches_the_recursive_chain(self, level):
+        fam = family_at(level)
+        verdicts = set()
+        for t in chain_points(fam):
+            for r in fam.grid():
+                gen = fam.member(r)
+                for max_stage in (0, 2, 8, 12):
+                    want = recursive_membership(gen, t, max_stage)
+                    assert gen.membership(t, max_stage) == want, (level, r, t, max_stage)
+                    verdicts.add(want.verdict)
+        assert verdicts == {"in", "out", "unknown"}
 
 
 class TestGraphCover:

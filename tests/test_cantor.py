@@ -383,6 +383,48 @@ class TestFamily:
         fam = build_family(0, 8, 15)
         assert fam.grid() == [F(0), F(1)]
 
+    @pytest.mark.parametrize("level", range(6))
+    def test_chains_end_at_the_smallest_and_largest_sets(self, level):
+        # an intermediate set says IN only through its inner set, so the
+        # bottom of every inner chain, C_1, answers for the whole chain
+        fam = build_family(level, 8, 15)
+        ics = [fam.member(r) for r in fam.grid()
+               if isinstance(fam.member(r), IntermediateCantor)]
+        assert len(ics) == 2 ** level - 1
+        for gen in ics:
+            inner, outer = gen.inner, gen.outer
+            while isinstance(inner, IntermediateCantor):
+                inner = inner.inner
+            while isinstance(outer, IntermediateCantor):
+                outer = outer.outer
+            assert inner is fam.c1 and outer is fam.c0, gen.describe()
+
+
+class TestEvalWalks:
+    def test_walks_per_query_do_not_grow_with_the_level(self, monkeypatch):
+        # one C_0 gap query and one C_1 walk per point; the intermediate
+        # members scan their holes, which walks no ternary digits
+        rnd = random.Random(3)
+        randoms = [F(rnd.randrange(q + 1), q) for q in range(1, 400, 7)]
+        walks = []
+        for level, budget in ((2, 56), (4, 24)):
+            fam = built(level, budget)
+            points = sorted({*fam.c1.endpoints(30), *fam.c0.endpoints(30), *randoms})
+            maps = [make_map(mode, fam) for mode in ("zero", "tent")]
+            # a first pass makes the brackets and attachments the queries meet
+            answers = [eval_F(m, t) for m in maps for t in points]
+            calls = [0]
+
+            def counting(*args):
+                calls[0] += 1
+                return _ternary_exit(*args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(gillab.cantor, "_ternary_exit", counting)
+                assert [eval_F(m, t) for m in maps for t in points] == answers
+            walks.append(calls[0])
+        assert walks[0] == walks[1] > 0
+
 
 # ---------------------------------------------------------------------------
 # references for the one-sweep covers and inner-first membership
