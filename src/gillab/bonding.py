@@ -41,9 +41,13 @@ INTERIOR_GRID = 8
 MODES = ("zero", "tent")
 
 
-def _tent_height(width: Fraction) -> Fraction:
-    """Height of the tent on a gap of the given width."""
-    return min(width / 4, MAX_TENT_HEIGHT)
+def _tent_height(w: int, q: int) -> tuple[int, int]:
+    """Height min(w/(4q), MAX_TENT_HEIGHT) of the tent on a gap of width
+    w/q, as a numerator and a denominator."""
+    h = MAX_TENT_HEIGHT
+    if w * h.denominator <= 4 * q * h.numerator:
+        return w, 4 * q
+    return h.numerator, h.denominator
 
 
 def _f_in_gap(m: SetValuedMap, t: Fraction,
@@ -51,17 +55,15 @@ def _f_in_gap(m: SetValuedMap, t: Fraction,
     """The base map at t, given gap = ``c0.gap_of(t)`` (None on C0)."""
     if gap is None or m.mode == "zero":
         return ZERO
-    # t, a and b as n, lo and hi over q: the tent of width w = (hi - lo)/q
+    # t, a and b as n, lo and hi over q: the tent on the gap of width w/q
     # rises linearly from both ends to its apex at (a + b) / 2, so its
-    # value is _tent_height(w) * (w - d/q) / w for d = |2n - lo - hi|
+    # value is its height times rise / w for rise = w - |2n - lo - hi|
     a, b = gap
     q = lcm(t.denominator, a.denominator, b.denominator)
     n, lo, hi = _over(q, t), _over(q, a), _over(q, b)
     w, rise = hi - lo, hi - lo - abs(2 * n - lo - hi)
-    h = MAX_TENT_HEIGHT
-    if w * h.denominator <= 4 * q * h.numerator:   # _tent_height(w) = w / 4
-        return Fraction(rise, 4 * q)
-    return Fraction(rise * h.numerator, w * h.denominator)
+    hn, hd = _tent_height(w, q)
+    return Fraction(rise * hn, w * hd)
 
 
 def eval_f(m: SetValuedMap, t: Fraction) -> Fraction:
@@ -100,20 +102,18 @@ class SetValuedMap:
         self._cover_cache: dict[tuple[int, int], "GraphCover"] = {}
         self._grid_members: dict[int, list[tuple[Fraction, CantorGen]]] = {}
 
-    def positive_grid(self, level: int) -> list[Fraction]:
-        if level < 0:
-            raise ValueError("level must be >= 0")
-        if level > self.family.level:
-            raise ValueError("requested level exceeds the family level")
-        denom = 2 ** level
-        return [Fraction(k, denom) for k in range(1, denom + 1)]
-
     def grid_members(self, level: int) -> list[tuple[Fraction, CantorGen]]:
-        """(r, C_r) for each r of ``positive_grid(level)``, made once per level."""
+        """(r, C_r) for each r = k / 2^level, k = 1 .. 2^level, in
+        ascending r, made once per level; ValueError for a level below 0
+        or above the family's."""
         pairs = self._grid_members.get(level)
         if pairs is None:
-            pairs = self._grid_members[level] = [
-                (r, self.family.member(r)) for r in self.positive_grid(level)]
+            if level < 0:
+                raise ValueError("level must be >= 0")
+            if level > self.family.level:
+                raise ValueError("requested level exceeds the family level")
+            grid = [Fraction(k, 2 ** level) for k in range(1, 2 ** level + 1)]
+            pairs = self._grid_members[level] = [(r, self.family.member(r)) for r in grid]
         return pairs
 
     def graph_cover(self, stage: int, level: int) -> "GraphCover":
@@ -136,15 +136,14 @@ def eval_F(m: SetValuedMap, t: Fraction, level: Optional[int] = None,
     On C0 it asks each generator once: an intermediate member holds t
     only if C1 does, so one C1 walk certifies [0, 1]; otherwise the
     bracket closes at the first member, in ascending r, whose removal
-    holes take t out by max_stage, one hole scan per member.
+    holes take t out by max_stage, one hole scan per member.  The level
+    is checked first, whatever t is.
     """
-    if level is None:
-        level = m.family.level
+    members = m.grid_members(m.family.level if level is None else level)
     gap = m.family.c0.gap_of(t)
     if gap is not None:
         v = _f_in_gap(m, t, gap)
         return FBracket(v, v, v)
-    members = m.grid_members(level)
     if m.family.c1.first_out(t, None) is None:
         return FBracket(ONE, ONE)
     # t is outside C1, the last member, and no member holds it for sure.
@@ -228,13 +227,13 @@ class GraphCover:
 def _build_graph_cover(m: SetValuedMap, stage: int, level: int) -> GraphCover:
     cov = m.family.c0.stage(stage)
     q = cov.q
-    grid = m.positive_grid(level)
-    covers = [m.family.member(r).stage(stage) for r in grid]
-    caps = [max(ub, m.f_sup) for ub in grid + [ONE]]
+    members = m.grid_members(level)
+    covers = [gen.stage(stage) for _, gen in members]
+    caps = [max(r, m.f_sup) for r, _ in members] + [ONE]
     gaps = cov.complement_in(UNIT).numerators(q)
     # each gap of the C0 cover is a maximal gap, so f's max on it is the
     # height of its tent, which depends on the gap's width alone
-    tents = {w: ZERO if m.mode == "zero" else _tent_height(Fraction(w, q))
+    tents = {w: ZERO if m.mode == "zero" else Fraction(*_tent_height(w, q))
              for w in {hi - lo for lo, hi in zip(*gaps)}}
     heights = sorted(set(caps) | set(tents.values()))
     rank = {h: k for k, h in enumerate(heights)}
@@ -246,7 +245,7 @@ def _build_graph_cover(m: SetValuedMap, stage: int, level: int) -> GraphCover:
         # F(t) = [0, sup{r : t in C_r}]: the first member whose cover
         # misses the component caps the box
         rows.append((lo, hi, cap_ranks[next((i for i, cover in enumerate(covers)
-                                             if not cover.meets(lo, hi, q)), len(grid))]))
+                                             if not cover.meets(lo, hi, q)), len(members))]))
     rows += [(lo, hi, tent_ranks[hi - lo]) for lo, hi in zip(*gaps)]
     # the components and the gaps between them tile [0, 1]
     rows.sort()
@@ -405,7 +404,8 @@ def check_light(m: SetValuedMap, y_grid: int, stage: int) -> dict:
     value 0: the gap of C0 holding 1/2, certified nondegenerate and with
     F its singleton 0 at its midpoint.  Tent mode bounds every positive
     grid value's preimage by a thin stage cover plus finitely many exact
-    tent-leg points.
+    tent-leg points; that holds when the value lies above every tent in
+    a gap the stage cover has not opened yet.
     """
     c0 = m.family.c0
     if m.mode == "zero":
@@ -416,16 +416,21 @@ def check_light(m: SetValuedMap, y_grid: int, stage: int) -> dict:
                 "witness_value": "0",
                 "witness_interval": [str(e) for e in gap] if gap else None,
                 "ok": ok}
-    grid = m.positive_grid(m.family.level)
+    grid = [r for r, _ in m.grid_members(m.family.level)]
     # the stage cover's gaps are the maximal gaps of {0}+C0+{1} it
     # leaves, and a tent's height depends on its gap's width alone
-    gaps = c0.stage(stage).complement_in(UNIT)
+    cover = c0.stage(stage)
+    gaps = cover.complement_in(UNIT)
     widths = Counter(hi - lo for lo, hi in zip(*gaps.numerators()))
-    tents = [(_tent_height(Fraction(w, gaps.q)), count) for w, count in widths.items()]
+    tents = [(Fraction(*_tent_height(w, gaps.q)), count) for w, count in widths.items()]
+    # a gap not opened yet lies in a cover component, so its tent is no
+    # taller than the widest component's; the rows count none of its points
+    widest = cover.max_component_width()
+    unopened = Fraction(*_tent_height(widest.numerator, widest.denominator))
+    ys = [Fraction(k, y_grid) for k in range(1, y_grid + 1)]
     measures: dict[Fraction, Fraction] = {}
     rows = []
-    for k in range(1, y_grid + 1):
-        y = Fraction(k, y_grid)
+    for y in ys:
         below = [r for r in grid if r < y]
         r = max(below) if below else ZERO
         if r not in measures:
@@ -435,10 +440,10 @@ def check_light(m: SetValuedMap, y_grid: int, stage: int) -> dict:
                      "cover_measure": str(measures[r]),
                      "tent_point_count": 2 * sum(count for h, count in tents
                                                  if h >= y)})
-    zero_row = {"y": "0", "cover_measure": str(c0.stage(stage).measure()),
+    zero_row = {"y": "0", "cover_measure": str(cover.measure()),
                 "structure": "{0,1} plus the big set: nowhere dense"}
     return {"light": True, "mode": "tent", "rows": rows,
-            "value_zero": zero_row, "ok": True}
+            "value_zero": zero_row, "ok": all(y > unopened for y in ys)}
 
 
 def check_not_almost_nonfissile(m: SetValuedMap) -> dict:

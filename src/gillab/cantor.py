@@ -23,9 +23,10 @@ one component, a numerator pair, memoised by (d, lo, hi).  ``near(d,
 lo, hi, q)`` (the stage-d components meeting [lo/q, hi/q]) and
 ``walk(d, n, q, rightward)`` (those from n/q outward) descend that tree
 from the deepest memoised cover, so the removal-schedule search builds
-no deep cover.  A rational window or point enters once, by ceiling and
-floor at the grid; brackets, holes and hulls are int triples (lo, hi,
-q).  Fractions appear only at the edge: in cover components, endpoints,
+no deep cover.  One step, ``_descend``, keeps the children meeting a
+window; ``near`` and an address's ``point_membership`` both take it.  A
+rational window or point enters once, by ceiling and floor at the grid;
+brackets, holes and hulls are int triples (lo, hi, q).  Fractions appear only at the edge: in cover components, endpoints,
 rational anchors and the gaps ``gap_of`` gives.  A point query is int
 work too: ``first_out``, ``gap_of`` and ``membership`` read t = n/m once
 as its numerator and denominator, and test the base, window and unit
@@ -46,10 +47,11 @@ middle-thirds and gap-attached sets are exact; an intermediate set says
 IN only by its inner set's certificate and UNKNOWN when neither that nor
 its covers to ``max_stage`` decide.  Its inner set is itself
 intermediate or not, and only the first generator down that chain that
-is not intermediate (C_1 in every family) can say IN, so
-``IntermediateCantor.membership`` asks that generator directly.  An
-intermediate set's ``first_out`` is one scan of its own holes
-(``_hole_exit``), given its outer set's exit depth.
+is not intermediate (C_1 in every family) can say IN.  Each
+intermediate set stores that generator as its ``bottom`` when it is
+made, and its ``membership`` asks it directly.  An intermediate set's
+``first_out`` is one scan of its own holes (``_hole_exit``), given its
+outer set's exit depth.
 """
 
 from __future__ import annotations
@@ -153,10 +155,15 @@ class CantorGen:
         clo, chi = cover.numerators(self.grid(start))
         comps = [(clo[k], chi[k]) for k in cover.overlapping(lo, hi, q)]
         for k in range(start + 1, d + 1):
-            wlo, whi = _on(lo, hi, q, self.grid(k))
-            comps = [c for parent in comps for c in self._cached_children(k, *parent)
-                     if c[0] <= whi and c[1] >= wlo]
+            comps = self._descend(k, comps, lo, hi, q)
         return comps
+
+    def _descend(self, d: int, comps: Sequence[Pair], lo: int, hi: int, q: int) -> list[Pair]:
+        """The stage-d children of the stage-(d-1) components comps that
+        meet the closed window [lo/q, hi/q], in order, over grid(d)."""
+        wlo, whi = _on(lo, hi, q, self.grid(d))
+        return [c for parent in comps for c in self._cached_children(d, *parent)
+                if c[0] <= whi and c[1] >= wlo]
 
     def walk(self, d: int, n: int, q: int, rightward: bool) -> Iterator[Pair]:
         """Stage-d components over grid(d) from x = n/q outward, lazily: left
@@ -282,40 +289,27 @@ class MiddleThirds(CantorGen):
         lo, w = self._a * 3 ** (k + 1), self._b - self._a
         return lo + (3 * m + 1) * w, lo + (3 * m + 2) * w
 
-    def _unit(self, n: int, q: int) -> Optional[Pair]:
-        """``_in_unit(n, q)`` = (p, s) for t = n/q in the base, where 0 <= p
-        <= s; None for t outside it."""
-        p, s = self._in_unit(n, q)
-        return (p, s) if 0 <= p <= s else None
-
-    def _first_out(self, n: int, q: int, max_stage: Optional[int]) -> Optional[int]:
-        """``first_out`` at t = n/q; 0 exactly for t outside the base."""
-        u = self._unit(n, q)
-        if u is None:
+    def first_out(self, t: Fraction, max_stage: Optional[int]) -> Optional[int]:
+        # 0 exactly for t outside the base
+        p, s = self._in_unit(t.numerator, t.denominator)
+        if not 0 <= p <= s:
             return 0
-        hit = _ternary_exit(*u, max_stage)
+        hit = _ternary_exit(p, s, max_stage)
         return None if hit is None else hit[0] + 1
 
-    def first_out(self, t: Fraction, max_stage: Optional[int]) -> Optional[int]:
-        return self._first_out(t.numerator, t.denominator, max_stage)
-
-    def _gap_in(self, p: int, s: int) -> Optional[tuple[Fraction, Fraction]]:
-        """``gap_of`` at the point u = p/s of the unit base, 0 <= p <= s."""
+    def gap_of(self, t: Fraction) -> Optional[tuple[Fraction, Fraction]]:
+        """Exact maximal gap (a, b) of the set within base containing t,
+        or None for a point of the set; ValueError for t outside base."""
+        # the walk ends only for u in [0, 1]
+        p, s = self._in_unit(t.numerator, t.denominator)
+        if not 0 <= p <= s:
+            raise ValueError(f"{t} lies outside the base of {self.describe()}")
         hit = _ternary_exit(p, s, None)
         if hit is None:
             return None
         q = self.grid(hit[0] + 1)
         lo, hi = self._gap(*hit)
         return Fraction(lo, q), Fraction(hi, q)
-
-    def gap_of(self, t: Fraction) -> Optional[tuple[Fraction, Fraction]]:
-        """Exact maximal gap (a, b) of the set within base containing t,
-        or None for a point of the set; ValueError for t outside base."""
-        # the walk ends only for u in [0, 1]
-        u = self._unit(t.numerator, t.denominator)
-        if u is None:
-            raise ValueError(f"{t} lies outside the base of {self.describe()}")
-        return self._gap_in(*u)
 
     def _discover_endpoints(self, s: int) -> list[Fraction]:
         """The base ends at stage 0; for s >= 1 the ends of the gaps
@@ -441,7 +435,7 @@ class GapAttachedCantor(CantorGen):
         g = hit[0]
         for k in self.attachments(*hit):
             # 0 exactly when t lies outside the attachment's base
-            sub = k._first_out(n, m, None if max_stage is None else max_stage - g)
+            sub = k.first_out(t, None if max_stage is None else max_stage - g)
             if sub != 0:
                 return None if sub is None else g + sub
         return g
@@ -461,9 +455,9 @@ class GapAttachedCantor(CantorGen):
             return None
         ka, kb = self.attachments(*hit)
         for k in (ka, kb):
-            u = k._unit(n, m)
-            if u is not None:
-                return k._gap_in(*u)
+            p, s = k._in_unit(n, m)
+            if 0 <= p <= s:
+                return k.gap_of(t)
         return (ka.base.hi, kb.base.lo)
 
     def _discover_endpoints(self, s: int) -> list[Fraction]:
@@ -577,10 +571,7 @@ def point_membership(gen: CantorGen, p: PointLike,
     comps = gen.near(0, *point_bracket(p, 0))
     for d in range(max_stage + 1):
         if d:
-            lo, hi, q = point_bracket(p, d)
-            wlo, whi = _on(lo, hi, q, gen.grid(d))
-            comps = [c for parent in comps for c in gen._cached_children(d, *parent)
-                     if c[0] <= whi and c[1] >= wlo]
+            comps = gen._descend(d, comps, *point_bracket(p, d))
         if not comps:
             return Membership(OUT, d)
     return Membership(UNKNOWN, None)
@@ -680,6 +671,8 @@ class IntermediateCantor(CantorGen):
         self.outer = outer
         self.budget = budget
         self.search_ceiling = search_ceiling
+        # the first generator down the inner chain that is not intermediate
+        self.bottom = inner.bottom if isinstance(inner, IntermediateCantor) else inner
         self._schedule: Optional[RemovalSchedule] = None
 
     def describe(self) -> str:
@@ -842,12 +835,9 @@ class IntermediateCantor(CantorGen):
     def membership(self, t: Fraction, max_stage: int = DEFAULT_MAX_STAGE) -> Membership:
         # every removal hole lies in a gap of the inner covers, so inner <=
         # this set and an IN from it is final; an intermediate set says IN
-        # only through its inner set, so the first generator down the inner
-        # chain that is not intermediate answers IN for the whole chain
-        bottom = self.inner
-        while isinstance(bottom, IntermediateCantor):
-            bottom = bottom.inner
-        if bottom.membership(t, max_stage).is_in:
+        # only through its inner set, so the bottom of the inner chain
+        # answers IN for the whole chain
+        if self.bottom.membership(t, max_stage).is_in:
             return Membership(IN)
         d = self.first_out(t, max_stage)
         return Membership(UNKNOWN, None) if d is None else Membership(OUT, d)

@@ -57,19 +57,6 @@ class ClosedInterval:
     def contains(self, t: Fraction) -> bool:
         return self.lo <= t <= self.hi
 
-    def contains_interval(self, other: "ClosedInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def intersects(self, other: "ClosedInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def intersect(self, other: "ClosedInterval") -> Optional["ClosedInterval"]:
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return None
-        return ClosedInterval(lo, hi)
-
     def __str__(self) -> str:
         return f"{self.lo}..{self.hi}"
 
@@ -186,12 +173,6 @@ class IntervalSet:
             return NotImplemented
         q = lcm(self._q, other._q)
         return self.numerators(q) == other.numerators(q)
-
-    def __hash__(self) -> int:
-        # over the least common denominator, which equal sets share
-        g = gcd(self._q, *self._lo, *self._hi)
-        return hash((self._q // g, tuple(x // g for x in self._lo),
-                     tuple(x // g for x in self._hi)))
 
     def __repr__(self) -> str:
         return f"IntervalSet({self.to_text()!r})"

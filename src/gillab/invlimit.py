@@ -318,12 +318,6 @@ class BoxCover:
 
         return self._rows(intervals, intervals)
 
-    def contains_tuple(self, xs: list[Fraction]) -> bool:
-        if len(xs) != self.dimension:
-            raise ValueError("tuple dimension mismatch")
-        return any(all(b.contains(x) for b, x in zip(box, xs))
-                   for box in self.boxes)
-
     def project(self, i: int) -> IntervalSet:
         return IntervalSet(box[i] for box in self.boxes)
 

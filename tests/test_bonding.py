@@ -12,6 +12,7 @@ from gillab.bonding import (
     MODES,
     FBracket,
     SetValuedMap,
+    _tent_height,
     check_empty_interior,
     check_ivp_consistency,
     check_light,
@@ -32,6 +33,11 @@ from gillab.cantor import (
 from gillab.exact import ClosedInterval, IntervalSet, UNIT
 
 unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=729)
+
+
+def dyadic_grid(level: int) -> list[F]:
+    """k / 2^level for k = 1 .. 2^level: the indices of the members F reads."""
+    return [F(k, 2 ** level) for k in range(1, 2 ** level + 1)]
 
 
 def tent(a, b):
@@ -55,7 +61,7 @@ def per_value_light_rows(m, y_grid, stage):
                 gaps.append((a, b))
         return sorted(set(gaps))
 
-    grid = m.positive_grid(m.family.level)
+    grid = dyadic_grid(m.family.level)
     rows = []
     for k in range(1, y_grid + 1):
         y = F(k, y_grid)
@@ -85,7 +91,7 @@ def two_query_F(m, t: F) -> FBracket:
             v = height * (1 - abs(t - apex) / half)
         return FBracket(v, v, v)
     lower, upper = F(0), F(1)
-    for r in m.positive_grid(m.family.level):
+    for r in dyadic_grid(m.family.level):
         mem = m.family.member(r).membership(t)
         if mem.is_in:
             lower = r
@@ -96,7 +102,7 @@ def two_query_F(m, t: F) -> FBracket:
 
 
 def grid_scan_F(m, t: F, level: int, max_stage: int) -> FBracket:
-    """eval_F with a positive_grid scan through member(r), and the tent
+    """eval_F with a dyadic_grid scan through member(r), and the tent
     formula on Fractions."""
     gap = m.family.c0.gap_of(t)
     if gap is not None:
@@ -106,7 +112,7 @@ def grid_scan_F(m, t: F, level: int, max_stage: int) -> FBracket:
             v = min((b - a) / 4, MAX_TENT_HEIGHT) * (1 - abs(2 * t - a - b) / (b - a))
         return FBracket(v, v, v)
     lower, upper = F(0), F(1)
-    for r in m.positive_grid(level):
+    for r in dyadic_grid(level):
         mem = m.family.member(r).membership(t, max_stage)
         if mem.is_in:
             lower = r
@@ -223,6 +229,11 @@ class TestBaseMap:
         if t > 0:
             assert v < t
 
+    @given(st.integers(min_value=0, max_value=10 ** 6),
+           st.integers(min_value=1, max_value=10 ** 6))
+    def test_tent_height_is_a_quarter_width_capped(self, w, q):
+        assert F(*_tent_height(w, q)) == min(F(w, q) / 4, MAX_TENT_HEIGHT)
+
 
 class TestEvalF:
     def test_full_interval_on_smallest_set(self, zero_map):
@@ -249,12 +260,14 @@ class TestEvalF:
         assert fb.upper_max == F(1, 4)
 
     def test_level_cap(self, zero_map):
-        with pytest.raises(ValueError):
-            eval_F(zero_map, F(1, 4), level=5)
+        # 1/4 lies in C_0; 0, 1/16, 1/2 and 1 do not, and F there reads
+        # no member, but the level is checked all the same
+        for t in (F(1, 4), F(0), F(1, 16), F(1, 2), F(1)):
+            with pytest.raises(ValueError, match="exceeds the family level"):
+                eval_F(zero_map, t, level=5)
 
     def test_negative_level_rejected(self, zero_map):
-        # 1/4 and 1/8 lie in C_0, so the grid is read
-        for t in (F(1, 4), F(1, 8)):
+        for t in (F(1, 4), F(1, 8), F(0), F(1, 16), F(1, 2), F(1)):
             with pytest.raises(ValueError, match="level must be >= 0"):
                 eval_F(zero_map, t, level=-1)
         with pytest.raises(ValueError, match="level must be >= 0"):
@@ -428,7 +441,7 @@ class TestGraphCover:
                 comps = fam.c0.stage(d).components
                 want = []
                 for comp in comps:
-                    ub = next((r for r in m.positive_grid(level)
+                    ub = next((r for r in dyadic_grid(level)
                                if fam.member(r).stage(d).intersect_interval(comp).is_empty),
                               F(1))
                     want.append((comp, ClosedInterval(F(0), max(ub, m.f_sup))))
@@ -473,6 +486,14 @@ class TestCheckers:
         trep = check_light(tent_map, 8, 6)
         assert trep["ok"] and trep["light"]
         assert all(F(r["cover_measure"]) < 1 for r in trep["rows"])
+
+    def test_light_needs_every_value_above_the_unopened_tents(self, tent_map):
+        # a gap still closed at the stage holds a tent up to the tent
+        # height of the widest cover component: 1/32 at stage 1, 5/648 at
+        # stage 3, so the value 1/64 is cut by tents the rows do not count
+        # at stage 1 only
+        assert not check_light(tent_map, 64, 1)["ok"]
+        assert check_light(tent_map, 64, 3)["ok"]
 
     @pytest.mark.parametrize("stage", [3, 8])
     @pytest.mark.parametrize("y_grid", [16, 64])

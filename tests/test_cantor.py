@@ -32,6 +32,7 @@ from gillab.cantor import (
 )
 from gillab.cli import _suite_endpoints
 from gillab.exact import ClosedInterval, IntervalSet, UNIT
+from test_exact import contains_interval, intersects
 
 
 # the local cover tree answers in ints; these read its answers as
@@ -264,7 +265,7 @@ class TestAddresses:
             br = bracket(addr, d)
             widths.append(br.width)
             if d:
-                assert bracket(addr, d - 1).contains_interval(br)
+                assert contains_interval(bracket(addr, d - 1), br)
         assert widths[9] < widths[0] / 100
 
     def test_limit_point_interior(self, family):
@@ -386,7 +387,8 @@ class TestFamily:
     @pytest.mark.parametrize("level", range(6))
     def test_chains_end_at_the_smallest_and_largest_sets(self, level):
         # an intermediate set says IN only through its inner set, so the
-        # bottom of every inner chain, C_1, answers for the whole chain
+        # bottom of every inner chain, C_1, answers for the whole chain,
+        # and each intermediate set stores it
         fam = build_family(level, 8, 15)
         ics = [fam.member(r) for r in fam.grid()
                if isinstance(fam.member(r), IntermediateCantor)]
@@ -398,6 +400,7 @@ class TestFamily:
             while isinstance(outer, IntermediateCantor):
                 outer = outer.outer
             assert inner is fam.c1 and outer is fam.c0, gen.describe()
+            assert gen.bottom is fam.c1, gen.describe()
 
 
 class TestEvalWalks:
@@ -712,7 +715,7 @@ def scan_meeting(sched: RemovalSchedule, window: ClosedInterval, live_at):
     """The hole query as a scan of every entry."""
     return [entry for entry in sched.entries
             if (live_at is None or entry.create_stage <= live_at)
-            and interval(*entry.widest_hull).intersects(window)]
+            and intersects(interval(*entry.widest_hull), window)]
 
 
 def meeting_windows(sched: RemovalSchedule, rnd: random.Random) -> list[ClosedInterval]:
@@ -930,7 +933,7 @@ def assert_persists_matches_scan(gen: IntermediateCantor, windows, depths):
     for d in depths:
         for w in windows:
             want = gen.outer.component_persists(d, *window(w)) and not any(
-                hull(entry, d).intersects(w) for entry in gen.schedule().entries)
+                intersects(hull(entry, d), w) for entry in gen.schedule().entries)
             assert gen.component_persists(d, *window(w)) == want, (d, w)
             seen.add(want)
     assert seen == {True, False}
@@ -962,7 +965,7 @@ class TestOrderedGapAttachedCover:
 def reference_gap(gen: IntermediateCantor, live, br: ClosedInterval, e: int):
     """The gap lookup as a union and complement over all of [0, 1]."""
     hulls = [hull(entry, e) for entry in live]
-    if any(h.intersects(br) for h in hulls):
+    if any(intersects(h, br) for h in hulls):
         return None
     blocked = IntervalSet.union_of((gen.inner.stage(e), IntervalSet(hulls)))
     gap = blocked.complement_in(UNIT).component_containing(br.lo)

@@ -32,6 +32,7 @@ from test_cantor import (
     sample_windows,
     synthetic_intermediate,
 )
+from test_exact import intersects
 
 
 BRACKET_DEPTH = 30
@@ -47,10 +48,10 @@ class FractionTree:
         self._brackets: dict = {}
 
     def near(self, gen, d: int, window: ClosedInterval) -> list[ClosedInterval]:
-        comps = [c for c in gen.stage(0) if c.intersects(window)]
+        comps = [c for c in gen.stage(0) if intersects(c, window)]
         for k in range(1, d + 1):
             comps = [c for parent in comps for c in self.children(gen, k, parent)
-                     if c.intersects(window)]
+                     if intersects(c, window)]
         return comps
 
     def walk(self, gen, d: int, x: F, rightward: bool):
@@ -114,7 +115,7 @@ class FractionTree:
         # the holes live at d whose widest hull meets comp, one at a time
         around = self.near(gen.outer, d, comp)
         for entry in gen.schedule().entries:
-            if entry.create_stage <= d and self.hull(entry, entry.create_stage).intersects(comp):
+            if entry.create_stage <= d and intersects(self.hull(entry, entry.create_stage), comp):
                 lo, hi = self.hole(entry, d)
                 cut = []
                 for c in around:
@@ -126,7 +127,7 @@ class FractionTree:
                     if c.hi >= hi:
                         cut.append(ClosedInterval(hi, c.hi))
                 around = cut
-        return [c for c in around if c.intersects(comp)]
+        return [c for c in around if intersects(c, comp)]
 
     def brackets(self, addr: CantorAddress) -> list[ClosedInterval]:
         """The address's brackets at depths 0..BRACKET_DEPTH, by its

@@ -138,6 +138,20 @@ def test_nonsingleton_on_the_witness_gap_fails_verify_light(monkeypatch):
     assert report["suites"]["light"]["tent"]["ok"]
 
 
+def test_tall_unopened_tents_fail_verify_light(monkeypatch):
+    # with every tent 1 tall, a gap the stage cover has not opened yet may
+    # hold a tent that reaches each value, and the rows count none of its
+    # points
+    args = ["verify", "light", "--level", "1", "--budget", "24", "--stage", "4"]
+    assert CliRunner().invoke(cli.main, args).exit_code == 0
+    monkeypatch.setattr(bonding, "_tent_height", lambda w, q: (1, 1))
+    assert not check_light(make_map("tent", build_family(1, 24, 15)), 16, 4)["ok"]
+    res = CliRunner().invoke(cli.main, args)
+    assert res.exit_code == cli.EXIT_VERIFY_FAILED, res.output
+    report = json.loads(res.output)
+    assert not report["suites"]["light"]["ok"] and not report["suites"]["light"]["tent"]["ok"]
+
+
 def test_uncertified_step_fails_verify_arcs(tmp_path):
     # x_0 = 1/64 is not in F(1/32) = {0} in zero mode
     threads = tmp_path / "threads.json"
