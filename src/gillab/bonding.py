@@ -28,7 +28,7 @@ from math import lcm
 from typing import Optional
 
 from .cantor import CantorFamily, CantorGen, DEFAULT_MAX_STAGE
-from .exact import UNIT, ClosedInterval, ONE, ZERO, _over
+from .exact import UNIT, ClosedInterval, ONE, ZERO, _over, _text
 
 MAX_TENT_HEIGHT = Fraction(1, 32)
 MIN_C0 = Fraction(1, 8)
@@ -166,17 +166,15 @@ class GraphCover:
 
     The x-intervals tile [0, 1]: box k is [ends[k]/q, ends[k+1]/q] x
     [0, heights[ranks[k]]], for int ends rising from 0 to q and heights
-    ascending, so a taller box has a larger int rank.  The queries are
-    int work on ``ends`` and ``ranks``; ``boxes`` makes the boxes at the
-    edge.
+    ascending, so a taller box has a larger int rank.  The queries, the
+    CSV rows and Mahavier products are int work on ``ends`` and
+    ``ranks``; ``boxes`` makes the boxes at the edge.
     """
 
     q: int
     ends: tuple[int, ...]
     heights: tuple[Fraction, ...]
     ranks: tuple[int, ...]
-    stage: int
-    level: int
 
     @cached_property
     def boxes(self) -> list[tuple[ClosedInterval, ClosedInterval]]:
@@ -218,9 +216,10 @@ class GraphCover:
         return self.heights[min(self.ranks[first:last])]
 
     def csv_rows(self) -> list[str]:
+        ends = [_text(e, self.q) for e in self.ends]
+        ys = [f"0,{h}" for h in self.heights]
         rows = ["x_lo,x_hi,y_lo,y_hi"]
-        for xb, yb in self.boxes:
-            rows.append(f"{xb.lo},{xb.hi},{yb.lo},{yb.hi}")
+        rows += (f"{a},{b},{ys[k]}" for a, b, k in zip(ends, ends[1:], self.ranks))
         return rows
 
 
@@ -250,7 +249,7 @@ def _build_graph_cover(m: SetValuedMap, stage: int, level: int) -> GraphCover:
     # the components and the gaps between them tile [0, 1]
     rows.sort()
     return GraphCover(q, (0, *(hi for _, hi, _ in rows)), tuple(heights),
-                      tuple(k for _, _, k in rows), stage, level)
+                      tuple(k for _, _, k in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Optional
 
 from .bonding import MIN_C0, SetValuedMap, eval_F
@@ -22,7 +23,7 @@ from .dynamics import Cycle, certify_step, iterate_f
 from .errors import BoxCountError
 from .exact import UNIT, ClosedInterval, IntervalSet, ONE, ZERO
 
-DEFAULT_BOX_CEILING = 10 ** 6
+BOX_CEILING = 10 ** 6
 TREELIKE_GAP_STAGE = 3
 
 
@@ -304,8 +305,6 @@ class BoxCover:
     dimension: int
     ranked: tuple[ClosedInterval, ...]
     keys: list[int]
-    stage: int
-    level: int
 
     @cached_property
     def boxes(self) -> list[tuple[ClosedInterval, ...]]:
@@ -316,7 +315,7 @@ class BoxCover:
         def intervals(ranks) -> tuple[ClosedInterval, ...]:
             return tuple(ranked[r] for r in ranks)
 
-        return self._rows(intervals, intervals)
+        return self._rows(intervals, intervals, [])
 
     def project(self, i: int) -> IntervalSet:
         return IntervalSet(box[i] for box in self.boxes)
@@ -325,15 +324,16 @@ class BoxCover:
         head = ",".join(f"x{i}_lo,x{i}_hi" for i in range(self.dimension))
         texts = [f"{iv.lo},{iv.hi}" for iv in self.ranked]
         # a front is empty in dimension 2, so it carries its own commas
-        return [head] + self._rows(lambda ranks: "".join(texts[r] + "," for r in ranks),
-                                   lambda ranks: ",".join(texts[r] for r in ranks))
+        return self._rows(lambda ranks: "".join(texts[r] + "," for r in ranks),
+                          lambda ranks: ",".join(texts[r] for r in ranks), [head])
 
-    def _rows(self, front_of, back_of) -> list:
-        """front_of(leading ranks) + back_of(last two ranks) for each key.
-        One divmod splits a key, and each distinct part is made once."""
+    def _rows(self, front_of, back_of, rows: list) -> list:
+        """rows, extended by front_of(leading ranks) + back_of(last two
+        ranks) for each key.  One divmod splits a key, and each distinct
+        part is made once."""
         base = len(self.ranked)
         lead, split = self.dimension - 2, base * base
-        fronts, backs, rows = {}, {}, []
+        fronts, backs = {}, {}
         for key in self.keys:
             front, back = divmod(key, split)
             f = fronts.get(front)
@@ -355,8 +355,7 @@ def _digits(key: int, count: int, base: int) -> list[int]:
     return out[::-1]
 
 
-def mahavier_cover(m: SetValuedMap, n: int, stage: int, level: int,
-                   ceiling: int = DEFAULT_BOX_CEILING) -> BoxCover:
+def mahavier_cover(m: SetValuedMap, n: int, stage: int, level: int) -> BoxCover:
     """Compose graph-cover boxes into an outer cover of (x_0, ..., x_n).
 
     A pair (x_i, x_{i-1}) lies in the graph of F, covered by a box
@@ -365,42 +364,43 @@ def mahavier_cover(m: SetValuedMap, n: int, stage: int, level: int,
     0 < i < n and x_n in T_n, and survives while every constraint is
     nonempty.  Every Y is [0, h] and every T lies in [0, 1], so T & Y
     is [T.lo, min(T.hi, h)] exactly when h >= T.lo: a tail finds its
-    heads by one bisection of the boxes sorted by h.  Each distinct
-    interval is built once and ranked once in ClosedInterval order, so
+    heads by one bisection of the boxes in height order, which is the
+    order of their ranks.  Each interval is an int pair over one
+    denominator, so the distinct pairs rank in ClosedInterval order and
     the chains sort, in coordinate-tuple order, by integer keys.  A step
-    that yields more than ``ceiling`` chains raises BoxCountError.
+    that yields more than ``BOX_CEILING`` chains raises BoxCountError.
     """
     if n < 1:
         raise ValueError("need at least two coordinates")
-    gboxes = m.graph_cover(stage, level).boxes
-    interned: dict[ClosedInterval, ClosedInterval] = {}
-
-    def intern(iv: ClosedInterval) -> ClosedInterval:
-        return interned.setdefault(iv, iv)
-
-    xs = [intern(tb) for tb, _ in gboxes]
-    ys = [intern(yb) for _, yb in gboxes]
-    by_height = sorted(range(len(gboxes)), key=lambda j: ys[j].hi)
-    heights = [ys[j].hi for j in by_height]
+    cover = m.graph_cover(stage, level)
+    ranks = cover.ranks
+    d = lcm(cover.q, *(h.denominator for h in cover.heights))
+    ends = [e * (d // cover.q) for e in cover.ends]
+    tops = [h.numerator * (d // h.denominator) for h in cover.heights]
+    xs = list(zip(ends, ends[1:]))
+    ys = [(0, tops[k]) for k in ranks]
+    by_height = sorted(range(len(ranks)), key=ranks.__getitem__)
+    heights = [tops[ranks[j]] for j in by_height]
     # heads[i]: each box j that can follow box i, with T_i & Y_j
-    heads = [[(j, intern(ClosedInterval(tb.lo, min(tb.hi, ys[j].hi))))
-              for j in by_height[bisect_left(heights, tb.lo):]] for tb in xs]
-    ranked = sorted(interned.values())
-    rank = {id(iv): r for r, iv in enumerate(ranked)}
+    heads = [[(j, (lo, min(hi, tops[ranks[j]])))
+              for j in by_height[bisect_left(heights, lo):]] for lo, hi in xs]
+    ranked = sorted({*xs, *ys, *(iv for meets in heads for _, iv in meets)})
+    rank = {iv: r for r, iv in enumerate(ranked)}
     base = len(ranked)
-    digits = [[rank[id(iv)] for _, iv in meets] for meets in heads]
+    digits = [[rank[iv] for _, iv in meets] for meets in heads]
     # a chain is its coordinate ranks so far, read as one integer in base
     # `base`, and the index of its last box, whose T is still to come
-    keys = [rank[id(yb)] for yb in ys]
-    last = list(range(len(gboxes)))
+    keys = [rank[yb] for yb in ys]
+    last = list(range(len(ranks)))
     for _ in range(2, n + 1):
-        if sum(len(heads[i]) for i in last) > ceiling:
-            raise BoxCountError(f"box chains exceeded ceiling {ceiling}")
+        if sum(len(heads[i]) for i in last) > BOX_CEILING:
+            raise BoxCountError(f"box chains exceeded ceiling {BOX_CEILING}")
         keys = [key * base + r for key, i in zip(keys, last) for r in digits[i]]
         last = [j for i in last for j, _ in heads[i]]
-    keys = [key * base + rank[id(xs[i])] for key, i in zip(keys, last)]
+    keys = [key * base + rank[xs[i]] for key, i in zip(keys, last)]
     keys.sort()
-    return BoxCover(n + 1, tuple(ranked), keys, stage, level)
+    return BoxCover(n + 1, tuple(ClosedInterval(Fraction(lo, d), Fraction(hi, d))
+                                 for lo, hi in ranked), keys)
 
 
 def check_treelike_hypotheses(m: SetValuedMap, stage: int) -> dict:

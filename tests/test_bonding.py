@@ -453,6 +453,15 @@ class TestGraphCover:
         assert rows[0] == "x_lo,x_hi,y_lo,y_hi"
         assert len(rows) == len(zero_map.graph_cover(1, 2).boxes) + 1
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_csv_rows_are_written_from_the_tiling(self, family, mode):
+        # tent heights have denominators that do not divide q
+        cov = make_map(mode, family).graph_cover(4, 2)
+        rows = cov.csv_rows()
+        # the CSV path makes no box view
+        assert "boxes" not in vars(cov)
+        assert rows[1:] == [f"{xb.lo},{xb.hi},{yb.lo},{yb.hi}" for xb, yb in cov.boxes]
+
 
 class TestCheckers:
     def test_usc(self, zero_map, tent_map):

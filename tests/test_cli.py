@@ -192,6 +192,11 @@ ARC_THREADS = ('[{"isZero": true}, {"prefix": ["1/64", "1/32", "1/16"], '
      "794ee0749623ae2e24d51979368f66927a0546fef3f7696ce52ad1a51fe4fcd2"),
     (["cantor", "--stage", "3", "--member", "1/2"], None,
      "75167438e302f5cff7ff8bb65545401849343ebaa3bb4019ebdd2b6e551b1c7d"),
+    # tent heights have denominators that do not divide the cover's q
+    (["graph", "--stage", "3", "--mode", "tent"], None,
+     "e0e1d42574a13ab1c6d1b05b5e7c62c5d579243de71fdd0edff0e8bf8bc20592"),
+    (["mahavier", "--stage", "2", "--n", "2", "--mode", "tent"], None,
+     "959d184047818d6dc33810192904a54ff5b2059ff26f9f011fe4ded5a8600962"),
 ])
 def test_export_bytes(tmp_path, args, threads, digest):
     # each kind's output at level 1, budget 24, pinned when one command

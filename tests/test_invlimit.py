@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from gillab import invlimit
 from gillab.bonding import make_map
 from gillab.cantor import GapAttachedCantor, build_family
 from gillab.dynamics import make_cycle
@@ -181,9 +182,10 @@ class TestMahavier:
         cov = mahavier_cover(zero_map, 2, 3, 2)
         assert cov.project(2) == IntervalSet.of((0, 1))
 
-    def test_ceiling(self, zero_map):
+    def test_ceiling(self, zero_map, monkeypatch):
+        monkeypatch.setattr(invlimit, "BOX_CEILING", 100)
         with pytest.raises(BoxCountError):
-            mahavier_cover(zero_map, 4, 4, 2, ceiling=100)
+            mahavier_cover(zero_map, 4, 4, 2)
 
     def test_dimension_validation(self, zero_map):
         with pytest.raises(ValueError):
@@ -196,11 +198,13 @@ class TestMahavier:
         assert len(rows) == len(cov.boxes) + 1
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_ceiling_is_the_largest_step(self, zero_map, n):
+    def test_ceiling_is_the_largest_step(self, zero_map, n, monkeypatch):
         count = len(mahavier_cover(zero_map, n, 2, 2).boxes)
-        assert len(mahavier_cover(zero_map, n, 2, 2, ceiling=count).boxes) == count
+        monkeypatch.setattr(invlimit, "BOX_CEILING", count)
+        assert len(mahavier_cover(zero_map, n, 2, 2).boxes) == count
+        monkeypatch.setattr(invlimit, "BOX_CEILING", count - 1)
         with pytest.raises(BoxCountError, match=f"exceeded ceiling {count - 1}$"):
-            mahavier_cover(zero_map, n, 2, 2, ceiling=count - 1)
+            mahavier_cover(zero_map, n, 2, 2)
 
 
 def all_pairs_chains(gboxes, n):
@@ -247,12 +251,15 @@ BENCH_MAHAVIER_SHA256 = "a7ea747fc29b24598d90a6eaaae081463e0b7c41d2071d33d9a9af5
 
 
 def test_bench_configuration_csv_is_rendered_from_the_keys(level3_family):
-    cover = mahavier_cover(make_map("zero", level3_family), 3, 3, 3)
+    m = make_map("zero", level3_family)
+    cover = mahavier_cover(m, 3, 3, 3)
     text = "\n".join(cover.csv_rows()) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == BENCH_MAHAVIER_SHA256
     assert len(cover.keys) == 156107
     # the CSV path decodes no key into a box tuple
     assert "boxes" not in vars(cover)
+    # and the chains are composed on the graph cover's int tiling
+    assert "boxes" not in vars(m.graph_cover(3, 3))
 
 
 class TestTreelike:

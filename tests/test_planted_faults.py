@@ -6,9 +6,10 @@ from fractions import Fraction as F
 import pytest
 from click.testing import CliRunner
 
-from gillab import bonding, cli, invlimit
+from gillab import bonding, cli, dynamics, invlimit
 from gillab.bonding import FBracket, check_light, check_not_almost_nonfissile, make_map
-from gillab.cantor import CantorAddress, build_family
+from gillab.cantor import IN, CantorAddress, Membership, build_family
+from gillab.dynamics import Cycle
 from gillab.exact import ClosedInterval, IntervalSet
 
 
@@ -182,3 +183,28 @@ def test_tent_above_min_c0_fails_treelike(monkeypatch):
     assert res.exit_code == cli.EXIT_VERIFY_FAILED, res.output
     report = json.loads(res.output)
     assert not report["ok"] and not report["suites"]["treelike"]["preimage_ok"]
+
+
+# suite -> (owner, name, planted replacement) of a fault that suite must catch
+PLANTED = {
+    # every later member seems to keep every scheduled endpoint
+    "endpoints": (cli, "point_membership", lambda gen, t, ceiling: Membership(IN)),
+    # no graph-cover box holds any (t, y)
+    "usc": (bonding.GraphCover, "contains_point", lambda cover, t, y: False),
+    # every column of the cover seems filled to height 1
+    "interior": (bonding.GraphCover, "floor", lambda cover, xb: F(1)),
+    # 1/4 is in C_1, so each step is certified, but the points coincide
+    "cycles": (dynamics, "make_cycle", lambda m, n: Cycle((F(1, 4), F(1, 4)), ())),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(PLANTED))
+def test_planted_fault_fails_verify(suite, monkeypatch):
+    args = ["verify", suite, "--level", "1", "--budget", "24", "--stage", "4"]
+    assert CliRunner().invoke(cli.main, args).exit_code == 0
+    owner, name, planted = PLANTED[suite]
+    monkeypatch.setattr(owner, name, planted)
+    res = CliRunner().invoke(cli.main, args)
+    assert res.exit_code == cli.EXIT_VERIFY_FAILED, res.output
+    report = json.loads(res.output)
+    assert not report["ok"] and not report["suites"][suite]["ok"]
