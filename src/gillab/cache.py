@@ -3,10 +3,13 @@
 One JSON file per (level, budget) pair, named by a hash of the build
 parameters.  The payload holds the canonical interval-set text of every
 member's stage covers plus each removal schedule, and carries a content
-hash.  Loading rebuilds the family from scratch, compares every stored
-cover depth by depth, renders it with the code that wrote the file, and
-insists on the same text byte for byte, so a cache file is a
-determinism certificate for everything it holds.
+hash.  Saving and loading both build the covers through
+``CantorFamily.covers``: member by member in build order, depth by
+depth within a member, so each removal-schedule search reads its
+neighbours' memoised covers.  Loading rebuilds the family from scratch,
+compares every stored cover as soon as it is built, renders it with the
+code that wrote the file, and insists on the same text byte for byte,
+so a cache file is a determinism certificate for everything it holds.
 """
 
 from __future__ import annotations
@@ -91,8 +94,9 @@ def save_family(fam: CantorFamily, stages: int, cache_dir: Path) -> Path:
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / family_filename(fam.level, fam.stage_budget)
-    texts = {str(r): [fam.member(r).stage(d).to_text() for d in range(stages + 1)]
-             for r in fam.grid()}
+    texts: dict[str, list[str]] = {str(r): [] for r in fam.grid()}
+    for r, _, cover in fam.covers(stages):
+        texts[str(r)].append(cover.to_text())
     path.write_text(_render(fam, stages, texts))
     return path
 
@@ -120,21 +124,22 @@ def load_family(level: int, budget: int, cache_dir: Path,
     except (AttributeError, KeyError, StopIteration, TypeError) as ex:
         raise CacheError(f"cache file {path} holds no stage covers") from ex
     fam = build_family(level, budget, search_ceiling)
-    # depth by depth, so that a padded cover list fails at its first
-    # wrong depth instead of rendering covers exponential in its length;
-    # the texts rendered here are the ones the whole-file compare uses
+    # each cover is compared as soon as it is built, so that a padded or
+    # tampered cover list fails at its first wrong depth, before any
+    # later member's search or any cover exponential in the list's
+    # length; the texts rendered here are the ones the whole-file
+    # compare uses
     texts: dict[str, list[str]] = {str(r): [] for r in fam.grid()}
-    for d in range(stages + 1):
-        for r in fam.grid():
-            want = fam.member(r).stage(d).to_text()
-            try:
-                same = payload["members"][str(r)]["stages"][d] == want
-            except (IndexError, KeyError, TypeError):
-                same = False
-            if not same:
-                raise CacheError(f"rebuilt family differs from cache file {path} "
-                                 f"at stage {d} of member {r}")
-            texts[str(r)].append(want)
+    for r, d, cover in fam.covers(stages):
+        want = cover.to_text()
+        try:
+            same = payload["members"][str(r)]["stages"][d] == want
+        except (IndexError, KeyError, TypeError):
+            same = False
+        if not same:
+            raise CacheError(f"rebuilt family differs from cache file {path} "
+                             f"at stage {d} of member {r}")
+        texts[str(r)].append(want)
     if _render(fam, stages, texts) != text:
         raise CacheError(f"rebuilt family differs from cache file {path}")
     return fam

@@ -23,11 +23,17 @@ one component, a numerator pair, memoised by (d, lo, hi).  ``near(d,
 lo, hi, q)`` (the stage-d components meeting [lo/q, hi/q]) and
 ``walk(d, n, q, rightward)`` (those from n/q outward) descend that tree
 from the deepest memoised cover, so the removal-schedule search builds
-no deep cover.  One step, ``_descend``, keeps the children meeting a
-window; ``near`` and an address's ``point_membership`` both take it.  A
+no deep cover.  Above that depth a component's children are read off
+the memoised cover, by one bisection, and ``_children_of`` runs only
+past it.  A caller that reports every member's covers anyway builds
+them through ``CantorFamily.covers``, member by member in build order,
+so each member's search reads its inner and outer sets' covers
+memoised.  One step, ``_descend``, keeps the children meeting a window;
+``near`` and an address's ``point_membership`` both take it.  A
 rational window or point enters once, by ceiling and floor at the grid;
-brackets, holes and hulls are int triples (lo, hi, q).  Fractions appear only at the edge: in cover components, endpoints,
-rational anchors and the gaps ``gap_of`` gives.  A point query is int
+brackets, holes and hulls are int triples (lo, hi, q).  Fractions
+appear only at the edge: in cover components, endpoints, rational
+anchors and the gaps ``gap_of`` gives.  A point query is int
 work too: ``first_out``, ``gap_of`` and ``membership`` read t = n/m once
 as its numerator and denominator, and test the base, window and unit
 by comparing int products, so no query compares two Fractions.
@@ -180,11 +186,21 @@ class CantorGen:
                 for c in reversed(self._cached_children(d, *parent)) if c[0] <= x_hi)
 
     def _cached_children(self, d: int, lo: int, hi: int) -> tuple[Pair, ...]:
-        """`_children_of`, memoised by (d, lo, hi)."""
+        """`_children_of`, memoised by (d, lo, hi); read off the stage-d
+        cover by one bisection when that is memoised, since the stage-d
+        components meeting the parent are its children."""
         key = (d, lo, hi)
         children = self._children_memo.get(key)
         if children is None:
-            children = self._children_memo[key] = tuple(self._children_of(d, lo, hi))
+            if d < len(self._stage_memo):
+                cover = self._stage_memo[d]
+                clo, chi = cover.numerators()
+                f = self.grid(d) // cover.q
+                children = tuple((clo[k] * f, chi[k] * f)
+                                 for k in cover.overlapping(lo, hi, self.grid(d - 1)))
+            else:
+                children = tuple(self._children_of(d, lo, hi))
+            self._children_memo[key] = children
         return children
 
     def membership(self, t: Fraction, max_stage: int = DEFAULT_MAX_STAGE) -> Membership:
@@ -888,6 +904,7 @@ class CantorFamily:
 
     Larger indices give smaller sets; refining the level inserts new
     sets between existing ones without changing any constructed set.
+    ``members`` holds them in build order: C_0, C_1, then level by level.
     """
 
     def __init__(self, level: int, stage_budget: int,
@@ -909,6 +926,18 @@ class CantorFamily:
     @property
     def c1(self) -> MiddleThirds:
         return self.members[ONE]
+
+    def covers(self, stage: int) -> Iterator[tuple[Fraction, int, IntervalSet]]:
+        """(r, d, C_r.stage(d)) for every member and every d <= stage,
+        each cover built as it is reached: member by member in build
+        order, the order of ``members``, which puts each intermediate
+        set after its inner and outer sets, and depth by depth within a
+        member.  So each removal-schedule search, run as its member's
+        stage 0 is built, reads its neighbours' covers memoised through
+        depth stage instead of descending to them from depth 0."""
+        for r, gen in self.members.items():
+            for d in range(stage + 1):
+                yield r, d, gen.stage(d)
 
     def check_nesting(self, stage: int) -> dict:
         """Exact cover inclusion stage_d(C_r) <= stage_d(C_s) for r > s

@@ -58,6 +58,14 @@ def _options(*names):
     return attach
 
 
+def _fill_covers(fam, stage: int) -> None:
+    """Build every member's covers through stage, in build order, so that
+    each removal-schedule search reads its neighbours' covers memoised.
+    For a command that reads all of them anyway: it adds no work."""
+    for _ in fam.covers(stage):
+        pass
+
+
 def _emit(obj) -> None:
     click.echo(json.dumps(obj, sort_keys=True, indent=2))
 
@@ -268,6 +276,9 @@ def _suite_interior(fam, m, stage, seed, threads):
     return bonding.check_empty_interior(m, stage)
 
 
+# the suites that read every member's covers at every depth through --stage
+READS_EVERY_COVER = {"nesting", "interior", "usc"}
+
 SUITES = {
     "nesting": _suite_nesting,
     "endpoints": _suite_endpoints,
@@ -290,9 +301,12 @@ def cmd_verify(suite, level, budget, stage, mode, seed, max_period,
                threads_file):
     """Run a verification suite; exit 0 iff every check passes."""
     fam = build_family(level, budget)
+    names = sorted(SUITES) if suite == "all" else [suite]
+    # before the canned threads, whose eval_F queries search schedules
+    if READS_EVERY_COVER.intersection(names):
+        _fill_covers(fam, stage)
     m = bonding.make_map(mode, fam)
     threads = _load_threads(m, threads_file)
-    names = sorted(SUITES) if suite == "all" else [suite]
     results = {name: _suite_cycles(fam, m, stage, seed, threads, max_period)
                if name == "cycles" else SUITES[name](fam, m, stage, seed, threads)
                for name in names}
@@ -343,7 +357,10 @@ def export():
               default="csv", show_default=True)
 def export_graph(level, budget, stage, mode, out, fmt):
     """Outer box cover of the graph of F."""
-    cover = bonding.make_map(mode, build_family(level, budget)).graph_cover(stage, level)
+    fam = build_family(level, budget)
+    # the graph cover reads every member's covers through stage
+    _fill_covers(fam, stage)
+    cover = bonding.make_map(mode, fam).graph_cover(stage, level)
     if fmt == "svg":
         text = _svg_boxes(cover.boxes)
     elif fmt == "json":
@@ -361,8 +378,10 @@ def export_graph(level, budget, stage, mode, out, fmt):
               show_default=True, help="Last coordinate index.")
 def export_mahavier(level, budget, stage, mode, out, n_coords):
     """Box cover of the Mahavier product on coordinates 0..n."""
-    m = bonding.make_map(mode, build_family(level, budget))
-    cover = invlimit.mahavier_cover(m, n_coords, stage, level)
+    fam = build_family(level, budget)
+    # the graph cover under the chains reads every member's covers through stage
+    _fill_covers(fam, stage)
+    cover = invlimit.mahavier_cover(bonding.make_map(mode, fam), n_coords, stage, level)
     _write("\n".join(cover.csv_rows()) + "\n", out)
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from gillab import cache
 from gillab.cache import _content_hash, family_filename, load_family, save_family
-from gillab.cantor import build_family
+from gillab.cantor import GapAttachedCantor, IntermediateCantor, MiddleThirds, build_family
 from gillab.errors import CacheError
 
 
@@ -121,6 +121,29 @@ class TestCache:
         with pytest.raises(CacheError, match="at stage 0 of member 1/2"):
             load_family(1, 24, tmp_path)
 
+    def test_wrong_c0_cover_fails_before_any_search(self, tmp_path, monkeypatch):
+        # covers are built and compared member by member in build order,
+        # C_0 first, so a wrong C_0 cover fails before any intermediate
+        # set searches its schedule
+        path = save_family(build_family(2, 56, 15), 3, tmp_path)
+        payload = json.loads(path.read_text())
+        stages = payload["members"]["0"]["stages"]
+        stages[3] = stages[2]
+        rewrite(path, payload, rehash=True)
+        rebuilt = []
+
+        def build(*args):
+            rebuilt.append(build_family(*args))
+            return rebuilt[-1]
+
+        monkeypatch.setattr(cache, "build_family", build)
+        with pytest.raises(CacheError, match="differs from cache .* at stage 3 of member 0$"):
+            load_family(2, 56, tmp_path)
+        fam, = rebuilt
+        ics = [gen for gen in fam.members.values() if isinstance(gen, IntermediateCantor)]
+        assert len(ics) == 3
+        assert all(gen._schedule is None for gen in ics)
+
     def test_missing_field(self, small_family, tmp_path):
         path = save_family(small_family, 3, tmp_path)
         payload = json.loads(path.read_text())
@@ -132,3 +155,24 @@ class TestCache:
     def test_filename_stable(self):
         assert family_filename(2, 56) == family_filename(2, 56)
         assert family_filename(2, 56) != family_filename(1, 56)
+
+
+def test_a_load_refines_only_past_the_memoised_covers(tmp_path, monkeypatch):
+    # each search reads its neighbours' covers memoised through depth 8,
+    # and a component's children come off a memoised cover where there is
+    # one; a level-3 load made 2,800 _children_of calls when every search
+    # ran before any cover past depth 1 was memoised
+    save_family(build_family(3, 56, 15), 8, tmp_path)
+    calls = []
+
+    def counted(children_of):
+        def wrapper(gen, d, lo, hi):
+            calls.append(d >= len(gen._stage_memo))
+            return children_of(gen, d, lo, hi)
+        return wrapper
+
+    for cls in (MiddleThirds, GapAttachedCantor, IntermediateCantor):
+        monkeypatch.setattr(cls, "_children_of", counted(cls._children_of))
+    load_family(3, 56, tmp_path)
+    assert 0 < len(calls) <= 444
+    assert all(calls)

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 import gillab
 from gillab import cli, invlimit
+from gillab.cantor import CantorFamily, IntermediateCantor
 from gillab.cli import main
 from gillab.errors import BoxCountError
 
@@ -78,6 +79,43 @@ class TestVerify:
         a = invoke("verify", "treelike", "--seed", "5", *SMALL).output
         b = invoke("verify", "treelike", "--seed", "5", *SMALL).output
         assert a == b
+
+
+@pytest.mark.parametrize("args, filled", [
+    (["verify", "nesting", *SMALL], 4),
+    (["verify", "interior", *SMALL], 4),
+    (["verify", "usc", *SMALL], 4),
+    (["verify", "cycles", "--max-period", "3", *SMALL], None),
+    (["verify", "endpoints", *SMALL], None),
+    (["export", "graph", *FAMILY, "--stage", "3"], 3),
+    (["export", "mahavier", *FAMILY, "--stage", "2", "--n", "2"], 2),
+    (["export", "cantor", *FAMILY, "--stage", "2"], None),
+])
+def test_covers_are_filled_before_searches_only_where_all_are_read(
+        monkeypatch, args, filled):
+    # a command that reads every member's covers through --stage builds
+    # them first, in build order, so each schedule search finds its
+    # inner and outer covers memoised that deep; any other builds none
+    fills, searched_over = [], []
+    covers = CantorFamily.covers
+    build_schedule = IntermediateCantor._build_schedule
+
+    def recorded_covers(fam, stage):
+        fills.append(stage)
+        return covers(fam, stage)
+
+    def recorded_build(gen):
+        searched_over.append(min(len(gen.inner._stage_memo), len(gen.outer._stage_memo)))
+        return build_schedule(gen)
+
+    monkeypatch.setattr(CantorFamily, "covers", recorded_covers)
+    monkeypatch.setattr(IntermediateCantor, "_build_schedule", recorded_build)
+    assert invoke(*args).exit_code == 0
+    if filled is None:
+        assert fills == []
+    else:
+        assert fills == [filled]
+        assert searched_over and all(n == filled + 1 for n in searched_over)
 
 
 class TestFamily:

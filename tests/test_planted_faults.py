@@ -185,6 +185,16 @@ def test_tent_above_min_c0_fails_treelike(monkeypatch):
     assert not report["ok"] and not report["suites"]["treelike"]["preimage_ok"]
 
 
+def _no_witness_on_c1(m, t, *args):
+    """eval_F with [0, 1] for F(t) at every point t of C_1: [0, 0] is all
+    it certifies there, so no C_1 witness reaches a value y > 0."""
+    if m.family.c1.membership(t).is_in:
+        return FBracket(F(0), F(1))
+    return _eval_F(m, t, *args)
+
+
+_eval_F = bonding.eval_F
+
 # suite -> (owner, name, planted replacement) of a fault that suite must catch
 PLANTED = {
     # every later member seems to keep every scheduled endpoint
@@ -193,6 +203,8 @@ PLANTED = {
     "usc": (bonding.GraphCover, "contains_point", lambda cover, t, y: False),
     # every column of the cover seems filled to height 1
     "interior": (bonding.GraphCover, "floor", lambda cover, xb: F(1)),
+    # the spot checks' witnesses are C_1 endpoints
+    "ivp": (bonding, "eval_F", _no_witness_on_c1),
     # 1/4 is in C_1, so each step is certified, but the points coincide
     "cycles": (dynamics, "make_cycle", lambda m, n: Cycle((F(1, 4), F(1, 4)), ())),
 }
