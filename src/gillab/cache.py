@@ -10,6 +10,10 @@ neighbours' memoised covers.  Loading rebuilds the family from scratch,
 compares every stored cover as soon as it is built, renders it with the
 code that wrote the file, and insists on the same text byte for byte,
 so a cache file is a determinism certificate for everything it holds.
+Saving and loading each pass one table of component texts to every
+``to_text`` call, so a component shared by several members or depths
+is rendered once per call.  An ``OSError`` on writing, such as a cache
+directory path that names a file, is a ``CacheError``.
 """
 
 from __future__ import annotations
@@ -91,13 +95,21 @@ def _render(fam: CantorFamily, stages: int, texts: dict[str, list[str]]) -> str:
 
 def save_family(fam: CantorFamily, stages: int, cache_dir: Path) -> Path:
     """Write the family's cover text and schedules; returns the file path."""
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / family_filename(fam.level, fam.stage_budget)
+    path = Path(cache_dir) / family_filename(fam.level, fam.stage_budget)
+    # the directory is made before any cover is built, so that a bad
+    # path fails at once
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as ex:
+        raise CacheError(f"cannot make cache directory {path.parent}: {ex}") from ex
+    table: dict = {}
     texts: dict[str, list[str]] = {str(r): [] for r in fam.grid()}
     for r, _, cover in fam.covers(stages):
-        texts[str(r)].append(cover.to_text())
-    path.write_text(_render(fam, stages, texts))
+        texts[str(r)].append(cover.to_text(table))
+    try:
+        path.write_text(_render(fam, stages, texts))
+    except OSError as ex:
+        raise CacheError(f"cannot write cache file {path}: {ex}") from ex
     return path
 
 
@@ -129,9 +141,10 @@ def load_family(level: int, budget: int, cache_dir: Path,
     # later member's search or any cover exponential in the list's
     # length; the texts rendered here are the ones the whole-file
     # compare uses
+    table: dict = {}
     texts: dict[str, list[str]] = {str(r): [] for r in fam.grid()}
     for r, d, cover in fam.covers(stages):
-        want = cover.to_text()
+        want = cover.to_text(table)
         try:
             same = payload["members"][str(r)]["stages"][d] == want
         except (IndexError, KeyError, TypeError):

@@ -129,10 +129,11 @@ def family_inspect(level, budget, stage, cache_dir):
     if cache_dir is None:
         raise click.UsageError("family inspect needs --cache-dir or GILLAB_CACHE")
     fam = cache.load_family(level, budget, cache_dir)
+    table: dict = {}
     report = {
         "members": {str(r): {
             "describe": fam.member(r).describe(),
-            "covers": [fam.member(r).stage(d).to_text()
+            "covers": [fam.member(r).stage(d).to_text(table)
                        for d in range(stage + 1)]}
             for r in fam.grid()},
         "nesting": fam.check_nesting(stage),
@@ -342,7 +343,10 @@ def _write(text: str, out) -> None:
     if out is None:
         click.echo(text, nl=False)
     else:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as ex:
+            raise click.UsageError(f"cannot write --out {out}: {ex.strerror or ex}")
         click.echo(f"wrote {out}")
 
 

@@ -10,9 +10,13 @@ positive ``int`` denominator q, so its queries, comparisons and sweeps
 are integer work.  Fractions and ClosedIntervals are made only at the
 edge, for the components a query returns and in ``components``;
 ``to_text`` writes each end n/q in lowest terms, byte for byte as
-``str(Fraction(n, q))``.  A rational argument p/s is compared through
-the ceiling or floor of p*q/s, and two sets over different denominators
-are rescaled to their lcm, so nothing is ever rounded.
+``str(Fraction(n, q))``, and joins the component texts ``lo..hi``; it
+takes a table of component texts keyed by (q, lo, hi), so that callers
+rendering many covers, whose components repeat across members and
+depths, render each distinct component once.  A rational argument p/s
+is compared through the ceiling or floor of p*q/s, and two sets over
+different denominators are rescaled to their lcm, so nothing is ever
+rounded.
 """
 
 from __future__ import annotations
@@ -325,8 +329,21 @@ class IntervalSet:
 
     # -- serialization ---------------------------------------------------
 
-    def to_text(self) -> str:
-        """Canonical text form, e.g. ``1/4..5/12;7/12..3/4``."""
+    def to_text(self, table: Optional[dict[tuple[int, int, int], str]] = None) -> str:
+        """Canonical text form, e.g. ``1/4..5/12;7/12..3/4``.
+
+        table maps (q, lo, hi) to the component text ``lo/q..hi/q``; a
+        caller that renders many covers passes one table to every call,
+        so each distinct component is rendered once.
+        """
+        if table is None:
+            table = {}
         q = self._q
-        return ";".join(f"{_text(lo, q)}..{_text(hi, q)}"
-                        for lo, hi in zip(self._lo, self._hi))
+        parts = []
+        for lo, hi in zip(self._lo, self._hi):
+            key = (q, lo, hi)
+            text = table.get(key)
+            if text is None:
+                text = table[key] = f"{_text(lo, q)}..{_text(hi, q)}"
+            parts.append(text)
+        return ";".join(parts)

@@ -299,7 +299,10 @@ class BoxCover:
     keys[k] in base len(ranked), leading digit first.  The intervals
     ascend and the keys ascend, so the boxes come in coordinate-tuple
     order.  ``csv_rows`` renders from the keys; ``boxes`` makes the
-    tuples at the edge, for the queries that read them.
+    tuples at the edge, for the queries that read them.  Both share one
+    loop over the runs of keys with the same leading digits: it makes
+    each run's front part once and each distinct part of the last two
+    coordinates once, and joins them row by row.
     """
 
     dimension: int
@@ -329,20 +332,23 @@ class BoxCover:
 
     def _rows(self, front_of, back_of, rows: list) -> list:
         """rows, extended by front_of(leading ranks) + back_of(last two
-        ranks) for each key.  One divmod splits a key, and each distinct
-        part is made once."""
-        base = len(self.ranked)
+        ranks) for each key.  The keys ascend, so the keys sharing their
+        leading ranks form one run, found by one bisection; each run's
+        front and each distinct back is made once."""
+        keys, base = self.keys, len(self.ranked)
         lead, split = self.dimension - 2, base * base
-        fronts, backs = {}, {}
-        for key in self.keys:
-            front, back = divmod(key, split)
-            f = fronts.get(front)
-            if f is None:
-                f = fronts[front] = front_of(_digits(front, lead, base))
-            b = backs.get(back)
-            if b is None:
-                b = backs[back] = back_of(divmod(back, base))
-            rows.append(f + b)
+        backs: dict = {}
+        i = 0
+        while i < len(keys):
+            start = keys[i] - keys[i] % split
+            j = bisect_left(keys, start + split, i)
+            front = front_of(_digits(start // split, lead, base))
+            run = [key - start for key in keys[i:j]]
+            for back in run:
+                if back not in backs:
+                    backs[back] = back_of(divmod(back, base))
+            rows.extend([front + backs[back] for back in run])
+            i = j
         return rows
 
 

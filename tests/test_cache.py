@@ -152,6 +152,12 @@ class TestCache:
         with pytest.raises(CacheError, match="missing field"):
             load_family(1, 24, tmp_path)
 
+    def test_unwritable_cache_file_is_a_cache_error(self, small_family, tmp_path):
+        # a directory in the cache file's place
+        (tmp_path / family_filename(1, 24)).mkdir()
+        with pytest.raises(CacheError, match="cannot write cache file .*Is a directory"):
+            save_family(small_family, 2, tmp_path)
+
     def test_filename_stable(self):
         assert family_filename(2, 56) == family_filename(2, 56)
         assert family_filename(2, 56) != family_filename(1, 56)

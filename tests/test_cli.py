@@ -316,6 +316,29 @@ def test_export_input_is_checked_before_the_family_is_built(monkeypatch, args):
     assert invoke("export", *args).exit_code == 2
 
 
+@pytest.mark.parametrize("out, reason", [
+    ("nodir/x.svg", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_unwritable_out_exits_2_with_one_line(tmp_path, out, reason):
+    out = tmp_path / out
+    res = invoke("export", "graph", "--level", "1", "--stage", "2", "--out", str(out))
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"Error: cannot write --out {out}: {reason}\n"
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_cache_dir_on_a_file_exits_3_with_one_line(tmp_path, sub):
+    # the directory, or a parent of it, is a file
+    (tmp_path / "file").write_text("")
+    res = invoke("family", "build", "--cache-dir", str(tmp_path / "file" / sub), *SMALL)
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr.startswith("cache error: cannot make cache directory ")
+    assert res.stderr.count("\n") == 1
+
+
 def test_library_error_exits_1_with_one_line(monkeypatch):
     def too_many(*args, **kwargs):
         raise BoxCountError("box count over the ceiling")
