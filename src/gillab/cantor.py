@@ -500,35 +500,31 @@ class CantorAddress:
     """Point of a generator named by a branch path through its cover tree.
 
     ``prefix[0]`` selects the root component of stage 0; ``prefix[k]``
-    the child component at the stage k-1 -> k refinement.  Past the
-    prefix the path alternates leftmost/rightmost child, which denotes a
-    certified non-endpoint of the set.
+    the child component at the stage k-1 -> k refinement.  The address
+    holds the chain of components along the prefix, which
+    ``for_component`` found, as its first brackets.  Past the prefix the
+    path alternates leftmost/rightmost child, which denotes a certified
+    non-endpoint of the set.
     """
 
     __slots__ = ("gen", "prefix", "_brackets", "_flips")
 
-    def __init__(self, gen: CantorGen, prefix: tuple[int, ...]):
-        if not prefix:
-            raise ValueError("address prefix must select a root component")
+    def __init__(self, gen: CantorGen, prefix: tuple[int, ...], chain: list[Pair]):
         self.gen = gen
-        self.prefix = tuple(prefix)
-        self._brackets: list[Pair] = []
+        self.prefix = prefix
+        self._brackets = chain
         self._flips = 0
 
     def bracket(self, d: int) -> Pair:
         """The bracketing stage-d component, as numerators over
         gen.grid(d); brackets nest."""
         while len(self._brackets) <= d:
-            k = len(self._brackets)
-            # the stage-k components meeting a stage-(k-1) one are its children
-            children = (self.gen._cached_children(k, *self._brackets[-1]) if k
-                        else self.gen.near(0, 0, 1, 1))
+            # the next stage's components meeting the last bracket are its children
+            children = self.gen._cached_children(len(self._brackets), *self._brackets[-1])
             if not children:
                 raise BracketSearchError(
                     f"cover component vanished while refining address {self}")
-            if k < len(self.prefix):
-                comp = children[self.prefix[k]]
-            elif len(children) == 1:
+            if len(children) == 1:
                 # no split at this stage; do not consume a turn, or a
                 # region splitting only on one parity would always pick
                 # the same side and converge onto an endpoint
@@ -550,19 +546,19 @@ class CantorAddress:
         """Address whose stage-`stage` bracket is the given cover
         component, a numerator pair over gen.grid(stage)."""
         lo, hi = comp
-        path = []
-        children = gen.near(0, 0, 1, 1)
+        path: list[int] = []
+        chain: list[Pair] = []
         # walk the ancestor chain of comp through the covers
         for k in range(stage + 1):
+            children = gen._cached_children(k, *chain[-1]) if k else gen.near(0, 0, 1, 1)
             f = 3 ** (stage - k)
             idx = next((i for i, (a, b) in enumerate(children)
                         if a * f <= lo and hi <= b * f), None)
             if idx is None:
                 raise BracketSearchError("component is not part of the stage cover")
             path.append(idx)
-            if k < stage:
-                children = gen._cached_children(k + 1, *children[idx])
-        return CantorAddress(gen, tuple(path))
+            chain.append(children[idx])
+        return CantorAddress(gen, tuple(path), chain)
 
 
 PointLike = Union[Fraction, CantorAddress]
@@ -678,7 +674,7 @@ class IntermediateCantor(CantorGen):
                  search_ceiling: int = DEFAULT_SEARCH_CEILING):
         # with inner == outer or budget < 1 nothing would be removed, and
         # the set would not lie strictly between its neighbours
-        if inner is outer or inner.describe() == outer.describe():
+        if inner is outer:
             raise ValueError("inner and outer generators must differ")
         if budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")

@@ -61,7 +61,8 @@ def _options(*names):
 def _fill_covers(fam, stage: int) -> None:
     """Build every member's covers through stage, in build order, so that
     each removal-schedule search reads its neighbours' covers memoised.
-    For a command that reads all of them anyway: it adds no work."""
+    For a command that reads all of them anyway, or that runs every
+    member's search, which the memoised covers make cheaper."""
     for _ in fam.covers(stage):
         pass
 
@@ -277,8 +278,9 @@ def _suite_interior(fam, m, stage, seed, threads):
     return bonding.check_empty_interior(m, stage)
 
 
-# the suites that read every member's covers at every depth through --stage
-READS_EVERY_COVER = {"nesting", "interior", "usc"}
+# the suites that read every member's covers at every depth through
+# --stage, and endpoints, which runs every member's schedule search
+READS_EVERY_COVER = {"nesting", "interior", "usc", "endpoints"}
 
 SUITES = {
     "nesting": _suite_nesting,
@@ -303,7 +305,8 @@ def cmd_verify(suite, level, budget, stage, mode, seed, max_period,
     """Run a verification suite; exit 0 iff every check passes."""
     fam = build_family(level, budget)
     names = sorted(SUITES) if suite == "all" else [suite]
-    # before the canned threads, whose eval_F queries search schedules
+    # in build order, before any suite runs a schedule search, so that
+    # each search reads its neighbours' covers memoised
     if READS_EVERY_COVER.intersection(names):
         _fill_covers(fam, stage)
     m = bonding.make_map(mode, fam)

@@ -28,16 +28,6 @@ class StepCertificate:
     upper: Fraction
     ok: bool
 
-    def require(self) -> "StepCertificate":
-        """This certificate, or ValueError naming why the step fails."""
-        if self.ok:
-            return self
-        step = f"step {self.point} -> {self.successor}"
-        if self.kind == "singleton":
-            raise ValueError(
-                f"{step} invalid: image is the singleton {{{self.bound}}}")
-        raise ValueError(f"{step} not certified: lower bracket {self.bound}")
-
 
 def certify_step(m: SetValuedMap, x: Fraction, y: Fraction) -> StepCertificate:
     """Decide y in F(x) from one certified bracket of F(x).
@@ -55,10 +45,10 @@ def certify_step(m: SetValuedMap, x: Fraction, y: Fraction) -> StepCertificate:
 
 @dataclass(frozen=True)
 class Cycle:
-    """Periodic cycle: distinct points, each step exactly certified."""
+    """Candidate periodic cycle: its points in traversal order.  Nothing
+    is certified here; ``verify_cycle`` certifies each step."""
 
     points: tuple[Fraction, ...]
-    certificates: tuple[StepCertificate, ...]
 
     @property
     def period(self) -> int:
@@ -79,10 +69,7 @@ def make_cycle(m: SetValuedMap, n: int) -> Cycle:
     smallest set, sorted ascending."""
     if n < 1:
         raise ValueError("period must be >= 1")
-    pts = sorted(m.family.c1.endpoints(n))
-    certs = tuple(certify_step(m, pts[i], pts[(i + 1) % n]).require()
-                  for i in range(n))
-    return Cycle(tuple(pts), certs)
+    return Cycle(tuple(sorted(m.family.c1.endpoints(n))))
 
 
 def iterate_f(m: SetValuedMap, t: Fraction, k: int) -> list[Fraction]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import sub
 from typing import Iterable, Iterator, Optional, Sequence
@@ -275,12 +276,14 @@ class IntervalSet:
         return self.subtract_opens(q, [(_over(q, lo), _over(q, hi))])
 
     def subtract_opens(self, q: int, holes: Iterable[tuple[int, int]]) -> "IntervalSet":
-        """Remove every open interval (lo/q, hi/q) of holes in one sorted
-        sweep, over q, a multiple of the set's denominator.
+        """Remove every open interval (lo/q, hi/q) of holes, over q, a
+        multiple of the set's denominator: the set met with each closed gap
+        between the merged holes, (-inf, a_1], [b_1, a_2], ..., [b_k, +inf).
 
         Holes may overlap, nest, touch or be empty (lo >= hi); the result
-        is the same as subtracting them one at a time.  Runs of
-        components that no hole meets are copied as they are.
+        is the same as subtracting them one at a time.  The components
+        meeting a gap are copied in one slice, the first and the last
+        clipped to the gap's ends.
         """
         # merge overlapping holes into disjoint open intervals; holes that
         # only touch stay apart, since their shared end point survives
@@ -294,34 +297,24 @@ class IntervalSet:
             else:
                 merged.append([a, b])
         lo, hi = self.numerators(q)
+        if not lo:
+            return IntervalSet.over(q, lo, hi)
         out_lo: list[int] = []
         out_hi: list[int] = []
-        # component k is still to be written, from start (from lo[k] if None)
-        k, start = 0, None
-
-        def keep_until(i: int) -> None:
-            nonlocal k, start
-            if i > k and start is not None:
-                out_lo.append(start)
-                out_hi.append(hi[k])
-                k, start = k + 1, None
-            out_lo.extend(lo[k:i])
-            out_hi.extend(hi[k:i])
-            k = max(k, i)
-
-        for a, b in merged:
-            # the components ending at or before a are untouched by (a, b)
-            keep_until(bisect_right(hi, a, k))
-            while k < len(lo) and lo[k] < b:
-                s = lo[k] if start is None else start
-                if s <= a:
-                    out_lo.append(s)
-                    out_hi.append(a)
-                if hi[k] >= b:
-                    start = b   # the rest may meet the next hole
-                    break
-                k, start = k + 1, None
-        keep_until(len(lo))
+        # the outer gaps are closed off at the set's own ends
+        ends = [lo[0], *chain.from_iterable(merged), hi[-1]]
+        k = 0
+        for g, h in zip(ends[::2], ends[1::2]):
+            i = bisect_left(hi, g, k)
+            j = bisect_right(lo, h, i)
+            if i < j:
+                n = len(out_lo)
+                out_lo += lo[i:j]
+                out_hi += hi[i:j]
+                out_lo[n] = max(lo[i], g)
+                out_hi[-1] = min(hi[j - 1], h)
+                # the last may reach into the next gap
+                k = j - 1
         return IntervalSet.over(q, out_lo, out_hi)
 
     def measure(self) -> Fraction:

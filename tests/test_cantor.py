@@ -257,9 +257,14 @@ class TestGapAttached:
             assert all(family.c0.stage(d).contains_point(u) for d in range(7))
 
 
+def root_address(gen, k: int) -> CantorAddress:
+    """The address whose stage-0 bracket is root component k."""
+    return CantorAddress.for_component(gen, on_grid(gen, 0, gen.stage(0).components[k]), 0)
+
+
 class TestAddresses:
     def test_brackets_nest_and_shrink(self, family):
-        addr = CantorAddress(family.c0, (1,))
+        addr = root_address(family.c0, 1)
         widths = []
         for d in range(10):
             br = bracket(addr, d)
@@ -270,13 +275,16 @@ class TestAddresses:
 
     def test_limit_point_interior(self, family):
         # alternating tails denote non-endpoints: both bracket ends move
-        addr = CantorAddress(family.c0, (1,))
+        addr = root_address(family.c0, 1)
         first = bracket(addr, 0)
         later = bracket(addr, 12)
         assert later.lo > first.lo and later.hi < first.hi
 
     def test_serialize(self, family):
-        assert CantorAddress(family.c0, (1, 0)).serialize() == "1.0:(LR)"
+        root = family.c0.stage(0).components[1]
+        child = next(c for c in family.c0.stage(1) if contains_interval(root, c))
+        addr = CantorAddress.for_component(family.c0, on_grid(family.c0, 1, child), 1)
+        assert addr.serialize() == "1.0:(LR)"
 
     def test_for_component_round_trip(self, family):
         comp = family.c0.stage(3).components[5]
@@ -289,6 +297,33 @@ class TestAddresses:
         # a point of the smallest set lies in every family member
         assert not point_membership(family.c0, addr).is_out
         assert point_membership(family.c1, addr).is_in
+
+    @pytest.mark.parametrize("level, budget", [(2, 56), (3, 56), (4, 24)])
+    def test_anchor_chain_is_read_off_the_covers(self, level, budget):
+        # an anchor's brackets through its create stage are the ancestor
+        # chain for_component found: the components of the memoised
+        # covers that hold its create-stage bracket
+        fam = built(level, budget)
+        anchors = 0
+        for r in fam.grid():
+            gen = fam.member(r)
+            if not isinstance(gen, IntermediateCantor):
+                continue
+            for entry in gen.schedule().entries:
+                for p in (entry.a, entry.b):
+                    if not isinstance(p, CantorAddress):
+                        continue
+                    anchors += 1
+                    e = entry.create_stage
+                    lo, hi = p.bracket(e)
+                    for d in range(e + 1):
+                        cover = p.gen.stage(d)
+                        clo, chi = cover.numerators(p.gen.grid(d))
+                        f = 3 ** (e - d)
+                        chain = [(clo[k], chi[k]) for k in range(len(cover))
+                                 if clo[k] * f <= lo and hi <= chi[k] * f]
+                        assert [p.bracket(d)] == chain, (r, entry.index, d)
+        assert anchors > 100
 
 
 class TestIntermediate:

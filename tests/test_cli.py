@@ -86,16 +86,17 @@ class TestVerify:
     (["verify", "interior", *SMALL], 4),
     (["verify", "usc", *SMALL], 4),
     (["verify", "cycles", "--max-period", "3", *SMALL], None),
-    (["verify", "endpoints", *SMALL], None),
+    (["verify", "endpoints", *SMALL], 4),
     (["export", "graph", *FAMILY, "--stage", "3"], 3),
     (["export", "mahavier", *FAMILY, "--stage", "2", "--n", "2"], 2),
     (["export", "cantor", *FAMILY, "--stage", "2"], None),
 ])
 def test_covers_are_filled_before_searches_only_where_all_are_read(
         monkeypatch, args, filled):
-    # a command that reads every member's covers through --stage builds
-    # them first, in build order, so each schedule search finds its
-    # inner and outer covers memoised that deep; any other builds none
+    # a command that reads every member's covers through --stage, or runs
+    # every member's schedule search, builds them first, in build order,
+    # so each search finds its inner and outer covers memoised that
+    # deep; any other builds none
     fills, searched_over = [], []
     covers = CantorFamily.covers
     build_schedule = IntermediateCantor._build_schedule

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from gillab import dynamics
 from gillab.dynamics import (
     certify_step,
     iterate_f,
@@ -26,12 +27,6 @@ class TestCertifyStep:
                                                  bound, ok):
         cert = certify_step(zero_map, x, y)
         assert (cert.kind, cert.bound, cert.ok) == (kind, bound, ok)
-        # make_cycle keeps a step only through require()
-        if ok:
-            assert cert.require() is cert
-        else:
-            with pytest.raises(ValueError, match=f"step {x} -> {y}"):
-                cert.require()
         assert verify_orbit(zero_map, [x, y])["ok"] is ok
         # a thread's first step claims x_0 in F(x_1)
         assert verify_thread(zero_map, Thread((y,), (x,)), depth=1)["ok"] is ok
@@ -63,11 +58,20 @@ class TestMakeCycle:
         with pytest.raises(ValueError):
             make_cycle(zero_map, 0)
 
-    def test_certificates_attached(self, zero_map):
-        cyc = make_cycle(zero_map, 4)
-        assert len(cyc.certificates) == 4
-        for c in cyc.certificates:
-            assert c.kind == "lower-bracket" and c.bound == 1
+    def test_every_step_certified_by_verify_cycle(self, zero_map):
+        steps = verify_cycle(zero_map, make_cycle(zero_map, 4))["steps"]
+        assert len(steps) == 4
+        for step in steps:
+            assert step["kind"] == "lower-bracket" and step["bound"] == "1"
+
+    def test_make_cycle_certifies_nothing(self, zero_map, monkeypatch):
+        # verify_cycle is the one place a cycle's steps are certified
+        calls = []
+        certify = dynamics.certify_step
+        monkeypatch.setattr(dynamics, "certify_step",
+                            lambda *args: calls.append(args) or certify(*args))
+        assert make_cycle(zero_map, 5).period == 5
+        assert calls == []
 
 
 class TestIterateF:

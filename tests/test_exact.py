@@ -238,6 +238,13 @@ class TestSubtractOpens:
         r = subtract(s, [(F(1, 2), F(3, 4)), (F(1, 4), F(1, 2))])
         assert r == IntervalSet.of((0, "1/4"), ("1/2", "1/2"), ("3/4", 1))
 
+    def test_one_component_spanning_three_holes(self):
+        # two of the holes touch: the gap between them is their shared end
+        s = IntervalSet.of((0, 1))
+        r = subtract(s, [(F(5, 8), F(3, 4)), (F(1, 8), F(1, 4)), (F(1, 2), F(5, 8))])
+        assert r == IntervalSet.of((0, "1/8"), ("1/4", "1/2"), ("5/8", "5/8"), ("3/4", 1))
+        assert r.components[2].is_degenerate
+
     def test_hole_spanning_components(self):
         s = IntervalSet.of((0, "1/4"), ("3/8", "3/8"), ("1/2", "3/4"), ("7/8", 1))
         r = subtract(s, [(F(1, 8), F(5, 8))])

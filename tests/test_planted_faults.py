@@ -206,7 +206,7 @@ PLANTED = {
     # the spot checks' witnesses are C_1 endpoints
     "ivp": (bonding, "eval_F", _no_witness_on_c1),
     # 1/4 is in C_1, so each step is certified, but the points coincide
-    "cycles": (dynamics, "make_cycle", lambda m, n: Cycle((F(1, 4), F(1, 4)), ())),
+    "cycles": (dynamics, "make_cycle", lambda m, n: Cycle((F(1, 4), F(1, 4)))),
 }
 
 
