@@ -1,4 +1,3 @@
-import functools
 import random
 from fractions import Fraction as F
 
@@ -10,7 +9,6 @@ from gillab.bonding import (
     MAX_TENT_HEIGHT,
     MIN_C0,
     MODES,
-    FBracket,
     SetValuedMap,
     _tent_height,
     check_empty_interior,
@@ -23,40 +21,26 @@ from gillab.bonding import (
     eval_f,
     make_map,
 )
-from gillab.cantor import (
-    OUT,
-    UNKNOWN,
-    IntermediateCantor,
-    Membership,
-    build_family,
-)
+from gillab.cantor import IntermediateCantor
 from gillab.exact import ClosedInterval, IntervalSet, UNIT
+
+from reference import built, dyadic_grid, model, reference_F, tent_height
 
 unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=729)
 
 
-def dyadic_grid(level: int) -> list[F]:
-    """k / 2^level for k = 1 .. 2^level: the indices of the members F reads."""
-    return [F(k, 2 ** level) for k in range(1, 2 ** level + 1)]
-
-
-def tent(a, b):
-    """(apex, half-width, height) of the tent on the gap (a, b)."""
-    return (a + b) / 2, (b - a) / 2, min((b - a) / 4, MAX_TENT_HEIGHT)
-
-
 def per_value_light_rows(m, y_grid, stage):
-    """Tent-mode rows of check_light, scanning the cover gaps per value."""
-    # memoized only for speed: the per-value filter below is the point
-    gap_of = functools.lru_cache(maxsize=None)(m.family.c0.gap_of)
-    measure = functools.lru_cache(maxsize=None)(
-        lambda r: m.family.member(r).stage(stage).measure())
-    segs = m.family.c0.stage(stage).complement_in(UNIT)
+    """Tent-mode rows of check_light, scanning the model's cover gaps per
+    value."""
+    ref = model(m.family)
+    # the gap of each segment is asked once only for speed: the per-value
+    # filter below is the point
+    seg_gaps = [ref.gap_of(m.family.c0, (seg.lo + seg.hi) / 2)
+                for seg in ref.cover(m.family.c0, stage).complement_in(UNIT)]
 
     def wide_gaps(min_width):
         gaps = []
-        for seg in segs:
-            a, b = gap_of((seg.lo + seg.hi) / 2)
+        for a, b in seg_gaps:
             if (b - a) >= min_width and (a, b) not in gaps:
                 gaps.append((a, b))
         return sorted(set(gaps))
@@ -69,106 +53,23 @@ def per_value_light_rows(m, y_grid, stage):
         r = max(below) if below else F(0)
         tent_points = []
         for a, b in wide_gaps(4 * y):
-            h = min((b - a) / 4, MAX_TENT_HEIGHT)
+            h = tent_height(b - a)
             if h < y:
                 continue
             off = (b - a) / 2 * (1 - y / h)
             tent_points.extend([(a + b) / 2 - off, (a + b) / 2 + off])
         rows.append({"y": str(y), "cover_index": str(r),
-                     "cover_measure": str(measure(r)),
+                     "cover_measure": str(ref.cover(m.family.member(r), stage).measure()),
                      "tent_point_count": len(tent_points)})
     return rows
-
-
-def two_query_F(m, t: F) -> FBracket:
-    """F(t) as first written: ask C0's membership, then the tent on the
-    gap holding t, or scan the grid on C0."""
-    c0 = m.family.c0
-    if c0.membership(t).is_out:
-        v = F(0)
-        if m.mode == "tent":
-            apex, half, height = tent(*c0.gap_of(t))
-            v = height * (1 - abs(t - apex) / half)
-        return FBracket(v, v, v)
-    lower, upper = F(0), F(1)
-    for r in dyadic_grid(m.family.level):
-        mem = m.family.member(r).membership(t)
-        if mem.is_in:
-            lower = r
-        elif mem.is_out:
-            upper = r
-            break
-    return FBracket(lower, upper)
-
-
-def grid_scan_F(m, t: F, level: int, max_stage: int) -> FBracket:
-    """eval_F with a dyadic_grid scan through member(r), and the tent
-    formula on Fractions."""
-    gap = m.family.c0.gap_of(t)
-    if gap is not None:
-        v = F(0)
-        if m.mode == "tent":
-            a, b = gap
-            v = min((b - a) / 4, MAX_TENT_HEIGHT) * (1 - abs(2 * t - a - b) / (b - a))
-        return FBracket(v, v, v)
-    lower, upper = F(0), F(1)
-    for r in dyadic_grid(level):
-        mem = m.family.member(r).membership(t, max_stage)
-        if mem.is_in:
-            lower = r
-        elif mem.is_out:
-            upper = r
-            break
-    return FBracket(lower, upper)
 
 
 def assert_matches_grid_scan(m, t: F) -> None:
     for level in range(m.family.level + 1):
         for max_stage in (4, 12):
-            got, want = eval_F(m, t, level, max_stage), grid_scan_F(m, t, level, max_stage)
+            got, want = eval_F(m, t, level, max_stage), reference_F(m, t, level, max_stage)
             assert got == want, (m.mode, t, level, max_stage)
             assert str(got.point_value) == str(want.point_value)
-
-
-def recursive_membership(gen, t: F, max_stage: int) -> Membership:
-    """An intermediate set's membership as a chain: ask the inner set's
-    own membership, itself a chain, then walk this set's first_out."""
-    if not isinstance(gen, IntermediateCantor):
-        return gen.membership(t, max_stage)
-    inner_m = recursive_membership(gen.inner, t, max_stage)
-    if inner_m.is_in:
-        return inner_m
-    d = gen.first_out(t, max_stage)
-    return Membership(UNKNOWN, None) if d is None else Membership(OUT, d)
-
-
-def per_member_F(m, t: F, level: int, max_stage: int, seen: set) -> FBracket:
-    """eval_F as a membership chain per grid member, each verdict from
-    ``recursive_membership``; adds (verdict, generator kind) to seen."""
-    if m.family.c0.gap_of(t) is not None:
-        v = eval_f(m, t)
-        return FBracket(v, v, v)
-    lower, upper = F(0), F(1)
-    for r, gen in m.grid_members(level):
-        mem = recursive_membership(gen, t, max_stage)
-        seen.add((mem.verdict, type(gen).__name__))
-        if mem.is_in:
-            lower = r
-        elif mem.is_out:
-            upper = r
-            break
-    return FBracket(lower, upper)
-
-
-@functools.lru_cache(maxsize=None)
-def family_at(level: int):
-    """The family at level (budget 24 at level 4, else 56), with every
-    schedule built."""
-    fam = build_family(level, 24 if level == 4 else 56, 15)
-    for r in fam.grid():
-        if isinstance(fam.member(r), IntermediateCantor):
-            fam.member(r).schedule()
-    return fam
 
 
 def chain_points(fam, seed: int = 5) -> list[F]:
@@ -283,7 +184,7 @@ class TestEvalF:
     @settings(max_examples=100)
     def test_matches_the_two_query_path(self, zero_map, tent_map, t):
         for m in (zero_map, tent_map):
-            assert eval_F(m, t) == two_query_F(m, t), (m.mode, t)
+            assert eval_F(m, t) == reference_F(m, t, m.family.level), (m.mode, t)
 
     @given(unit_rationals)
     @settings(max_examples=100)
@@ -305,7 +206,7 @@ class TestEvalF:
 class TestOneQueryPerGenerator:
     @pytest.mark.parametrize("level", [1, 2, 3, 4])
     def test_matches_the_membership_chain_per_member(self, level):
-        fam = family_at(level)
+        fam = built(level, 24 if level == 4 else 56)
         seen: set = set()
         # on C_0 the mode is not read, so one chain serves both modes
         chains: dict = {}
@@ -315,7 +216,7 @@ class TestOneQueryPerGenerator:
                 for sub in range(level + 1):
                     for max_stage in (0, 1, 2, 4, 8, 12):
                         key = (t, sub, max_stage)
-                        want = chains.get(key) or per_member_F(m, t, sub, max_stage, seen)
+                        want = chains.get(key) or reference_F(m, t, sub, max_stage, seen)
                         if not want.is_singleton:
                             chains[key] = want
                         got = eval_F(m, t, sub, max_stage)
@@ -329,13 +230,14 @@ class TestOneQueryPerGenerator:
 
     @pytest.mark.parametrize("level", [2, 3])
     def test_membership_matches_the_recursive_chain(self, level):
-        fam = family_at(level)
+        fam = built(level, 56)
+        ref = model(fam)
         verdicts = set()
         for t in chain_points(fam):
             for r in fam.grid():
                 gen = fam.member(r)
                 for max_stage in (0, 2, 8, 12):
-                    want = recursive_membership(gen, t, max_stage)
+                    want = ref.membership(gen, t, max_stage)
                     assert gen.membership(t, max_stage) == want, (level, r, t, max_stage)
                     verdicts.add(want.verdict)
         assert verdicts == {"in", "out", "unknown"}
@@ -361,10 +263,10 @@ class TestGraphCover:
 
     @pytest.mark.parametrize("level, modes, max_stage", [
         (2, ("zero", "tent"), 8), (3, ("zero",), 6)])
-    def test_floor_matches_footprint(self, family, level, modes, max_stage):
+    def test_floor_matches_footprint(self, level, modes, max_stage):
         # the column test as it was: xb lies in the union of the boxes at
         # least y tall
-        fam = family if level == family.level else build_family(level, 56, 15)
+        fam = built(level, 56)
         rnd = random.Random(level)
         columns = [ClosedInterval(F(i, n), F(i + 1, n)) for n in (8, 16) for i in range(n)]
         for _ in range(12):
@@ -401,8 +303,8 @@ class TestGraphCover:
         assert all(a > b for a, b in zip(areas, areas[1:]))
 
     @pytest.mark.parametrize("level", [2, 3])
-    def test_area_matches_box_sum(self, family, level):
-        fam = family if level == family.level else build_family(level, 56, 15)
+    def test_area_matches_box_sum(self, level):
+        fam = built(level, 56)
         for mode in MODES:
             m = make_map(mode, fam)
             for d in range(9):
@@ -430,23 +332,22 @@ class TestGraphCover:
 
     @pytest.mark.parametrize("level, modes, max_stage", [
         (2, ("zero", "tent"), 8), (3, ("zero",), 6)])
-    def test_component_boxes_match_intersection_scan(self, family, level, modes,
-                                                     max_stage):
+    def test_component_boxes_match_intersection_scan(self, level, modes, max_stage):
         # the cap over a C_0 component is the first grid member whose stage
-        # cover has an empty intersection with it, or 1
-        fam = family if level == family.level else build_family(level, 56, 15)
-        for mode in modes:
-            m = make_map(mode, fam)
-            for d in range(max_stage + 1):
-                comps = fam.c0.stage(d).components
-                want = []
-                for comp in comps:
-                    ub = next((r for r in dyadic_grid(level)
-                               if fam.member(r).stage(d).intersect_interval(comp).is_empty),
-                              F(1))
-                    want.append((comp, ClosedInterval(F(0), max(ub, m.f_sup))))
-                got = [box for box in m.graph_cover(d, level).boxes if box[0] in comps]
-                assert got == want, (level, mode, d)
+        # cover misses it, or 1; it does not read the mode, max(cap, f_sup) does
+        fam = built(level, 56)
+        ref = model(fam)
+        maps = [make_map(mode, fam) for mode in modes]
+        for d in range(max_stage + 1):
+            comps = fam.c0.stage(d).components
+            caps = [next((r for r in dyadic_grid(level) if not ref.near(fam.member(r), d, comp)),
+                         F(1)) for comp in comps]
+            held = set(comps)
+            for m in maps:
+                want = [(comp, ClosedInterval(F(0), max(ub, m.f_sup)))
+                        for comp, ub in zip(comps, caps)]
+                got = [box for box in m.graph_cover(d, level).boxes if box[0] in held]
+                assert got == want, (level, m.mode, d)
 
     def test_csv_rows(self, zero_map):
         rows = zero_map.graph_cover(1, 2).csv_rows()
@@ -520,7 +421,7 @@ class TestCheckers:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("level", [2, 3])
     def test_not_almost_nonfissile_samples_points_of_c1(self, level, mode):
-        m = make_map(mode, build_family(level, 56, 15))
+        m = make_map(mode, built(level, 56))
         rep = check_not_almost_nonfissile(m)
         assert rep["ok"] and rep["sampled_points"] >= 4
 

@@ -3,22 +3,17 @@ import json
 import pytest
 
 from gillab import cache
-from gillab.cache import _content_hash, family_filename, load_family, save_family
+from gillab.cache import family_filename, load_family, save_family
 from gillab.cantor import GapAttachedCantor, IntermediateCantor, MiddleThirds, build_family
 from gillab.errors import CacheError
+
+from conftest import rewrite
+from reference import built
 
 
 @pytest.fixture(scope="module")
 def small_family():
     return build_family(1, 24, 15)
-
-
-def rewrite(path, payload, rehash):
-    """Write payload in save_family's layout, so that only a planted
-    change can differ from the file the rebuild renders."""
-    if rehash:
-        payload["contentHash"] = _content_hash(payload)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 class TestCache:
@@ -125,7 +120,7 @@ class TestCache:
         # covers are built and compared member by member in build order,
         # C_0 first, so a wrong C_0 cover fails before any intermediate
         # set searches its schedule
-        path = save_family(build_family(2, 56, 15), 3, tmp_path)
+        path = save_family(built(2, 56), 3, tmp_path)
         payload = json.loads(path.read_text())
         stages = payload["members"]["0"]["stages"]
         stages[3] = stages[2]

@@ -3,7 +3,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
-from math import lcm
 from pathlib import Path
 
 import pytest
@@ -15,10 +14,8 @@ from gillab.bonding import eval_F, make_map
 from gillab.cantor import (
     C1_BASE,
     DEFAULT_SEARCH_CEILING,
-    IN,
-    OUT,
-    UNKNOWN,
     CantorAddress,
+    OUT,
     GapAttachedCantor,
     IntermediateCantor,
     Membership,
@@ -27,25 +24,31 @@ from gillab.cantor import (
     ScheduleEntry,
     _ternary_exit,
     build_family,
-    point_bracket,
     point_membership,
 )
 from gillab.cli import _suite_endpoints
 from gillab.exact import ClosedInterval, IntervalSet, UNIT
-from test_exact import contains_interval, intersects
 
-
-# the local cover tree answers in ints; these read its answers as
-# ClosedIntervals and give it rational windows as (lo, hi, q)
-
-
-def interval(lo: int, hi: int, q: int) -> ClosedInterval:
-    return ClosedInterval(F(lo, q), F(hi, q))
-
-
-def window(w: ClosedInterval) -> tuple[int, int, int]:
-    q = lcm(w.lo.denominator, w.hi.denominator)
-    return w.lo.numerator * (q // w.lo.denominator), w.hi.numerator * (q // w.hi.denominator), q
+from conftest import (
+    bracket,
+    hole,
+    hull,
+    interval,
+    near,
+    overlapping,
+    sample_windows,
+    synthetic_intermediate,
+    window,
+)
+from reference import (
+    Model,
+    built,
+    contains_interval,
+    fresh_family,
+    intersects,
+    model,
+    ternary_exit,
+)
 
 
 def on_grid(gen, d: int, c: ClosedInterval) -> tuple[int, int]:
@@ -54,54 +57,9 @@ def on_grid(gen, d: int, c: ClosedInterval) -> tuple[int, int]:
     return int(c.lo * q), int(c.hi * q)
 
 
-def near(gen, d: int, w: ClosedInterval) -> list[ClosedInterval]:
-    return [interval(lo, hi, gen.grid(d)) for lo, hi in gen.near(d, *window(w))]
-
-
 def walk(gen, d: int, x: F, rightward: bool) -> list[ClosedInterval]:
     return [interval(lo, hi, gen.grid(d))
             for lo, hi in gen.walk(d, x.numerator, x.denominator, rightward)]
-
-
-def bracket(p, d: int) -> ClosedInterval:
-    return interval(*point_bracket(p, d))
-
-
-def hole(entry: ScheduleEntry, d: int) -> tuple[F, F]:
-    lo, hi, q = entry.removal_open(d)
-    return F(lo, q), F(hi, q)
-
-
-def hull(entry: ScheduleEntry, d: int) -> ClosedInterval:
-    return interval(*entry.hull(d))
-
-
-def overlapping(cover: IntervalSet, w: ClosedInterval) -> list[ClosedInterval]:
-    return [cover[k] for k in cover.overlapping(*window(w))]
-
-
-def ternary_in_standard(u: F) -> bool:
-    """Independent membership oracle for the middle-thirds set on [0, 1]:
-    base-3 digit expansion must avoid digit 1, except a terminating 1
-    (which rewrites as 0222...)."""
-    if u < 0 or u > 1:
-        return False
-    if u == 1:
-        return True
-    x = u
-    seen = set()
-    while True:
-        if x == 0:
-            return True
-        if x in seen:
-            # periodic expansion consisting of digits 0 and 2 only
-            return True
-        seen.add(x)
-        x *= 3
-        d = int(x)
-        x -= d
-        if d == 1:
-            return x == 0
 
 
 unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=3 ** 6)
@@ -126,7 +84,7 @@ class TestMiddleThirds:
     @settings(max_examples=150)
     def test_membership_matches_ternary_oracle(self, u):
         mt = MiddleThirds(ClosedInterval(F(0), F(1)))
-        assert mt.membership(u).is_in == ternary_in_standard(u)
+        assert mt.membership(u).is_in == (ternary_exit(UNIT, u) is None)
 
     @given(unit_rationals)
     @settings(max_examples=80)
@@ -446,7 +404,7 @@ class TestEvalWalks:
         randoms = [F(rnd.randrange(q + 1), q) for q in range(1, 400, 7)]
         walks = []
         for level, budget in ((2, 56), (4, 24)):
-            fam = built(level, budget)
+            fam = fresh_family(level, budget)
             points = sorted({*fam.c1.endpoints(30), *fam.c0.endpoints(30), *randoms})
             maps = [make_map(mode, fam) for mode in ("zero", "tent")]
             # a first pass makes the brackets and attachments the queries meet
@@ -465,75 +423,31 @@ class TestEvalWalks:
 
 
 # ---------------------------------------------------------------------------
-# references for the one-sweep covers and inner-first membership
-
-
-def per_hole_stage(gen, d: int) -> IntervalSet:
-    """Stage-d cover with each removal hole subtracted by its own rebuild."""
-    if not isinstance(gen, IntermediateCantor):
-        return gen.stage(d)
-    cov = per_hole_stage(gen.outer, d)
-    for entry in gen.schedule().entries:
-        if entry.create_stage > d:
-            continue
-        lo, hi = hole(entry, d)
-        out = []
-        for c in cov:
-            if c.hi <= lo or c.lo >= hi:
-                out.append(c)
-                continue
-            if c.lo <= lo:
-                out.append(ClosedInterval(c.lo, lo))
-            if c.hi >= hi:
-                out.append(ClosedInterval(hi, c.hi))
-        cov = IntervalSet(out)
-    return cov
-
-
-def cover_first(gen, t: F, max_stage: int) -> Membership:
-    """Membership that walks the covers before it asks the inner set."""
-    if not isinstance(gen, IntermediateCantor):
-        return gen.membership(t, max_stage)
-    for d in range(max_stage + 1):
-        if not gen.stage(d).contains_point(t):
-            return Membership(OUT, d)
-    inner_m = cover_first(gen.inner, t, max_stage)
-    if inner_m.is_in:
-        return inner_m
-    return Membership(UNKNOWN, None)
-
-
-def cover_first_point(gen, p, max_stage: int) -> Membership:
-    if not isinstance(p, CantorAddress):
-        return cover_first(gen, p, max_stage)
-    if p.gen is gen:
-        return Membership(IN, 0)
-    for d in range(max_stage + 1):
-        if not overlapping(gen.stage(d), bracket(p, d)):
-            return Membership(OUT, d)
-    return Membership(UNKNOWN, None)
+# the one-sweep covers and inner-first membership against the model
 
 
 class TestSweptCovers:
     def test_every_member_matches_per_hole_reference(self, family):
+        ref = model(family)
         overlaps = 0
         for r in family.grid():
             gen = family.member(r)
             for d in range(11):
-                assert gen.stage(d).to_text() == per_hole_stage(gen, d).to_text(), (r, d)
+                assert gen.stage(d).to_text() == ref.cover(gen, d).to_text(), (r, d)
                 if isinstance(gen, IntermediateCantor):
-                    holes = sorted(hole(e, d) for e in gen.schedule().entries
+                    holes = sorted(ref.hole(e, d) for e in gen.schedule().entries
                                    if e.create_stage <= d)
                     overlaps += sum(c < b for (_, b), (c, _) in zip(holes, holes[1:]))
         # the sweep must carry a running right end: removal holes overlap
         assert overlaps > 0
 
     def test_level_three_matches_per_hole_reference(self):
-        fam = build_family(3, 24, 15)
+        fam = built(3, 24)
+        ref = model(fam)
         for r in fam.grid():
             gen = fam.member(r)
             for d in range(7):
-                assert gen.stage(d).to_text() == per_hole_stage(gen, d).to_text(), (r, d)
+                assert gen.stage(d).to_text() == ref.cover(gen, d).to_text(), (r, d)
 
 
 def hole_points(fam, max_stage: int) -> list[F]:
@@ -563,19 +477,13 @@ def probe_points(fam, max_stage: int, seed: int) -> list[F]:
             + hole_points(fam, max_stage))
 
 
-@pytest.fixture(scope="module")
-def level_three():
-    """A level-3 family (budget 56) with its schedules, for tests that
-    only read it."""
-    return built(3, 56)
-
-
 def assert_matches_cover_first(fam, max_stage: int) -> None:
     points = probe_points(fam, max_stage, 11)
+    ref = model(fam)
     for r in fam.grid():
         gen = fam.member(r)
         for t in points:
-            assert gen.membership(t, max_stage) == cover_first(gen, t, max_stage), (r, t)
+            assert gen.membership(t, max_stage) == ref.membership(gen, t, max_stage), (r, t)
 
 
 class TestInnerFirstMembership:
@@ -583,8 +491,8 @@ class TestInnerFirstMembership:
     def test_matches_cover_first(self, family, max_stage):
         assert_matches_cover_first(family, max_stage)
 
-    def test_matches_cover_first_at_level_three(self, level_three):
-        assert_matches_cover_first(level_three, 8)
+    def test_matches_cover_first_at_level_three(self):
+        assert_matches_cover_first(built(3, 56), 8)
 
     @pytest.mark.parametrize("max_stage", [8, 12])
     def test_addresses_through_point_membership(self, family, max_stage):
@@ -592,15 +500,16 @@ class TestInnerFirstMembership:
                   for p in family.member(r).endpoints(12)]
         points += [CantorAddress.for_component(family.c1, on_grid(family.c1, 3, c), 3)
                    for c in family.c1.stage(3).components[::3]]
+        ref = model(family)
         for r in family.grid():
             gen = family.member(r)
             for p in points:
                 assert (point_membership(gen, p, max_stage)
-                        == cover_first_point(gen, p, max_stage)), (r, p)
+                        == ref.membership(gen, p, max_stage)), (r, p)
 
     def test_deep_stage_builds_no_cover(self):
         # a verdict at depth 20 needs no cover past the set-up depth
-        fam = built(2, 56)
+        fam = fresh_family(2, 56)
         assert max(len(fam.member(r)._stage_memo) for r in fam.grid()) - 1 <= 2
         fb = eval_F(make_map("tent", fam), F(3781, 12636), 2, 20)
         assert (fb.lower_max, fb.upper_max) == (0, 1)
@@ -620,42 +529,6 @@ class TestInnerFirstMembership:
                 assert gen._stage_memo == [], r
 
 
-def cover_exit(gen, t: F, max_stage: int):
-    """First depth d <= max_stage whose materialised cover misses t."""
-    return next((d for d in range(max_stage + 1)
-                 if not gen.stage(d).contains_point(t)), None)
-
-
-def fraction_standard_membership(u: F) -> tuple[bool, int]:
-    """The ternary walk on Fractions, as it was before integer numerators."""
-    seen = set()
-    depth = 0
-    while True:
-        if u == 0 or u == 1 or u in seen:
-            return True, depth
-        seen.add(u)
-        if u <= F(1, 3):
-            u = 3 * u
-        elif u >= F(2, 3):
-            u = 3 * u - 2
-        else:
-            return False, depth
-        depth += 1
-
-
-def fraction_gap_of(mt: MiddleThirds, t: F) -> tuple[F, F]:
-    """The gap lookup by shrinking the base interval on Fractions."""
-    a, b = mt.base.lo, mt.base.hi
-    while True:
-        w3 = (b - a) / 3
-        if t <= a + w3:
-            b = a + w3
-        elif t >= b - w3:
-            a = b - w3
-        else:
-            return (a + w3, b - w3)
-
-
 def first_out_points(fam, max_stage: int) -> list[F]:
     c0 = fam.c0
     points = probe_points(fam, max_stage, 12)
@@ -668,15 +541,16 @@ def first_out_points(fam, max_stage: int) -> list[F]:
 
 class TestFirstOut:
     @pytest.mark.parametrize("level, max_stage", [(2, 10), (3, 8)])
-    def test_matches_the_cover_walk(self, request, level, max_stage):
-        fam = request.getfixturevalue("family" if level == 2 else "level_three")
+    def test_matches_the_cover_walk(self, level, max_stage):
+        fam = built(level, 56)
+        ref = model(fam)
         c0 = fam.c0
         points = first_out_points(fam, max_stage)
         gens = [fam.member(r) for r in fam.grid()]
         gens += list(c0.attachments(*c0._core_exit(1, 2, None)))
         for gen in gens:
             for t in points:
-                want = cover_exit(gen, t, max_stage)
+                want = ref.first_out(gen, t, max_stage)
                 # a smaller budget answers only what the walk finds in it
                 for m in (0, 1, 4, max_stage):
                     got = gen.first_out(t, m)
@@ -711,22 +585,14 @@ class TestFirstOut:
     @settings(max_examples=300)
     def test_integer_walks_match_fraction_walks(self, pq):
         u = F(*pq)
-        inside, depth = fraction_standard_membership(u)
+        want = ternary_exit(UNIT, u)
         hit = _ternary_exit(u.numerator, u.denominator, None)
-        assert (hit is None) == inside
-        if not inside:
-            assert hit[0] == depth
+        assert (hit is None) == (want is None)
+        if want is not None:
+            assert hit[0] == want[0]
             for mt in (MiddleThirds(UNIT), MiddleThirds(C1_BASE)):
                 t = mt.base.lo + u * mt.base.width
-                assert mt.gap_of(t) == fraction_gap_of(mt, t), (mt.describe(), t)
-
-
-def maximal_gap(gen, t: F) -> tuple[F, F]:
-    """The maximal gap of {0} + gen + {1} holding t, by the point query;
-    a middle-thirds set's gap_of answers only inside its base."""
-    if isinstance(gen, MiddleThirds) and not gen.base.contains(t):
-        return (F(0), gen.base.lo) if t < gen.base.lo else (gen.base.hi, F(1))
-    return gen.gap_of(t)
+                assert mt.gap_of(t) == ternary_exit(mt.base, t)[1], (mt.describe(), t)
 
 
 class TestCoverGaps:
@@ -735,6 +601,7 @@ class TestCoverGaps:
         # intermediate set claims this
         c0 = family.c0
         gens = [family.c1, c0, *c0.attachments(*c0._core_exit(1, 2, None))]
+        ref = model(family)
         for gen in gens:
             for d in range(10):
                 cover = gen.stage(d)
@@ -742,15 +609,8 @@ class TestCoverGaps:
                     for e in (c.lo, c.hi):
                         assert gen.membership(e).is_in, (gen.describe(), d, e)
                 for seg in cover.complement_in(UNIT):
-                    assert (seg.lo, seg.hi) == maximal_gap(gen, (seg.lo + seg.hi) / 2), (
+                    assert (seg.lo, seg.hi) == ref.maximal_gap(gen, (seg.lo + seg.hi) / 2), (
                         gen.describe(), d, seg)
-
-
-def scan_meeting(sched: RemovalSchedule, window: ClosedInterval, live_at):
-    """The hole query as a scan of every entry."""
-    return [entry for entry in sched.entries
-            if (live_at is None or entry.create_stage <= live_at)
-            and intersects(interval(*entry.widest_hull), window)]
 
 
 def meeting_windows(sched: RemovalSchedule, rnd: random.Random) -> list[ClosedInterval]:
@@ -769,11 +629,13 @@ def meeting_windows(sched: RemovalSchedule, rnd: random.Random) -> list[ClosedIn
 
 class TestHoleIndex:
     @pytest.mark.parametrize("source", ["level 2", "level 3", "synthetic"])
-    def test_meeting_matches_the_linear_scan(self, request, source):
+    def test_meeting_matches_the_linear_scan(self, source):
         if source == "synthetic":
+            ref = Model()
             scheds = [synthetic_intermediate(seed).schedule() for seed in range(4)]
         else:
-            fam = request.getfixturevalue("family" if source == "level 2" else "level_three")
+            fam = built(2 if source == "level 2" else 3, 56)
+            ref = model(fam)
             scheds = [fam.member(r).schedule() for r in fam.grid()
                       if isinstance(fam.member(r), IntermediateCantor)]
         rnd = random.Random(source)
@@ -782,7 +644,7 @@ class TestHoleIndex:
             windows = meeting_windows(sched, rnd)
             for w in windows:
                 for live_at in [None, *range(16)]:
-                    want = scan_meeting(sched, w, live_at)
+                    want = ref.scan_meeting(sched, w, live_at)
                     assert list(sched.meeting(*window(w), live_at)) == want, (w, live_at)
                     hits += len(want)
             # the index follows appends, as while the search builds it
@@ -792,7 +654,7 @@ class TestHoleIndex:
                 for w in windows[::7]:
                     for live_at in (None, entry.create_stage, 15):
                         assert (list(grown.meeting(*window(w), live_at))
-                                == scan_meeting(grown, w, live_at)), (w, live_at)
+                                == ref.scan_meeting(grown, w, live_at)), (w, live_at)
         assert hits > 0
 
 
@@ -800,36 +662,8 @@ class TestHoleIndex:
 # local cover queries against the whole memoised covers
 
 
-def sample_windows(cover: IntervalSet, per_cover: int = 10) -> list[ClosedInterval]:
-    """Component ends, midpoints, gap midpoints and spans of a few
-    evenly spread components of the cover."""
-    comps = cover.components
-    step = max(1, len(comps) // per_cover)
-    windows = []
-    for i in range(0, len(comps), step):
-        c = comps[i]
-        mid = (c.lo + c.hi) / 2
-        windows += [ClosedInterval(c.lo, c.lo), ClosedInterval(c.hi, c.hi),
-                    ClosedInterval(mid, mid), c]
-        if i + 1 < len(comps):
-            gap_mid = (c.hi + comps[i + 1].lo) / 2
-            windows += [ClosedInterval(gap_mid, gap_mid),
-                        ClosedInterval(mid, (comps[i + 1].lo + comps[i + 1].hi) / 2)]
-    windows += [ClosedInterval(F(0), F(0)), ClosedInterval(F(1), F(1))]
-    return windows
-
-
-def built(level: int, budget: int):
-    fam = build_family(level, budget, 15)
-    for r in fam.grid():
-        gen = fam.member(r)
-        if isinstance(gen, IntermediateCantor):
-            gen.schedule()
-    return fam
-
-
 def assert_near_matches(level: int, max_depth: int) -> None:
-    ref, fam = built(level, 56), built(level, 56)
+    ref, fam = built(level, 56), fresh_family(level, 56)
     gens = [fam.member(r) for r in fam.grid()]
     # forget every cover the schedule search left behind, so that each
     # query below descends from stage 0 before its depth is materialised
@@ -882,24 +716,6 @@ class TestNear:
                         assert walk(gen, d, x, False) == left, (d, x)
 
 
-def synthetic_intermediate(seed: int, count: int = 14) -> IntermediateCantor:
-    """Intermediate set between two middle-thirds sets whose schedule is
-    planted: edge-anchored holes at random points, so unlike a searched
-    schedule they cut cover components, overlap and touch, and leave
-    degenerate components between touching holes."""
-    rnd = random.Random(seed)
-    ends = sorted({F(rnd.randrange(1, 162), 162) for _ in range(2 * count)})
-    holes = list(zip(ends[::2], ends[1::2]))
-    holes += [(hi, hi + F(1, 81)) for _, hi in holes[::3]]   # touching
-    holes += [(lo - F(1, 243), lo + F(1, 243)) for lo, _ in holes[1::4]]  # overlapping
-    gen = IntermediateCantor(MiddleThirds(ClosedInterval(F(0), F(1, 3))),
-                             MiddleThirds(UNIT), 1)
-    gen._schedule = RemovalSchedule(entries=[
-        ScheduleEntry(i, (lo + hi) / 2, lo, hi, rnd.randrange(4))
-        for i, (lo, hi) in enumerate(holes)])
-    return gen
-
-
 class TestSyntheticSchedules:
     @pytest.mark.parametrize("seed", range(4))
     def test_near_and_walk_where_holes_cut_components(self, seed):
@@ -934,6 +750,7 @@ class TestSyntheticSchedules:
             hulls.append(ScheduleEntry(i, lo, lo, lo + F(rnd.randrange(1, 9), 324),
                                        rnd.randrange(4)))
         sched = RemovalSchedule(entries=hulls)
+        ref = Model()
         found = 0
         for e in range(6):
             live = [entry for entry in hulls if entry.create_stage <= e]
@@ -944,7 +761,7 @@ class TestSyntheticSchedules:
                 for br in (ClosedInterval(x, x), ClosedInterval(x, x + F(1, 729))):
                     got = hosts[0]._free_gap(sched, window(br), e)
                     got = got and (F(got[0], got[2]), F(got[1], got[2]))
-                    assert got == reference_gap(hosts[1], live, br, e), (e, br)
+                    assert got == ref.reference_gap(hosts[1], live, br, e), (e, br)
                     found += got is not None
         assert found > 50
 
@@ -958,37 +775,28 @@ class TestSyntheticSchedules:
             h = interval(*entry.widest_hull)   # windows touching a hull at one end
             windows += [ClosedInterval(h.hi, h.hi + F(1, 729)),
                         ClosedInterval(h.lo - F(1, 729), h.lo)]
-        assert_persists_matches_scan(gen, windows, range(6))
+        assert_persists_matches_scan(gen, windows, range(6), Model())
 
 
-def assert_persists_matches_scan(gen: IntermediateCantor, windows, depths):
-    """component_persists equals a scan of every entry's stage-d hull, and
-    answers both ways."""
+def assert_persists_matches_scan(gen: IntermediateCantor, windows, depths, ref: Model):
+    """component_persists equals a scan of every entry's stage-d hull in
+    the model, and answers both ways."""
     seen = set()
     for d in depths:
         for w in windows:
             want = gen.outer.component_persists(d, *window(w)) and not any(
-                intersects(hull(entry, d), w) for entry in gen.schedule().entries)
+                intersects(ref.hull(entry, d), w) for entry in gen.schedule().entries)
             assert gen.component_persists(d, *window(w)) == want, (d, w)
             seen.add(want)
     assert seen == {True, False}
 
 
-def sorted_ga_stage(ga: GapAttachedCantor, d: int) -> IntervalSet:
-    """Stage-d cover of a gap-attached set as one sorted normalisation."""
-    comps = list(ga.core.stage(d))
-    for g in range(d + 1):
-        for gap in ga.gaps_of_generation(g):
-            for k in ga.attachments(g, *gap):
-                comps.extend(k.stage(d - g))
-    return IntervalSet(comps)
-
-
 class TestOrderedGapAttachedCover:
     def test_matches_sorted_reference(self):
         ga = GapAttachedCantor(MiddleThirds(C1_BASE))
+        ref = Model()
         for d in range(13):
-            assert ga.stage(d) == sorted_ga_stage(ga, d), d
+            assert ga.stage(d).components == ref.cover(ga, d).components, d
 
     def test_generation_of_every_gap(self, family):
         c0 = family.c0
@@ -997,45 +805,23 @@ class TestOrderedGapAttachedCover:
                 assert c0._core_exit(gap[0] + gap[1], 2 * c0.grid(g), g) == (g, *gap), (g, gap)
 
 
-def reference_gap(gen: IntermediateCantor, live, br: ClosedInterval, e: int):
-    """The gap lookup as a union and complement over all of [0, 1]."""
-    hulls = [hull(entry, e) for entry in live]
-    if any(intersects(h, br) for h in hulls):
-        return None
-    blocked = IntervalSet.union_of((gen.inner.stage(e), IntervalSet(hulls)))
-    gap = blocked.complement_in(UNIT).component_containing(br.lo)
-    if gap is None or not (gap.lo < br.lo and br.hi < gap.hi):
-        return None
-    return gap.lo, gap.hi
-
-
-def reference_reuse(sched, br: ClosedInterval, e: int):
-    """Index of the first entry whose stage-e hole swallows br, scanning
-    every entry."""
-    for entry in sched.entries:
-        if entry.create_stage <= e:
-            rlo, rhi = hole(entry, e)
-            if rlo < br.lo and br.hi < rhi:
-                return entry.index
-    return None
-
-
 class TestScheduleSearch:
     @pytest.mark.parametrize("level", [2, 3])
     def test_every_try_matches_the_whole_cover_lookup(self, level, monkeypatch):
         free_gap, try_stage = IntermediateCantor._free_gap, IntermediateCantor._try_stage
         tries = {"gap": 0, "reuse": 0}
+        ref = Model()
 
         def checked_gap(self, sched, br, e):
             got = free_gap(self, sched, br, e)
             live = [entry for entry in sched.entries if entry.create_stage <= e]
-            assert (got and (F(got[0], got[2]), F(got[1], got[2]))) == reference_gap(
+            assert (got and (F(got[0], got[2]), F(got[1], got[2]))) == ref.reference_gap(
                 self, live, interval(*br), e), (self.describe(), br, e)
             tries["gap"] += 1
             return got
 
         def checked_try(self, sched, p, br, e):
-            want = reference_reuse(sched, interval(*br), e)
+            want = ref.reference_reuse(sched, interval(*br), e)
             before, entries_before = len(sched.reuses), len(sched.entries)
             recorded = try_stage(self, sched, p, br, e)
             # a try records one thing or nothing: a reuse, or a new entry
@@ -1049,7 +835,7 @@ class TestScheduleSearch:
 
         monkeypatch.setattr(IntermediateCantor, "_free_gap", checked_gap)
         monkeypatch.setattr(IntermediateCantor, "_try_stage", checked_try)
-        fam = built(level, 56)
+        fam = fresh_family(level, 56)
         assert tries["gap"] > 100 and tries["reuse"] > 50, tries
         for r in fam.grid():
             gen = fam.member(r)
@@ -1060,7 +846,7 @@ class TestScheduleSearch:
     def test_level_three_build_stays_local(self):
         # the schedule search reads local answers only, and membership
         # is point-local: no cover deeper than depth 2 is built
-        fam = built(3, 56)
+        fam = fresh_family(3, 56)
         gens = [fam.member(r) for r in fam.grid()]
         gens += [k for pair in fam.c0._k_memo.values() for k in pair]
         assert max(len(gen._stage_memo) - 1 for gen in gens) <= 2
@@ -1074,6 +860,7 @@ class TestScheduleSearch:
 class TestComponentPersists:
     def test_level_two_members(self):
         fam = built(2, 56)
+        ref = model(fam)
         for r in fam.grid():
             gen = fam.member(r)
             if not isinstance(gen, IntermediateCantor):
@@ -1084,80 +871,7 @@ class TestComponentPersists:
                 windows = sample_windows(gen.outer.stage(min(d, 6)), 20)
                 windows += [c for entry in gen.schedule().entries
                             for c in near(gen.outer, d, interval(*entry.widest_hull))]
-                assert_persists_matches_scan(gen, windows, [d])
-
-
-# point queries on int numerators, against the ClosedInterval.contains
-# entry checks they made while they compared Fractions
-
-
-def contains_first_out(gen, t: F, max_stage):
-    """first_out with Fraction entry checks; an intermediate set scans
-    every hole at every stage."""
-    n, m = t.numerator, t.denominator
-    if isinstance(gen, MiddleThirds):
-        if not gen.base.contains(t):
-            return 0
-        hit = _ternary_exit(*gen._in_unit(n, m), max_stage)
-        return None if hit is None else hit[0] + 1
-    if isinstance(gen, GapAttachedCantor):
-        if not gen.window.contains(t):
-            return 0
-        hit = gen._core_exit(n, m, max_stage)
-        if hit is None:
-            return None
-        g = hit[0]
-        for k in gen.attachments(*hit):
-            if k.base.contains(t):
-                sub = contains_first_out(k, t, None if max_stage is None else max_stage - g)
-                return None if sub is None else g + sub
-        return g
-    stop = contains_first_out(gen.outer, t, max_stage)
-    stop = max_stage + 1 if stop is None else stop
-    for entry in gen.schedule().entries:
-        for s in range(entry.create_stage, stop):
-            lo, hi = hole(entry, s)
-            if lo < t < hi:
-                stop = s
-                break
-    return None if stop > max_stage else stop
-
-
-def contains_membership(gen, t: F, max_stage: int) -> Membership:
-    if isinstance(gen, IntermediateCantor):
-        inner = contains_membership(gen.inner, t, max_stage)
-        if inner.is_in:
-            return inner
-        d = contains_first_out(gen, t, max_stage)
-        return Membership(UNKNOWN) if d is None else Membership(OUT, d)
-    d = contains_first_out(gen, t, None)
-    return Membership(IN) if d is None else Membership(OUT, d)
-
-
-def contains_gap_of(gen, t: F):
-    if isinstance(gen, MiddleThirds):
-        if not gen.base.contains(t):
-            raise ValueError(f"{t} lies outside the base of {gen.describe()}")
-        hit = _ternary_exit(*gen._in_unit(t.numerator, t.denominator), None)
-        if hit is None:
-            return None
-        q = gen.grid(hit[0] + 1)
-        lo, hi = gen._gap(*hit)
-        return F(lo, q), F(hi, q)
-    if not UNIT.contains(t):
-        raise ValueError(f"{t} lies outside [0, 1]")
-    if t < gen.window.lo:
-        return (F(0), gen.window.lo)
-    if t > gen.window.hi:
-        return (gen.window.hi, F(1))
-    hit = gen._core_exit(t.numerator, t.denominator, None)
-    if hit is None:
-        return None
-    ka, kb = gen.attachments(*hit)
-    for k in (ka, kb):
-        if k.base.contains(t):
-            return contains_gap_of(k, t)
-    return (ka.base.hi, kb.base.lo)
+                assert_persists_matches_scan(gen, windows, [d], ref)
 
 
 def outcome(query, *args):
@@ -1188,36 +902,40 @@ def end_points(fam) -> list[F]:
                    for q in (e.denominator, 3 ** 9 * e.denominator)})
 
 
+# point queries on int numerators, against the model's
+
+
 def assert_point_queries_match(fam, t: F) -> None:
+    ref = model(fam)
     for gen in point_query_gens(fam):
         for max_stage in (0, 1, 4, 12):
-            assert gen.first_out(t, max_stage) == contains_first_out(gen, t, max_stage), (
+            assert gen.first_out(t, max_stage) == ref.first_out(gen, t, max_stage), (
                 gen.describe(), t, max_stage)
         for max_stage in (4, 12):
-            assert gen.membership(t, max_stage) == contains_membership(gen, t, max_stage), (
+            assert gen.membership(t, max_stage) == ref.membership(gen, t, max_stage), (
                 gen.describe(), t, max_stage)
         if not isinstance(gen, IntermediateCantor):
-            assert gen.first_out(t, None) == contains_first_out(gen, t, None), (gen.describe(), t)
-            assert outcome(gen.gap_of, t) == outcome(contains_gap_of, gen, t), (gen.describe(), t)
+            assert gen.first_out(t, None) == ref.first_out(gen, t, None), (gen.describe(), t)
+            assert outcome(gen.gap_of, t) == outcome(ref.gap_of, gen, t), (gen.describe(), t)
 
 
 class TestIntPointQueries:
     @given(unit_rationals)
     @settings(max_examples=60, deadline=None)
-    def test_match_fraction_entry_checks(self, family, level_three, t):
-        for fam in (family, level_three):
+    def test_match_fraction_entry_checks(self, t):
+        for fam in (built(2, 56), built(3, 56)):
             assert_point_queries_match(fam, t)
 
     @pytest.mark.parametrize("level", [2, 3])
-    def test_match_fraction_entry_checks_at_every_end(self, request, level):
-        fam = request.getfixturevalue("family" if level == 2 else "level_three")
+    def test_match_fraction_entry_checks_at_every_end(self, level):
+        fam = built(level, 56)
         for t in end_points(fam):
             assert_point_queries_match(fam, t)
 
-    def test_answer_with_fraction_order_disabled(self, level_three, monkeypatch):
+    def test_answer_with_fraction_order_disabled(self, monkeypatch):
         # the family and its schedules are built; the first pass also
         # makes each attachment a query meets, whose base checks its ends
-        fam = level_three
+        fam = built(3, 56)
         m = make_map("tent", fam)
         points = probe_points(fam, 8, 13) + end_points(fam)
         points = [t for t in points if 0 <= t <= 1]
@@ -1243,24 +961,13 @@ class TestIntPointQueries:
         assert answers() == want
 
 
-def per_depth_point_membership(gen, p, max_stage: int) -> Membership:
-    """point_membership asking near at every depth, from the memo down."""
-    if not isinstance(p, CantorAddress):
-        return gen.membership(p, max_stage)
-    if p.gen is gen:
-        return Membership(IN, 0)
-    for d in range(max_stage + 1):
-        if not gen.near(d, *point_bracket(p, d)):
-            return Membership(OUT, d)
-    return Membership(UNKNOWN, None)
-
-
 class TestPointMembershipDescent:
     @pytest.mark.parametrize("level", [2, 3])
-    def test_matches_per_depth_near_on_the_endpoint_suite(self, request, level):
+    def test_matches_per_depth_near_on_the_endpoint_suite(self, level):
         # every pair `verify endpoints` checks: the first endpoints of
         # C_0 and C_{1/2} against each smaller member
-        fam = request.getfixturevalue("family" if level == 2 else "level_three")
+        fam = built(level, 56)
+        ref = model(fam)
         checked = 0
         for src in (F(0), F(1, 2)):
             for p in fam.member(src).endpoints(min(50, fam.stage_budget)):
@@ -1269,6 +976,6 @@ class TestPointMembershipDescent:
                         gen = fam.member(r)
                         checked += 1
                         assert (point_membership(gen, p, DEFAULT_SEARCH_CEILING)
-                                == per_depth_point_membership(gen, p, DEFAULT_SEARCH_CEILING)
+                                == ref.membership(gen, p, DEFAULT_SEARCH_CEILING)
                                 ), (src, r, p)
         assert checked == _suite_endpoints(fam, None, 0, 0, None)["checked"]

@@ -1,7 +1,5 @@
 import random
 from fractions import Fraction as F
-from math import lcm
-from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -9,42 +7,12 @@ from hypothesis import strategies as st
 
 from gillab.exact import ClosedInterval, IntervalSet, UNIT, rat
 
+from conftest import interval_sets, rationals, subtract
+from reference import FractionIntervalSet, intersect
+
 
 def iv(a, b):
     return ClosedInterval(F(a), F(b))
-
-
-# interval relations that only the references in the tests read
-
-
-def contains_interval(a: ClosedInterval, b: ClosedInterval) -> bool:
-    return a.lo <= b.lo and b.hi <= a.hi
-
-
-def intersects(a: ClosedInterval, b: ClosedInterval) -> bool:
-    return a.lo <= b.hi and b.lo <= a.hi
-
-
-def intersect(a: ClosedInterval, b: ClosedInterval) -> Optional[ClosedInterval]:
-    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-    return ClosedInterval(lo, hi) if lo <= hi else None
-
-
-def subtract(s, holes):
-    """s.subtract_opens with rational holes, over the lcm of every
-    denominator."""
-    q = lcm(s.q, *(x.denominator for hole in holes for x in hole))
-    return s.subtract_opens(q, [(lo.numerator * (q // lo.denominator),
-                                 hi.numerator * (q // hi.denominator)) for lo, hi in holes])
-
-
-rationals = st.fractions(min_value=0, max_value=1, max_denominator=64)
-
-
-@st.composite
-def interval_sets(draw):
-    pairs = draw(st.lists(st.tuples(rationals, rationals), max_size=6))
-    return IntervalSet(ClosedInterval(min(a, b), max(a, b)) for a, b in pairs)
 
 
 class TestClosedInterval:
@@ -175,22 +143,6 @@ class TestAlgebra:
         assert union(a, a) == a
 
 
-def _subtract_one(s: IntervalSet, lo, hi) -> IntervalSet:
-    """Reference: remove one open hole (lo, hi) by rebuilding the set."""
-    if lo >= hi:
-        return s
-    out = []
-    for c in s:
-        if c.hi <= lo or c.lo >= hi:
-            out.append(c)
-            continue
-        if c.lo <= lo:
-            out.append(ClosedInterval(c.lo, lo))
-        if c.hi >= hi:
-            out.append(ClosedInterval(hi, c.hi))
-    return IntervalSet(out)
-
-
 @st.composite
 def sets_and_holes(draw):
     """A normalized set and holes that often overlap, nest, touch each
@@ -207,9 +159,7 @@ class TestSubtractOpens:
     @settings(max_examples=300)
     def test_sweep_equals_one_hole_at_a_time(self, case):
         s, holes = case
-        expected = s
-        for lo, hi in holes:
-            expected = _subtract_one(expected, lo, hi)
+        expected = FractionIntervalSet(s.components).subtract_opens(holes)
         assert subtract(s, holes).components == expected.components
         one_by_one = s
         for lo, hi in holes:

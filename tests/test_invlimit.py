@@ -6,7 +6,7 @@ import pytest
 
 from gillab import invlimit
 from gillab.bonding import make_map
-from gillab.cantor import GapAttachedCantor, build_family
+from gillab.cantor import GapAttachedCantor
 from gillab.dynamics import make_cycle
 from gillab.errors import BoxCountError
 from gillab.exact import UNIT, IntervalSet
@@ -24,13 +24,8 @@ from gillab.invlimit import (
     verify_arc_chain,
     verify_thread,
 )
-from test_exact import intersect
 
-
-def contains_tuple(cov, xs: list[F]) -> bool:
-    """Whether some box of the Mahavier cover holds the point xs."""
-    assert len(xs) == cov.dimension
-    return any(all(b.contains(x) for b, x in zip(box, xs)) for box in cov.boxes)
+from reference import all_pairs_chains, built, contains_tuple, csv_rows
 
 
 class TestThreads:
@@ -207,51 +202,24 @@ class TestMahavier:
             mahavier_cover(zero_map, n, 2, 2)
 
 
-def all_pairs_chains(gboxes, n):
-    """{k: sorted chains on coordinates 0..k} for k <= n, by intersecting
-    every chain's last constraint with every y-box."""
-    chains = [(yb, tb) for tb, yb in gboxes]
-    out = {1: sorted(chains)}
-    for k in range(2, n + 1):
-        nxt = []
-        for chain in chains:
-            for tb, yb in gboxes:
-                shared = intersect(chain[-1], yb)
-                if shared is not None:
-                    nxt.append(chain[:-1] + (shared, tb))
-        chains = nxt
-        out[k] = sorted(chains)
-    return out
-
-
-def csv_reference(dimension: int, boxes) -> list[str]:
-    head = ",".join(f"x{i}_lo,x{i}_hi" for i in range(dimension))
-    return [head] + [",".join(f"{iv.lo},{iv.hi}" for iv in box) for box in boxes]
-
-
-@pytest.fixture(scope="module")
-def level3_family():
-    return build_family(3, 56, 15)
-
-
 @pytest.mark.parametrize("mode", ["zero", "tent"])
 @pytest.mark.parametrize("level", [2, 3])
-def test_mahavier_matches_all_pairs_enumeration(family, level3_family, level, mode):
-    m = make_map(mode, family if level == 2 else level3_family)
+def test_mahavier_matches_all_pairs_enumeration(level, mode):
+    m = make_map(mode, built(level, 56))
     for stage in range(4):
         expected = all_pairs_chains(m.graph_cover(stage, level).boxes, 3)
         for n in (1, 2, 3):
             cov = mahavier_cover(m, n, stage, level)
             assert cov.boxes == expected[n], (stage, n)
-            assert cov.csv_rows() == csv_reference(n + 1, expected[n]), (stage, n)
+            assert cov.csv_rows() == csv_rows(n + 1, expected[n]), (stage, n)
 
 
 # sha256 of `gillab export mahavier --level 3 --budget 56 --stage 3 --n 3`
 BENCH_MAHAVIER_SHA256 = "a7ea747fc29b24598d90a6eaaae081463e0b7c41d2071d33d9a9af5e042b93d5"
 
 
-def test_bench_configuration_csv_is_rendered_from_the_keys(level3_family):
-    m = make_map("zero", level3_family)
+def test_bench_configuration_csv_is_rendered_from_the_keys():
+    m = make_map("zero", built(3, 56))
     cover = mahavier_cover(m, 3, 3, 3)
     text = "\n".join(cover.csv_rows()) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == BENCH_MAHAVIER_SHA256

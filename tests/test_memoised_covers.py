@@ -13,6 +13,8 @@ import pytest
 
 from gillab.cantor import CantorAddress, IntermediateCantor, build_family
 
+from reference import built
+
 DEPTH = 8
 CHILD_DEPTH = 6
 
@@ -28,21 +30,12 @@ def schedule_text(gen: IntermediateCantor):
             [(text(p), k) for p, k in sched.reuses])
 
 
-def lazy_family(level: int, budget: int):
-    fam = build_family(level, budget, 15)
-    for r in fam.grid():
-        gen = fam.member(r)
-        if isinstance(gen, IntermediateCantor):
-            gen.schedule()
-    return fam
-
-
 @pytest.mark.parametrize("level, budget", [(1, 56), (2, 56), (3, 56), (4, 24)])
 def test_filled_in_build_order_equals_lazy(level, budget):
-    lazy = lazy_family(level, budget)
+    lazy = built(level, budget)
     filled = build_family(level, budget, 15)
-    built = [(r, d) for r, d, _ in filled.covers(DEPTH)]
-    assert built == [(r, d) for r in filled.members for d in range(DEPTH + 1)]
+    order = [(r, d) for r, d, _ in filled.covers(DEPTH)]
+    assert order == [(r, d) for r in filled.members for d in range(DEPTH + 1)]
     # build order: each intermediate set after its inner and outer sets
     position = {id(gen): k for k, gen in enumerate(filled.members.values())}
     for gen in filled.members.values():

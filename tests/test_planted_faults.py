@@ -195,28 +195,48 @@ def _no_witness_on_c1(m, t, *args):
 
 _eval_F = bonding.eval_F
 
-# suite -> (owner, name, planted replacement) of a fault that suite must catch
+# fault -> (suite, owner, name, planted replacement): each fault is named
+# for the checker it breaks, and the suite must catch it
 PLANTED = {
     # every later member seems to keep every scheduled endpoint
-    "endpoints": (cli, "point_membership", lambda gen, t, ceiling: Membership(IN)),
+    "endpoints": ("endpoints", cli, "point_membership",
+                  lambda gen, t, ceiling: Membership(IN)),
     # no graph-cover box holds any (t, y)
-    "usc": (bonding.GraphCover, "contains_point", lambda cover, t, y: False),
+    "usc": ("usc", bonding.GraphCover, "contains_point", lambda cover, t, y: False),
+    # no witness is nearer than a tolerance of 0
+    "weak_continuity": ("usc", bonding, "WEAK_CONTINUITY_TOLERANCE", F(0)),
     # every column of the cover seems filled to height 1
-    "interior": (bonding.GraphCover, "floor", lambda cover, xb: F(1)),
+    "interior": ("interior", bonding.GraphCover, "floor", lambda cover, xb: F(1)),
     # the spot checks' witnesses are C_1 endpoints
-    "ivp": (bonding, "eval_F", _no_witness_on_c1),
+    "ivp": ("ivp", bonding, "eval_F", _no_witness_on_c1),
     # 1/4 is in C_1, so each step is certified, but the points coincide
-    "cycles": (dynamics, "make_cycle", lambda m, n: Cycle((F(1, 4), F(1, 4)))),
+    "cycles": ("cycles", dynamics, "make_cycle", lambda m, n: Cycle((F(1, 4), F(1, 4)))),
 }
 
 
-@pytest.mark.parametrize("suite", sorted(PLANTED))
-def test_planted_fault_fails_verify(suite, monkeypatch):
+def planted_report(fault, monkeypatch) -> dict:
+    """The report of the fault's suite, which passes, run again with the
+    fault planted; it must exit 1."""
+    suite, owner, name, planted = PLANTED[fault]
     args = ["verify", suite, "--level", "1", "--budget", "24", "--stage", "4"]
     assert CliRunner().invoke(cli.main, args).exit_code == 0
-    owner, name, planted = PLANTED[suite]
     monkeypatch.setattr(owner, name, planted)
     res = CliRunner().invoke(cli.main, args)
     assert res.exit_code == cli.EXIT_VERIFY_FAILED, res.output
-    report = json.loads(res.output)
+    return json.loads(res.output)
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED))
+def test_planted_fault_fails_verify(fault, monkeypatch):
+    report = planted_report(fault, monkeypatch)
+    suite = PLANTED[fault][0]
     assert not report["ok"] and not report["suites"][suite]["ok"]
+
+
+def test_zero_tolerance_fails_weak_continuity_alone(monkeypatch):
+    # the usc suite runs two checkers; a weak-continuity fault fails the
+    # second only, at every point, for want of a witness
+    usc = planted_report("weak_continuity", monkeypatch)["suites"]["usc"]
+    assert usc["usc"]["ok"] and not usc["weak_continuity"]["ok"]
+    assert {f["reason"] for f in usc["weak_continuity"]["failures"]} == {
+        "witness search exhausted"}

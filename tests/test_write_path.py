@@ -15,17 +15,12 @@ from hypothesis import strategies as st
 
 from gillab import cache
 from gillab.bonding import make_map
-from gillab.cantor import build_family
 from gillab.errors import CacheError
 from gillab.exact import ClosedInterval, IntervalSet
 from gillab.invlimit import BoxCover, mahavier_cover
-from test_cache import rewrite
-from test_exact import interval_sets
 
-
-def reference_text(s: IntervalSet) -> str:
-    """The cover text from Fraction component ends, one by one."""
-    return ";".join(f"{F(lo, s.q)}..{F(hi, s.q)}" for lo, hi in zip(*s.numerators()))
+from conftest import interval_sets, rewrite
+from reference import built, csv_rows, decoded, reference_text
 
 
 # degenerate components, and the same numerator pairs over different
@@ -46,7 +41,7 @@ def test_covers_through_one_table_match_the_reference(level, budget):
     table: dict = {}
     shared = 0
     # the hand-made sets go first, so the family's covers meet their entries
-    sets = HAND_MADE + [cover for _, _, cover in build_family(level, budget, 15).covers(8)]
+    sets = HAND_MADE + [cover for _, _, cover in built(level, budget).covers(8)]
     for s in sets:
         before = len(table)
         text = s.to_text(table)
@@ -64,24 +59,6 @@ def test_random_sets_through_one_table(sets):
         assert s.to_text(table) == reference_text(s)
 
 
-def decoded(cover: BoxCover) -> list[tuple[ClosedInterval, ...]]:
-    """Every key's box, decoded digit by digit on its own."""
-    base = len(cover.ranked)
-    out = []
-    for key in cover.keys:
-        ranks = []
-        for _ in range(cover.dimension):
-            key, r = divmod(key, base)
-            ranks.append(r)
-        out.append(tuple(cover.ranked[r] for r in reversed(ranks)))
-    return out
-
-
-def csv_of(cover: BoxCover) -> list[str]:
-    head = ",".join(f"x{i}_lo,x{i}_hi" for i in range(cover.dimension))
-    return [head] + [",".join(f"{iv.lo},{iv.hi}" for iv in box) for box in decoded(cover)]
-
-
 @pytest.mark.parametrize("mode", ["zero", "tent"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rows_match_a_per_key_decode(family, mode, n):
@@ -91,7 +68,7 @@ def test_rows_match_a_per_key_decode(family, mode, n):
         if n == 1:
             # the front is empty and all keys form one run
             assert max(cover.keys) < len(cover.ranked) ** 2
-        assert cover.csv_rows() == csv_of(cover), (stage, n)
+        assert cover.csv_rows() == csv_rows(cover.dimension, decoded(cover)), (stage, n)
         assert cover.boxes == decoded(cover), (stage, n)
 
 
@@ -106,14 +83,14 @@ def test_rows_match_a_per_key_decode(family, mode, n):
 def test_runs_break_exactly_at_the_leading_digits(dimension, keys):
     ranked = tuple(ClosedInterval(F(k, 8), F(k + 1, 8)) for k in range(3))
     cover = BoxCover(dimension, ranked, keys)
-    assert cover.csv_rows() == csv_of(cover)
+    assert cover.csv_rows() == csv_rows(dimension, decoded(cover))
     assert cover.boxes == decoded(cover)
 
 
 def test_a_tampered_cover_of_shared_components_fails_at_its_depth(tmp_path):
     # the tampered cover is another member's cover at the same depth, so
     # every one of its component texts is in the load's table already
-    fam = build_family(2, 56, 15)
+    fam = built(2, 56)
     order = list(dict.fromkeys(str(r) for r, _, _ in fam.covers(4)))
     path = cache.save_family(fam, 4, tmp_path)
     payload = json.loads(path.read_text())
