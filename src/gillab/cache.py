@@ -3,17 +3,18 @@
 One JSON file per (level, budget) pair, named by a hash of the build
 parameters.  The payload holds the canonical interval-set text of every
 member's stage covers plus each removal schedule, and carries a content
-hash.  Saving and loading both build the covers through
-``CantorFamily.covers``: member by member in build order, depth by
-depth within a member, so each removal-schedule search reads its
-neighbours' memoised covers.  Loading rebuilds the family from scratch,
-compares every stored cover as soon as it is built, renders it with the
-code that wrote the file, and insists on the same text byte for byte,
-so a cache file is a determinism certificate for everything it holds.
-Saving and loading each pass one table of component texts to every
-``to_text`` call, so a component shared by several members or depths
-is rendered once per call.  An ``OSError`` on writing, such as a cache
-directory path that names a file, is a ``CacheError``.
+hash.  One function, ``_file_text``, renders the file for both saving
+and loading.  It builds the covers through ``CantorFamily.covers``:
+member by member in build order, depth by depth within a member, so
+each removal-schedule search reads its neighbours' memoised covers, and
+it passes one table of component texts to every ``to_text`` call, so a
+component shared by several members or depths is rendered once.
+Saving writes that text.  Loading rebuilds the family from scratch,
+hands the stored covers to the same function, which compares each cover
+as soon as it is built, and insists on the same text byte for byte, so
+a cache file is a determinism certificate for everything it holds.  An
+``OSError`` on writing, such as a cache directory path that names a
+file, is a ``CacheError``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+from typing import Optional
 
 from .cantor import (
     DEFAULT_SEARCH_CEILING,
@@ -34,50 +36,10 @@ from .errors import CacheError
 FORMAT_VERSION = 1
 
 
-def _params_string(level: int, budget: int) -> str:
-    return f"gillab-family-v{FORMAT_VERSION}:level={level},budget={budget}"
-
-
 def family_filename(level: int, budget: int) -> str:
-    digest = hashlib.sha256(_params_string(level, budget).encode()).hexdigest()[:16]
+    params = f"gillab-family-v{FORMAT_VERSION}:level={level},budget={budget}"
+    digest = hashlib.sha256(params.encode()).hexdigest()[:16]
     return f"family-L{level}-B{budget}-{digest}.json"
-
-
-def _serialize_anchor(anchor) -> dict:
-    if isinstance(anchor, CantorAddress):
-        return {"kind": "address", "path": anchor.serialize()}
-    return {"kind": "edge", "point": str(anchor)}
-
-
-def _member_payload(gen, texts: list[str]) -> dict:
-    payload = {
-        "describe": gen.describe(),
-        "stages": texts,
-    }
-    if isinstance(gen, IntermediateCantor):
-        sched = gen.schedule()
-        payload["schedule"] = [
-            {"index": e.index,
-             "point": e.point.serialize() if isinstance(e.point, CantorAddress)
-             else str(e.point),
-             "createStage": e.create_stage,
-             "a": _serialize_anchor(e.a),
-             "b": _serialize_anchor(e.b)}
-            for e in sched.entries
-        ]
-    return payload
-
-
-def _family_payload(fam: CantorFamily, stages: int,
-                    texts: dict[str, list[str]]) -> dict:
-    return {
-        "version": FORMAT_VERSION,
-        "level": fam.level,
-        "budget": fam.stage_budget,
-        "stages": stages,
-        "members": {str(r): _member_payload(fam.member(r), texts[str(r)])
-                    for r in fam.grid()},
-    }
 
 
 def _content_hash(payload: dict) -> str:
@@ -85,10 +47,44 @@ def _content_hash(payload: dict) -> str:
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-def _render(fam: CantorFamily, stages: int, texts: dict[str, list[str]]) -> str:
-    """The cache file text for the family's covers up to depth stages,
-    given each member's cover texts by depth."""
-    payload = _family_payload(fam, stages, texts)
+def _file_text(fam: CantorFamily, stages: int, stored: Optional[dict] = None,
+               path: Optional[Path] = None) -> str:
+    """The cache file text for the family's covers up to depth stages.
+    Given a file's stored members, each cover is compared with its
+    stored text as soon as it is built, so that a padded or tampered
+    cover list fails at its first wrong depth, before any later member's
+    search or any cover exponential in the list's length."""
+    table: dict = {}
+    members = {str(r): {"describe": fam.member(r).describe(), "stages": []}
+               for r in fam.grid()}
+    for r, d, cover in fam.covers(stages):
+        text = cover.to_text(table)
+        if stored is not None:
+            try:
+                same = stored[str(r)]["stages"][d] == text
+            except (IndexError, KeyError, TypeError):
+                same = False
+            if not same:
+                raise CacheError(f"rebuilt family differs from cache file {path} "
+                                 f"at stage {d} of member {r}")
+        members[str(r)]["stages"].append(text)
+
+    def anchor(x) -> dict:
+        if isinstance(x, CantorAddress):
+            return {"kind": "address", "path": x.serialize()}
+        return {"kind": "edge", "point": str(x)}
+
+    for r in fam.grid():
+        gen = fam.member(r)
+        if isinstance(gen, IntermediateCantor):
+            members[str(r)]["schedule"] = [
+                {"index": e.index,
+                 "point": e.point.serialize() if isinstance(e.point, CantorAddress)
+                 else str(e.point),
+                 "createStage": e.create_stage, "a": anchor(e.a), "b": anchor(e.b)}
+                for e in gen.schedule().entries]
+    payload = {"version": FORMAT_VERSION, "level": fam.level,
+               "budget": fam.stage_budget, "stages": stages, "members": members}
     payload["contentHash"] = _content_hash(payload)
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -102,12 +98,8 @@ def save_family(fam: CantorFamily, stages: int, cache_dir: Path) -> Path:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as ex:
         raise CacheError(f"cannot make cache directory {path.parent}: {ex}") from ex
-    table: dict = {}
-    texts: dict[str, list[str]] = {str(r): [] for r in fam.grid()}
-    for r, _, cover in fam.covers(stages):
-        texts[str(r)].append(cover.to_text(table))
     try:
-        path.write_text(_render(fam, stages, texts))
+        path.write_text(_file_text(fam, stages))
     except OSError as ex:
         raise CacheError(f"cannot write cache file {path}: {ex}") from ex
     return path
@@ -136,23 +128,6 @@ def load_family(level: int, budget: int, cache_dir: Path,
     except (AttributeError, KeyError, StopIteration, TypeError) as ex:
         raise CacheError(f"cache file {path} holds no stage covers") from ex
     fam = build_family(level, budget, search_ceiling)
-    # each cover is compared as soon as it is built, so that a padded or
-    # tampered cover list fails at its first wrong depth, before any
-    # later member's search or any cover exponential in the list's
-    # length; the texts rendered here are the ones the whole-file
-    # compare uses
-    table: dict = {}
-    texts: dict[str, list[str]] = {str(r): [] for r in fam.grid()}
-    for r, d, cover in fam.covers(stages):
-        want = cover.to_text(table)
-        try:
-            same = payload["members"][str(r)]["stages"][d] == want
-        except (IndexError, KeyError, TypeError):
-            same = False
-        if not same:
-            raise CacheError(f"rebuilt family differs from cache file {path} "
-                             f"at stage {d} of member {r}")
-        texts[str(r)].append(want)
-    if _render(fam, stages, texts) != text:
+    if _file_text(fam, stages, payload["members"], path) != text:
         raise CacheError(f"rebuilt family differs from cache file {path}")
     return fam

@@ -327,15 +327,18 @@ class MiddleThirds(CantorGen):
         lo, hi = self._gap(*hit)
         return Fraction(lo, q), Fraction(hi, q)
 
+    def gaps_opened(self, s: int) -> Iterator[Pair]:
+        """The gaps opened at stage s >= 1, left to right, over grid(s)."""
+        # the middle third of [a, b] over q is [2a + b, a + 2b] over 3q
+        return ((2 * a + b, a + 2 * b) for a, b in zip(*self.stage(s - 1).numerators()))
+
     def _discover_endpoints(self, s: int) -> list[Fraction]:
         """The base ends at stage 0; for s >= 1 the ends of the gaps
         opened at stage s, left to right in (left end, right end) pairs."""
         if s == 0:
             return [self.base.lo, self.base.hi]
-        # the middle third of [a, b] over q is [2a + b, a + 2b] over 3q
         q = self.grid(s)
-        return [Fraction(x, q) for a, b in zip(*self.stage(s - 1).numerators())
-                for x in (2 * a + b, a + 2 * b)]
+        return [Fraction(x, q) for gap in self.gaps_opened(s) for x in gap]
 
     # bound in each class body rather than inherited: bench/tracing.py
     # wraps vars(cls)["membership"] and vars(cls)["endpoints"] of every
@@ -379,9 +382,8 @@ class GapAttachedCantor(CantorGen):
     def gaps_of_generation(self, g: int) -> list[Pair]:
         if g == 0:
             return self._side_gaps
-        r = self._scale   # the middle third of each stage-(g-1) core component
-        return [((2 * a + b) * r, (a + 2 * b) * r)
-                for a, b in zip(*self.core.stage(g - 1).numerators())]
+        r = self._scale   # the core's gaps, moved from its grid to this one
+        return [(lo * r, hi * r) for lo, hi in self.core.gaps_opened(g)]
 
     def attachments(self, g: int, lo: int, hi: int) -> tuple[MiddleThirds, MiddleThirds]:
         """The pair attached to the generation-g gap (lo, hi) over grid(g)."""

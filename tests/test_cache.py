@@ -6,6 +6,7 @@ from gillab import cache
 from gillab.cache import family_filename, load_family, save_family
 from gillab.cantor import GapAttachedCantor, IntermediateCantor, MiddleThirds, build_family
 from gillab.errors import CacheError
+from gillab.exact import IntervalSet
 
 from conftest import rewrite
 from reference import built
@@ -157,6 +158,12 @@ class TestCache:
         assert family_filename(2, 56) == family_filename(2, 56)
         assert family_filename(2, 56) != family_filename(1, 56)
 
+    def test_filename_is_pinned(self):
+        # the name hashes the build parameters: a drift in the hashed
+        # string would orphan every cache file already written
+        assert family_filename(3, 56) == "family-L3-B56-689ef567d976fc8e.json"
+        assert family_filename(2, 56) == "family-L2-B56-6ac8af845b895277.json"
+
 
 def test_a_load_refines_only_past_the_memoised_covers(tmp_path, monkeypatch):
     # each search reads its neighbours' covers memoised through depth 8,
@@ -177,3 +184,21 @@ def test_a_load_refines_only_past_the_memoised_covers(tmp_path, monkeypatch):
     load_family(3, 56, tmp_path)
     assert 0 < len(calls) <= 444
     assert all(calls)
+
+
+def test_save_and_load_each_render_every_cover_once(tmp_path, monkeypatch):
+    # 9 members at level 3, each with covers at depths 0..8; saving and
+    # loading share one render loop, so neither renders a cover twice
+    to_text = IntervalSet.to_text
+    calls = []
+
+    def counted(cover, table=None):
+        calls.append(cover)
+        return to_text(cover, table)
+
+    monkeypatch.setattr(IntervalSet, "to_text", counted)
+    save_family(built(3, 56), 8, tmp_path)
+    assert len(calls) == 81
+    calls.clear()
+    load_family(3, 56, tmp_path)
+    assert len(calls) == 81
