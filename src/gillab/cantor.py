@@ -362,6 +362,13 @@ class GapAttachedCantor(CantorGen):
     cover, which keeps cover sizes polynomial in the depth.  Both ends
     of every stage-d component are points of the set, so the gaps of a
     stage cover are maximal gaps.
+
+    ``_compute_stage(d)`` is one int sweep over grid(d): the core's
+    pieces, and each attachment's read off its gap's ends by one index
+    list per generation (the m whose ternary digits are all 0 or 2),
+    merged once; ``_children_of`` keeps the pieces of that rule that meet
+    one component.  Neither makes an attachment object: ``attachments``
+    makes them for the point queries alone.
     """
 
     def __init__(self, core: MiddleThirds):
@@ -397,13 +404,33 @@ class GapAttachedCantor(CantorGen):
                                         MiddleThirds(ClosedInterval(b - w3, b)))
         return pair
 
+    def _attachment_ends(self, d: int, g: int, lo: int, hi: int) -> tuple[int, int, int]:
+        """(w, a, b) for the generation-g gap (lo, hi) over grid(g): over
+        grid(d), the left ends a and b of its two attachments and the width
+        w of their stage-(d - g) pieces.  Piece m of either, [a + m*w,
+        a + m*w + w], is there for the m < 3^(d - g) whose ternary digits
+        are all 0 or 2."""
+        # grid(0) holds span/12, so every gap over grid(g) is a multiple
+        # of 3 wide and the pieces lie on grid(d) with no division
+        w, rest = divmod(hi - lo, 3)
+        if rest:
+            raise ValueError(f"gap ({lo}, {hi}) over grid({g}) is not a multiple of 3 wide")
+        f = 3 ** (d - g)
+        return w, lo * f, (hi - w) * f
+
     def _compute_stage(self, d: int) -> IntervalSet:
-        # the core cover and the cover of every attachment of a core gap
-        # opened by stage d, joined over one denominator
-        return IntervalSet.union_of(
-            [self.core.stage(d)] + [k.stage(d - g) for g in range(d + 1)
-                                    for gap in self.gaps_of_generation(g)
-                                    for k in self.attachments(g, *gap)])
+        # the core pieces and every attachment's, from one index list per
+        # generation g (the m of depth d - g), merged once
+        r = self._scale
+        pieces = [(a * r, b * r) for a, b in zip(*self.core.stage(d).numerators(self.core.grid(d)))]
+        ms = [0]
+        for g in range(d, -1, -1):
+            for gap in self.gaps_of_generation(g):
+                w, *ends = self._attachment_ends(d, g, *gap)
+                for a in ends:
+                    pieces += [(a + m * w, a + m * w + w) for m in ms]
+            ms = [x for m in ms for x in (3 * m, 3 * m + 2)]
+        return IntervalSet.over(self.grid(d), *zip(*_normalize(pieces)))
 
     def _children_of(self, d: int, lo: int, hi: int) -> list[Pair]:
         """The core pieces meeting the parent and the attachment pieces of
@@ -417,11 +444,18 @@ class GapAttachedCantor(CantorGen):
             points.append((lo, p))
         if pieces and 3 * hi > pieces[-1][1]:
             points.append((hi, p))
-        for n, m in points:
-            g, glo, ghi = self._core_exit(n, m, d)
-            for k in self.attachments(g, glo, ghi):
-                f = q // k.grid(d - g)
-                pieces += [(a * f, b * f) for a, b in k.near(d - g, lo, hi, p)]
+        for n, s in points:
+            g, glo, ghi = self._core_exit(n, s, d)
+            w, *ends = self._attachment_ends(d, g, glo, ghi)
+            k = d - g
+            for a in ends:
+                # the pieces meeting the parent [3 lo, 3 hi]; piece m is
+                # there when the midpoint of [m, m + 1] / 3^k stays in the
+                # middle-thirds cover for all k digits
+                first = max(0, -(-(3 * lo - a - w) // w))
+                last = min(3 ** k - 1, (3 * hi - a) // w)
+                pieces += [(a + m * w, a + m * w + w) for m in range(first, last + 1)
+                           if _ternary_exit(2 * m + 1, 2 * 3 ** k, k) is None]
         return _normalize(pieces)
 
     def _core_exit(self, n: int, q: int, max_stage: Optional[int]) -> Optional[tuple[int, int, int]]:

@@ -132,14 +132,6 @@ class IntervalSet:
     def _of_pairs(q: int, pairs: Sequence[tuple[int, int]]) -> "IntervalSet":
         return IntervalSet.over(q, *_unzip(pairs))
 
-    @staticmethod
-    def union_of(sets: Iterable["IntervalSet"]) -> "IntervalSet":
-        """The union of the sets, over the lcm of their denominators."""
-        sets = list(sets)
-        q = lcm(*(s._q for s in sets))
-        return IntervalSet._of_pairs(q, _normalize(
-            pair for s in sets for pair in zip(*s.numerators(q))))
-
     @property
     def q(self) -> int:
         """The denominator every component end is written over."""

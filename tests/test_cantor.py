@@ -792,11 +792,32 @@ def assert_persists_matches_scan(gen: IntermediateCantor, windows, depths, ref: 
 
 
 class TestOrderedGapAttachedCover:
-    def test_matches_sorted_reference(self):
-        ga = GapAttachedCantor(MiddleThirds(C1_BASE))
+    @pytest.mark.parametrize("base", [C1_BASE, ClosedInterval(F(1, 3), F(2, 3)),
+                                      ClosedInterval(F(3, 10), F(7, 10))],
+                             ids=["C1_BASE", "thirds", "tenths"])
+    def test_matches_sorted_reference(self, base):
+        ga = GapAttachedCantor(MiddleThirds(base))
         ref = Model()
         for d in range(13):
             assert ga.stage(d).components == ref.cover(ga, d).components, d
+            assert ga.stage(d).q == ga.grid(d), d
+
+    def test_cover_paths_make_no_attachment(self):
+        # the whole-cover sweep and the one-component refinement read each
+        # attachment's pieces off its gap's ends; the point queries alone
+        # make attachment objects
+        c0 = build_family(2, 56).c0
+        c0.stage(8)
+        assert c0.near(12, 5, 5, 12) and c0._k_memo == {}
+
+    def test_a_gap_off_the_thirds_grid_is_refused(self):
+        # an attachment's pieces are a third of its gap wide on grid(d);
+        # a gap whose width is no multiple of 3 is refused, not floored
+        ga = GapAttachedCantor(MiddleThirds(C1_BASE))
+        lo, hi = ga._side_gaps[0]
+        ga._side_gaps[0] = (lo, hi + 1)
+        with pytest.raises(ValueError, match="not a multiple of 3 wide"):
+            ga.stage(0)
 
     def test_generation_of_every_gap(self, family):
         c0 = family.c0

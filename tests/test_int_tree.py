@@ -97,7 +97,11 @@ def test_stage_covers_lie_on_the_tree_grid(level, budget, depth):
     for gen in gens:
         for d in range(depth + 1):
             assert gen.stage(d).q == gen.grid(d) == gen.grid(0) * 3 ** d, (gen.describe(), d)
-    attachments = [k for pair in fam.c0._k_memo.values() for k in pair]
+    # C_0's cover sweep makes no attachment object, so make each one whose
+    # gap opens by depth
+    c0 = fam.c0
+    attachments = [k for g in range(depth + 1) for gap in c0.gaps_of_generation(g)
+                   for k in c0.attachments(g, *gap)]
     assert len(attachments) > 100
     for k in attachments:
         for d in range(depth + 1):
