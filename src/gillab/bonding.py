@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Optional
+from typing import Optional, Sequence
 
 from .cantor import CantorFamily, CantorGen, DEFAULT_MAX_STAGE
-from .exact import UNIT, ClosedInterval, ONE, ZERO, _over, _text
+from .exact import UNIT, ClosedInterval, IntervalSet, ONE, ZERO, _over, _text
 
 MAX_TENT_HEIGHT = Fraction(1, 32)
 MIN_C0 = Fraction(1, 8)
@@ -167,8 +167,8 @@ class GraphCover:
     The x-intervals tile [0, 1]: box k is [ends[k]/q, ends[k+1]/q] x
     [0, heights[ranks[k]]], for int ends rising from 0 to q and heights
     ascending, so a taller box has a larger int rank.  The queries, the
-    CSV rows and Mahavier products are int work on ``ends`` and
-    ``ranks``; ``boxes`` makes the boxes at the edge.
+    CSV rows and Mahavier products are int work on ``ends``, ``ranks``
+    and ``int_heights``; ``boxes`` makes the boxes at the edge.
     """
 
     q: int
@@ -183,11 +183,23 @@ class GraphCover:
         ys = [ClosedInterval(ZERO, h) for h in self.heights]
         return [(ClosedInterval(a, b), ys[k]) for a, b, k in zip(xs, xs[1:], self.ranks)]
 
+    @cached_property
+    def int_heights(self) -> tuple[int, tuple[int, ...]]:
+        """(d, tops): d the lcm of q and the heights' denominators, and
+        each height as an int over d, ascending."""
+        d = lcm(self.q, *(h.denominator for h in self.heights))
+        return d, tuple(h.numerator * (d // h.denominator) for h in self.heights)
+
     def contains_point(self, t: Fraction, y: Fraction) -> bool:
-        if y < ZERO:
+        """Whether some box holds (t, y); int work on the numerators and
+        denominators of t and y, with no Fraction comparison."""
+        p, s = y.numerator, y.denominator
+        if p < 0:
             return False
-        # y <= heights[k] iff k >= low, as the heights ascend
-        low = bisect_left(self.heights, y)
+        # y <= tops[k]/d iff ceil(y*d) <= tops[k] iff k >= low, as the
+        # tops ascend
+        d, tops = self.int_heights
+        low = bisect_left(tops, -(-p * d // s))
         # box k holds t iff ends[k] <= t*q <= ends[k+1], so the boxes
         # holding t form one run, from the first whose right end reaches t
         p, s = t.numerator * self.q, t.denominator
@@ -223,33 +235,71 @@ class GraphCover:
         return rows
 
 
+def _first_misses(lo: Sequence[int], hi: Sequence[int], q: int,
+                  covers: Sequence[IntervalSet]) -> list[int]:
+    """For each component [lo[k]/q, hi[k]/q], the index of the first
+    cover that misses it, or len(covers) if none does.  Cover i is
+    merged, rescaled once to the lcm of the denominators, with only the
+    components every earlier cover met; no nesting is assumed."""
+    first = [len(covers)] * len(lo)
+    live = range(len(lo))
+    for i, cover in enumerate(covers):
+        common = lcm(q, cover.q)
+        f = common // q
+        clo, chi = cover.numerators(common)
+        n, j = len(chi), 0
+        met = []
+        for k in live:
+            # the first cover component ending at or after the component's
+            # left end; the live components ascend, so j never falls back
+            j = bisect_left(chi, lo[k] * f, j)
+            if j < n and clo[j] <= hi[k] * f:
+                met.append(k)
+            else:
+                first[k] = i
+        live = met
+    return first
+
+
 def _build_graph_cover(m: SetValuedMap, stage: int, level: int) -> GraphCover:
+    """The box over each component of C_0's stage cover reaches the cap
+    of the first grid member, in ascending r, whose stage cover misses
+    it (1 if none does, f_sup if higher); the box over each gap between,
+    before and after them reaches its tent.  One pass over C_0's
+    numerators writes the tiling."""
     cov = m.family.c0.stage(stage)
     q = cov.q
+    lo, hi = cov.numerators()
     members = m.grid_members(level)
-    covers = [gen.stage(stage) for _, gen in members]
     caps = [max(r, m.f_sup) for r, _ in members] + [ONE]
-    gaps = cov.complement_in(UNIT).numerators(q)
     # each gap of the C0 cover is a maximal gap, so f's max on it is the
     # height of its tent, which depends on the gap's width alone
-    tents = {w: ZERO if m.mode == "zero" else Fraction(*_tent_height(w, q))
-             for w in {hi - lo for lo, hi in zip(*gaps)}}
+    widths = {b - a for a, b in zip((0, *hi), (*lo, q)) if b > a}
+    tents = {w: ZERO if m.mode == "zero" else Fraction(*_tent_height(w, q)) for w in widths}
     heights = sorted(set(caps) | set(tents.values()))
     rank = {h: k for k, h in enumerate(heights)}
     cap_ranks = [rank[cap] for cap in caps]
     tent_ranks = {w: rank[h] for w, h in tents.items()}
-    # (lo, hi, rank of the top) of each box, with the x-interval over q
-    rows: list[tuple[int, int, int]] = []
-    for lo, hi in zip(*cov.numerators()):
-        # F(t) = [0, sup{r : t in C_r}]: the first member whose cover
-        # misses the component caps the box
-        rows.append((lo, hi, cap_ranks[next((i for i, cover in enumerate(covers)
-                                             if not cover.meets(lo, hi, q)), len(members))]))
-    rows += [(lo, hi, tent_ranks[hi - lo]) for lo, hi in zip(*gaps)]
-    # the components and the gaps between them tile [0, 1]
-    rows.sort()
-    return GraphCover(q, (0, *(hi for _, hi, _ in rows)), tuple(heights),
-                      tuple(k for _, _, k in rows))
+    # F(t) = [0, sup{r : t in C_r}]: the first member whose cover misses
+    # a component caps its box
+    first = _first_misses(lo, hi, q, [gen.stage(stage) for _, gen in members])
+    ends: list[int] = []
+    ranks: list[int] = []
+    x = 0
+    for a, b, i in zip(lo, hi, first):
+        if a == b:
+            raise ValueError(f"degenerate component {a}/{q} of the C0 cover at stage {stage}")
+        if x < a:
+            ends.append(x)
+            ranks.append(tent_ranks[a - x])
+        ends.append(a)
+        ranks.append(cap_ranks[i])
+        x = b
+    if x < q:
+        ends.append(x)
+        ranks.append(tent_ranks[q - x])
+    ends.append(q)
+    return GraphCover(q, tuple(ends), tuple(heights), tuple(ranks))
 
 
 # ---------------------------------------------------------------------------

@@ -367,8 +367,9 @@ class GapAttachedCantor(CantorGen):
     pieces, and each attachment's read off its gap's ends by one index
     list per generation (the m whose ternary digits are all 0 or 2),
     merged once; ``_children_of`` keeps the pieces of that rule that meet
-    one component.  Neither makes an attachment object: ``attachments``
-    makes them for the point queries alone.
+    one component, and ``_discover_endpoints`` reads the attachments'
+    gap ends off the same rule.  None of them makes an attachment
+    object: ``attachments`` makes them for the point queries alone.
     """
 
     def __init__(self, core: MiddleThirds):
@@ -514,14 +515,28 @@ class GapAttachedCantor(CantorGen):
 
     def _discover_endpoints(self, s: int) -> list[Fraction]:
         """The stage-(s - g) endpoints of each generation-g attachment,
-        in increasing order."""
-        # attachment extremes landing on the core are interior points of
-        # this set, not endpoints
-        return sorted(p for g in range(s + 1)
-                      for gap in self.gaps_of_generation(g)
-                      for att in self.attachments(g, *gap)
-                      for p in att.new_endpoints(s - g)
-                      if not self.core.membership(p).is_in)
+        in increasing order, read off its gap's ends with no attachment
+        object.  At g = s they are the attachments' base ends off the
+        core; for g < s, with (w, a, b) = ``_attachment_ends(s, g, ...)``,
+        they are the ends x + (3m+1)w and x + (3m+2)w of the gaps the
+        attachments open at stage s - g, for x = a, b and m in the index
+        list of stage s - g - 1."""
+        q, f = self.grid(s), 3 ** s
+        core_lo, core_hi = self._side_gaps[0][1] * f, self._side_gaps[1][0] * f
+        ends = []
+        for lo, hi in self.gaps_of_generation(s):
+            w = self._attachment_ends(s, s, lo, hi)[0]
+            # a gap's own end is a point of the core, and so no endpoint,
+            # unless it is an end of the window
+            ends += [lo + w, hi - w, *(x for x in (lo, hi) if not core_lo <= x <= core_hi)]
+        ms = [0]
+        for g in range(s - 1, -1, -1):
+            for gap in self.gaps_of_generation(g):
+                w, *starts = self._attachment_ends(s, g, *gap)
+                ends += [a + j * w for a in starts for m in ms for j in (3 * m + 1, 3 * m + 2)]
+            ms = [x for m in ms for x in (3 * m, 3 * m + 2)]
+        ends.sort()
+        return [Fraction(x, q) for x in ends]
 
     # see MiddleThirds.membership
     membership = CantorGen.membership

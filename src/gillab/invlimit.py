@@ -14,7 +14,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Optional
 
 from .bonding import MIN_C0, SetValuedMap, eval_F
@@ -380,9 +379,8 @@ def mahavier_cover(m: SetValuedMap, n: int, stage: int, level: int) -> BoxCover:
         raise ValueError("need at least two coordinates")
     cover = m.graph_cover(stage, level)
     ranks = cover.ranks
-    d = lcm(cover.q, *(h.denominator for h in cover.heights))
+    d, tops = cover.int_heights
     ends = [e * (d // cover.q) for e in cover.ends]
-    tops = [h.numerator * (d // h.denominator) for h in cover.heights]
     xs = list(zip(ends, ends[1:]))
     ys = [(0, tops[k]) for k in ranks]
     by_height = sorted(range(len(ranks)), key=ranks.__getitem__)

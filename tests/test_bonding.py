@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from gillab.bonding import (
     MAX_TENT_HEIGHT,
     MIN_C0,
     MODES,
+    GraphCover,
     SetValuedMap,
     _tent_height,
     check_empty_interior,
@@ -24,7 +26,14 @@ from gillab.bonding import (
 from gillab.cantor import IntermediateCantor
 from gillab.exact import ClosedInterval, IntervalSet, UNIT
 
-from reference import built, dyadic_grid, model, reference_F, tent_height
+from reference import (
+    FractionIntervalSet,
+    built,
+    dyadic_grid,
+    model,
+    reference_F,
+    tent_height,
+)
 
 unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=729)
 
@@ -89,6 +98,41 @@ def chain_points(fam, seed: int = 5) -> list[F]:
                 points.update(F(n, q) for n in (lo - 1, lo, lo + 1, hi - 1, hi, hi + 1))
                 points.add(F(lo + hi, 2 * q))
     return sorted(t for t in points if 0 <= t <= 1)
+
+
+def box_tops_over(cover, index) -> list[F]:
+    """The top of the cover's box over each component, given each
+    component's position in ``index`` by its numerator pair over q."""
+    tops = [None] * len(index)
+    for a, b, k in zip(cover.ends, cover.ends[1:], cover.ranks):
+        if (a, b) in index:
+            tops[index[a, b]] = cover.heights[k]
+    return tops
+
+
+def unnested_family(seed: int):
+    """A level-2 family stand-in: C_0's stage cover has ten
+    components over q = 60, and each grid member's cover, over 7 * 60 or
+    11 * 60, meets a random half of them, by a sliver inside, by touching
+    an end from the gap, or by spanning two; the covers are not nested."""
+    rnd = random.Random(seed)
+    comps = [(6 * k + 1, 6 * k + 4) for k in range(10)]
+    c0 = SimpleNamespace(stage=lambda d: IntervalSet.over(60, *zip(*comps)))
+    members = {}
+    for r in dyadic_grid(2):
+        f = rnd.choice((7, 11))
+        pieces = []
+        for k, (lo, hi) in enumerate(comps):
+            if rnd.random() < 0.5:
+                continue
+            lo, hi = lo * f, hi * f
+            pieces.append(rnd.choice([(lo + 1, lo + 2), (hi, hi + 1), (lo - 2, lo),
+                                      (hi, hi + 3 * f) if k < 9 else (hi - 1, hi)]))
+        # a sliver in a gap meets no component
+        pieces.append((5 * f, 5 * f + 1))
+        cover = IntervalSet(ClosedInterval(F(lo, 60 * f), F(hi, 60 * f)) for lo, hi in pieces)
+        members[r] = SimpleNamespace(stage=lambda d, cover=cover: cover)
+    return SimpleNamespace(level=2, c0=c0, member=members.__getitem__)
 
 
 class TestBaseMap:
@@ -314,10 +358,16 @@ class TestGraphCover:
 
     def test_lookup_matches_linear_scan(self, zero_map, tent_map):
         # every box corner, every shared box end, the box midpoints, and
-        # y-values on, between and above the box heights
-        for m in (zero_map, tent_map):
+        # y-values on, between and above the box heights; at levels 3
+        # and 4 in tent mode the height denominators do not divide q, so
+        # the int view of the heights is over a larger denominator
+        maps = [(zero_map, 2), (tent_map, 2),
+                (make_map("tent", built(3, 56)), 3), (make_map("tent", built(4, 24)), 4)]
+        for m, level in maps:
             for d in range(6):
-                cov = m.graph_cover(d, 2)
+                cov = m.graph_cover(d, level)
+                if m.mode == "tent":
+                    assert cov.int_heights[0] > cov.q, (level, d)
                 ts = sorted({x for xb, _ in cov.boxes
                              for x in (xb.lo, xb.hi, (xb.lo + xb.hi) / 2)})
                 ys = sorted({y for _, yb in cov.boxes for y in (yb.lo, yb.hi)})
@@ -328,7 +378,7 @@ class TestGraphCover:
                     for y in ys:
                         expected = any(xb.contains(t) and yb.contains(y)
                                        for xb, yb in holders)
-                        assert cov.contains_point(t, y) == expected, (m.mode, d, t, y)
+                        assert cov.contains_point(t, y) == expected, (m.mode, level, d, t, y)
 
     @pytest.mark.parametrize("level, modes, max_stage", [
         (2, ("zero", "tent"), 8), (3, ("zero",), 6)])
@@ -348,6 +398,84 @@ class TestGraphCover:
                         for comp, ub in zip(comps, caps)]
                 got = [box for box in m.graph_cover(d, level).boxes if box[0] in held]
                 assert got == want, (level, m.mode, d)
+
+    @pytest.mark.parametrize("level, budget", [(1, 56), (2, 56), (3, 56), (4, 24), (5, 24)])
+    def test_caps_are_first_misses(self, level, budget):
+        # the box over each C_0 component reaches max(cap, f_sup), the cap
+        # being the first member of the sub-level's grid whose cover misses
+        # the component, or 1; the model asks each cover by bisection
+        fam = built(level, budget)
+        maps = [make_map(mode, fam) for mode in MODES]
+        for d in range(9):
+            cov = fam.c0.stage(d)
+            index = {pair: k for k, pair in enumerate(zip(*cov.numerators()))}
+            comps = cov.components
+            misses: dict[F, list[bool]] = {}
+
+            def missed(r, k):
+                if r not in misses:
+                    ref = FractionIntervalSet(fam.member(r).stage(d).components, _normalized=True)
+                    misses[r] = [not ref.components_overlapping(comp) for comp in comps]
+                return misses[r][k]
+
+            for sub in range(level + 1):
+                grid = dyadic_grid(sub)
+                caps = [next((r for r in grid if missed(r, k)), F(1)) for k in range(len(comps))]
+                for m in maps:
+                    assert box_tops_over(m.graph_cover(d, sub), index) == [
+                        max(cap, m.f_sup) for cap in caps], (level, m.mode, d, sub)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_caps_need_no_nesting(self, mode):
+        # member covers that are not nested and sit on other grids than
+        # C_0's: a member may meet a component that an earlier one missed,
+        # so counting the members that meet it, or bisecting over them,
+        # would give another cap than the first miss
+        fam = unnested_family(seed=5)
+        cov = fam.c0.stage(0)
+        m = make_map(mode, fam)
+        index = {pair: k for k, pair in enumerate(zip(*cov.numerators()))}
+        grid = dyadic_grid(fam.level)
+        refs = [FractionIntervalSet(fam.member(r).stage(0).components, _normalized=True)
+                for r in grid]
+        met = [[bool(ref.components_overlapping(comp)) for ref in refs] for comp in cov]
+        caps = [next((r for r, hit in zip(grid, row) if not hit), F(1)) for row in met]
+        # some component is missed by one member and met by a later one
+        assert any(not row[i] and any(row[i + 1:]) for row in met for i in range(len(row)))
+        assert box_tops_over(m.graph_cover(0, fam.level), index) == [
+            max(cap, m.f_sup) for cap in caps]
+
+    def test_a_degenerate_component_is_refused(self):
+        # C_0's components are never degenerate, so a zero-width cell is
+        # refused rather than written
+        fam = unnested_family(seed=5)
+        fam.c0 = SimpleNamespace(stage=lambda d: IntervalSet.over(60, (1, 7), (4, 7)))
+        with pytest.raises(ValueError, match="degenerate component"):
+            make_map("zero", fam).graph_cover(0, fam.level)
+
+    def test_point_tests_compare_no_fractions(self, monkeypatch):
+        # check_usc's point tests are int work on the heights' int view:
+        # no Fraction <, <=, > or >= is evaluated inside contains_point
+        m = make_map("tent", built(4, 24))
+        inside, counts = [False], {"probes": 0, "compares": 0}
+        richcmp, contains = F._richcmp, GraphCover.contains_point
+
+        def counting_richcmp(a, b, op):
+            counts["compares"] += inside[0]
+            return richcmp(a, b, op)
+
+        def counting_contains(cover, t, y):
+            counts["probes"] += 1
+            inside[0] = True
+            try:
+                return contains(cover, t, y)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(F, "_richcmp", counting_richcmp)
+        monkeypatch.setattr(GraphCover, "contains_point", counting_contains)
+        assert check_usc(m, 60, 8, seed=1)["ok"]
+        assert counts["probes"] > 60 and counts["compares"] == 0, counts
 
     def test_csv_rows(self, zero_map):
         rows = zero_map.graph_cover(1, 2).csv_rows()

@@ -810,6 +810,20 @@ class TestOrderedGapAttachedCover:
         c0.stage(8)
         assert c0.near(12, 5, 5, 12) and c0._k_memo == {}
 
+    def test_new_endpoints_are_the_new_cover_ends(self):
+        # an endpoint first found at stage s ends a stage-s component of
+        # the model's cover and no stage-(s - 1) one; the endpoint stream
+        # reads them off the gap ends and makes no attachment object
+        c0 = build_family(0, 8).c0
+        ref = Model()
+        old = set()
+        for s in range(9):
+            ends = {x for comp in ref.cover(c0, s) for x in (comp.lo, comp.hi)}
+            assert c0.new_endpoints(s) == sorted(ends - old), s
+            old = ends
+        c0.endpoints(200)
+        assert c0._k_memo == {}
+
     def test_a_gap_off_the_thirds_grid_is_refused(self):
         # an attachment's pieces are a third of its gap wide on grid(d);
         # a gap whose width is no multiple of 3 is refused, not floored
