@@ -36,7 +36,9 @@ appear only at the edge: in cover components, endpoints, rational
 anchors and the gaps ``gap_of`` gives.  A point query is int
 work too: ``first_out``, ``gap_of`` and ``membership`` read t = n/m once
 as its numerator and denominator, and test the base, window and unit
-by comparing int products, so no query compares two Fractions.
+by comparing int products, so no query compares two Fractions.  One
+middle-thirds point rule on an int base, ``_thirds_exit``, answers C_1,
+C_0's core and each C_0 attachment, so C_0 makes no attachment object.
 
 For the middle-thirds and gap-attached sets both ends of every stage-d
 component are points of the set, so each component of
@@ -264,6 +266,35 @@ def _ternary_exit(p: int, q: int, digits: Optional[int]) -> Optional[Pair]:
     return None
 
 
+def _thirds_exit(x: int, w: int, q: int, n: int, m: int,
+                 digits: Optional[int]) -> Optional[tuple[int, int, int]]:
+    """The middle-thirds point rule on the base [x/q, (x+w)/q], for t =
+    n/m: (d, lo, hi) with d the first depth whose cover misses t and (lo,
+    hi) over q*3^d the maximal gap of the set holding t; None if t stays
+    in the cover for `digits` ternary digits (all, if None).  d is 0
+    exactly for t outside the base, and (lo, hi) is then the base."""
+    # t rescaled so that the base becomes [0, 1], as p/s
+    p, s = n * q - x * m, w * m
+    if not 0 <= p <= s:
+        return 0, x, x + w
+    hit = _ternary_exit(p, s, digits)
+    if hit is None:
+        return None
+    k, j = hit
+    lo = x * 3 ** (k + 1)
+    return k + 1, lo + (3 * j + 1) * w, lo + (3 * j + 2) * w
+
+
+def _gap_fractions(q: int, hit: Optional[tuple[int, int, int]]) -> Optional[tuple[Fraction, Fraction]]:
+    """The gap of an exit (d, lo, hi), (lo, hi) over q*3^d, in
+    Fractions; None for None."""
+    if hit is None:
+        return None
+    d, lo, hi = hit
+    q *= 3 ** d
+    return Fraction(lo, q), Fraction(hi, q)
+
+
 class MiddleThirds(CantorGen):
     """Middle-thirds Cantor set on a nondegenerate rational base interval.
 
@@ -277,7 +308,7 @@ class MiddleThirds(CantorGen):
         super().__init__()
         self.base = base
         q = self._q0 = lcm(base.lo.denominator, base.hi.denominator)
-        self._a, self._b = _over(q, base.lo), _over(q, base.hi)
+        self._a, self._w = _over(q, base.lo), _over(q, base.width)
 
     def describe(self) -> str:
         return f"MT[{self.base.lo},{self.base.hi}]"
@@ -295,37 +326,17 @@ class MiddleThirds(CantorGen):
         return IntervalSet.over(3 * parent.q, [x for a, b in pairs for x in (3 * a, a + 2 * b)],
                                 [x for a, b in pairs for x in (2 * a + b, 3 * b)])
 
-    def _in_unit(self, n: int, q: int) -> Pair:
-        """t = n/q rescaled so that the base becomes [0, 1], as p/s."""
-        return n * self._q0 - self._a * q, (self._b - self._a) * q
-
-    def _gap(self, k: int, m: int) -> Pair:
-        """The gap opened at stage k + 1 in the m-th stage-k component,
-        as numerators over grid(k + 1)."""
-        lo, w = self._a * 3 ** (k + 1), self._b - self._a
-        return lo + (3 * m + 1) * w, lo + (3 * m + 2) * w
-
     def first_out(self, t: Fraction, max_stage: Optional[int]) -> Optional[int]:
-        # 0 exactly for t outside the base
-        p, s = self._in_unit(t.numerator, t.denominator)
-        if not 0 <= p <= s:
-            return 0
-        hit = _ternary_exit(p, s, max_stage)
-        return None if hit is None else hit[0] + 1
+        hit = _thirds_exit(self._a, self._w, self._q0, t.numerator, t.denominator, max_stage)
+        return None if hit is None else hit[0]
 
     def gap_of(self, t: Fraction) -> Optional[tuple[Fraction, Fraction]]:
         """Exact maximal gap (a, b) of the set within base containing t,
         or None for a point of the set; ValueError for t outside base."""
-        # the walk ends only for u in [0, 1]
-        p, s = self._in_unit(t.numerator, t.denominator)
-        if not 0 <= p <= s:
+        hit = _thirds_exit(self._a, self._w, self._q0, t.numerator, t.denominator, None)
+        if hit is not None and hit[0] == 0:
             raise ValueError(f"{t} lies outside the base of {self.describe()}")
-        hit = _ternary_exit(p, s, None)
-        if hit is None:
-            return None
-        q = self.grid(hit[0] + 1)
-        lo, hi = self._gap(*hit)
-        return Fraction(lo, q), Fraction(hi, q)
+        return _gap_fractions(self._q0, hit)
 
     def gaps_opened(self, s: int) -> Iterator[Pair]:
         """The gaps opened at stage s >= 1, left to right, over grid(s)."""
@@ -363,13 +374,14 @@ class GapAttachedCantor(CantorGen):
     of every stage-d component are points of the set, so the gaps of a
     stage cover are maximal gaps.
 
-    ``_compute_stage(d)`` is one int sweep over grid(d): the core's
-    pieces, and each attachment's read off its gap's ends by one index
-    list per generation (the m whose ternary digits are all 0 or 2),
-    merged once; ``_children_of`` keeps the pieces of that rule that meet
-    one component, and ``_discover_endpoints`` reads the attachments'
-    gap ends off the same rule.  None of them makes an attachment
-    object: ``attachments`` makes them for the point queries alone.
+    Every path reads an attachment off its gap's ends and makes no
+    attachment object.  ``_compute_stage(d)`` is one int sweep over
+    grid(d): the core's pieces, and each attachment's by one index list
+    per generation (the m whose ternary digits are all 0 or 2), merged
+    once; ``_children_of`` keeps the pieces of that rule that meet one
+    component, and ``_discover_endpoints`` reads each attachment's gap
+    ends off it.  The point queries run ``_thirds_exit`` on the core's
+    base, then on each attachment base of the core gap holding t.
     """
 
     def __init__(self, core: MiddleThirds):
@@ -382,7 +394,6 @@ class GapAttachedCantor(CantorGen):
         self._scale = q // core._q0   # grid(d) / core.grid(d)
         self._side_gaps = [(_over(q, self.window.lo), _over(q, core.base.lo)),
                            (_over(q, core.base.hi), _over(q, self.window.hi))]
-        self._k_memo: dict[tuple[int, int, int], tuple[MiddleThirds, MiddleThirds]] = {}
 
     def describe(self) -> str:
         return f"GA({self.core.describe()})"
@@ -393,21 +404,9 @@ class GapAttachedCantor(CantorGen):
         r = self._scale   # the core's gaps, moved from its grid to this one
         return [(lo * r, hi * r) for lo, hi in self.core.gaps_opened(g)]
 
-    def attachments(self, g: int, lo: int, hi: int) -> tuple[MiddleThirds, MiddleThirds]:
-        """The pair attached to the generation-g gap (lo, hi) over grid(g)."""
-        key = (g, lo, hi)
-        pair = self._k_memo.get(key)
-        if pair is None:
-            q = self.grid(g)
-            a, b = Fraction(lo, q), Fraction(hi, q)
-            w3 = (b - a) / 3
-            pair = self._k_memo[key] = (MiddleThirds(ClosedInterval(a, a + w3)),
-                                        MiddleThirds(ClosedInterval(b - w3, b)))
-        return pair
-
     def _attachment_ends(self, d: int, g: int, lo: int, hi: int) -> tuple[int, int, int]:
         """(w, a, b) for the generation-g gap (lo, hi) over grid(g): over
-        grid(d), the left ends a and b of its two attachments and the width
+        grid(d), the left ends a and b of its attachment pair and the width
         w of their stage-(d - g) pieces.  Piece m of either, [a + m*w,
         a + m*w + w], is there for the m < 3^(d - g) whose ternary digits
         are all 0 or 2."""
@@ -464,34 +463,41 @@ class GapAttachedCantor(CantorGen):
         over grid(g) of the core within the window holding t, g its
         generation and the first core depth missing t; None if the core
         holds t to depth max_stage (for ever, if None)."""
-        p, s = self.core._in_unit(n, q)
-        if p < 0:
-            return (0, *self._side_gaps[0])
-        if p > s:
-            return (0, *self._side_gaps[1])
-        hit = _ternary_exit(p, s, max_stage)
-        if hit is None:
-            return None
-        lo, hi = self.core._gap(*hit)
-        return hit[0] + 1, lo * self._scale, hi * self._scale
+        # the core's base over grid(0), so its gaps come over grid(g)
+        (_, a), (b, _) = self._side_gaps
+        hit = _thirds_exit(a, b - a, self._q0, n, q, max_stage)
+        if hit is None or hit[0]:
+            return hit
+        # outside the core: the side gap on t's side
+        return (0, *self._side_gaps[n * self._q0 > b * q])
 
-    def first_out(self, t: Fraction, max_stage: Optional[int]) -> Optional[int]:
-        # outside the core t leaves the cover with its core gap, at the
-        # gap's generation g, unless an attachment of that gap holds it
-        # to depth g + (the attachment's own exit depth)
-        n, m = t.numerator, t.denominator
-        if not self._side_gaps[0][0] * m <= n * self._q0 <= self._side_gaps[1][1] * m:
-            return 0
+    def _point_exit(self, n: int, m: int, max_stage: Optional[int]) -> Optional[tuple[int, int, int]]:
+        """For t = n/m in the window, (d, lo, hi): d the first depth whose
+        cover misses t and (lo, hi) over grid(d) the maximal gap holding
+        t; None if the covers hold t to depth max_stage (for ever, if
+        None)."""
         hit = self._core_exit(n, m, max_stage)
         if hit is None:
             return None
+        # outside the core t leaves the cover with its core gap, at the
+        # gap's generation g, unless an attachment of that gap holds it
+        # to depth g + (the attachment's own exit depth)
         g = hit[0]
-        for k in self.attachments(*hit):
-            # 0 exactly when t lies outside the attachment's base
-            sub = k.first_out(t, None if max_stage is None else max_stage - g)
-            if sub != 0:
-                return None if sub is None else g + sub
-        return g
+        w, a, b = self._attachment_ends(g, *hit)
+        for x in (a, b):
+            # depth 0 exactly when t lies outside the attachment's base
+            sub = _thirds_exit(x, w, self.grid(g), n, m,
+                               None if max_stage is None else max_stage - g)
+            if sub is None or sub[0]:
+                return None if sub is None else (g + sub[0], *sub[1:])
+        return g, a + w, b
+
+    def first_out(self, t: Fraction, max_stage: Optional[int]) -> Optional[int]:
+        n, m = t.numerator, t.denominator
+        if not self._side_gaps[0][0] * m <= n * self._q0 <= self._side_gaps[1][1] * m:
+            return 0
+        hit = self._point_exit(n, m, max_stage)
+        return None if hit is None else hit[0]
 
     def gap_of(self, t: Fraction) -> Optional[tuple[Fraction, Fraction]]:
         """Exact maximal gap of {0} + this set + {1} containing t, or None
@@ -503,24 +509,16 @@ class GapAttachedCantor(CantorGen):
             return (ZERO, self.window.lo)
         if n * self._q0 > self._side_gaps[1][1] * m:
             return (self.window.hi, ONE)
-        hit = self._core_exit(n, m, None)
-        if hit is None:
-            return None
-        ka, kb = self.attachments(*hit)
-        for k in (ka, kb):
-            p, s = k._in_unit(n, m)
-            if 0 <= p <= s:
-                return k.gap_of(t)
-        return (ka.base.hi, kb.base.lo)
+        return _gap_fractions(self._q0, self._point_exit(n, m, None))
 
     def _discover_endpoints(self, s: int) -> list[Fraction]:
         """The stage-(s - g) endpoints of each generation-g attachment,
         in increasing order, read off its gap's ends with no attachment
-        object.  At g = s they are the attachments' base ends off the
+        object.  At g = s they are each attachment's base ends off the
         core; for g < s, with (w, a, b) = ``_attachment_ends(s, g, ...)``,
         they are the ends x + (3m+1)w and x + (3m+2)w of the gaps the
-        attachments open at stage s - g, for x = a, b and m in the index
-        list of stage s - g - 1."""
+        attachment pair opens at stage s - g, for x = a, b and m in the
+        index list of stage s - g - 1."""
         q, f = self.grid(s), 3 ** s
         core_lo, core_hi = self._side_gaps[0][1] * f, self._side_gaps[1][0] * f
         ends = []

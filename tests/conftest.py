@@ -1,7 +1,8 @@
 """Shared fixtures, and the pieces more than one test module uses that
 are not part of the reference model: adapters that read the int local
-cover tree as ClosedIntervals, planted schedules, sample windows, a
-Hypothesis strategy for interval sets and a cache-file writer."""
+cover tree as ClosedIntervals, the model's attachment pair of a C_0 gap
+given in ints, planted schedules, sample windows, a Hypothesis strategy
+for interval sets and a cache-file writer."""
 
 import json
 import random
@@ -70,6 +71,14 @@ def hole(entry: ScheduleEntry, d: int) -> tuple[F, F]:
 
 def hull(entry: ScheduleEntry, d: int) -> ClosedInterval:
     return interval(*entry.hull(d))
+
+
+def attachments(ref, c0, g: int, lo: int, hi: int) -> tuple[MiddleThirds, MiddleThirds]:
+    """The middle-thirds pair that the model ref attaches, on Fractions,
+    to c0's generation-g gap (lo, hi) over c0.grid(g); c0 itself makes no
+    attachment object."""
+    q = c0.grid(g)
+    return ref.attachments(F(lo, q), F(hi, q))
 
 
 def overlapping(cover: IntervalSet, w: ClosedInterval) -> list[ClosedInterval]:

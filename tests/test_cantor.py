@@ -30,6 +30,7 @@ from gillab.cli import _suite_endpoints
 from gillab.exact import ClosedInterval, IntervalSet, UNIT
 
 from conftest import (
+    attachments,
     bracket,
     hole,
     hull,
@@ -55,6 +56,19 @@ def on_grid(gen, d: int, c: ClosedInterval) -> tuple[int, int]:
     """A stage-d component as numerators over gen.grid(d)."""
     q = gen.grid(d)
     return int(c.lo * q), int(c.hi * q)
+
+
+def count_thirds(monkeypatch) -> list[int]:
+    """From here on, the number of MiddleThirds made, as a one-item list."""
+    made = [0]
+    init = MiddleThirds.__init__
+
+    def counting(self, base):
+        made[0] += 1
+        init(self, base)
+
+    monkeypatch.setattr(MiddleThirds, "__init__", counting)
+    return made
 
 
 def walk(gen, d: int, x: F, rightward: bool) -> list[ClosedInterval]:
@@ -196,9 +210,9 @@ class TestGapAttached:
 
     def test_attachment_bases_for_central_gap(self, family):
         q = family.c0.grid(1)   # the gap (5/12, 7/12) of generation 1
-        ka, kb = family.c0.attachments(1, 5 * q // 12, 7 * q // 12)
-        assert ka.base == ClosedInterval(F(5, 12), F(17, 36))
-        assert kb.base == ClosedInterval(F(19, 36), F(7, 12))
+        w, a, b = family.c0._attachment_ends(1, 1, 5 * q // 12, 7 * q // 12)
+        assert interval(a, a + w, q) == ClosedInterval(F(5, 12), F(17, 36))
+        assert interval(b, b + w, q) == ClosedInterval(F(19, 36), F(7, 12))
 
     def test_endpoints_exclude_core_members(self, family):
         pts = family.c0.endpoints(40)
@@ -407,7 +421,7 @@ class TestEvalWalks:
             fam = fresh_family(level, budget)
             points = sorted({*fam.c1.endpoints(30), *fam.c0.endpoints(30), *randoms})
             maps = [make_map(mode, fam) for mode in ("zero", "tent")]
-            # a first pass makes the brackets and attachments the queries meet
+            # a first pass makes the brackets the queries meet
             answers = [eval_F(m, t) for m in maps for t in points]
             calls = [0]
 
@@ -547,7 +561,7 @@ class TestFirstOut:
         c0 = fam.c0
         points = first_out_points(fam, max_stage)
         gens = [fam.member(r) for r in fam.grid()]
-        gens += list(c0.attachments(*c0._core_exit(1, 2, None)))
+        gens += list(attachments(ref, c0, *c0._core_exit(1, 2, None)))
         for gen in gens:
             for t in points:
                 want = ref.first_out(gen, t, max_stage)
@@ -567,7 +581,7 @@ class TestFirstOut:
         # gap_of answers None exactly on the points that never leave the
         # covers, and a gap it returns holds t
         c0 = family.c0
-        gens = [family.c1, c0, *c0.attachments(*c0._core_exit(1, 2, None))]
+        gens = [family.c1, c0, *attachments(model(family), c0, *c0._core_exit(1, 2, None))]
         for gen in gens:
             for t in first_out_points(family, 10):
                 if isinstance(gen, MiddleThirds) and not gen.base.contains(t):
@@ -599,9 +613,8 @@ class TestCoverGaps:
     def test_cover_gaps_are_maximal_gaps(self, family):
         # C_1, C_0 and the attachments that TestFirstOut probes; no
         # intermediate set claims this
-        c0 = family.c0
-        gens = [family.c1, c0, *c0.attachments(*c0._core_exit(1, 2, None))]
-        ref = model(family)
+        c0, ref = family.c0, model(family)
+        gens = [family.c1, c0, *attachments(ref, c0, *c0._core_exit(1, 2, None))]
         for gen in gens:
             for d in range(10):
                 cover = gen.stage(d)
@@ -611,6 +624,52 @@ class TestCoverGaps:
                 for seg in cover.complement_in(UNIT):
                     assert (seg.lo, seg.hi) == ref.maximal_gap(gen, (seg.lo + seg.hi) / 2), (
                         gen.describe(), d, seg)
+
+
+def attachment_probes(ref: Model, c0, g: int) -> list[F]:
+    """For each generation-g gap of c0 and the model's attachment pair on
+    it: each base's ends and the points 1/q inside and outside them, q =
+    grid(g + 8), the midpoint of the gap each attachment opens first, and
+    the midpoint between the pair."""
+    step = F(1, c0.grid(g + 8))
+    points = []
+    for gap in c0.gaps_of_generation(g):
+        ka, kb = attachments(ref, c0, g, *gap)
+        for k in (ka, kb):
+            a, b = k.base.lo, k.base.hi
+            points += [a - step, a, a + step, (a + b) / 2, b - step, b, b + step]
+        points.append((ka.base.hi + kb.base.lo) / 2)
+    return points
+
+
+class TestAttachmentPointQueries:
+    @pytest.mark.parametrize("g", range(7))
+    def test_every_generation_matches_the_model(self, family, g):
+        # a depth bound below 0 is no bound the model's walk can stop at
+        c0, ref = family.c0, model(family)
+        for t in attachment_probes(ref, c0, g):
+            for k in (g - 1, g, g + 3, None):
+                if k is None or k >= 0:
+                    assert c0.first_out(t, k) == ref.first_out(c0, t, k), (g, t, k)
+            assert c0.gap_of(t) == ref.gap_of(c0, t), (g, t)
+
+    def test_c0_point_queries_make_no_middle_thirds(self, monkeypatch):
+        # C_0 runs the middle-thirds point rule on each attachment base
+        # read off its gap's ends; the family is the test's own, so no
+        # earlier query has made an attachment these would meet
+        fam = fresh_family(2, 56)
+        c0, tent = fam.c0, make_map("tent", fam)
+        ref = Model()
+        points = first_out_points(fam, 10) + [F(7, 48), F(4, 9), F(17, 54)]
+        points += [t for g in range(4) for t in attachment_probes(ref, c0, g)]
+        made = count_thirds(monkeypatch)
+        for t in points:
+            for m in (0, 4, 10, None):
+                c0.first_out(t, m)
+            c0.gap_of(t)
+            c0.membership(t)
+            eval_F(tent, t)
+        assert made == [0]
 
 
 def meeting_windows(sched: RemovalSchedule, rnd: random.Random) -> list[ClosedInterval]:
@@ -802,27 +861,30 @@ class TestOrderedGapAttachedCover:
             assert ga.stage(d).components == ref.cover(ga, d).components, d
             assert ga.stage(d).q == ga.grid(d), d
 
-    def test_cover_paths_make_no_attachment(self):
+    def test_cover_paths_make_no_attachment(self, monkeypatch):
         # the whole-cover sweep and the one-component refinement read each
-        # attachment's pieces off its gap's ends; the point queries alone
-        # make attachment objects
+        # attachment's pieces off its gap's ends
         c0 = build_family(2, 56).c0
+        made = count_thirds(monkeypatch)
         c0.stage(8)
-        assert c0.near(12, 5, 5, 12) and c0._k_memo == {}
+        assert c0.near(12, 5, 5, 12) and made == [0]
 
-    def test_new_endpoints_are_the_new_cover_ends(self):
+    def test_new_endpoints_are_the_new_cover_ends(self, monkeypatch):
         # an endpoint first found at stage s ends a stage-s component of
         # the model's cover and no stage-(s - 1) one; the endpoint stream
-        # reads them off the gap ends and makes no attachment object
+        # reads them off the gap ends and makes no attachment object (the
+        # model makes its own, so its covers come first)
         c0 = build_family(0, 8).c0
         ref = Model()
+        covers = [ref.cover(c0, s) for s in range(9)]
+        made = count_thirds(monkeypatch)
         old = set()
         for s in range(9):
-            ends = {x for comp in ref.cover(c0, s) for x in (comp.lo, comp.hi)}
+            ends = {x for comp in covers[s] for x in (comp.lo, comp.hi)}
             assert c0.new_endpoints(s) == sorted(ends - old), s
             old = ends
         c0.endpoints(200)
-        assert c0._k_memo == {}
+        assert made == [0]
 
     def test_a_gap_off_the_thirds_grid_is_refused(self):
         # an attachment's pieces are a third of its gap wide on grid(d);
@@ -883,7 +945,6 @@ class TestScheduleSearch:
         # is point-local: no cover deeper than depth 2 is built
         fam = fresh_family(3, 56)
         gens = [fam.member(r) for r in fam.grid()]
-        gens += [k for pair in fam.c0._k_memo.values() for k in pair]
         assert max(len(gen._stage_memo) - 1 for gen in gens) <= 2
         scheds = [fam.member(r).schedule() for r in fam.grid()
                   if isinstance(fam.member(r), IntermediateCantor)]
@@ -918,12 +979,12 @@ def outcome(query, *args):
 
 
 def point_query_gens(fam) -> list:
-    """Every member, plus the attachments of C_0's central gap and of
-    its left side gap."""
-    c0 = fam.c0
+    """Every member, plus the model's attachment pairs of C_0's central
+    gap and of its left side gap."""
+    c0, ref = fam.c0, model(fam)
     return ([fam.member(r) for r in fam.grid()]
-            + list(c0.attachments(*c0._core_exit(1, 2, None)))
-            + list(c0.attachments(0, *c0._side_gaps[0])))
+            + list(attachments(ref, c0, *c0._core_exit(1, 2, None)))
+            + list(attachments(ref, c0, 0, *c0._side_gaps[0])))
 
 
 def end_points(fam) -> list[F]:
@@ -968,8 +1029,8 @@ class TestIntPointQueries:
             assert_point_queries_match(fam, t)
 
     def test_answer_with_fraction_order_disabled(self, monkeypatch):
-        # the family and its schedules are built; the first pass also
-        # makes each attachment a query meets, whose base checks its ends
+        # the family, its schedules and the model's attachment pairs are
+        # made, and the first pass fills the memos the queries read
         fam = built(3, 56)
         m = make_map("tent", fam)
         points = probe_points(fam, 8, 13) + end_points(fam)

@@ -13,7 +13,16 @@ import pytest
 from gillab.cantor import CantorAddress, IntermediateCantor
 from gillab.exact import UNIT, IntervalSet
 
-from conftest import bracket, hole, hull, interval, near, sample_windows, synthetic_intermediate
+from conftest import (
+    attachments,
+    bracket,
+    hole,
+    hull,
+    interval,
+    near,
+    sample_windows,
+    synthetic_intermediate,
+)
 from reference import Model, built, fresh_family, model
 
 BRACKET_DEPTH = 30
@@ -77,7 +86,6 @@ class TestAgainstTheFractionTree:
 def test_children_memo_holds_only_ints():
     fam = built(3, 56)
     gens = [fam.member(r) for r in fam.grid()]
-    gens += [k for pair in fam.c0._k_memo.values() for k in pair]
     entries = 0
     for gen in gens:
         for key, children in gen._children_memo.items():
@@ -90,20 +98,20 @@ def test_children_memo_holds_only_ints():
 @pytest.mark.parametrize("level, budget, depth", [(2, 56, 8), (3, 56, 8), (4, 24, 7)])
 def test_stage_covers_lie_on_the_tree_grid(level, budget, depth):
     # the tree keys each stage-d component on grid(d) = grid(0) * 3^d, the
-    # denominator every stage-d cover is written over; the family is the
-    # test's own, so every attachment's covers go with it
+    # denominator every stage-d cover is written over; the family and the
+    # model are the test's own, so every attachment's covers go with them
     fam = fresh_family(level, budget)
     gens = [fam.member(r) for r in fam.grid()]
     for gen in gens:
         for d in range(depth + 1):
             assert gen.stage(d).q == gen.grid(d) == gen.grid(0) * 3 ** d, (gen.describe(), d)
-    # C_0's cover sweep makes no attachment object, so make each one whose
+    # C_0 makes no attachment object, so the model makes each one whose
     # gap opens by depth
-    c0 = fam.c0
-    attachments = [k for g in range(depth + 1) for gap in c0.gaps_of_generation(g)
-                   for k in c0.attachments(g, *gap)]
-    assert len(attachments) > 100
-    for k in attachments:
+    c0, ref = fam.c0, Model()
+    pairs = [k for g in range(depth + 1) for gap in c0.gaps_of_generation(g)
+             for k in attachments(ref, c0, g, *gap)]
+    assert len(pairs) > 100
+    for k in pairs:
         for d in range(depth + 1):
             assert k.stage(d).q == k.grid(d) == k.grid(0) * 3 ** d, (k.describe(), d)
 
