@@ -28,17 +28,23 @@ the memoised cover, by one bisection, and ``_children_of`` runs only
 past it.  A caller that reports every member's covers anyway builds
 them through ``CantorFamily.covers``, member by member in build order,
 so each member's search reads its inner and outer sets' covers
-memoised.  One step, ``_descend``, keeps the children meeting a window;
-``near`` and an address's ``point_membership`` both take it.  A
-rational window or point enters once, by ceiling and floor at the grid;
-brackets, holes and hulls are int triples (lo, hi, q).  Fractions
-appear only at the edge: in cover components, endpoints, rational
-anchors and the gaps ``gap_of`` gives.  A point query is int
+memoised.  An address's ``point_membership`` asks ``near`` at its
+bracket once per depth.  A rational window or point enters once, by
+``_on``'s ceiling and floor at the grid; brackets, holes and hulls are
+int triples (lo, hi, q).  Fractions appear only at the edge: in cover
+components, endpoints, rational anchors and the gaps ``gap_of`` gives.
+A point query is int
 work too: ``first_out``, ``gap_of`` and ``membership`` read t = n/m once
 as its numerator and denominator, and test the base, window and unit
 by comparing int products, so no query compares two Fractions.  One
 middle-thirds point rule on an int base, ``_thirds_exit``, answers C_1,
 C_0's core and each C_0 attachment, so C_0 makes no attachment object.
+One middle-thirds cover rule on an int base, the index list ``_kept(k)``
+of the slots a stage-k cover keeps, gives the pieces (``_pieces``) and
+the new gaps (``_gaps``) of the same bases: C_1's covers, C_0's sweeps
+and each generator's ``gaps_opened(s)`` read it.  There is one endpoint
+rule, in :class:`CantorGen`: the ends of ``stage(0)``, then the ends of
+the gaps opened at each stage s >= 1.
 
 For the middle-thirds and gap-attached sets both ends of every stage-d
 component are points of the set, so each component of
@@ -66,13 +72,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import BracketSearchError
-from .exact import ClosedInterval, IntervalSet, ZERO, ONE, _normalize, _over
+from .exact import ClosedInterval, IntervalSet, ZERO, ONE, _normalize, _on, _over
 
 IN = "in"
 OUT = "out"
@@ -82,12 +88,6 @@ DEFAULT_MAX_STAGE = 12
 DEFAULT_SEARCH_CEILING = 15
 
 Pair = tuple[int, int]
-
-
-def _on(lo: int, hi: int, q: int, to: int) -> Pair:
-    """[lo/q, hi/q] on the grid 1/to: the ceiling of its left end and the
-    floor of its right end, exact for an interval on the grid."""
-    return -(-lo * to // q), hi * to // q
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,8 @@ class CantorGen:
         component [lo, hi] over grid(d-1), in order."""
         raise NotImplementedError
 
-    def _discover_endpoints(self, s: int) -> list[Fraction]:
-        """Endpoints first discovered at stage s, in order."""
+    def gaps_opened(self, s: int) -> list[Pair]:
+        """The gaps opened at stage s >= 1, ascending, over grid(s)."""
         raise NotImplementedError
 
     def grid(self, d: int) -> int:
@@ -153,6 +153,14 @@ class CantorGen:
                 self._discover_endpoints(len(self._endpoint_stages)))
         return self._endpoint_stages[s]
 
+    def _discover_endpoints(self, s: int) -> list[Fraction]:
+        """The ends of stage(0), then for s >= 1 the ends of the gaps
+        opened at stage s, in order."""
+        if s == 0:
+            return [x for c in self.stage(0) for x in (c.lo, c.hi)]
+        q = self.grid(s)
+        return [Fraction(x, q) for gap in self.gaps_opened(s) for x in gap]
+
     def near(self, d: int, lo: int, hi: int, q: int) -> list[Pair]:
         """Stage-d components meeting the closed window [lo/q, hi/q], in
         order, over grid(d).  The covers nest and their components never
@@ -163,15 +171,10 @@ class CantorGen:
         clo, chi = cover.numerators(self.grid(start))
         comps = [(clo[k], chi[k]) for k in cover.overlapping(lo, hi, q)]
         for k in range(start + 1, d + 1):
-            comps = self._descend(k, comps, lo, hi, q)
+            wlo, whi = _on(lo, hi, q, self.grid(k))
+            comps = [c for parent in comps for c in self._cached_children(k, *parent)
+                     if c[0] <= whi and c[1] >= wlo]
         return comps
-
-    def _descend(self, d: int, comps: Sequence[Pair], lo: int, hi: int, q: int) -> list[Pair]:
-        """The stage-d children of the stage-(d-1) components comps that
-        meet the closed window [lo/q, hi/q], in order, over grid(d)."""
-        wlo, whi = _on(lo, hi, q, self.grid(d))
-        return [c for parent in comps for c in self._cached_children(d, *parent)
-                if c[0] <= whi and c[1] >= wlo]
 
     def walk(self, d: int, n: int, q: int, rightward: bool) -> Iterator[Pair]:
         """Stage-d components over grid(d) from x = n/q outward, lazily: left
@@ -273,6 +276,8 @@ def _thirds_exit(x: int, w: int, q: int, n: int, m: int,
     hi) over q*3^d the maximal gap of the set holding t; None if t stays
     in the cover for `digits` ternary digits (all, if None).  d is 0
     exactly for t outside the base, and (lo, hi) is then the base."""
+    if digits is not None and digits < 0:
+        raise ValueError(f"max_stage must be >= 0, got {digits}")
     # t rescaled so that the base becomes [0, 1], as p/s
     p, s = n * q - x * m, w * m
     if not 0 <= p <= s:
@@ -283,6 +288,29 @@ def _thirds_exit(x: int, w: int, q: int, n: int, m: int,
     k, j = hit
     lo = x * 3 ** (k + 1)
     return k + 1, lo + (3 * j + 1) * w, lo + (3 * j + 2) * w
+
+
+@cache
+def _kept(k: int) -> tuple[int, ...]:
+    """The m < 3^k whose k ternary digits are all 0 or 2, ascending: the
+    slots [m, m + 1] / 3^k that the stage-k middle-thirds cover of [0, 1]
+    keeps."""
+    if k == 0:
+        return (0,)
+    return tuple(x for m in _kept(k - 1) for x in (3 * m, 3 * m + 2))
+
+
+def _pieces(x: int, w: int, k: int) -> list[Pair]:
+    """The stage-k cover of the middle-thirds set on the base [x, x +
+    3^k w], ascending: the pieces [x + m w, x + m w + w], m in _kept(k)."""
+    return [(x + m * w, x + m * w + w) for m in _kept(k)]
+
+
+def _gaps(x: int, w: int, k: int) -> list[Pair]:
+    """The gaps the middle-thirds set on the base [x, x + 3^(k+1) w] opens
+    at stage k + 1, ascending: the middle thirds (x + (3m+1) w, x +
+    (3m+2) w) of its stage-k pieces."""
+    return [(x + (3 * m + 1) * w, x + (3 * m + 2) * w) for m in _kept(k)]
 
 
 def _gap_fractions(q: int, hit: Optional[tuple[int, int, int]]) -> Optional[tuple[Fraction, Fraction]]:
@@ -318,13 +346,8 @@ class MiddleThirds(CantorGen):
         return (3 * lo, 2 * lo + hi), (lo + 2 * hi, 3 * hi)
 
     def _compute_stage(self, d: int) -> IntervalSet:
-        if d == 0:
-            return IntervalSet([self.base])
-        # the thirds formula of _children_of, over the whole parent cover
-        parent = self.stage(d - 1)
-        pairs = list(zip(*parent.numerators()))
-        return IntervalSet.over(3 * parent.q, [x for a, b in pairs for x in (3 * a, a + 2 * b)],
-                                [x for a, b in pairs for x in (2 * a + b, 3 * b)])
+        # the base is [a, a + w] over grid(0), so [a 3^d, a 3^d + 3^d w] over grid(d)
+        return IntervalSet.over(self.grid(d), *zip(*_pieces(self._a * 3 ** d, self._w, d)))
 
     def first_out(self, t: Fraction, max_stage: Optional[int]) -> Optional[int]:
         hit = _thirds_exit(self._a, self._w, self._q0, t.numerator, t.denominator, max_stage)
@@ -338,18 +361,8 @@ class MiddleThirds(CantorGen):
             raise ValueError(f"{t} lies outside the base of {self.describe()}")
         return _gap_fractions(self._q0, hit)
 
-    def gaps_opened(self, s: int) -> Iterator[Pair]:
-        """The gaps opened at stage s >= 1, left to right, over grid(s)."""
-        # the middle third of [a, b] over q is [2a + b, a + 2b] over 3q
-        return ((2 * a + b, a + 2 * b) for a, b in zip(*self.stage(s - 1).numerators()))
-
-    def _discover_endpoints(self, s: int) -> list[Fraction]:
-        """The base ends at stage 0; for s >= 1 the ends of the gaps
-        opened at stage s, left to right in (left end, right end) pairs."""
-        if s == 0:
-            return [self.base.lo, self.base.hi]
-        q = self.grid(s)
-        return [Fraction(x, q) for gap in self.gaps_opened(s) for x in gap]
+    def gaps_opened(self, s: int) -> list[Pair]:
+        return _gaps(self._a * 3 ** s, self._w, s - 1)
 
     # bound in each class body rather than inherited: bench/tracing.py
     # wraps vars(cls)["membership"] and vars(cls)["endpoints"] of every
@@ -376,12 +389,12 @@ class GapAttachedCantor(CantorGen):
 
     Every path reads an attachment off its gap's ends and makes no
     attachment object.  ``_compute_stage(d)`` is one int sweep over
-    grid(d): the core's pieces, and each attachment's by one index list
-    per generation (the m whose ternary digits are all 0 or 2), merged
-    once; ``_children_of`` keeps the pieces of that rule that meet one
-    component, and ``_discover_endpoints`` reads each attachment's gap
-    ends off it.  The point queries run ``_thirds_exit`` on the core's
-    base, then on each attachment base of the core gap holding t.
+    grid(d): the middle-thirds pieces (``_pieces``) of the core's base
+    and of each attachment base, merged once; ``gaps_opened`` reads the
+    gaps of the same bases (``_gaps``), and ``_children_of`` keeps the
+    pieces of that rule that meet one component.  The point queries run
+    ``_thirds_exit`` on the core's base, then on each attachment base of
+    the core gap holding t.
     """
 
     def __init__(self, core: MiddleThirds):
@@ -419,18 +432,30 @@ class GapAttachedCantor(CantorGen):
         return w, lo * f, (hi - w) * f
 
     def _compute_stage(self, d: int) -> IntervalSet:
-        # the core pieces and every attachment's, from one index list per
-        # generation g (the m of depth d - g), merged once
-        r = self._scale
-        pieces = [(a * r, b * r) for a, b in zip(*self.core.stage(d).numerators(self.core.grid(d)))]
-        ms = [0]
-        for g in range(d, -1, -1):
+        # the core's base [lo, hi] over grid(0), then each generation-g
+        # attachment's stage-(d - g) pieces, merged once
+        (_, lo), (hi, _) = self._side_gaps
+        pieces = _pieces(lo * 3 ** d, hi - lo, d)
+        for g in range(d + 1):
             for gap in self.gaps_of_generation(g):
                 w, *ends = self._attachment_ends(d, g, *gap)
                 for a in ends:
-                    pieces += [(a + m * w, a + m * w + w) for m in ms]
-            ms = [x for m in ms for x in (3 * m, 3 * m + 2)]
+                    pieces += _pieces(a, w, d - g)
         return IntervalSet.over(self.grid(d), *zip(*_normalize(pieces)))
+
+    def gaps_opened(self, s: int) -> list[Pair]:
+        # the middle thirds of each generation-g attachment's stage-(s -
+        # g - 1) pieces, and each generation-s core gap less its attachments
+        gaps = []
+        for g in range(s):
+            for gap in self.gaps_of_generation(g):
+                w, *ends = self._attachment_ends(s, g, *gap)
+                for a in ends:
+                    gaps += _gaps(a, w, s - g - 1)
+        for gap in self.gaps_of_generation(s):
+            w, a, b = self._attachment_ends(s, s, *gap)
+            gaps.append((a + w, b))
+        return sorted(gaps)
 
     def _children_of(self, d: int, lo: int, hi: int) -> list[Pair]:
         """The core pieces meeting the parent and the attachment pieces of
@@ -459,10 +484,11 @@ class GapAttachedCantor(CantorGen):
         return _normalize(pieces)
 
     def _core_exit(self, n: int, q: int, max_stage: Optional[int]) -> Optional[tuple[int, int, int]]:
-        """For t = n/q in the window, (g, lo, hi): the maximal gap (lo, hi)
-        over grid(g) of the core within the window holding t, g its
-        generation and the first core depth missing t; None if the core
-        holds t to depth max_stage (for ever, if None)."""
+        """For t = n/q, (g, lo, hi): the maximal gap (lo, hi) over grid(g)
+        of the core within the window holding t (the side gap on t's side,
+        for t outside the window), g its generation and the first core
+        depth missing t; None if the core holds t to depth max_stage (for
+        ever, if None)."""
         # the core's base over grid(0), so its gaps come over grid(g)
         (_, a), (b, _) = self._side_gaps
         hit = _thirds_exit(a, b - a, self._q0, n, q, max_stage)
@@ -472,9 +498,10 @@ class GapAttachedCantor(CantorGen):
         return (0, *self._side_gaps[n * self._q0 > b * q])
 
     def _point_exit(self, n: int, m: int, max_stage: Optional[int]) -> Optional[tuple[int, int, int]]:
-        """For t = n/m in the window, (d, lo, hi): d the first depth whose
-        cover misses t and (lo, hi) over grid(d) the maximal gap holding
-        t; None if the covers hold t to depth max_stage (for ever, if
+        """For t = n/m, (d, lo, hi): d the first depth whose cover misses t
+        and (lo, hi) over grid(d) the maximal gap holding t, for t in the
+        window (t outside it misses both attachments of its side gap, so d
+        is 0); None if the covers hold t to depth max_stage (for ever, if
         None)."""
         hit = self._core_exit(n, m, max_stage)
         if hit is None:
@@ -493,10 +520,7 @@ class GapAttachedCantor(CantorGen):
         return g, a + w, b
 
     def first_out(self, t: Fraction, max_stage: Optional[int]) -> Optional[int]:
-        n, m = t.numerator, t.denominator
-        if not self._side_gaps[0][0] * m <= n * self._q0 <= self._side_gaps[1][1] * m:
-            return 0
-        hit = self._point_exit(n, m, max_stage)
+        hit = self._point_exit(t.numerator, t.denominator, max_stage)
         return None if hit is None else hit[0]
 
     def gap_of(self, t: Fraction) -> Optional[tuple[Fraction, Fraction]]:
@@ -510,31 +534,6 @@ class GapAttachedCantor(CantorGen):
         if n * self._q0 > self._side_gaps[1][1] * m:
             return (self.window.hi, ONE)
         return _gap_fractions(self._q0, self._point_exit(n, m, None))
-
-    def _discover_endpoints(self, s: int) -> list[Fraction]:
-        """The stage-(s - g) endpoints of each generation-g attachment,
-        in increasing order, read off its gap's ends with no attachment
-        object.  At g = s they are each attachment's base ends off the
-        core; for g < s, with (w, a, b) = ``_attachment_ends(s, g, ...)``,
-        they are the ends x + (3m+1)w and x + (3m+2)w of the gaps the
-        attachment pair opens at stage s - g, for x = a, b and m in the
-        index list of stage s - g - 1."""
-        q, f = self.grid(s), 3 ** s
-        core_lo, core_hi = self._side_gaps[0][1] * f, self._side_gaps[1][0] * f
-        ends = []
-        for lo, hi in self.gaps_of_generation(s):
-            w = self._attachment_ends(s, s, lo, hi)[0]
-            # a gap's own end is a point of the core, and so no endpoint,
-            # unless it is an end of the window
-            ends += [lo + w, hi - w, *(x for x in (lo, hi) if not core_lo <= x <= core_hi)]
-        ms = [0]
-        for g in range(s - 1, -1, -1):
-            for gap in self.gaps_of_generation(g):
-                w, *starts = self._attachment_ends(s, g, *gap)
-                ends += [a + j * w for a in starts for m in ms for j in (3 * m + 1, 3 * m + 2)]
-            ms = [x for m in ms for x in (3 * m, 3 * m + 2)]
-        ends.sort()
-        return [Fraction(x, q) for x in ends]
 
     # see MiddleThirds.membership
     membership = CantorGen.membership
@@ -627,13 +626,10 @@ def point_membership(gen: CantorGen, p: PointLike,
         return gen.membership(p, max_stage)
     if p.gen is gen:
         return Membership(IN, 0)
-    # one descent: the brackets nest, so each stage-d component meeting
-    # bracket(d) is a child of a stage-(d-1) one meeting bracket(d-1)
-    comps = gen.near(0, *point_bracket(p, 0))
+    # brackets and covers both nest, so once a cover misses its bracket
+    # every deeper cover misses the deeper bracket
     for d in range(max_stage + 1):
-        if d:
-            comps = gen._descend(d, comps, *point_bracket(p, d))
-        if not comps:
+        if not gen.near(d, *point_bracket(p, d)):
             return Membership(OUT, d)
     return Membership(UNKNOWN, None)
 

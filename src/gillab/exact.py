@@ -13,10 +13,11 @@ edge, for the components a query returns and in ``components``;
 ``str(Fraction(n, q))``, and joins the component texts ``lo..hi``; it
 takes a table of component texts keyed by (q, lo, hi), so that callers
 rendering many covers, whose components repeat across members and
-depths, render each distinct component once.  A rational argument p/s
-is compared through the ceiling or floor of p*q/s, and two sets over
-different denominators are rescaled to their lcm, so nothing is ever
-rounded.
+depths, render each distinct component once.  A rational window
+[lo/s, hi/s] is compared through one rounding rule, ``_on``: the
+ceiling of lo*q/s and the floor of hi*q/s bound exactly the numerators
+over q inside it.  Two sets over different denominators are rescaled to
+their lcm, so no comparison is inexact.
 """
 
 from __future__ import annotations
@@ -72,6 +73,12 @@ UNIT = ClosedInterval(ZERO, ONE)
 def _over(q: int, t) -> int:
     """Numerator of the rational t over q, a multiple of its denominator."""
     return t.numerator * (q // t.denominator)
+
+
+def _on(lo: int, hi: int, q: int, to: int) -> tuple[int, int]:
+    """[lo/q, hi/q] on the grid 1/to: the ceiling of its left end and the
+    floor of its right end, exact for an interval on the grid."""
+    return -(-lo * to // q), hi * to // q
 
 
 def _text(n: int, q: int) -> str:
@@ -176,14 +183,6 @@ class IntervalSet:
 
     # -- queries ---------------------------------------------------------
 
-    def _ceil(self, p: int, s: int) -> int:
-        """The least numerator n with n/q >= p/s."""
-        return -(-p * self._q // s)
-
-    def _floor(self, p: int, s: int) -> int:
-        """The greatest numerator n with n/q <= p/s."""
-        return p * self._q // s
-
     def contains_point(self, t: Fraction) -> bool:
         return self.meets(t.numerator, t.numerator, t.denominator)
 
@@ -193,20 +192,22 @@ class IntervalSet:
 
     def overlapping(self, lo: int, hi: int, q: int) -> range:
         """Indices of the components meeting the closed window [lo/q, hi/q]."""
-        return range(bisect_left(self._hi, self._ceil(lo, q)),
-                     bisect_right(self._lo, self._floor(hi, q)))
+        wlo, whi = _on(lo, hi, q, self._q)
+        return range(bisect_left(self._hi, wlo), bisect_right(self._lo, whi))
 
     def meets(self, lo: int, hi: int, q: int) -> bool:
         """Whether some component meets the closed interval [lo/q, hi/q]."""
-        i = bisect_left(self._hi, self._ceil(lo, q))
-        return i < len(self._hi) and self._lo[i] <= self._floor(hi, q)
+        wlo, whi = _on(lo, hi, q, self._q)
+        i = bisect_left(self._hi, wlo)
+        return i < len(self._hi) and self._lo[i] <= whi
 
     def outward(self, n: int, q: int, rightward: bool) -> range:
         """Indices of the components from n/q outward: ascending those
         with hi >= n/q, or descending those with lo <= n/q."""
+        lo, hi = _on(n, n, q, self._q)
         if rightward:
-            return range(bisect_left(self._hi, self._ceil(n, q)), len(self._lo))
-        return range(bisect_right(self._lo, self._floor(n, q)) - 1, -1, -1)
+            return range(bisect_left(self._hi, lo), len(self._lo))
+        return range(bisect_right(self._lo, hi) - 1, -1, -1)
 
     def issubset(self, other: "IntervalSet") -> bool:
         q = lcm(self._q, other._q)

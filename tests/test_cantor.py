@@ -22,6 +22,7 @@ from gillab.cantor import (
     MiddleThirds,
     RemovalSchedule,
     ScheduleEntry,
+    _kept,
     _ternary_exit,
     build_family,
     point_membership,
@@ -609,6 +610,17 @@ class TestFirstOut:
                 assert mt.gap_of(t) == ternary_exit(mt.base, t)[1], (mt.describe(), t)
 
 
+    @pytest.mark.parametrize("r", [F(1), F(0), F(1, 2)], ids=["C1", "C0", "C_half"])
+    @pytest.mark.parametrize("t", [F(1, 16), F(1, 4), F(1, 2)], ids=["off", "on", "gap"])
+    def test_a_negative_bound_is_refused(self, family, r, t):
+        # 1/16 lies off C_1's base and C_0's window, 1/4 in every set, and
+        # 1/2 in the middle gap of C_1 and of C_0
+        gen = family.member(r)
+        with pytest.raises(ValueError, match="max_stage must be >= 0, got -1"):
+            gen.first_out(t, -1)
+        assert gen.first_out(t, 0) == (0 if t == F(1, 16) else None)
+
+
 class TestCoverGaps:
     def test_cover_gaps_are_maximal_gaps(self, family):
         # C_1, C_0 and the attachments that TestFirstOut probes; no
@@ -870,21 +882,41 @@ class TestOrderedGapAttachedCover:
         assert c0.near(12, 5, 5, 12) and made == [0]
 
     def test_new_endpoints_are_the_new_cover_ends(self, monkeypatch):
-        # an endpoint first found at stage s ends a stage-s component of
-        # the model's cover and no stage-(s - 1) one; the endpoint stream
-        # reads them off the gap ends and makes no attachment object (the
-        # model makes its own, so its covers come first)
-        c0 = build_family(0, 8).c0
+        # for C_1 and C_0 kinds on three bases: an endpoint first found at
+        # stage s ends a stage-s component of the model's cover and no
+        # stage-(s - 1) one, and the gaps opened at stage s are the gaps
+        # of its stage-s cover that the stage-(s - 1) cover lacks; the
+        # endpoint stream reads them off the gap ends and makes no
+        # attachment object (the model makes its own, so its covers come
+        # first)
         ref = Model()
-        covers = [ref.cover(c0, s) for s in range(9)]
+        gens, covers = [], []
+        for base in (C1_BASE, ClosedInterval(F(1, 3), F(2, 3)), ClosedInterval(F(3, 10), F(7, 10))):
+            mt = MiddleThirds(base)
+            for gen in (mt, GapAttachedCantor(mt)):
+                gens.append(gen)
+                covers.append([ref.cover(gen, s).components for s in range(9)])
         made = count_thirds(monkeypatch)
-        old = set()
-        for s in range(9):
-            ends = {x for comp in covers[s] for x in (comp.lo, comp.hi)}
-            assert c0.new_endpoints(s) == sorted(ends - old), s
-            old = ends
-        c0.endpoints(200)
+        for gen, cover in zip(gens, covers):
+            old_ends, old_gaps = set(), set()
+            for s in range(9):
+                ends = {x for comp in cover[s] for x in (comp.lo, comp.hi)}
+                gaps = {(c.hi, n.lo) for c, n in zip(cover[s], cover[s][1:])}
+                assert gen.new_endpoints(s) == sorted(ends - old_ends), (gen.describe(), s)
+                if s:
+                    q = gen.grid(s)
+                    assert ([(F(a, q), F(b, q)) for a, b in gen.gaps_opened(s)]
+                            == sorted(gaps - old_gaps)), (gen.describe(), s)
+                old_ends, old_gaps = ends, gaps
+            gen.endpoints(200)
         assert made == [0]
+
+    def test_kept_is_the_local_rule(self):
+        # the whole-cover index list keeps slot m of depth k exactly when
+        # the per-slot ternary test of _children_of keeps it
+        for k in range(10):
+            assert list(_kept(k)) == [m for m in range(3 ** k)
+                                      if _ternary_exit(2 * m + 1, 2 * 3 ** k, k) is None], k
 
     def test_a_gap_off_the_thirds_grid_is_refused(self):
         # an attachment's pieces are a third of its gap wide on grid(d);
@@ -1058,6 +1090,28 @@ class TestIntPointQueries:
 
 
 class TestPointMembershipDescent:
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_address_verdicts_do_not_depend_on_the_memo_depth(self, level):
+        # near starts at the deepest memoised cover: every anchor's verdict
+        # in every member is the model's on a fresh family, and again once
+        # the covers are memoised to depth 4 and to depth 8
+        fam = fresh_family(level, 56)
+        ref = Model()
+        gens = [fam.member(r) for r in fam.grid()]
+        anchors = [x for gen in gens if isinstance(gen, IntermediateCantor)
+                   for entry in gen.schedule().entries for x in (entry.a, entry.b)
+                   if isinstance(x, CantorAddress)]
+        want = [ref.membership(gen, p, DEFAULT_SEARCH_CEILING) for gen in gens for p in anchors]
+        assert {m.verdict for m in want} == {"in", "out", "unknown"}
+        for depth in (None, 4, 8):
+            if depth is not None:
+                for _ in fam.covers(depth):
+                    pass
+            memo = max(len(gen._stage_memo) - 1 for gen in gens)
+            assert memo <= 2 if depth is None else memo == depth
+            assert [point_membership(gen, p, DEFAULT_SEARCH_CEILING)
+                    for gen in gens for p in anchors] == want, depth
+
     @pytest.mark.parametrize("level", [2, 3])
     def test_matches_per_depth_near_on_the_endpoint_suite(self, level):
         # every pair `verify endpoints` checks: the first endpoints of
