@@ -42,9 +42,11 @@ C_0's core and each C_0 attachment, so C_0 makes no attachment object.
 One middle-thirds cover rule on an int base, the index list ``_kept(k)``
 of the slots a stage-k cover keeps, gives the pieces (``_pieces``) and
 the new gaps (``_gaps``) of the same bases: C_1's covers, C_0's sweeps
-and each generator's ``gaps_opened(s)`` read it.  There is one endpoint
-rule, in :class:`CantorGen`: the ends of ``stage(0)``, then the ends of
-the gaps opened at each stage s >= 1.
+and each generator's ``gaps_opened(s)`` read it; slot by slot,
+``_pieces_meeting`` keeps the pieces of one base meeting one C_0
+component, so C_0 calls no method of C_1.  There is one endpoint rule,
+in :class:`CantorGen`: the ends of ``stage(0)``, then the ends of the
+gaps opened at each stage s >= 1.
 
 For the middle-thirds and gap-attached sets both ends of every stage-d
 component are points of the set, so each component of
@@ -313,6 +315,15 @@ def _gaps(x: int, w: int, k: int) -> list[Pair]:
     return [(x + (3 * m + 1) * w, x + (3 * m + 2) * w) for m in _kept(k)]
 
 
+def _pieces_meeting(x: int, w: int, k: int, lo: int, hi: int) -> list[Pair]:
+    """The pieces of ``_pieces(x, w, k)`` that meet [lo, hi], ascending,
+    with no list of 2^k slots: slot m is kept when the midpoint of [m, m
+    + 1] / 3^k stays in the middle-thirds cover for all k digits."""
+    first, last = max(0, -(-(lo - x - w) // w)), min(3 ** k - 1, (hi - x) // w)
+    return [(x + m * w, x + m * w + w) for m in range(first, last + 1)
+            if _ternary_exit(2 * m + 1, 2 * 3 ** k, k) is None]
+
+
 def _gap_fractions(q: int, hit: Optional[tuple[int, int, int]]) -> Optional[tuple[Fraction, Fraction]]:
     """The gap of an exit (d, lo, hi), (lo, hi) over q*3^d, in
     Fractions; None for None."""
@@ -390,11 +401,12 @@ class GapAttachedCantor(CantorGen):
     Every path reads an attachment off its gap's ends and makes no
     attachment object.  ``_compute_stage(d)`` is one int sweep over
     grid(d): the middle-thirds pieces (``_pieces``) of the core's base
-    and of each attachment base, merged once; ``gaps_opened`` reads the
-    gaps of the same bases (``_gaps``), and ``_children_of`` keeps the
-    pieces of that rule that meet one component.  The point queries run
-    ``_thirds_exit`` on the core's base, then on each attachment base of
-    the core gap holding t.
+    and of each attachment base, merged once; ``gaps_opened`` and
+    ``gaps_of_generation`` read the gaps of the same bases (``_gaps``),
+    and ``_children_of`` keeps their pieces that meet one component
+    (``_pieces_meeting``).  The point queries run ``_thirds_exit`` on
+    the core's base, then on each attachment base of the core gap holding
+    t, so no path calls a method of the core.
     """
 
     def __init__(self, core: MiddleThirds):
@@ -404,7 +416,6 @@ class GapAttachedCantor(CantorGen):
         self.window = ClosedInterval(core.base.lo - span / 4, core.base.hi + span / 4)
         # every stage-d end is core.base.lo plus a multiple of span/(12*3^d)
         q = self._q0 = lcm(core._q0, (span / 12).denominator)
-        self._scale = q // core._q0   # grid(d) / core.grid(d)
         self._side_gaps = [(_over(q, self.window.lo), _over(q, core.base.lo)),
                            (_over(q, core.base.hi), _over(q, self.window.hi))]
 
@@ -414,8 +425,8 @@ class GapAttachedCantor(CantorGen):
     def gaps_of_generation(self, g: int) -> list[Pair]:
         if g == 0:
             return self._side_gaps
-        r = self._scale   # the core's gaps, moved from its grid to this one
-        return [(lo * r, hi * r) for lo, hi in self.core.gaps_opened(g)]
+        (_, lo), (hi, _) = self._side_gaps   # the core's base over grid(0)
+        return _gaps(lo * 3 ** g, hi - lo, g - 1)
 
     def _attachment_ends(self, d: int, g: int, lo: int, hi: int) -> tuple[int, int, int]:
         """(w, a, b) for the generation-g gap (lo, hi) over grid(g): over
@@ -460,11 +471,12 @@ class GapAttachedCantor(CantorGen):
     def _children_of(self, d: int, lo: int, hi: int) -> list[Pair]:
         """The core pieces meeting the parent and the attachment pieces of
         the core gaps meeting it, joined where they touch."""
-        p, q, r = self.grid(d - 1), self.grid(d), self._scale
-        pieces = [(a * r, b * r) for a, b in self.core.near(d, lo, hi, p)]
+        p, q = self.grid(d - 1), self.grid(d)
+        (_, a), (b, _) = self._side_gaps   # the core's base over grid(0)
+        pieces = _pieces_meeting(a * 3 ** d, b - a, d, 3 * lo, 3 * hi)
         # an end of the parent outside the core pieces lies in a core gap
         # opened by stage d, and so does the midpoint between two pieces
-        points = [(a + b, 2 * q) for (_, a), (b, _) in zip(pieces, pieces[1:])]
+        points = [(u + v, 2 * q) for (_, u), (v, _) in zip(pieces, pieces[1:])]
         if not pieces or 3 * lo < pieces[0][0]:
             points.append((lo, p))
         if pieces and 3 * hi > pieces[-1][1]:
@@ -472,15 +484,8 @@ class GapAttachedCantor(CantorGen):
         for n, s in points:
             g, glo, ghi = self._core_exit(n, s, d)
             w, *ends = self._attachment_ends(d, g, glo, ghi)
-            k = d - g
-            for a in ends:
-                # the pieces meeting the parent [3 lo, 3 hi]; piece m is
-                # there when the midpoint of [m, m + 1] / 3^k stays in the
-                # middle-thirds cover for all k digits
-                first = max(0, -(-(3 * lo - a - w) // w))
-                last = min(3 ** k - 1, (3 * hi - a) // w)
-                pieces += [(a + m * w, a + m * w + w) for m in range(first, last + 1)
-                           if _ternary_exit(2 * m + 1, 2 * 3 ** k, k) is None]
+            for x in ends:
+                pieces += _pieces_meeting(x, w, d - g, 3 * lo, 3 * hi)
         return _normalize(pieces)
 
     def _core_exit(self, n: int, q: int, max_stage: Optional[int]) -> Optional[tuple[int, int, int]]:

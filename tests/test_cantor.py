@@ -22,7 +22,8 @@ from gillab.cantor import (
     MiddleThirds,
     RemovalSchedule,
     ScheduleEntry,
-    _kept,
+    _pieces,
+    _pieces_meeting,
     _ternary_exit,
     build_family,
     point_membership,
@@ -766,6 +767,31 @@ class TestNear:
         with pytest.raises(ValueError):
             family.c1.near(-1, 0, 1, 1)
 
+    def test_c0_past_depth_ten_matches_the_model(self):
+        # C_0 refines one component at a time from its stage-0 cover, on
+        # narrow windows at its component ends, across the gaps it opens
+        # and at the brackets of C_{1/2}'s address anchors (the model
+        # descends its own tree of C_0's anchors to give those)
+        fam, ref = built(2, 56), Model()
+        c0 = build_family(2, 56).c0
+        anchors = [x for entry in fam.member(F(1, 2)).schedule().entries[::4]
+                   for x in (entry.a, entry.b) if isinstance(x, CantorAddress)]
+        gaps = [interval(lo, hi, c0.grid(s)) for s in range(1, 5)
+                for lo, hi in c0.gaps_opened(s)[:6]]
+        for d in range(11, 25):
+            step = F(1, c0.grid(d))
+            windows = [ClosedInterval(e - step, e + step) for e in fam.c0.endpoints(40)]
+            windows += gaps + [ClosedInterval(g.lo - step, g.lo + g.width / 2) for g in gaps]
+            windows += [ref.bracket(x, d) for x in anchors]
+            for w in windows:
+                got = near(c0, d, w)
+                assert got and got == ref.near(c0, d, w), (d, w)
+                for lo, hi in c0.near(d - 1, *window(w)):
+                    parent = interval(lo, hi, c0.grid(d - 1))
+                    assert ([interval(*c, c0.grid(d)) for c in c0._children_of(d, lo, hi)]
+                            == ref.near(c0, d, parent)), (d, parent)
+        assert len(c0._stage_memo) == 1
+
     def test_deep_descent_is_a_loop(self):
         # a descent 1200 levels deep needs no stack frame per level; a
         # non-endpoint of C_1 lies in exactly one component at any depth
@@ -875,11 +901,42 @@ class TestOrderedGapAttachedCover:
 
     def test_cover_paths_make_no_attachment(self, monkeypatch):
         # the whole-cover sweep and the one-component refinement read each
-        # attachment's pieces off its gap's ends
+        # attachment's pieces off its gap's ends, the refinement through
+        # the per-slot rule _pieces_meeting
         c0 = build_family(2, 56).c0
         made = count_thirds(monkeypatch)
         c0.stage(8)
         assert c0.near(12, 5, 5, 12) and made == [0]
+
+    def test_c0_asks_nothing_of_c1(self, monkeypatch):
+        # C_0 reads its core's base when it is made and no C_1 method
+        # after that: with every query of the C_1 instance refused, its
+        # covers, endpoints, local tree and point queries answer as an
+        # untouched family's C_0 does
+        want, fam = build_family(2, 56).c0, build_family(2, 56)
+        c0 = fam.c0
+
+        def refused(*args, **kwargs):
+            raise AssertionError("C_0 asked C_1")
+
+        for name in ("near", "walk", "_cached_children", "_children_of", "stage",
+                     "gaps_opened", "new_endpoints", "first_out", "gap_of",
+                     "membership", "endpoints"):
+            monkeypatch.setattr(fam.c1, name, refused)
+        for d in range(9):
+            assert c0.stage(d) == want.stage(d), d
+        for s in range(7):
+            assert c0.new_endpoints(s) == want.new_endpoints(s), s
+        points = want.endpoints(40)
+        for d in (12, 24):
+            step = F(1, c0.grid(d))
+            for t in points:
+                w = window(ClosedInterval(t - step, t + step))
+                assert c0.near(d, *w) == want.near(d, *w), (d, t)
+        for t in points + first_out_points(built(2, 56), 10):
+            for m in (0, 4, 12, None):
+                assert c0.first_out(t, m) == want.first_out(t, m), (t, m)
+            assert c0.gap_of(t) == want.gap_of(t), t
 
     def test_new_endpoints_are_the_new_cover_ends(self, monkeypatch):
         # for C_1 and C_0 kinds on three bases: an endpoint first found at
@@ -912,11 +969,20 @@ class TestOrderedGapAttachedCover:
         assert made == [0]
 
     def test_kept_is_the_local_rule(self):
-        # the whole-cover index list keeps slot m of depth k exactly when
-        # the per-slot ternary test of _children_of keeps it
+        # the whole-cover index list, as _pieces reads it, keeps the
+        # pieces that the per-slot rule of _children_of, _pieces_meeting,
+        # keeps: all of them over the whole base, and those meeting any
+        # window inside or across it
+        rnd = random.Random(9)
         for k in range(10):
-            assert list(_kept(k)) == [m for m in range(3 ** k)
-                                      if _ternary_exit(2 * m + 1, 2 * 3 ** k, k) is None], k
+            for x, w in ((0, 1), (7, 5)):
+                pieces = _pieces(x, w, k)
+                assert _pieces_meeting(x, w, k, x, x + 3 ** k * w) == pieces, (k, x, w)
+                for _ in range(40):
+                    lo, hi = sorted(rnd.randrange(x - 2 * w, x + 3 ** k * w + 2 * w)
+                                    for _ in range(2))
+                    assert _pieces_meeting(x, w, k, lo, hi) == [
+                        c for c in pieces if c[0] <= hi and c[1] >= lo], (k, x, w, lo, hi)
 
     def test_a_gap_off_the_thirds_grid_is_refused(self):
         # an attachment's pieces are a third of its gap wide on grid(d);
