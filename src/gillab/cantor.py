@@ -28,11 +28,12 @@ the memoised cover, by one bisection, and ``_children_of`` runs only
 past it.  A caller that reports every member's covers anyway builds
 them through ``CantorFamily.covers``, member by member in build order,
 so each member's search reads its inner and outer sets' covers
-memoised.  An address's ``point_membership`` asks ``near`` at its
-bracket once per depth.  A rational window or point enters once, by
-``_on``'s ceiling and floor at the grid; brackets, holes and hulls are
-int triples (lo, hi, q).  Fractions appear only at the edge: in cover
-components, endpoints, rational anchors and the gaps ``gap_of`` gives.
+memoised.  An address's ``point_membership`` descends once: each depth
+reads the children of the components the last depth's bracket met.  A
+rational window or point enters once, by ``_on``'s ceiling and floor
+at the grid; brackets, holes and hulls are int triples (lo, hi, q).
+Fractions appear only at the edge: in cover components, endpoints,
+rational anchors and the gaps ``gap_of`` gives.
 A point query is int
 work too: ``first_out``, ``gap_of`` and ``membership`` read t = n/m once
 as its numerator and denominator, and test the base, window and unit
@@ -254,13 +255,14 @@ def _ternary_exit(p: int, q: int, digits: Optional[int]) -> Optional[Pair]:
     (3m+2)/3^(k+1)); None if u stays in the cover for all those digits.
     Ends for every rational even with no digit bound: the orbit u -> 3u /
     3u-2 keeps q, so its numerators exit or repeat, and a repeat means u
-    is in the set."""
-    seen = set()
+    is in the set.  Only that unbounded walk keeps the numerators seen."""
+    seen = set() if digits is None else None
     k = m = 0
     while digits is None or k < digits:
-        if p in seen:
-            return None
-        seen.add(p)
+        if seen is not None:
+            if p in seen:
+                return None
+            seen.add(p)
         if 3 * p <= q:
             p, m = 3 * p, 3 * m
         elif 3 * p >= 2 * q:
@@ -631,10 +633,16 @@ def point_membership(gen: CantorGen, p: PointLike,
         return gen.membership(p, max_stage)
     if p.gen is gen:
         return Membership(IN, 0)
-    # brackets and covers both nest, so once a cover misses its bracket
-    # every deeper cover misses the deeper bracket
+    # brackets and covers both nest, so the stage-d components meeting
+    # bracket(d) are children of those meeting bracket(d-1), and once a
+    # cover misses its bracket every deeper cover misses the deeper one
+    comps = gen.near(0, *point_bracket(p, 0))
     for d in range(max_stage + 1):
-        if not gen.near(d, *point_bracket(p, d)):
+        if d:
+            lo, hi = _on(*point_bracket(p, d), gen.grid(d))
+            comps = [c for parent in comps for c in gen._cached_children(d, *parent)
+                     if c[0] <= hi and c[1] >= lo]
+        if not comps:
             return Membership(OUT, d)
     return Membership(UNKNOWN, None)
 

@@ -10,17 +10,18 @@ for n >= N.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Optional
 
 from .bonding import MIN_C0, SetValuedMap, eval_F
 from .cantor import DEFAULT_MAX_STAGE
 from .dynamics import Cycle, certify_step, iterate_f
 from .errors import BoxCountError
-from .exact import UNIT, ClosedInterval, IntervalSet, ONE, ZERO
+from .exact import UNIT, ClosedInterval, IntervalSet, ONE, ZERO, _text
 
 BOX_CEILING = 10 ** 6
 TREELIKE_GAP_STAGE = 3
@@ -294,70 +295,74 @@ def verify_arc_chain(sys: ArcSystem) -> dict:
 class BoxCover:
     """Outer cover of truncated threads by boxes with exact corners.
 
-    Box k is the tuple of ranked[r] over the ``dimension`` digits r of
-    keys[k] in base len(ranked), leading digit first.  The intervals
-    ascend and the keys ascend, so the boxes come in coordinate-tuple
-    order.  ``csv_rows`` renders from the keys; ``boxes`` makes the
-    tuples at the edge, for the queries that read them.  Both share one
-    loop over the runs of keys with the same leading digits: it makes
-    each run's front part once and each distinct part of the last two
-    coordinates once, and joins them row by row.
+    A chain of graph-cover boxes b_1, ..., b_n gives the box
+    Y_1 x (T_1 & Y_2) x ... x (T_{n-1} & Y_n) x T_n.  Every interval is
+    an int pair over the one denominator d: ``xs[b]`` is box b's T, and
+    ``heads[b]`` lists each box j that can follow box b with the top of
+    T_b & Y_j, whose bottom is T_b's.  Both end with a virtual box over
+    [0, 1], whose meet with Y_j is Y_j: its heads are the first boxes.
+    Each list is in row order, so one depth-first walk meets the chains
+    in coordinate-tuple order; ``csv_rows`` and the ``boxes`` view share
+    it.  ``len`` is the chain count, known before any row is made.
     """
 
     dimension: int
-    ranked: tuple[ClosedInterval, ...]
-    keys: list[int]
+    d: int
+    xs: tuple[tuple[int, int], ...]
+    heads: tuple[tuple[tuple[int, int], ...], ...]
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
 
     @cached_property
     def boxes(self) -> list[tuple[ClosedInterval, ...]]:
-        """The boxes in key order; boxes that agree on their leading or
-        their last two coordinates share that part's intervals."""
-        ranked = self.ranked
+        """The boxes in row order, made at the edge for the queries that
+        read them."""
+        d = self.d
 
-        def intervals(ranks) -> tuple[ClosedInterval, ...]:
-            return tuple(ranked[r] for r in ranks)
+        def interval(lo: int, hi: int) -> tuple[ClosedInterval]:
+            return (ClosedInterval(Fraction(lo, d), Fraction(hi, d)),)
 
-        return self._rows(intervals, intervals, [])
+        return self._walk(interval, interval, [])
 
     def project(self, i: int) -> IntervalSet:
         return IntervalSet(box[i] for box in self.boxes)
 
     def csv_rows(self) -> list[str]:
         head = ",".join(f"x{i}_lo,x{i}_hi" for i in range(self.dimension))
-        texts = [f"{iv.lo},{iv.hi}" for iv in self.ranked]
-        # a front is empty in dimension 2, so it carries its own commas
-        return self._rows(lambda ranks: "".join(texts[r] + "," for r in ranks),
-                          lambda ranks: ",".join(texts[r] for r in ranks), [head])
+        ends = {e for x in self.xs for e in x} | {top for _, top in self.heads[-1]}
+        text = {e: _text(e, self.d) for e in ends}
+        return self._walk(lambda lo, hi: f"{text[lo]},{text[hi]},",
+                          lambda lo, hi: f"{text[lo]},{text[hi]}", [head])
 
-    def _rows(self, front_of, back_of, rows: list) -> list:
-        """rows, extended by front_of(leading ranks) + back_of(last two
-        ranks) for each key.  The keys ascend, so the keys sharing their
-        leading ranks form one run, found by one bisection; each run's
-        front and each distinct back is made once."""
-        keys, base = self.keys, len(self.ranked)
-        lead, split = self.dimension - 2, base * base
-        backs: dict = {}
-        i = 0
-        while i < len(keys):
-            start = keys[i] - keys[i] % split
-            j = bisect_left(keys, start + split, i)
-            front = front_of(_digits(start // split, lead, base))
-            run = [key - start for key in keys[i:j]]
-            for back in run:
-                if back not in backs:
-                    backs[back] = back_of(divmod(back, base))
-            rows.extend([front + backs[back] for back in run])
-            i = j
+    def _walk(self, part, last, rows: list) -> list:
+        """rows, extended by each chain's row in row order: part(meet) for
+        each meet but the last, then part(meet) + last(T) of the last
+        pair.  Each box's parts and last parts are made once, before any
+        row, and a chain's front once for all its heads."""
+        n, xs, heads = self.dimension - 1, self.xs, self.heads
+        lasts = [[part(lo, top) + last(*xs[j]) for j, top in hs] for (lo, _), hs in zip(xs, heads)]
+        if n == 1:
+            rows.extend(lasts[-1])
+            return rows
+        parts = [[(j, part(lo, top)) for j, top in hs] for (lo, _), hs in zip(xs, heads)]
+        # the heads still to take at each depth of the current chain, and
+        # the row's parts down to that depth (the virtual box has none)
+        todo, fronts = [iter(parts[-1])], [None]
+        while todo:
+            for j, s in todo[-1]:
+                front = s if fronts[-1] is None else fronts[-1] + s
+                if len(todo) == n - 1:
+                    rows.extend(map(front.__add__, lasts[j]))
+                else:
+                    todo.append(iter(parts[j]))
+                    fronts.append(front)
+                    break
+            else:
+                todo.pop()
+                fronts.pop()
         return rows
-
-
-def _digits(key: int, count: int, base: int) -> list[int]:
-    """The last ``count`` digits of key in base ``base``, leading digit first."""
-    out = []
-    for _ in range(count):
-        key, r = divmod(key, base)
-        out.append(r)
-    return out[::-1]
 
 
 def mahavier_cover(m: SetValuedMap, n: int, stage: int, level: int) -> BoxCover:
@@ -367,44 +372,37 @@ def mahavier_cover(m: SetValuedMap, n: int, stage: int, level: int) -> BoxCover:
     (T, Y) with x_i in T and x_{i-1} in Y.  A chain of boxes b_1, ...,
     b_n covers the tuples with x_0 in Y_1, x_i in T_i & Y_{i+1} for
     0 < i < n and x_n in T_n, and survives while every constraint is
-    nonempty.  Every Y is [0, h] and every T lies in [0, 1], so T & Y
-    is [T.lo, min(T.hi, h)] exactly when h >= T.lo: a tail finds its
-    heads by one bisection of the boxes in height order, which is the
-    order of their ranks.  Each interval is an int pair over one
-    denominator, so the distinct pairs rank in ClosedInterval order and
-    the chains sort, in coordinate-tuple order, by integer keys.  A step
-    that yields more than ``BOX_CEILING`` chains raises BoxCountError.
+    nonempty.  Every Y is [0, h] and the T tile [0, 1] with distinct
+    left ends, so T & Y is [T.lo, min(T.hi, h)] exactly when h >= T.lo,
+    and a row determines its chain.  The chains come in row order when
+    the heads of box i go by (min(T_i.hi, h_j), T_j.lo): the boxes of
+    height in [T_i.lo, T_i.hi) in height order, then the taller ones by
+    T.lo.  They are counted step by step before any is made: box j
+    follows box i iff h_j >= T_i.lo, and the T.lo ascend, so the chains
+    ending at box j are one prefix sum.  A step that yields more than
+    ``BOX_CEILING`` chains raises BoxCountError.
     """
     if n < 1:
         raise ValueError("need at least two coordinates")
     cover = m.graph_cover(stage, level)
-    ranks = cover.ranks
     d, tops = cover.int_heights
     ends = [e * (d // cover.q) for e in cover.ends]
-    xs = list(zip(ends, ends[1:]))
-    ys = [(0, tops[k]) for k in ranks]
-    by_height = sorted(range(len(ranks)), key=ranks.__getitem__)
-    heights = [tops[ranks[j]] for j in by_height]
-    # heads[i]: each box j that can follow box i, with T_i & Y_j
-    heads = [[(j, (lo, min(hi, tops[ranks[j]])))
-              for j in by_height[bisect_left(heights, lo):]] for lo, hi in xs]
-    ranked = sorted({*xs, *ys, *(iv for meets in heads for _, iv in meets)})
-    rank = {iv: r for r, iv in enumerate(ranked)}
-    base = len(ranked)
-    digits = [[rank[iv] for _, iv in meets] for meets in heads]
-    # a chain is its coordinate ranks so far, read as one integer in base
-    # `base`, and the index of its last box, whose T is still to come
-    keys = [rank[yb] for yb in ys]
-    last = list(range(len(ranks)))
+    xs = (*zip(ends, ends[1:]), (0, d))
+    h = [tops[k] for k in cover.ranks]
+    # the sort is stable and the boxes go by T.lo, so ties in h go by T.lo
+    by_height = sorted(range(len(h)), key=h.__getitem__)
+    heights = [h[j] for j in by_height]
+    heads = tuple((*((j, h[j]) for j in by_height[bisect_left(heights, lo):bisect_left(heights, hi)]),
+                   *((j, hi) for j, top in enumerate(h) if top >= hi)) for lo, hi in xs)
+    # chains by their last box; zip leaves out the virtual box, last in heads
+    count, total = [1] * len(h), len(h)
     for _ in range(2, n + 1):
-        if sum(len(heads[i]) for i in last) > BOX_CEILING:
+        total = sum(c * len(js) for c, js in zip(count, heads))
+        if total > BOX_CEILING:
             raise BoxCountError(f"box chains exceeded ceiling {BOX_CEILING}")
-        keys = [key * base + r for key, i in zip(keys, last) for r in digits[i]]
-        last = [j for i in last for j, _ in heads[i]]
-    keys = [key * base + rank[xs[i]] for key, i in zip(keys, last)]
-    keys.sort()
-    return BoxCover(n + 1, tuple(ClosedInterval(Fraction(lo, d), Fraction(hi, d))
-                                 for lo, hi in ranked), keys)
+        sums = list(accumulate(count, initial=0))
+        count = [sums[bisect_right(ends, top, 0, len(h))] for top in h]
+    return BoxCover(n + 1, d, xs, heads, total)
 
 
 def check_treelike_hypotheses(m: SetValuedMap, stage: int) -> dict:

@@ -26,7 +26,7 @@ has one implementation:
 * the map: ``reference_F``, a dyadic scan over the model's verdicts
   with the tent formula on Fractions;
 * chains and text: ``all_pairs_chains``, ``csv_rows``,
-  ``contains_tuple``, ``reference_text`` and ``decoded``.
+  ``contains_tuple`` and ``reference_text``.
 
 Independence: the model reads only what a family is made of: each
 generator's type and parameters (``base``, ``core``, ``window``,
@@ -622,16 +622,3 @@ def contains_tuple(cov, xs: list[F]) -> bool:
 def reference_text(s) -> str:
     """The cover text from Fraction component ends, one by one."""
     return ";".join(f"{c.lo}..{c.hi}" for c in s.components)
-
-
-def decoded(cover) -> list[tuple[ClosedInterval, ...]]:
-    """Every key's box, decoded digit by digit on its own."""
-    base = len(cover.ranked)
-    out = []
-    for key in cover.keys:
-        ranks = []
-        for _ in range(cover.dimension):
-            key, r = divmod(key, base)
-            ranks.append(r)
-        out.append(tuple(cover.ranked[r] for r in reversed(ranks)))
-    return out

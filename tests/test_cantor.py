@@ -15,7 +15,9 @@ from gillab.cantor import (
     C1_BASE,
     DEFAULT_SEARCH_CEILING,
     CantorAddress,
+    IN,
     OUT,
+    UNKNOWN,
     GapAttachedCantor,
     IntermediateCantor,
     Membership,
@@ -26,6 +28,7 @@ from gillab.cantor import (
     _pieces_meeting,
     _ternary_exit,
     build_family,
+    point_bracket,
     point_membership,
 )
 from gillab.cli import _suite_endpoints
@@ -611,6 +614,24 @@ class TestFirstOut:
                 assert mt.gap_of(t) == ternary_exit(mt.base, t)[1], (mt.describe(), t)
 
 
+    @given(st.one_of(
+        # any p/q in [0, 1], in lowest terms or not
+        st.integers(1, 10 ** 6).flatmap(lambda q: st.tuples(st.integers(0, q), st.just(q))),
+        # the slot midpoints (2m+1)/(2*3^k) that _pieces_meeting walks
+        st.integers(0, 12).flatmap(lambda k: st.tuples(
+            st.integers(0, 3 ** k - 1).map(lambda m: 2 * m + 1), st.just(2 * 3 ** k)))),
+        st.integers(0, 40))
+    @settings(max_examples=300)
+    def test_bounded_walks_match_the_reference_walk_cut_at_the_bound(self, pq, digits):
+        # a bounded walk keeps no numerators, and says what the unbounded
+        # reference walk says about its first `digits` digits
+        hit = ternary_exit(UNIT, F(*pq))
+        want = None
+        if hit is not None and hit[0] < digits:
+            k, (lo, _) = hit
+            want = (k, (lo * 3 ** (k + 1) - 1) // 3)
+        assert _ternary_exit(*pq, digits) == want
+
     @pytest.mark.parametrize("r", [F(1), F(0), F(1, 2)], ids=["C1", "C0", "C_half"])
     @pytest.mark.parametrize("t", [F(1, 16), F(1, 4), F(1, 2)], ids=["off", "on", "gap"])
     def test_a_negative_bound_is_refused(self, family, r, t):
@@ -1155,7 +1176,31 @@ class TestIntPointQueries:
         assert answers() == want
 
 
+def per_depth_near(gen, p: CantorAddress, max_stage: int) -> Membership:
+    """An address's verdict from one `near` at its bracket per depth, each
+    descending from the deepest memoised cover."""
+    if p.gen is gen:
+        return Membership(IN, 0)
+    for d in range(max_stage + 1):
+        if not gen.near(d, *point_bracket(p, d)):
+            return Membership(OUT, d)
+    return Membership(UNKNOWN, None)
+
+
 class TestPointMembershipDescent:
+    @pytest.mark.parametrize("level, budget", [(2, 56), (3, 56), (4, 24)])
+    def test_one_descent_matches_the_per_depth_near_loop(self, level, budget):
+        # every schedule anchor that is an address, in every member
+        fam = fresh_family(level, budget)
+        gens = [fam.member(r) for r in fam.grid()]
+        anchors = [x for gen in gens if isinstance(gen, IntermediateCantor)
+                   for entry in gen.schedule().entries for x in (entry.a, entry.b)
+                   if isinstance(x, CantorAddress)]
+        got = [point_membership(gen, p, DEFAULT_SEARCH_CEILING) for gen in gens for p in anchors]
+        assert {m.verdict for m in got} == {IN, OUT, UNKNOWN}
+        assert got == [per_depth_near(gen, p, DEFAULT_SEARCH_CEILING)
+                       for gen in gens for p in anchors]
+
     @pytest.mark.parametrize("level", [2, 3])
     def test_address_verdicts_do_not_depend_on_the_memo_depth(self, level):
         # near starts at the deepest memoised cover: every anchor's verdict

@@ -204,6 +204,15 @@ class TestExport:
         assert res.exit_code == 0
         assert res.output.splitlines()[0] == "param,coord_0,coord_1"
 
+    def test_arc_csv_past_the_arc_index(self):
+        # coordinate 2 lies past arc 1, so every point of the arc carries
+        # the thread's own x_2 = 1/4 there
+        res = invoke("export", "arc", "--arc-n", "1", "--coords", "0,2", *FAMILY)
+        assert res.exit_code == 0, res.output
+        rows = res.output.splitlines()
+        assert rows[0] == "param,coord_0,coord_2"
+        assert [row.split(",")[2] for row in rows[1:]] == ["1/4"] * 3
+
     def test_bad_coords(self):
         assert invoke("export", "arc", "--coords", "zz", *FAMILY).exit_code == 2
 

@@ -218,13 +218,13 @@ def test_mahavier_matches_all_pairs_enumeration(level, mode):
 BENCH_MAHAVIER_SHA256 = "a7ea747fc29b24598d90a6eaaae081463e0b7c41d2071d33d9a9af5e042b93d5"
 
 
-def test_bench_configuration_csv_is_rendered_from_the_keys():
+def test_bench_configuration_csv_is_rendered_by_the_walk():
     m = make_map("zero", built(3, 56))
     cover = mahavier_cover(m, 3, 3, 3)
     text = "\n".join(cover.csv_rows()) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == BENCH_MAHAVIER_SHA256
-    assert len(cover.keys) == 156107
-    # the CSV path decodes no key into a box tuple
+    assert len(cover) == 156107
+    # the CSV path makes no box tuple
     assert "boxes" not in vars(cover)
     # and the chains are composed on the graph cover's int tiling
     assert "boxes" not in vars(m.graph_cover(3, 3))

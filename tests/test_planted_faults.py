@@ -194,6 +194,13 @@ def _no_witness_on_c1(m, t, *args):
 
 
 _eval_F = bonding.eval_F
+_joint = invlimit.ArcSystem.joint
+
+
+def _joint_one_zero_too_many(sys, i):
+    """y^(i+1) in place of y^i: it has 0 where y^i has x_i, a tail point."""
+    return _joint(sys, i + 1)
+
 
 # fault -> (suite, owner, name, planted replacement): each fault is named
 # for the checker it breaks, and the suite must catch it
@@ -211,6 +218,8 @@ PLANTED = {
     "ivp": ("ivp", bonding, "eval_F", _no_witness_on_c1),
     # 1/4 is in C_1, so each step is certified, but the points coincide
     "cycles": ("cycles", dynamics, "make_cycle", lambda m, n: Cycle((F(1, 4), F(1, 4)))),
+    # each joint sits one zero coordinate deeper than both its arcs
+    "arcs": ("arcs", invlimit.ArcSystem, "joint", _joint_one_zero_too_many),
 }
 
 
@@ -240,3 +249,15 @@ def test_zero_tolerance_fails_weak_continuity_alone(monkeypatch):
     assert usc["usc"]["ok"] and not usc["weak_continuity"]["ok"]
     assert {f["reason"] for f in usc["weak_continuity"]["failures"]} == {
         "witness search exhausted"}
+
+
+def test_joint_one_zero_too_many_fails_every_joint_check(zero_map, monkeypatch):
+    th = invlimit.make_thread(zero_map, F(0), dynamics.make_cycle(zero_map, 1), 2)
+    sys = invlimit.ArcSystem(zero_map, th, 6)
+    assert invlimit.verify_arc_chain(sys)["ok"]
+    monkeypatch.setattr(invlimit.ArcSystem, "joint", _joint_one_zero_too_many)
+    rep = invlimit.verify_arc_chain(sys)
+    assert not rep["ok"] and rep["failures"] == rep["checks"]
+    assert not any(c["joint_exact"] or c["joint_on_lower_arc"] for c in rep["checks"])
+    # the separation fact reads no joint
+    assert all(c["separation_ok"] for c in rep["checks"])

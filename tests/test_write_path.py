@@ -1,26 +1,29 @@
 """The write path renders each distinct text once, byte for byte as before.
 
 `IntervalSet.to_text(table)` keeps one text per component (q, lo, hi)
-across the covers of one call; `BoxCover._rows` makes each run's front
-and each distinct back once.  Each is checked here against a reference
-that renders every component, or decodes every key, on its own.
+across the covers of one call; `BoxCover._walk` makes each box's parts
+once and writes the chains depth first in row order.  Each is checked
+here against a reference that renders every component on its own, or
+composes every chain of the graph cover's boxes by all pairs and sorts
+them.
 """
 
 import json
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gillab import cache
-from gillab.bonding import make_map
+from gillab.bonding import GraphCover, make_map
 from gillab.errors import CacheError
-from gillab.exact import ClosedInterval, IntervalSet
-from gillab.invlimit import BoxCover, mahavier_cover
+from gillab.exact import IntervalSet
+from gillab.invlimit import mahavier_cover
 
 from conftest import interval_sets, rewrite
-from reference import built, csv_rows, decoded, reference_text
+from reference import all_pairs_chains, built, csv_rows, reference_text
 
 
 # degenerate components, and the same numerator pairs over different
@@ -59,32 +62,60 @@ def test_random_sets_through_one_table(sets):
         assert s.to_text(table) == reference_text(s)
 
 
+def _matches_all_pairs_chains(m, stage: int, level: int, n: int):
+    expected = all_pairs_chains(m.graph_cover(stage, level).boxes, n)[n]
+    cover = mahavier_cover(m, n, stage, level)
+    assert len(cover) == len(expected), (stage, n)
+    assert cover.csv_rows() == csv_rows(n + 1, expected), (stage, n)
+    assert cover.boxes == expected, (stage, n)
+
+
 @pytest.mark.parametrize("mode", ["zero", "tent"])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_rows_match_a_per_key_decode(family, mode, n):
+def test_rows_match_all_pairs_chains(family, mode, n):
     m = make_map(mode, family)
     for stage in range(4):
-        cover = mahavier_cover(m, n, stage, 2)
-        if n == 1:
-            # the front is empty and all keys form one run
-            assert max(cover.keys) < len(cover.ranked) ** 2
-        assert cover.csv_rows() == csv_rows(cover.dimension, decoded(cover)), (stage, n)
-        assert cover.boxes == decoded(cover), (stage, n)
+        _matches_all_pairs_chains(m, stage, 2, n)
 
 
-@pytest.mark.parametrize("dimension, keys", [
-    # base 3: each run holds its first and its last possible key, so a
-    # run boundary one key early or late changes a row
-    (3, [0, 8, 9, 17, 18, 26]),
-    (3, [4, 9, 10, 26]),
-    (4, [0, 8, 9, 26, 27, 80]),
-    (2, [0, 1, 5, 8]),
-])
-def test_runs_break_exactly_at_the_leading_digits(dimension, keys):
-    ranked = tuple(ClosedInterval(F(k, 8), F(k + 1, 8)) for k in range(3))
-    cover = BoxCover(dimension, ranked, keys)
-    assert cover.csv_rows() == csv_rows(dimension, decoded(cover))
-    assert cover.boxes == decoded(cover)
+def _graph(q: int, ends, heights, ranks):
+    """A stand-in map whose graph cover is the given tiling."""
+    cover = GraphCover(q, tuple(ends), tuple(F(h) for h in heights), tuple(ranks))
+    return SimpleNamespace(graph_cover=lambda stage, level: cover)
+
+
+@pytest.mark.parametrize("m", [
+    # tied heights: boxes of one height go by T.lo
+    _graph(8, range(9), ["1/8", "1/2", "1"], [2, 0, 2, 1, 0, 2, 1, 2]),
+    # tied meets: every head outgrows T, so each meet is T and the heads
+    # go by T.lo
+    _graph(3, range(4), ["2/3", "1"], [1, 0, 1]),
+    # heads as tall as T.lo (a degenerate meet) and as T.hi (tied with
+    # the taller heads)
+    _graph(4, [0, 1, 2, 4], ["1/4", "1/2"], [0, 1, 0]),
+    # one box of height 0, as the zero map's gaps have
+    _graph(1, [0, 1], ["0"], [0]),
+], ids=["tied-heights", "tied-meets", "meets-at-both-ends", "one-flat-box"])
+def test_hand_made_graph_covers_match_all_pairs_chains(m):
+    for n in range(1, 5):
+        _matches_all_pairs_chains(m, 0, 0, n)
+
+
+@st.composite
+def graph_covers(draw):
+    q = draw(st.integers(1, 12))
+    ends = [0, *sorted(draw(st.sets(st.integers(1, q - 1), max_size=5)) if q > 1 else ()), q]
+    heights = sorted(draw(st.sets(st.fractions(0, 1, max_denominator=12), min_size=1, max_size=4)))
+    ranks = draw(st.lists(st.integers(0, len(heights) - 1), min_size=len(ends) - 1,
+                          max_size=len(ends) - 1))
+    return _graph(q, ends, heights, ranks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_covers())
+def test_random_graph_covers_match_all_pairs_chains(m):
+    for n in range(1, 4):
+        _matches_all_pairs_chains(m, 0, 0, n)
 
 
 def test_a_tampered_cover_of_shared_components_fails_at_its_depth(tmp_path):
