@@ -12,7 +12,9 @@ component shared by several members or depths is rendered once.
 Saving writes that text.  Loading rebuilds the family from scratch,
 hands the stored covers to the same function, which compares each cover
 as soon as it is built, and insists on the same text byte for byte, so
-a cache file is a determinism certificate for everything it holds.  An
+a cache file is a determinism certificate for everything it holds;
+``load_certified`` also hands back the certified cover texts, so that
+``family inspect`` reports them without rendering a cover again.  An
 ``OSError`` on writing, such as a cache directory path that names a
 file, is a ``CacheError``.
 """
@@ -108,6 +110,15 @@ def save_family(fam: CantorFamily, stages: int, cache_dir: Path) -> Path:
 def load_family(level: int, budget: int, cache_dir: Path,
                 search_ceiling: int = DEFAULT_SEARCH_CEILING) -> CantorFamily:
     """Rebuild the family and certify the whole cache file against it."""
+    return load_certified(level, budget, cache_dir, search_ceiling)[0]
+
+
+def load_certified(level: int, budget: int, cache_dir: Path,
+                   search_ceiling: int = DEFAULT_SEARCH_CEILING
+                   ) -> tuple[CantorFamily, dict[str, list[str]]]:
+    """``load_family``, with the certified file's cover texts: str(r) to
+    the list of member r's stage covers' texts, depth 0 to the file's
+    depth, so a report of them renders no cover again."""
     path = Path(cache_dir) / family_filename(level, budget)
     if not path.exists():
         raise CacheError(f"family not built: no cache file {path}")
@@ -130,4 +141,4 @@ def load_family(level: int, budget: int, cache_dir: Path,
     fam = build_family(level, budget, search_ceiling)
     if _file_text(fam, stages, payload["members"], path) != text:
         raise CacheError(f"rebuilt family differs from cache file {path}")
-    return fam
+    return fam, {r: member["stages"] for r, member in payload["members"].items()}

@@ -25,7 +25,12 @@ lo, hi, q)`` (the stage-d components meeting [lo/q, hi/q]) and
 from the deepest memoised cover, so the removal-schedule search builds
 no deep cover.  Above that depth a component's children are read off
 the memoised cover, by one bisection, and ``_children_of`` runs only
-past it.  A caller that reports every member's covers anyway builds
+past it.  The search descends once per endpoint: ``_carried_walk``
+carries its walks from stage e to e + 1 by the children of what they
+yielded, and an intermediate set's ``_children_of`` reads the outer
+children of the component holding the parent, which it recorded when
+it made the parent; only a parent off a memoised cover asks ``near``.
+A caller that reports every member's covers anyway builds
 them through ``CantorFamily.covers``, member by member in build order,
 so each member's search reads its inner and outer sets' covers
 memoised.  An address's ``point_membership`` descends once: each depth
@@ -74,9 +79,11 @@ outer set's exit depth.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from copy import copy
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from fractions import Fraction
+from itertools import tee
 from math import lcm
 from typing import Iterator, Optional, Sequence, Union
 
@@ -91,6 +98,8 @@ DEFAULT_MAX_STAGE = 12
 DEFAULT_SEARCH_CEILING = 15
 
 Pair = tuple[int, int]
+# a window, bracket, hole or hull (lo, hi, q), or a depth and a pair (d, lo, hi)
+Triple = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -123,7 +132,7 @@ class CantorGen:
     def __init__(self):
         self._stage_memo: list[IntervalSet] = []
         self._endpoint_stages: list[list[Fraction]] = []
-        self._children_memo: dict[tuple[int, int, int], tuple[Pair, ...]] = {}
+        self._children_memo: dict[Triple, tuple[Pair, ...]] = {}
 
     def _compute_stage(self, d: int) -> IntervalSet:
         raise NotImplementedError
@@ -186,11 +195,18 @@ class CantorGen:
             cover = self.stage(d)
             clo, chi = cover.numerators(self.grid(d))
             return ((clo[k], chi[k]) for k in cover.outward(n, q, rightward))
+        return self._walk_children(d, self.walk(d - 1, n, q, rightward), n, q, rightward)
+
+    def _walk_children(self, d: int, parents: Iterator[Pair], n: int, q: int,
+                       rightward: bool) -> Iterator[Pair]:
+        """The stage-d walk from x = n/q, read off parents: the stage-(d-1)
+        walk the same way from x or from a point behind x.  A parent
+        wholly behind x, whose children all are, is passed over."""
         x_lo, x_hi = _on(n, n, q, self.grid(d))
         if rightward:
-            return (c for parent in self.walk(d - 1, n, q, True)
+            return (c for parent in parents if 3 * parent[1] >= x_lo
                     for c in self._cached_children(d, *parent) if c[1] >= x_lo)
-        return (c for parent in self.walk(d - 1, n, q, False)
+        return (c for parent in parents if 3 * parent[0] <= x_hi
                 for c in reversed(self._cached_children(d, *parent)) if c[0] <= x_hi)
 
     def _cached_children(self, d: int, lo: int, hi: int) -> tuple[Pair, ...]:
@@ -274,7 +290,7 @@ def _ternary_exit(p: int, q: int, digits: Optional[int]) -> Optional[Pair]:
 
 
 def _thirds_exit(x: int, w: int, q: int, n: int, m: int,
-                 digits: Optional[int]) -> Optional[tuple[int, int, int]]:
+                 digits: Optional[int]) -> Optional[Triple]:
     """The middle-thirds point rule on the base [x/q, (x+w)/q], for t =
     n/m: (d, lo, hi) with d the first depth whose cover misses t and (lo,
     hi) over q*3^d the maximal gap of the set holding t; None if t stays
@@ -326,7 +342,7 @@ def _pieces_meeting(x: int, w: int, k: int, lo: int, hi: int) -> list[Pair]:
             if _ternary_exit(2 * m + 1, 2 * 3 ** k, k) is None]
 
 
-def _gap_fractions(q: int, hit: Optional[tuple[int, int, int]]) -> Optional[tuple[Fraction, Fraction]]:
+def _gap_fractions(q: int, hit: Optional[Triple]) -> Optional[tuple[Fraction, Fraction]]:
     """The gap of an exit (d, lo, hi), (lo, hi) over q*3^d, in
     Fractions; None for None."""
     if hit is None:
@@ -430,7 +446,7 @@ class GapAttachedCantor(CantorGen):
         (_, lo), (hi, _) = self._side_gaps   # the core's base over grid(0)
         return _gaps(lo * 3 ** g, hi - lo, g - 1)
 
-    def _attachment_ends(self, d: int, g: int, lo: int, hi: int) -> tuple[int, int, int]:
+    def _attachment_ends(self, d: int, g: int, lo: int, hi: int) -> Triple:
         """(w, a, b) for the generation-g gap (lo, hi) over grid(g): over
         grid(d), the left ends a and b of its attachment pair and the width
         w of their stage-(d - g) pieces.  Piece m of either, [a + m*w,
@@ -490,7 +506,7 @@ class GapAttachedCantor(CantorGen):
                 pieces += _pieces_meeting(x, w, d - g, 3 * lo, 3 * hi)
         return _normalize(pieces)
 
-    def _core_exit(self, n: int, q: int, max_stage: Optional[int]) -> Optional[tuple[int, int, int]]:
+    def _core_exit(self, n: int, q: int, max_stage: Optional[int]) -> Optional[Triple]:
         """For t = n/q, (g, lo, hi): the maximal gap (lo, hi) over grid(g)
         of the core within the window holding t (the side gap on t's side,
         for t outside the window), g its generation and the first core
@@ -504,7 +520,7 @@ class GapAttachedCantor(CantorGen):
         # outside the core: the side gap on t's side
         return (0, *self._side_gaps[n * self._q0 > b * q])
 
-    def _point_exit(self, n: int, m: int, max_stage: Optional[int]) -> Optional[tuple[int, int, int]]:
+    def _point_exit(self, n: int, m: int, max_stage: Optional[int]) -> Optional[Triple]:
         """For t = n/m, (d, lo, hi): d the first depth whose cover misses t
         and (lo, hi) over grid(d) the maximal gap holding t, for t in the
         window (t outside it misses both attachments of its side gap, so d
@@ -619,7 +635,7 @@ class CantorAddress:
 PointLike = Union[Fraction, CantorAddress]
 
 
-def point_bracket(p: PointLike, d: int) -> tuple[int, int, int]:
+def point_bracket(p: PointLike, d: int) -> Triple:
     """(lo, hi, q): the stage-d bracket [lo/q, hi/q] of p."""
     if isinstance(p, CantorAddress):
         return (*p.bracket(d), p.gen.grid(d))
@@ -647,13 +663,35 @@ def point_membership(gen: CantorGen, p: PointLike,
     return Membership(UNKNOWN, None)
 
 
+def _carried_walk(held: dict, gen: CantorGen, br: Triple, e: int,
+                  rightward: bool) -> Iterator[Pair]:
+    """gen's stage-e walk (``CantorGen.walk``) from a point's stage-e
+    bracket br = (lo, hi, q): rightward from lo, leftward from hi.
+    Brackets nest, so both starts move inward from stage to stage, and
+    held keeps each walk as a ``tee`` of what it has yielded: the next
+    stage's walk reads the children of those instead of descending
+    again.  Only a walk's first stage past the memoised covers descends
+    from the deepest of them."""
+    n, q = (br[0] if rightward else br[1]), br[2]
+    d, comps = held.get((gen, rightward), (e, None))
+    if comps is None or e < len(gen._stage_memo):
+        # a memoised cover answers by one bisection
+        d, comps = e, tee(gen.walk(e, n, q, rightward), 1)[0]
+    while d < e:
+        d += 1
+        comps = tee(gen._walk_children(d, copy(comps), n, q, rightward), 1)[0]
+    held[gen, rightward] = d, comps
+    return copy(comps)
+
+
 # ---------------------------------------------------------------------------
 # intermediate sets via endpoint-removal schedules
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScheduleEntry:
-    """One removal: an open neighborhood of an outer-set endpoint."""
+    """One removal: an open neighborhood of an outer-set endpoint.  Frozen,
+    since its ends are computed once per stage and kept."""
 
     index: int
     point: PointLike
@@ -661,26 +699,34 @@ class ScheduleEntry:
     b: PointLike
     create_stage: int
 
+    # ends(s) for s = create_stage, create_stage + 1, ..., as far as asked
+    _ends: list = field(default_factory=list, init=False, repr=False, compare=False)
+
     def ends(self, d: int) -> tuple[int, int, int, int, int]:
         """(a.lo, a.hi, b.lo, b.hi, q): the ends of the anchors' brackets
-        at stage max(d, create_stage), over one denominator q."""
-        s = max(d, self.create_stage)
-        (alo, ahi, qa), (blo, bhi, qb) = point_bracket(self.a, s), point_bracket(self.b, s)
-        q = lcm(qa, qb)
-        return alo * (q // qa), ahi * (q // qa), blo * (q // qb), bhi * (q // qb), q
+        at stage max(d, create_stage), over one denominator q; each stage's
+        computed once."""
+        k = max(d - self.create_stage, 0)
+        while len(self._ends) <= k:
+            s = self.create_stage + len(self._ends)
+            (alo, ahi, qa), (blo, bhi, qb) = point_bracket(self.a, s), point_bracket(self.b, s)
+            q = lcm(qa, qb)
+            self._ends.append((alo * (q // qa), ahi * (q // qa), blo * (q // qb),
+                               bhi * (q // qb), q))
+        return self._ends[k]
 
-    def removal_open(self, d: int) -> tuple[int, int, int]:
+    def removal_open(self, d: int) -> Triple:
         """(lo, hi, q): the open interval (lo/q, hi/q) removed at stage
         d >= create_stage; grows with d."""
         _, lo, hi, _, q = self.ends(d)
         return lo, hi, q
 
-    def hull(self, d: int) -> tuple[int, int, int]:
+    def hull(self, d: int) -> Triple:
         lo, _, _, hi, q = self.ends(d)
         return lo, hi, q
 
     @cached_property
-    def widest_hull(self) -> tuple[int, int, int]:
+    def widest_hull(self) -> Triple:
         """The create-stage hull; hulls shrink as brackets nest, so it holds
         removal_open(d) and hull(d) at every stage d."""
         return self.hull(self.create_stage)
@@ -744,6 +790,9 @@ class IntermediateCantor(CantorGen):
         # the first generator down the inner chain that is not intermediate
         self.bottom = inner.bottom if isinstance(inner, IntermediateCantor) else inner
         self._schedule: Optional[RemovalSchedule] = None
+        # _holders[d][c]: the outer stage-d component holding the stage-d
+        # component c that _children_of made, both as numerator pairs
+        self._holders: dict[int, dict[Pair, Pair]] = {}
 
     def describe(self) -> str:
         return (f"IC(inner={self.inner.describe()},outer={self.outer.describe()},"
@@ -766,7 +815,7 @@ class IntermediateCantor(CantorGen):
         """Each outer endpoint, in discovery order, is reused or scheduled
         at the first stage that isolates it.  The search starts where the
         inner cover first misses the endpoint: inside that cover no gap
-        can hold it."""
+        can hold it.  Its walks are carried from stage to stage."""
         sched = RemovalSchedule()
         for p in self.outer.endpoints(self.budget):
             pm = point_membership(self.inner, p, self.search_ceiling)
@@ -775,16 +824,17 @@ class IntermediateCantor(CantorGen):
                     f"outer endpoint {p!r} not certified outside the inner set "
                     f"by stage {self.search_ceiling}")
             stages = range(max(2, pm.decided_at_stage or 0), self.search_ceiling + 1)
-            if not any(self._try_stage(sched, p, point_bracket(p, e), e) for e in stages):
+            walks: dict = {}
+            if not any(self._try_stage(sched, p, point_bracket(p, e), e, walks) for e in stages):
                 raise BracketSearchError(f"bracket search for endpoint {p!r} "
                                          f"exhausted at stage {self.search_ceiling}")
         return sched
 
     def _try_stage(self, sched: RemovalSchedule, p: PointLike,
-                   br: tuple[int, int, int], e: int) -> bool:
+                   br: Triple, e: int, walks: dict) -> bool:
         """Record p at stage e, as a reuse of an earlier removal that
         swallows its bracket br = (lo, hi, q) or as a new entry; False if
-        br needs refinement."""
+        br needs refinement.  walks holds p's walks (``_carried_walk``)."""
         # already swallowed by an earlier removal?
         for entry in sched.meeting(*br, live_at=e):
             rlo, rhi, rq = entry.removal_open(e)
@@ -792,38 +842,47 @@ class IntermediateCantor(CantorGen):
             if rlo < lo and hi < rhi:
                 sched.reuses.append((p, entry.index))
                 return True
-        gap = self._free_gap(sched, br, e)
+        gap = self._free_gap(sched, br, e, walks)
         if gap is None:
             return False
         lo, hi, q = gap
         f = q // br[2]
-        a = self._anchor(lo, br[0] * f, q, e, left=True)
-        b = None if a is None else self._anchor(br[1] * f, hi, q, e, left=False)
+        # each anchor from the outer walk that starts at its bracket end
+        a = self._anchor(_carried_walk(walks, self.outer, br, e, False),
+                         lo, br[0] * f, q, e, True)
+        b = None if a is None else self._anchor(_carried_walk(walks, self.outer, br, e, True),
+                                                br[1] * f, hi, q, e, False)
         if b is None:
             return False
+        # an anchor component becomes an address only once both are found
+        a, b = (x if isinstance(x, Fraction) else CantorAddress.for_component(self.outer, x, e)
+                for x in (a, b))
         sched.entries.append(ScheduleEntry(len(sched.entries), p, a, b, e))
         return True
 
-    def _free_gap(self, sched: RemovalSchedule, br: tuple[int, int, int],
-                  e: int) -> Optional[tuple[int, int, int]]:
+    def _free_gap(self, sched: RemovalSchedule, br: Triple, e: int,
+                  walks: dict) -> Optional[Triple]:
         """(lo, hi, q): the gap (lo/q, hi/q) in [0, 1] of inner.stage(e)
         and the hulls live at e that holds br strictly inside, q a multiple
         of br's; None if there is none yet.  That is the component of
         ``(inner ∪ hulls).complement_in(UNIT)`` holding br, found by
-        walking the inner stage-e components outward from br and clipping
-        by each hull that can still narrow it, with no cover built."""
+        walking the inner stage-e components outward from br (walks holds
+        the point's walks, ``_carried_walk``) and clipping by each hull
+        that can still narrow it, with no cover built."""
         blo, bhi, bq = br
         g = self.inner.grid(e)
 
         # complement_in's closure swallows isolated points, so only the
         # nondegenerate inner components bound the gap
         def nearest(rightward: bool) -> Optional[Pair]:
-            return next((c for c in self.inner.walk(e, blo, bq, rightward)
+            return next((c for c in _carried_walk(walks, self.inner, br, e, rightward)
                          if c[0] < c[1]), None)
 
         right = nearest(True)
         if right is not None and right[0] * bq <= bhi * g:
             return None
+        # no nondegenerate component from blo on starts by bhi, so the
+        # nearest one leftward from bhi is the nearest leftward from blo
         left = nearest(False)
         lo = left[1] if left is not None else 0
         hi = right[0] if right is not None else g
@@ -844,21 +903,27 @@ class IntermediateCantor(CantorGen):
             return lo, hi, q
         return None
 
-    def _anchor(self, lo: int, hi: int, q: int, e: int, left: bool):
-        """Removal anchor strictly inside the open interval (lo/q, hi/q):
-        the outer-cover component nearest the endpoint as an alternating
-        address, the interval's end x itself when the outer set provably
-        has no points strictly inside and x is not a point of it, or None
-        (needs refinement)."""
+    def _anchor(self, walk: Iterator[Pair], lo: int, hi: int, q: int, e: int,
+                left: bool) -> Union[Pair, Fraction, None]:
+        """Removal anchor strictly inside the open interval (lo/q, hi/q),
+        given the outer stage-e walk toward it from the bracket at its hi
+        end (if left) or lo end: the first component strictly inside that
+        persists, over outer.grid(e), for an alternating address; the
+        interval's far end x itself when the outer set provably has no
+        points strictly inside and x is not a point of it; or None (needs
+        refinement)."""
         # the outer grid points strictly inside; a component meets the
         # open interval iff it meets the closed window they span
         g = self.outer.grid(e)
         glo, ghi = lo * g // q + 1, -(-hi * g // q) - 1
-        around = self.outer.near(e, glo, ghi, g)
-        comps = [c for c in around
-                 if glo <= c[0] and c[1] <= ghi and self.outer.component_persists(e, *c, g)]
-        if comps:
-            return CantorAddress.for_component(self.outer, comps[-1] if left else comps[0], e)
+        around = False
+        for c in walk:
+            if (c[1] < glo) if left else (c[0] > ghi):
+                break   # past the window
+            if c[0] <= ghi and c[1] >= glo:
+                around = True
+                if glo <= c[0] and c[1] <= ghi and self.outer.component_persists(e, *c, g):
+                    return c
         # no component meets the open interval: no point of the set does
         if not around:
             x = Fraction(lo if left else hi, q)
@@ -879,16 +944,34 @@ class IntermediateCantor(CantorGen):
                 for entry in self.schedule().meeting(0, 1, 1, live_at=d)])
 
     def _children_of(self, d: int, lo: int, hi: int) -> list[Pair]:
-        # the outer pieces meeting the parent less the holes meeting it;
-        # the pieces beyond it that other holes would cut do not meet it
-        p, q = self.grid(d - 1), self.grid(d)
-        pieces = [_on(a, b, self.outer.grid(d), q) for a, b in self.outer.near(d, lo, hi, p)]
+        """The outer pieces meeting the parent less the holes meeting it;
+        the pieces beyond it that other holes would cut do not meet it.
+        The outer pieces are the children of the outer component holding
+        the parent, where _children_of made the parent, and otherwise
+        those ``outer.near`` finds."""
+        p, q, g = self.grid(d - 1), self.grid(d), self.outer.grid(d)
+        holder = self._holders.get(d - 1, {}).get((lo, hi))
+        if holder is None:
+            outer = self.outer.near(d, lo, hi, p)
+        else:
+            wlo, whi = _on(lo, hi, p, g)
+            outer = [c for c in self.outer._cached_children(d, *holder)
+                     if c[0] <= whi and c[1] >= wlo]
+        pieces = [_on(a, b, g, q) for a, b in outer]
         holes = [_on(*entry.removal_open(d), q)
                  for entry in self.schedule().meeting(lo, hi, p, live_at=d)]
-        if not (holes and pieces):
-            return pieces
-        cut = IntervalSet.over(q, *zip(*pieces)).subtract_opens(q, holes)
-        return [c for c in zip(*cut.numerators()) if c[0] <= 3 * hi and c[1] >= 3 * lo]
+        if holes and pieces:
+            cut = IntervalSet.over(q, *zip(*pieces)).subtract_opens(q, holes)
+            children = [c for c in zip(*cut.numerators()) if c[0] <= 3 * hi and c[1] >= 3 * lo]
+        else:
+            children = pieces
+        # each child lies in one outer piece; pieces and children ascend
+        held, k = self._holders.setdefault(d, {}), 0
+        for c in children:
+            while pieces[k][1] < c[1]:
+                k += 1
+            held[c] = outer[k]
+        return children
 
     def component_persists(self, d: int, lo: int, hi: int, q: int) -> bool:
         # slivers left beside a growing removal get eaten at deeper

@@ -129,14 +129,18 @@ def family_inspect(level, budget, stage, cache_dir):
     """Print per-member stage covers and a nesting audit from the cache."""
     if cache_dir is None:
         raise click.UsageError("family inspect needs --cache-dir or GILLAB_CACHE")
-    fam = cache.load_family(level, budget, cache_dir)
+    fam, stored = cache.load_certified(level, budget, cache_dir)
     table: dict = {}
+
+    def covers(r) -> list[str]:
+        # the certified file's texts, and past its depth fresh ones
+        texts = stored[str(r)][:stage + 1]
+        return texts + [fam.member(r).stage(d).to_text(table)
+                        for d in range(len(texts), stage + 1)]
+
     report = {
-        "members": {str(r): {
-            "describe": fam.member(r).describe(),
-            "covers": [fam.member(r).stage(d).to_text(table)
-                       for d in range(stage + 1)]}
-            for r in fam.grid()},
+        "members": {str(r): {"describe": fam.member(r).describe(), "covers": covers(r)}
+                    for r in fam.grid()},
         "nesting": fam.check_nesting(stage),
     }
     _emit(report)

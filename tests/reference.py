@@ -21,8 +21,10 @@ has one implementation:
   addresses: OUT d when no stage-d component meets the point or its
   bracket, IN for MT and GA from the walk, IN for an IC through its
   bottom set;
-* the schedule search: ``scan_meeting``, ``reference_gap`` and
-  ``reference_reuse`` on the model's hulls and holes;
+* the schedule search: ``scan_meeting``, ``reference_gap``,
+  ``reference_reuse`` and ``reference_anchor`` on the model's hulls,
+  holes and outer covers (``persists`` for the components an anchor may
+  rest on);
 * the map: ``reference_F``, a dyadic scan over the model's verdicts
   with the tent formula on Fractions;
 * chains and text: ``all_pairs_chains``, ``csv_rows``,
@@ -499,6 +501,33 @@ class Model:
         if gap is None or not (gap.lo < br.lo and br.hi < gap.hi):
             return None
         return gap.lo, gap.hi
+
+    def persists(self, gen, d: int, c: ClosedInterval) -> bool:
+        """Whether the stage-d component c survives all refinement: always
+        for MT and GA; for an IC, when it does in the outer set and no
+        stage-d hull of the IC meets it."""
+        if not isinstance(gen, IntermediateCantor):
+            return True
+        return self.persists(gen.outer, d, c) and not any(
+            intersects(self.hull(entry, d), c) for entry in gen.schedule().entries)
+
+    def reference_anchor(self, ic, lo: F, hi: F, e: int, left: bool):
+        """The removal anchor in the open interval (lo, hi) at stage e: of
+        the persisting outer stage-e components strictly inside it, the
+        one nearest the bracket (the last for the left anchor, whose
+        bracket is at hi, the first for the right); else, when no outer
+        component meets the interval, its far end x if x is 0 or 1 or
+        the outer set says OUT for x by stage e; else None."""
+        comps = self.near(ic.outer, e, ClosedInterval(lo, hi))
+        inside = [c for c in comps if lo < c.lo and c.hi < hi and self.persists(ic.outer, e, c)]
+        if inside:
+            return inside[-1] if left else inside[0]
+        if any(c.lo < hi and lo < c.hi for c in comps):
+            return None
+        x = lo if left else hi
+        if x in (0, 1) or self.membership(ic.outer, x, e).is_out:
+            return x
+        return None
 
     def reference_reuse(self, sched, br: ClosedInterval, e: int):
         """Index of the first entry whose stage-e hole swallows br."""

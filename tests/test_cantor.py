@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from gillab.cantor import (
     MiddleThirds,
     RemovalSchedule,
     ScheduleEntry,
+    _carried_walk,
     _pieces,
     _pieces_meeting,
     _ternary_exit,
@@ -813,6 +815,45 @@ class TestNear:
                             == ref.near(c0, d, parent)), (d, parent)
         assert len(c0._stage_memo) == 1
 
+    def test_ic_past_depth_ten_matches_the_model(self, monkeypatch):
+        # an intermediate set refines one component at a time from its
+        # stage-0 cover, at the hulls of its holes and the brackets of its
+        # address anchors; each child list reads the outer set's children
+        # of the component holding the parent, and only a parent off the
+        # stage-0 cover asks outer.near
+        fam, ref = fresh_family(2, 56), Model()
+        c0 = fam.c0
+        asked = []
+        near_c0 = c0.near
+        monkeypatch.setattr(c0, "near", lambda *args: asked.append(args) or near_c0(*args))
+        for r in (F(1, 2), F(1, 4)):
+            ic = fam.member(r)
+            assert ic.outer is c0 and len(ic._stage_memo) <= 1
+            entries = ic.schedule().entries
+            anchors = [x for entry in entries for x in (entry.a, entry.b)
+                       if isinstance(x, CantorAddress)]
+            checked = met = 0
+            for d in range(11, 17):
+                step = F(1, ic.grid(d))
+                windows = [ref.bracket(x, d) for x in anchors]
+                windows += [ClosedInterval(h.lo - step, h.hi + step)
+                            for h in (ref.hull(entry, d) for entry in entries)]
+                for w in windows:
+                    got = near(ic, d, w)
+                    assert got == ref.near(ic, d, w), (r, d, w)
+                    met += bool(got)
+                    for lo, hi in ic.near(d - 1, *window(w)):
+                        parent = interval(lo, hi, ic.grid(d - 1))
+                        before = len(asked)
+                        children = ic._children_of(d, lo, hi)
+                        assert len(asked) == before, (r, d, parent)
+                        assert ([interval(*c, ic.grid(d)) for c in children]
+                                == ref.near(ic, d, parent)), (r, d, parent)
+                        checked += 1
+            assert len(ic._stage_memo) == 1 and met > 200 and checked > 300, (r, met, checked)
+        # the stage-0 parents' children, one outer.near each at most
+        assert 0 < len(asked) <= sum(len(fam.member(r).stage(0)) for r in (F(1, 2), F(1, 4)))
+
     def test_deep_descent_is_a_loop(self):
         # a descent 1200 levels deep needs no stack frame per level; a
         # non-endpoint of C_1 lies in exactly one component at any depth
@@ -877,7 +918,7 @@ class TestSyntheticSchedules:
             points += [F(rnd.randrange(163), 162) for _ in range(60)]
             for x in points:
                 for br in (ClosedInterval(x, x), ClosedInterval(x, x + F(1, 729))):
-                    got = hosts[0]._free_gap(sched, window(br), e)
+                    got = hosts[0]._free_gap(sched, window(br), e, {})
                     got = got and (F(got[0], got[2]), F(got[1], got[2]))
                     assert got == ref.reference_gap(hosts[1], live, br, e), (e, br)
                     found += got is not None
@@ -1028,18 +1069,18 @@ class TestScheduleSearch:
         tries = {"gap": 0, "reuse": 0}
         ref = Model()
 
-        def checked_gap(self, sched, br, e):
-            got = free_gap(self, sched, br, e)
+        def checked_gap(self, sched, br, e, walks):
+            got = free_gap(self, sched, br, e, walks)
             live = [entry for entry in sched.entries if entry.create_stage <= e]
             assert (got and (F(got[0], got[2]), F(got[1], got[2]))) == ref.reference_gap(
                 self, live, interval(*br), e), (self.describe(), br, e)
             tries["gap"] += 1
             return got
 
-        def checked_try(self, sched, p, br, e):
+        def checked_try(self, sched, p, br, e, walks):
             want = ref.reference_reuse(sched, interval(*br), e)
             before, entries_before = len(sched.reuses), len(sched.entries)
-            recorded = try_stage(self, sched, p, br, e)
+            recorded = try_stage(self, sched, p, br, e, walks)
             # a try records one thing or nothing: a reuse, or a new entry
             assert len(sched.entries) == entries_before + (recorded and want is None)
             if want is None:
@@ -1058,6 +1099,59 @@ class TestScheduleSearch:
             if isinstance(gen, IntermediateCantor):
                 entries = gen.schedule().entries
                 assert [entry.index for entry in entries] == list(range(len(entries)))
+
+    @pytest.mark.parametrize("level", [2, 3])
+    @pytest.mark.parametrize("order", ["set-up", "covers"])
+    def test_every_anchor_matches_the_model(self, level, order, monkeypatch):
+        # set-up order builds schedules first, from covers memoised at
+        # depth 0; covers order builds every cover to depth 8 member by
+        # member, so each search reads its neighbours' covers memoised
+        anchor = IntermediateCantor._anchor
+        kinds = {"address": 0, "edge": 0, "none": 0}
+        ref = Model()
+
+        def checked_anchor(self, walk, lo, hi, q, e, left):
+            got = anchor(self, walk, lo, hi, q, e, left)
+            want = ref.reference_anchor(self, F(lo, q), F(hi, q), e, left)
+            if isinstance(got, tuple):   # an outer component, made an address
+                assert interval(*got, self.outer.grid(e)) == want, (lo, hi, q, e)
+                kinds["address"] += 1
+            else:
+                assert got == want, (self.describe(), lo, hi, q, e)
+                kinds["edge" if got is not None else "none"] += 1
+            return got
+
+        monkeypatch.setattr(IntermediateCantor, "_anchor", checked_anchor)
+        if order == "set-up":
+            fresh_family(level, 56)
+        else:
+            for _ in build_family(level, 56, DEFAULT_SEARCH_CEILING).covers(8):
+                pass
+        assert kinds["address"] > 100 and kinds["edge"] > 10 and kinds["none"] > 100, kinds
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_carried_walks_match_fresh_walks(self, level):
+        # each endpoint's walks, carried from stage to stage as its bracket
+        # nests, equal the walks made afresh at every stage: rightward from
+        # the bracket's lo and leftward from its hi
+        fam = fresh_family(level, 56)
+        checked = 0
+        for r in fam.grid():
+            ic = fam.member(r)
+            if not isinstance(ic, IntermediateCantor):
+                continue
+            for p in ic.outer.endpoints(12):
+                held = {}
+                for e in range(2, 11):
+                    br = point_bracket(p, e)
+                    for gen in (ic.inner, ic.outer):
+                        for rightward in (True, False):
+                            start = br[0] if rightward else br[1]
+                            got = list(islice(_carried_walk(held, gen, br, e, rightward), 6))
+                            assert got == list(islice(gen.walk(e, start, br[2], rightward), 6)), (
+                                r, p, e, rightward)
+                            checked += br[0] < br[1]
+        assert checked > 300
 
     def test_level_three_build_stays_local(self):
         # the schedule search reads local answers only, and membership

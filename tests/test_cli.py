@@ -9,6 +9,7 @@ from gillab import cli, invlimit
 from gillab.cantor import CantorFamily, IntermediateCantor
 from gillab.cli import main
 from gillab.errors import BoxCountError
+from gillab.exact import IntervalSet
 
 runner = CliRunner()
 
@@ -159,6 +160,34 @@ class TestFamily:
         assert res.exit_code == 0, res.output
         assert hashlib.sha256(res.stdout_bytes).hexdigest() == (
             "b43692ae5a975b5d11ef53b4a643cffce19b6683eee68c43069192b766ff12c4")
+
+    def test_inspect_renders_each_cover_once(self, tmp_path, monkeypatch):
+        # the load certifies the file by rendering each of its covers once,
+        # and the report reads their texts back from the certified file;
+        # only depths past the file's are rendered for the report
+        shallow, deep = tmp_path / "shallow", tmp_path / "deep"
+        params = ["--level", "2", "--budget", "56"]
+        assert invoke("family", "build", "--cache-dir", str(shallow), *params,
+                      "--stage", "6").exit_code == 0
+        assert invoke("family", "build", "--cache-dir", str(deep), *params,
+                      "--stage", "8").exit_code == 0
+        to_text = IntervalSet.to_text
+        calls = []
+        monkeypatch.setattr(IntervalSet, "to_text",
+                            lambda cover, table=None: calls.append(cover) or to_text(cover, table))
+        reports = {}
+        # 5 members at level 2, each with its covers at depths 0..6 on file
+        for stage, rendered in ((6, 35), (4, 35), (8, 45)):
+            calls.clear()
+            res = invoke("family", "inspect", "--cache-dir", str(shallow), *params,
+                         "--stage", str(stage))
+            assert res.exit_code == 0, res.output
+            assert len(calls) == rendered, stage
+            covers = [m["covers"] for m in json.loads(res.output)["members"].values()]
+            assert {len(c) for c in covers} == {stage + 1}
+            reports[stage] = res.stdout_bytes
+        res = invoke("family", "inspect", "--cache-dir", str(deep), *params, "--stage", "8")
+        assert res.exit_code == 0 and res.stdout_bytes == reports[8]
 
     def test_rebuild_byte_identical(self, tmp_path):
         invoke("family", "build", "--cache-dir", str(tmp_path), *SMALL)

@@ -30,7 +30,7 @@ def schedule_text(gen: IntermediateCantor):
             [(text(p), k) for p, k in sched.reuses])
 
 
-@pytest.mark.parametrize("level, budget", [(1, 56), (2, 56), (3, 56), (4, 24)])
+@pytest.mark.parametrize("level, budget", [(1, 56), (2, 56), (3, 56), (4, 56), (4, 24), (5, 24)])
 def test_filled_in_build_order_equals_lazy(level, budget):
     lazy = built(level, budget)
     filled = build_family(level, budget, 15)

@@ -1,6 +1,7 @@
 """Planted faults: each checker must fail on a deliberately broken input."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -22,13 +23,16 @@ def family_with_hole_on_inner_cover():
     """
     fam = build_family(1, 24, 15)
     mid = fam.member(F(1, 2))
-    for entry in mid.schedule().entries:
+    entries = mid.schedule().entries
+    for k, entry in enumerate(entries):
         s = entry.create_stage
         hole_lo, _, q = entry.removal_open(s)
         left = [c for c in fam.c1.stage(s) if c.hi < F(hole_lo, q)]
         if left and isinstance(entry.a, CantorAddress) and s <= 4:
             c = left[-1]
-            entry.a = (c.lo + c.hi) / 2
+            # entries are frozen, and each keeps its ends once computed,
+            # so the planted entry replaces the one it mimics
+            entries[k] = replace(entry, a=(c.lo + c.hi) / 2)
             assert mid._stage_memo == []   # covers not yet built
             return fam, s
     raise AssertionError("no entry to plant the fault in")
