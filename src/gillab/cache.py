@@ -26,13 +26,7 @@ import json
 from pathlib import Path
 from typing import Optional
 
-from .cantor import (
-    DEFAULT_SEARCH_CEILING,
-    CantorAddress,
-    CantorFamily,
-    IntermediateCantor,
-    build_family,
-)
+from .cantor import DEFAULT_SEARCH_CEILING, CantorFamily, IntermediateCantor, build_family
 from .errors import CacheError
 
 FORMAT_VERSION = 1
@@ -71,20 +65,10 @@ def _file_text(fam: CantorFamily, stages: int, stored: Optional[dict] = None,
                                  f"at stage {d} of member {r}")
         members[str(r)]["stages"].append(text)
 
-    def anchor(x) -> dict:
-        if isinstance(x, CantorAddress):
-            return {"kind": "address", "path": x.serialize()}
-        return {"kind": "edge", "point": str(x)}
-
     for r in fam.grid():
         gen = fam.member(r)
         if isinstance(gen, IntermediateCantor):
-            members[str(r)]["schedule"] = [
-                {"index": e.index,
-                 "point": e.point.serialize() if isinstance(e.point, CantorAddress)
-                 else str(e.point),
-                 "createStage": e.create_stage, "a": anchor(e.a), "b": anchor(e.b)}
-                for e in gen.schedule().entries]
+            members[str(r)]["schedule"] = [e.to_json_obj() for e in gen.schedule().entries]
     payload = {"version": FORMAT_VERSION, "level": fam.level,
                "budget": fam.stage_budget, "stages": stages, "members": members}
     payload["contentHash"] = _content_hash(payload)

@@ -26,15 +26,13 @@ from gillab.cantor import (
     RemovalSchedule,
     ScheduleEntry,
     _carried_walk,
-    _pieces,
-    _pieces_meeting,
-    _ternary_exit,
     build_family,
     point_bracket,
     point_membership,
 )
 from gillab.cli import _suite_endpoints
 from gillab.exact import ClosedInterval, IntervalSet, UNIT
+from gillab.thirds import _pieces, _pieces_meeting, _ternary_exit
 
 from conftest import (
     attachments,
@@ -437,7 +435,7 @@ class TestEvalWalks:
                 return _ternary_exit(*args)
 
             with monkeypatch.context() as patch:
-                patch.setattr(gillab.cantor, "_ternary_exit", counting)
+                patch.setattr(gillab.thirds, "_ternary_exit", counting)
                 assert [eval_F(m, t) for m in maps for t in points] == answers
             walks.append(calls[0])
         assert walks[0] == walks[1] > 0

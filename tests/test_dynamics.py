@@ -109,10 +109,15 @@ class TestVerifyOrbit:
         assert not rep["ok"]
         assert rep["failures"][0]["index"] == 0
         assert rep["failures"][0]["bound"] == "0"
+        # the failing step's own entry says so, with F's upper end
+        step = rep["steps"][0]
+        assert step["ok"] is False and step["upper"] == "0"
 
     def test_repeat_inside_nonperiodic_orbit_is_legal(self, zero_map):
         # repeated values inside a valid orbit are flagged but not errors
         rep = verify_orbit(zero_map, [F(0), F(0), F(1, 4), F(0), F(1, 4)])
         assert not rep["ok"]  # 1/4 not in F(0) = {0}
+        assert [s["ok"] for s in rep["steps"]] == [True, False, True, False]
+        assert all("upper" in s for s in rep["steps"] if not s["ok"])
         rep = verify_orbit(zero_map, [F(1, 4), F(1, 4), F(3, 4), F(1, 4)])
         assert rep["ok"] and rep["repeated_values"]

@@ -246,6 +246,14 @@ def test_planted_fault_fails_verify(fault, monkeypatch):
     assert not report["ok"] and not report["suites"][suite]["ok"]
 
 
+def test_usc_fault_marks_every_escaped_limit(monkeypatch):
+    # no cover box holds any limit, so each sample's own record fails and
+    # names stage 0, where its limit escapes
+    usc = planted_report("usc", monkeypatch)["suites"]["usc"]["usc"]
+    assert len(usc["failures"]) == usc["sequences"] > 0
+    assert all(f["ok"] is False and f["escaped_at_stage"] == 0 for f in usc["failures"])
+
+
 def test_zero_tolerance_fails_weak_continuity_alone(monkeypatch):
     # the usc suite runs two checkers; a weak-continuity fault fails the
     # second only, at every point, for want of a witness
