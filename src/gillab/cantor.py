@@ -12,13 +12,17 @@ between them:
   repeated bisection, each member between its two neighbours.
 
 The removal-schedule search walks the inner and outer sets' local cover
-trees (``near`` and ``walk``), so it builds no deep cover, and it
-descends once per endpoint: ``_carried_walk`` carries its walks from
-stage e to e + 1 by the children of what they yielded, and an
-intermediate set's ``_children_of`` reads the outer children of the
-component holding the parent, which it recorded when it made the
-parent; only a parent off a memoised cover asks ``near``.  A caller
-that reports every member's covers anyway builds them through
+trees (``near`` and ``walk``), and it descends once per endpoint:
+``_carried_walk`` carries its walks from stage e to e + 1 by the
+children of what they yielded, and an intermediate set's
+``_children_of`` reads the outer children of the component holding the
+parent, which it recorded when it made the parent; only a parent off a
+memoised cover asks ``near``.  The search builds a cover only once its
+walks have paid for it: ``_carried_walk`` counts each walk past a
+generator's memoised covers against that depth, and sweeps the depth
+once the count reaches the cover's estimated size over
+``SWEEP_RATIO``, so the few walks at deep depths keep descending.  A
+caller that reports every member's covers anyway builds them through
 ``CantorFamily.covers``, member by member in build order, so each
 member's search reads its inner and outer sets' covers memoised.  An
 address's ``point_membership`` descends once: each depth keeps the
@@ -155,6 +159,14 @@ def point_membership(gen: CantorGen, p: PointLike,
     return Membership(UNKNOWN, None)
 
 
+# A walk past the memoised covers costs about what a sweep pays for
+# SWEEP_RATIO components.  Building level 3/56's schedules from no cover
+# (CPython 3.11, 2-core x86-64 container, 5 runs each) took 60-67 ms at
+# 64, 64-74 ms at 16 and at 256, 72-76 ms at 4, 70-79 ms at 1024 and
+# 74-121 ms at 1; sweeping each depth at its first walk took 89-99 ms.
+SWEEP_RATIO = 64
+
+
 def _carried_walk(held: dict, gen: CantorGen, br: Triple, e: int,
                   rightward: bool) -> Iterator[Pair]:
     """gen's stage-e walk (``CantorGen.walk``) from a point's stage-e
@@ -163,8 +175,20 @@ def _carried_walk(held: dict, gen: CantorGen, br: Triple, e: int,
     held keeps each walk as a ``tee`` of what it has yielded: the next
     stage's walk reads the children of those instead of descending
     again.  Only a walk's first stage past the memoised covers descends
-    from the deepest of them."""
+    from the deepest of them.
+
+    Rent or buy (Karlin, Manasse, Rudolph and Sleator, 1988): each walk
+    past the memoised covers is counted against gen at its depth e, and
+    once the walks counted there, SWEEP_RATIO each, reach the estimated
+    size of stage(e), that cover is swept, and the walks at e bisect it.
+    The estimate doubles the deepest memoised cover's component count
+    per depth, so the few walks at deep depths keep descending."""
     n, q = (br[0] if rightward else br[1]), br[2]
+    if e >= len(gen._stage_memo):
+        walks = gen._walks_past_memo[e] = gen._walks_past_memo.get(e, 0) + 1
+        top = max(len(gen._stage_memo), 1) - 1
+        if walks * SWEEP_RATIO >= len(gen.stage(top)) << (e - top):
+            gen.stage(e)
     d, comps = held.get((gen, rightward), (e, None))
     if comps is None or e < len(gen._stage_memo):
         # a memoised cover answers by one bisection

@@ -61,8 +61,8 @@ def _options(*names):
 def _fill_covers(fam, stage: int) -> None:
     """Build every member's covers through stage, in build order, so that
     each removal-schedule search reads its neighbours' covers memoised.
-    For a command that reads all of them anyway, or that runs every
-    member's search, which the memoised covers make cheaper."""
+    Only for a command that reads all of them anyway: a search left to
+    itself sweeps the covers its walks pay for."""
     for _ in fam.covers(stage):
         pass
 
@@ -309,8 +309,9 @@ def cmd_verify(suite, level, budget, stage, mode, seed, max_period,
     """Run a verification suite; exit 0 iff every check passes."""
     fam = build_family(level, budget)
     names = sorted(SUITES) if suite == "all" else [suite]
-    # in build order, before any suite runs a schedule search, so that
-    # each search reads its neighbours' covers memoised
+    # a suite that reads every member's covers builds them first, in
+    # build order, so that each search reads its neighbours' covers
+    # memoised; the other suites leave each search to sweep its own
     if READS_EVERY_COVER.intersection(names):
         _fill_covers(fam, stage)
     m = bonding.make_map(mode, fam)

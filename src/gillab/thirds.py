@@ -38,11 +38,15 @@ attachment object.  One middle-thirds cover rule on an int base, the
 index list ``_kept(k)`` of the slots a stage-k cover keeps, gives the
 pieces (``_pieces``) and the new gaps (``_gaps``) of the same bases:
 the middle-thirds covers, the gap-attached sweeps and each generator's
-``gaps_opened(s)`` read it; slot by slot, ``_pieces_meeting`` keeps the
-pieces of one base meeting one gap-attached component, so the
-gap-attached set calls no method of its core.  There is one endpoint
-rule, in :class:`CantorGen`: the ends of ``stage(0)``, then the ends of
-the gaps opened at each stage s >= 1.
+``gaps_opened(s)`` read it.  That list is one local rule,
+``_kept_children``, applied stage by stage: slot m is kept iff m % 3
+!= 1 and its parent slot m // 3 is kept.  The gap-attached set's
+``_children_of`` applies it once per base (``_pieces_meeting``), to
+the parent slots that lie inside the component it refines, so a
+descent is linear in its depth, and the gap-attached set calls no
+method of its core.  There is one endpoint rule, in
+:class:`CantorGen`: the ends of ``stage(0)``, then the ends of the gaps
+opened at each stage s >= 1.
 
 For both kinds both ends of every stage-d component are points of the
 set, so each component of ``stage(d).complement_in(UNIT)`` is the
@@ -61,7 +65,7 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import ClosedInterval, IntervalSet, ZERO, ONE, _normalize, _on, _over
 
@@ -108,6 +112,9 @@ class CantorGen:
         self._stage_memo: list[IntervalSet] = []
         self._endpoint_stages: list[list[Fraction]] = []
         self._children_memo: dict[Triple, tuple[Pair, ...]] = {}
+        # the walks a removal-schedule search made at each depth past
+        # the memoised covers, which decide when that depth is swept
+        self._walks_past_memo: dict[int, int] = {}
 
     def _compute_stage(self, d: int) -> IntervalSet:
         raise NotImplementedError
@@ -291,14 +298,36 @@ def _thirds_exit(x: int, w: int, q: int, n: int, m: int,
     return k + 1, lo + (3 * j + 1) * w, lo + (3 * j + 2) * w
 
 
+def _kept_children(parents: Iterable[int], first: int, last: int) -> list[int]:
+    """The local rule: the slots in [first, last] that the stage-k
+    middle-thirds cover of [0, 1] keeps, ascending, given parents, the
+    slots its stage-(k-1) cover keeps among theirs, ascending.  Slot m is
+    kept iff m % 3 != 1 and its parent slot m // 3 is kept."""
+    return [c for m in parents for c in (3 * m, 3 * m + 2) if first <= c <= last]
+
+
 @cache
 def _kept(k: int) -> tuple[int, ...]:
     """The m < 3^k whose k ternary digits are all 0 or 2, ascending: the
     slots [m, m + 1] / 3^k that the stage-k middle-thirds cover of [0, 1]
-    keeps."""
+    keeps, by the local rule from stage 0, which keeps slot 0."""
     if k == 0:
         return (0,)
-    return tuple(x for m in _kept(k - 1) for x in (3 * m, 3 * m + 2))
+    return tuple(_kept_children(_kept(k - 1), 0, 3 ** k - 1))
+
+
+def _kept_between(k: int, first: int, last: int) -> list[int]:
+    """The slots m in [first, last] that the stage-k cover keeps,
+    ascending, with no list of 2^k slots: the local rule applied from
+    stage 0 down the ranges of their ancestors."""
+    ranges = []
+    for _ in range(k):
+        ranges.append((first, last))
+        first, last = first // 3, last // 3
+    kept = [0] if first <= 0 <= last else []
+    for first, last in reversed(ranges):
+        kept = _kept_children(kept, first, last)
+    return kept
 
 
 def _pieces(x: int, w: int, k: int) -> list[Pair]:
@@ -314,13 +343,17 @@ def _gaps(x: int, w: int, k: int) -> list[Pair]:
     return [(x + (3 * m + 1) * w, x + (3 * m + 2) * w) for m in _kept(k)]
 
 
-def _pieces_meeting(x: int, w: int, k: int, lo: int, hi: int) -> list[Pair]:
+def _pieces_meeting(x: int, w: int, k: int, lo: int, hi: int,
+                    parents: Optional[Iterable[int]] = None) -> list[Pair]:
     """The pieces of ``_pieces(x, w, k)`` that meet [lo, hi], ascending,
-    with no list of 2^k slots: slot m is kept when the midpoint of [m, m
-    + 1] / 3^k stays in the middle-thirds cover for all k digits."""
+    with no list of 2^k slots.  parents, when the caller knows them, are
+    the slots the stage-(k-1) cover keeps among the parents of the slots
+    meeting [lo, hi], ascending; then the local rule is one step, and
+    otherwise ``_kept_between`` takes it from stage 0."""
     first, last = max(0, -(-(lo - x - w) // w)), min(3 ** k - 1, (hi - x) // w)
-    return [(x + m * w, x + m * w + w) for m in range(first, last + 1)
-            if _ternary_exit(2 * m + 1, 2 * 3 ** k, k) is None]
+    slots = _kept_between(k, first, last) if parents is None else _kept_children(
+        parents, first, last)
+    return [(x + m * w, x + m * w + w) for m in slots]
 
 
 def _gap_fractions(q: int, hit: Optional[Triple]) -> Optional[tuple[Fraction, Fraction]]:
@@ -471,8 +504,19 @@ class GapAttachedCantor(CantorGen):
         """The core pieces meeting the parent and the attachment pieces of
         the core gaps meeting it, joined where they touch."""
         p, q = self.grid(d - 1), self.grid(d)
+
+        def meeting(x: int, w: int, k: int) -> list[Pair]:
+            # the stage-(k-1) slots of the base, 3w wide, that lie inside
+            # the parent are the ones that stage keeps among those meeting
+            # it: a kept slot meeting the parent lies inside it, and a
+            # dropped one has an open middle third that no piece of this
+            # set meets
+            inside = range(max(0, -((x - 3 * lo) // (3 * w))),
+                           min(3 ** (k - 1), (3 * hi - x) // (3 * w))) if k else None
+            return _pieces_meeting(x, w, k, 3 * lo, 3 * hi, inside)
+
         (_, a), (b, _) = self._side_gaps   # the core's base over grid(0)
-        pieces = _pieces_meeting(a * 3 ** d, b - a, d, 3 * lo, 3 * hi)
+        pieces = meeting(a * 3 ** d, b - a, d)
         # an end of the parent outside the core pieces lies in a core gap
         # opened by stage d, and so does the midpoint between two pieces
         points = [(u + v, 2 * q) for (_, u), (v, _) in zip(pieces, pieces[1:])]
@@ -484,7 +528,7 @@ class GapAttachedCantor(CantorGen):
             g, glo, ghi = self._core_exit(n, s, d)
             w, *ends = self._attachment_ends(d, g, glo, ghi)
             for x in ends:
-                pieces += _pieces_meeting(x, w, d - g, 3 * lo, 3 * hi)
+                pieces += meeting(x, w, d - g)
         return _normalize(pieces)
 
     def _core_exit(self, n: int, q: int, max_stage: Optional[int]) -> Optional[Triple]:

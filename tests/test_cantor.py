@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import gillab
 from gillab.bonding import eval_F, make_map
+from gillab import cantor
 from gillab.cantor import (
     C1_BASE,
     DEFAULT_SEARCH_CEILING,
@@ -32,7 +33,7 @@ from gillab.cantor import (
 )
 from gillab.cli import _suite_endpoints
 from gillab.exact import ClosedInterval, IntervalSet, UNIT
-from gillab.thirds import _pieces, _pieces_meeting, _ternary_exit
+from gillab.thirds import _kept_between, _pieces, _pieces_meeting, _ternary_exit
 
 from conftest import (
     attachments,
@@ -527,13 +528,15 @@ class TestInnerFirstMembership:
                         == ref.membership(gen, p, max_stage)), (r, p)
 
     def test_deep_stage_builds_no_cover(self):
-        # a verdict at depth 20 needs no cover past the set-up depth
+        # a verdict at depth 20 builds no cover that set-up did not: the
+        # search sweeps no depth past 8, and a point query sweeps none
         fam = fresh_family(2, 56)
-        assert max(len(fam.member(r)._stage_memo) for r in fam.grid()) - 1 <= 2
+        memo = {r: len(fam.member(r)._stage_memo) for r in fam.grid()}
+        assert max(memo.values()) - 1 <= 8
         fb = eval_F(make_map("tent", fam), F(3781, 12636), 2, 20)
         assert (fb.lower_max, fb.upper_max) == (0, 1)
         for r in fam.grid():
-            assert len(fam.member(r)._stage_memo) - 1 <= 2, r
+            assert len(fam.member(r)._stage_memo) == memo[r], r
 
     def test_smallest_set_point_builds_no_cover(self):
         # an endpoint of C_1 lies in every inner set, so no intermediate
@@ -815,10 +818,12 @@ class TestNear:
 
     def test_ic_past_depth_ten_matches_the_model(self, monkeypatch):
         # an intermediate set refines one component at a time from its
-        # stage-0 cover, at the hulls of its holes and the brackets of its
-        # address anchors; each child list reads the outer set's children
-        # of the component holding the parent, and only a parent off the
-        # stage-0 cover asks outer.near
+        # deepest memoised cover (depth 7 for C_{1/2}, which the search
+        # swept, and stage 0 for C_{1/4}, which no search walks), at the
+        # hulls of its holes and the brackets of its address anchors; each
+        # child list reads the outer set's children of the component
+        # holding the parent, and only a parent off that cover asks
+        # outer.near
         fam, ref = fresh_family(2, 56), Model()
         c0 = fam.c0
         asked = []
@@ -826,7 +831,8 @@ class TestNear:
         monkeypatch.setattr(c0, "near", lambda *args: asked.append(args) or near_c0(*args))
         for r in (F(1, 2), F(1, 4)):
             ic = fam.member(r)
-            assert ic.outer is c0 and len(ic._stage_memo) <= 1
+            top = len(ic._stage_memo)
+            assert ic.outer is c0 and top == (8 if r == F(1, 2) else 0), (r, top)
             entries = ic.schedule().entries
             anchors = [x for entry in entries for x in (entry.a, entry.b)
                        if isinstance(x, CantorAddress)]
@@ -848,9 +854,11 @@ class TestNear:
                         assert ([interval(*c, ic.grid(d)) for c in children]
                                 == ref.near(ic, d, parent)), (r, d, parent)
                         checked += 1
-            assert len(ic._stage_memo) == 1 and met > 200 and checked > 300, (r, met, checked)
-        # the stage-0 parents' children, one outer.near each at most
-        assert 0 < len(asked) <= sum(len(fam.member(r).stage(0)) for r in (F(1, 2), F(1, 4)))
+            assert len(ic._stage_memo) == max(top, 1) and met > 200 and checked > 300, (
+                r, met, checked)
+        # the children of the deepest memoised cover's components, one
+        # outer.near each at most
+        assert 0 < len(asked) <= sum(len(fam.member(r)._stage_memo[-1]) for r in (F(1, 2), F(1, 4)))
 
     def test_deep_descent_is_a_loop(self):
         # a descent 1200 levels deep needs no stack frame per level; a
@@ -1044,6 +1052,29 @@ class TestOrderedGapAttachedCover:
                     assert _pieces_meeting(x, w, k, lo, hi) == [
                         c for c in pieces if c[0] <= hi and c[1] >= lo], (k, x, w, lo, hi)
 
+    def test_the_slot_rule_matches_the_digit_walk(self):
+        # a slot's verdict from its parent's, against the walk of all its
+        # ternary digits: on every slot for k <= 12, one slot at a time
+        # for k <= 8, and at random depths up to 3000 on slots whose digits
+        # are all 0 or 2 but for at most one 1
+        def walked(k, m):
+            return [m] if _ternary_exit(2 * m + 1, 2 * 3 ** k, k) is None else []
+
+        for k in range(13):
+            assert _kept_between(k, 0, 3 ** k - 1) == [
+                m for m in range(3 ** k) if walked(k, m)], k
+            if k <= 8:
+                for m in range(3 ** k):
+                    assert _kept_between(k, m, m) == walked(k, m), (k, m)
+        rnd = random.Random(17)
+        for _ in range(60):
+            k = rnd.randrange(1, 3001)
+            digits = [rnd.choice("02") for _ in range(k)]
+            if rnd.random() < 2 / 3:
+                digits[rnd.randrange(k)] = "1"
+            m = int("".join(digits), 3)
+            assert _kept_between(k, m, m) == walked(k, m), (k, digits.count("1"))
+
     def test_a_gap_off_the_thirds_grid_is_refused(self):
         # an attachment's pieces are a third of its gap wide on grid(d);
         # a gap whose width is no multiple of 3 is refused, not floored
@@ -1101,14 +1132,18 @@ class TestScheduleSearch:
     @pytest.mark.parametrize("level", [2, 3])
     @pytest.mark.parametrize("order", ["set-up", "covers"])
     def test_every_anchor_matches_the_model(self, level, order, monkeypatch):
-        # set-up order builds schedules first, from covers memoised at
-        # depth 0; covers order builds every cover to depth 8 member by
-        # member, so each search reads its neighbours' covers memoised
+        # set-up order builds schedules first, and the searches sweep the
+        # covers their walks pay for; covers order builds every cover to
+        # depth 8 member by member, so each search reads its neighbours'
+        # covers memoised.  Either way many tries bisect a memoised outer
+        # cover, and some walk past the deepest one
         anchor = IntermediateCantor._anchor
         kinds = {"address": 0, "edge": 0, "none": 0}
+        paths = {"memo": 0, "past": 0}
         ref = Model()
 
         def checked_anchor(self, walk, lo, hi, q, e, left):
+            paths["past" if e >= len(self.outer._stage_memo) else "memo"] += 1
             got = anchor(self, walk, lo, hi, q, e, left)
             want = ref.reference_anchor(self, F(lo, q), F(hi, q), e, left)
             if isinstance(got, tuple):   # an outer component, made an address
@@ -1126,6 +1161,9 @@ class TestScheduleSearch:
             for _ in build_family(level, 56, DEFAULT_SEARCH_CEILING).covers(8):
                 pass
         assert kinds["address"] > 100 and kinds["edge"] > 10 and kinds["none"] > 100, kinds
+        # at level 2 every try in covers order is at depth 8 or less
+        assert paths["memo"] > 300 and (paths["past"] > 10 if (level, order) != (2, "covers")
+                                        else paths["past"] == 0), paths
 
     @pytest.mark.parametrize("level", [2, 3])
     def test_carried_walks_match_fresh_walks(self, level):
@@ -1151,12 +1189,53 @@ class TestScheduleSearch:
                             checked += br[0] < br[1]
         assert checked > 300
 
+    @pytest.mark.parametrize("level, budget, c0_depth, c0_walked", [(3, 56, 8, 10), (5, 24, 8, 13)])
+    def test_the_sweeps_stay_below_the_deepest_walk(self, level, budget, c0_depth,
+                                                     c0_walked, monkeypatch):
+        # set-up order: a search sweeps a depth of a generator only once
+        # its walks there have paid for it, so no cover is memoised deeper
+        # than the deepest stage a try walked, and C_0's few walks at
+        # depths 9 and up keep descending
+        walked = {}
+
+        def recorded(held, gen, br, e, rightward):
+            walked[gen] = max(walked.get(gen, 0), e)
+            return _carried_walk(held, gen, br, e, rightward)
+
+        monkeypatch.setattr(cantor, "_carried_walk", recorded)
+        fam = fresh_family(level, budget)
+        for r in fam.grid():
+            gen = fam.member(r)
+            assert len(gen._stage_memo) - 1 <= walked.get(gen, -1), r
+        assert (len(fam.c0._stage_memo) - 1, walked[fam.c0]) == (c0_depth, c0_walked)
+
+    def test_a_search_sweeps_once_its_walks_pay(self, monkeypatch):
+        # the level-3 searches in set-up order made 1,441 _children_of
+        # calls when every walk past the memoised covers descended
+        calls = []
+
+        def counted(children_of):
+            def wrapper(gen, d, lo, hi):
+                calls.append(d)
+                return children_of(gen, d, lo, hi)
+            return wrapper
+
+        for cls in (MiddleThirds, GapAttachedCantor, IntermediateCantor):
+            monkeypatch.setattr(cls, "_children_of", counted(cls._children_of))
+        fresh_family(3, 56)
+        assert 0 < len(calls) <= 540
+
     def test_level_three_build_stays_local(self):
-        # the schedule search reads local answers only, and membership
-        # is point-local: no cover deeper than depth 2 is built
+        # the schedule search sweeps only covers its walks paid for, and
+        # membership is point-local: no cover deeper than depth 8 is
+        # built, and none of a member that no search walks
         fam = fresh_family(3, 56)
         gens = [fam.member(r) for r in fam.grid()]
-        assert max(len(gen._stage_memo) - 1 for gen in gens) <= 2
+        assert max(len(gen._stage_memo) - 1 for gen in gens) <= 8
+        walked = {gen for ic in gens if isinstance(ic, IntermediateCantor)
+                  for gen in (ic.inner, ic.outer)}
+        assert len(walked) == 5
+        assert all(gen._stage_memo == [] for gen in gens if gen not in walked)
         scheds = [fam.member(r).schedule() for r in fam.grid()
                   if isinstance(fam.member(r), IntermediateCantor)]
         assert len(scheds) == 7
@@ -1296,8 +1375,10 @@ class TestPointMembershipDescent:
     @pytest.mark.parametrize("level", [2, 3])
     def test_address_verdicts_do_not_depend_on_the_memo_depth(self, level):
         # near starts at the deepest memoised cover: every anchor's verdict
-        # in every member is the model's on a fresh family, and again once
-        # the covers are memoised to depth 4 and to depth 8
+        # in every member is the model's on a fresh family, whose search
+        # swept covers to depth 8 at most and none of a member it does not
+        # walk, and again once the covers are memoised to depth 9 and to
+        # depth 11
         fam = fresh_family(level, 56)
         ref = Model()
         gens = [fam.member(r) for r in fam.grid()]
@@ -1306,12 +1387,12 @@ class TestPointMembershipDescent:
                    if isinstance(x, CantorAddress)]
         want = [ref.membership(gen, p, DEFAULT_SEARCH_CEILING) for gen in gens for p in anchors]
         assert {m.verdict for m in want} == {"in", "out", "unknown"}
-        for depth in (None, 4, 8):
+        for depth in (None, 9, 11):
             if depth is not None:
                 for _ in fam.covers(depth):
                     pass
-            memo = max(len(gen._stage_memo) - 1 for gen in gens)
-            assert memo <= 2 if depth is None else memo == depth
+            memo = [len(gen._stage_memo) - 1 for gen in gens]
+            assert (max(memo) <= 8 and min(memo) == -1) if depth is None else set(memo) == {depth}
             assert [point_membership(gen, p, DEFAULT_SEARCH_CEILING)
                     for gen in gens for p in anchors] == want, depth
 

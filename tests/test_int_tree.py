@@ -142,7 +142,9 @@ def checked_over(monkeypatch):
 
 
 def test_every_set_over_makes_is_normalized(checked_over):
-    fam = fresh_family(3, 56)
+    # level 4: the searches sweep the covers their walks pay for, so at
+    # level 3 set-up and the covers make only about 400 sets
+    fam = fresh_family(4, 56)
     for r in fam.grid():
         fam.member(r).stage(8)
     assert len(checked_over) > 1000
