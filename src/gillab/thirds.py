@@ -41,12 +41,13 @@ the middle-thirds covers, the gap-attached sweeps and each generator's
 ``gaps_opened(s)`` read it.  That list is one local rule,
 ``_kept_children``, applied stage by stage: slot m is kept iff m % 3
 != 1 and its parent slot m // 3 is kept.  The gap-attached set's
-``_children_of`` applies it once per base (``_pieces_meeting``), to
-the parent slots that lie inside the component it refines, so a
-descent is linear in its depth, and the gap-attached set calls no
-method of its core.  There is one endpoint rule, in
-:class:`CantorGen`: the ends of ``stage(0)``, then the ends of the gaps
-opened at each stage s >= 1.
+``_children_of`` takes that one step once per base, from the parent
+slots that lie inside the component it refines, so a descent is
+linear in its depth, and the gap-attached set calls no method of its
+core.  One rule, ``_slot_pieces``, turns slots into pieces for
+``_pieces`` and ``_children_of``.  There is one endpoint rule, in
+:class:`CantorGen`: the ends of ``stage(0)``, then the ends of the
+gaps opened at each stage s >= 1.
 
 For both kinds both ends of every stage-d component are points of the
 set, so each component of ``stage(d).complement_in(UNIT)`` is the
@@ -298,12 +299,12 @@ def _thirds_exit(x: int, w: int, q: int, n: int, m: int,
     return k + 1, lo + (3 * j + 1) * w, lo + (3 * j + 2) * w
 
 
-def _kept_children(parents: Iterable[int], first: int, last: int) -> list[int]:
-    """The local rule: the slots in [first, last] that the stage-k
-    middle-thirds cover of [0, 1] keeps, ascending, given parents, the
-    slots its stage-(k-1) cover keeps among theirs, ascending.  Slot m is
+def _kept_children(parents: Iterable[int]) -> list[int]:
+    """The local rule, one slot step: given parents, slots that the
+    stage-(k-1) middle-thirds cover of [0, 1] keeps, ascending, the slots
+    its stage-k cover keeps among their children, ascending.  Slot m is
     kept iff m % 3 != 1 and its parent slot m // 3 is kept."""
-    return [c for m in parents for c in (3 * m, 3 * m + 2) if first <= c <= last]
+    return [c for m in parents for c in (3 * m, 3 * m + 2)]
 
 
 @cache
@@ -313,27 +314,18 @@ def _kept(k: int) -> tuple[int, ...]:
     keeps, by the local rule from stage 0, which keeps slot 0."""
     if k == 0:
         return (0,)
-    return tuple(_kept_children(_kept(k - 1), 0, 3 ** k - 1))
+    return tuple(_kept_children(_kept(k - 1)))
 
 
-def _kept_between(k: int, first: int, last: int) -> list[int]:
-    """The slots m in [first, last] that the stage-k cover keeps,
-    ascending, with no list of 2^k slots: the local rule applied from
-    stage 0 down the ranges of their ancestors."""
-    ranges = []
-    for _ in range(k):
-        ranges.append((first, last))
-        first, last = first // 3, last // 3
-    kept = [0] if first <= 0 <= last else []
-    for first, last in reversed(ranges):
-        kept = _kept_children(kept, first, last)
-    return kept
+def _slot_pieces(x: int, w: int, slots: Iterable[int]) -> list[Pair]:
+    """The pieces [x + m w, x + m w + w] of the slots m, in their order."""
+    return [(x + m * w, x + m * w + w) for m in slots]
 
 
 def _pieces(x: int, w: int, k: int) -> list[Pair]:
     """The stage-k cover of the middle-thirds set on the base [x, x +
-    3^k w], ascending: the pieces [x + m w, x + m w + w], m in _kept(k)."""
-    return [(x + m * w, x + m * w + w) for m in _kept(k)]
+    3^k w], ascending: the pieces of the slots in _kept(k)."""
+    return _slot_pieces(x, w, _kept(k))
 
 
 def _gaps(x: int, w: int, k: int) -> list[Pair]:
@@ -341,19 +333,6 @@ def _gaps(x: int, w: int, k: int) -> list[Pair]:
     at stage k + 1, ascending: the middle thirds (x + (3m+1) w, x +
     (3m+2) w) of its stage-k pieces."""
     return [(x + (3 * m + 1) * w, x + (3 * m + 2) * w) for m in _kept(k)]
-
-
-def _pieces_meeting(x: int, w: int, k: int, lo: int, hi: int,
-                    parents: Optional[Iterable[int]] = None) -> list[Pair]:
-    """The pieces of ``_pieces(x, w, k)`` that meet [lo, hi], ascending,
-    with no list of 2^k slots.  parents, when the caller knows them, are
-    the slots the stage-(k-1) cover keeps among the parents of the slots
-    meeting [lo, hi], ascending; then the local rule is one step, and
-    otherwise ``_kept_between`` takes it from stage 0."""
-    first, last = max(0, -(-(lo - x - w) // w)), min(3 ** k - 1, (hi - x) // w)
-    slots = _kept_between(k, first, last) if parents is None else _kept_children(
-        parents, first, last)
-    return [(x + m * w, x + m * w + w) for m in slots]
 
 
 def _gap_fractions(q: int, hit: Optional[Triple]) -> Optional[tuple[Fraction, Fraction]]:
@@ -435,10 +414,11 @@ class GapAttachedCantor(CantorGen):
     grid(d): the middle-thirds pieces (``_pieces``) of the core's base
     and of each attachment base, merged once; ``gaps_opened`` and
     ``gaps_of_generation`` read the gaps of the same bases (``_gaps``),
-    and ``_children_of`` keeps their pieces that meet one component
-    (``_pieces_meeting``).  The point queries run ``_thirds_exit`` on
-    the core's base, then on each attachment base of the core gap holding
-    t, so no path calls a method of the core.
+    and ``_children_of`` takes one slot step (``_kept_children``) from
+    the slots of each base that lie inside one component.  The point
+    queries run ``_thirds_exit`` on the core's base, then on each
+    attachment base of the core gap holding t, so no path calls a method
+    of the core.
     """
 
     def __init__(self, core: MiddleThirds):
@@ -506,14 +486,18 @@ class GapAttachedCantor(CantorGen):
         p, q = self.grid(d - 1), self.grid(d)
 
         def meeting(x: int, w: int, k: int) -> list[Pair]:
-            # the stage-(k-1) slots of the base, 3w wide, that lie inside
-            # the parent are the ones that stage keeps among those meeting
-            # it: a kept slot meeting the parent lies inside it, and a
-            # dropped one has an open middle third that no piece of this
-            # set meets
+            # the stage-k pieces of the base, 3^k w wide, that meet the
+            # parent [3lo, 3hi]; at k = 0 the base itself
+            if k == 0:
+                return [(x, x + w)] if x <= 3 * hi and x + w >= 3 * lo else []
+            # the stage-(k-1) slots, 3w wide, that lie inside the parent
+            # are the ones that stage keeps among those meeting it: a kept
+            # slot meeting the parent lies inside it, and a dropped one
+            # has an open middle third that no piece of this set meets; so
+            # their kept children are the pieces meeting the parent
             inside = range(max(0, -((x - 3 * lo) // (3 * w))),
-                           min(3 ** (k - 1), (3 * hi - x) // (3 * w))) if k else None
-            return _pieces_meeting(x, w, k, 3 * lo, 3 * hi, inside)
+                           min(3 ** (k - 1), (3 * hi - x) // (3 * w)))
+            return _slot_pieces(x, w, _kept_children(inside))
 
         (_, a), (b, _) = self._side_gaps   # the core's base over grid(0)
         pieces = meeting(a * 3 ** d, b - a, d)

@@ -33,7 +33,7 @@ from gillab.cantor import (
 )
 from gillab.cli import _suite_endpoints
 from gillab.exact import ClosedInterval, IntervalSet, UNIT
-from gillab.thirds import _kept_between, _pieces, _pieces_meeting, _ternary_exit
+from gillab.thirds import _kept, _ternary_exit
 
 from conftest import (
     attachments,
@@ -620,7 +620,8 @@ class TestFirstOut:
     @given(st.one_of(
         # any p/q in [0, 1], in lowest terms or not
         st.integers(1, 10 ** 6).flatmap(lambda q: st.tuples(st.integers(0, q), st.just(q))),
-        # the slot midpoints (2m+1)/(2*3^k) that _pieces_meeting walks
+        # the slot midpoints (2m+1)/(2*3^k), whose walks say which slots
+        # _kept(k) keeps
         st.integers(0, 12).flatmap(lambda k: st.tuples(
             st.integers(0, 3 ** k - 1).map(lambda m: 2 * m + 1), st.just(2 * 3 ** k)))),
         st.integers(0, 40))
@@ -969,8 +970,8 @@ class TestOrderedGapAttachedCover:
 
     def test_cover_paths_make_no_attachment(self, monkeypatch):
         # the whole-cover sweep and the one-component refinement read each
-        # attachment's pieces off its gap's ends, the refinement through
-        # the per-slot rule _pieces_meeting
+        # attachment's pieces off its gap's ends, the refinement by one
+        # slot step of the local rule _kept_children per base
         c0 = build_family(2, 56).c0
         made = count_thirds(monkeypatch)
         c0.stage(8)
@@ -1036,44 +1037,45 @@ class TestOrderedGapAttachedCover:
             gen.endpoints(200)
         assert made == [0]
 
-    def test_kept_is_the_local_rule(self):
-        # the whole-cover index list, as _pieces reads it, keeps the
-        # pieces that the per-slot rule of _children_of, _pieces_meeting,
-        # keeps: all of them over the whole base, and those meeting any
-        # window inside or across it
-        rnd = random.Random(9)
-        for k in range(10):
-            for x, w in ((0, 1), (7, 5)):
-                pieces = _pieces(x, w, k)
-                assert _pieces_meeting(x, w, k, x, x + 3 ** k * w) == pieces, (k, x, w)
-                for _ in range(40):
-                    lo, hi = sorted(rnd.randrange(x - 2 * w, x + 3 ** k * w + 2 * w)
-                                    for _ in range(2))
-                    assert _pieces_meeting(x, w, k, lo, hi) == [
-                        c for c in pieces if c[0] <= hi and c[1] >= lo], (k, x, w, lo, hi)
-
-    def test_the_slot_rule_matches_the_digit_walk(self):
-        # a slot's verdict from its parent's, against the walk of all its
-        # ternary digits: on every slot for k <= 12, one slot at a time
-        # for k <= 8, and at random depths up to 3000 on slots whose digits
-        # are all 0 or 2 but for at most one 1
-        def walked(k, m):
-            return [m] if _ternary_exit(2 * m + 1, 2 * 3 ** k, k) is None else []
-
+    def test_kept_matches_the_digit_walk(self):
+        # the local rule applied stage by stage keeps the slots whose
+        # ternary digits are all 0 or 2, on every slot for k <= 12
         for k in range(13):
-            assert _kept_between(k, 0, 3 ** k - 1) == [
-                m for m in range(3 ** k) if walked(k, m)], k
-            if k <= 8:
-                for m in range(3 ** k):
-                    assert _kept_between(k, m, m) == walked(k, m), (k, m)
-        rnd = random.Random(17)
-        for _ in range(60):
-            k = rnd.randrange(1, 3001)
-            digits = [rnd.choice("02") for _ in range(k)]
-            if rnd.random() < 2 / 3:
-                digits[rnd.randrange(k)] = "1"
-            m = int("".join(digits), 3)
-            assert _kept_between(k, m, m) == walked(k, m), (k, digits.count("1"))
+            assert _kept(k) == tuple(
+                m for m in range(3 ** k)
+                if _ternary_exit(2 * m + 1, 2 * 3 ** k, k) is None), k
+
+    def test_the_cover_rule_matches_the_point_rule_at_depth(self):
+        # C_0's one-component refinement against its point rule: the
+        # stage-k components near the midpoint t = n/m of a depth-j slot
+        # of the core's base or of an attachment base of generation g <= 2
+        # (k = g + j) are there iff first_out(t, k) is None.  The digits
+        # of a slot are 0 or 2 but for at most one 1, so t falls into a
+        # middle third at most once: on an attachment base a gap of C_0,
+        # on the core's base a core gap, whose attachments may hold t.  A
+        # fresh C_0 has no memoised cover past stage 0, so every step is
+        # _children_of
+        c0 = build_family(2, 56).c0
+        (_, a), (b, _) = c0._side_gaps
+        bases = [(0, a, b - a)]
+        for g in range(3):
+            for gap in c0.gaps_of_generation(g):
+                w, *ends = c0._attachment_ends(g, g, *gap)
+                bases += [(g, x, w) for x in ends]
+        rnd = random.Random(23)
+        seen = set()
+        for _ in range(40):
+            g, x, w = rnd.choice(bases)
+            j = rnd.randrange(601)
+            digits = [rnd.choice("02") for _ in range(j)]
+            if j and rnd.random() < 2 / 3:
+                digits[rnd.randrange(j)] = "1"
+            slot = int("".join(digits), 3) if j else 0
+            n, m = 2 * 3 ** j * x + (2 * slot + 1) * w, 2 * 3 ** j * c0.grid(g)
+            inside = c0.first_out(F(n, m), g + j) is None
+            assert bool(c0.near(g + j, n, n, m)) == inside, (g, x, j, digits.count("1"))
+            seen.add((g > 0, inside))
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_a_gap_off_the_thirds_grid_is_refused(self):
         # an attachment's pieces are a third of its gap wide on grid(d);
