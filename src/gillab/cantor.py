@@ -12,17 +12,15 @@ between them:
   repeated bisection, each member between its two neighbours.
 
 The removal-schedule search walks the inner and outer sets' local cover
-trees (``near`` and ``walk``), and it descends once per endpoint:
-``_carried_walk`` carries its walks from stage e to e + 1 by the
-children of what they yielded, and an intermediate set's
-``_children_of`` reads the outer children of the component holding the
-parent, which it recorded when it made the parent; only a parent off a
-memoised cover asks ``near``.  The search builds a cover only once its
-walks have paid for it: ``_carried_walk`` counts each walk past a
-generator's memoised covers against that depth, and sweeps the depth
-once the count reaches the cover's estimated size over
-``SWEEP_RATIO``, so the few walks at deep depths keep descending.  A
-caller that reports every member's covers anyway builds them through
+trees (``near`` and ``walk``), and it descends once per endpoint: it
+hands each generator's ``walk`` the endpoint's one dict of walks, which
+the generator carries from stage e to e + 1 by the children of what
+they yielded, and an intermediate set's ``_children_of`` reads the
+outer children of the component holding the parent, which it recorded
+when it made the parent; only a parent off a memoised cover asks
+``near``.  The generator owns its sweeps too: ``walk`` builds a cover
+only once the walks at its depth have paid for it.  A caller that
+reports every member's covers anyway builds them through
 ``CantorFamily.covers``, member by member in build order, so each
 member's search reads its inner and outer sets' covers memoised.  An
 address's ``point_membership`` descends once: each depth keeps the
@@ -45,11 +43,9 @@ made, and its ``membership`` asks it directly.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from copy import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import tee
 from math import lcm
 from typing import Iterator, Optional, Union
 
@@ -157,47 +153,6 @@ def point_membership(gen: CantorGen, p: PointLike,
         if not comps:
             return Membership(OUT, d)
     return Membership(UNKNOWN, None)
-
-
-# A walk past the memoised covers costs about what a sweep pays for
-# SWEEP_RATIO components.  Building level 3/56's schedules from no cover
-# (CPython 3.11, 2-core x86-64 container, 5 runs each) took 60-67 ms at
-# 64, 64-74 ms at 16 and at 256, 72-76 ms at 4, 70-79 ms at 1024 and
-# 74-121 ms at 1; sweeping each depth at its first walk took 89-99 ms.
-SWEEP_RATIO = 64
-
-
-def _carried_walk(held: dict, gen: CantorGen, br: Triple, e: int,
-                  rightward: bool) -> Iterator[Pair]:
-    """gen's stage-e walk (``CantorGen.walk``) from a point's stage-e
-    bracket br = (lo, hi, q): rightward from lo, leftward from hi.
-    Brackets nest, so both starts move inward from stage to stage, and
-    held keeps each walk as a ``tee`` of what it has yielded: the next
-    stage's walk reads the children of those instead of descending
-    again.  Only a walk's first stage past the memoised covers descends
-    from the deepest of them.
-
-    Rent or buy (Karlin, Manasse, Rudolph and Sleator, 1988): each walk
-    past the memoised covers is counted against gen at its depth e, and
-    once the walks counted there, SWEEP_RATIO each, reach the estimated
-    size of stage(e), that cover is swept, and the walks at e bisect it.
-    The estimate doubles the deepest memoised cover's component count
-    per depth, so the few walks at deep depths keep descending."""
-    n, q = (br[0] if rightward else br[1]), br[2]
-    if e >= len(gen._stage_memo):
-        walks = gen._walks_past_memo[e] = gen._walks_past_memo.get(e, 0) + 1
-        top = max(len(gen._stage_memo), 1) - 1
-        if walks * SWEEP_RATIO >= len(gen.stage(top)) << (e - top):
-            gen.stage(e)
-    d, comps = held.get((gen, rightward), (e, None))
-    if comps is None or e < len(gen._stage_memo):
-        # a memoised cover answers by one bisection
-        d, comps = e, tee(gen.walk(e, n, q, rightward), 1)[0]
-    while d < e:
-        d += 1
-        comps = tee(gen._walk_children(d, copy(comps), n, q, rightward), 1)[0]
-    held[gen, rightward] = d, comps
-    return copy(comps)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +318,7 @@ class IntermediateCantor(CantorGen):
                    br: Triple, e: int, walks: dict) -> bool:
         """Record p at stage e, as a reuse of an earlier removal that
         swallows its bracket br = (lo, hi, q) or as a new entry; False if
-        br needs refinement.  walks holds p's walks (``_carried_walk``)."""
+        br needs refinement.  walks holds p's walks (``CantorGen.walk``)."""
         # already swallowed by an earlier removal?
         for entry in sched.meeting(*br, live_at=e):
             rlo, rhi, rq = entry.removal_open(e)
@@ -377,9 +332,9 @@ class IntermediateCantor(CantorGen):
         lo, hi, q = gap
         f = q // br[2]
         # each anchor from the outer walk that starts at its bracket end
-        a = self._anchor(_carried_walk(walks, self.outer, br, e, False),
+        a = self._anchor(self.outer.walk(walks, e, br[1], br[2], False),
                          lo, br[0] * f, q, e, True)
-        b = None if a is None else self._anchor(_carried_walk(walks, self.outer, br, e, True),
+        b = None if a is None else self._anchor(self.outer.walk(walks, e, br[0], br[2], True),
                                                 br[1] * f, hi, q, e, False)
         if b is None:
             return False
@@ -396,7 +351,7 @@ class IntermediateCantor(CantorGen):
         of br's; None if there is none yet.  That is the component of
         ``(inner ∪ hulls).complement_in(UNIT)`` holding br, found by
         walking the inner stage-e components outward from br (walks holds
-        the point's walks, ``_carried_walk``) and clipping by each hull
+        the point's walks, ``CantorGen.walk``) and clipping by each hull
         that can still narrow it, with no cover built."""
         blo, bhi, bq = br
         g = self.inner.grid(e)
@@ -404,8 +359,8 @@ class IntermediateCantor(CantorGen):
         # complement_in's closure swallows isolated points, so only the
         # nondegenerate inner components bound the gap
         def nearest(rightward: bool) -> Optional[Pair]:
-            return next((c for c in _carried_walk(walks, self.inner, br, e, rightward)
-                         if c[0] < c[1]), None)
+            return next((c for c in self.inner.walk(walks, e, blo if rightward else bhi, bq,
+                                                    rightward) if c[0] < c[1]), None)
 
         right = nearest(True)
         if right is not None and right[0] * bq <= bhi * g:

@@ -61,8 +61,11 @@ def _options(*names):
 def _fill_covers(fam, stage: int) -> None:
     """Build every member's covers through stage, in build order, so that
     each removal-schedule search reads its neighbours' covers memoised.
-    Only for a command that reads all of them anyway: a search left to
-    itself sweeps the covers its walks pay for."""
+    Only for a command that reads all of them anyway, or that runs every
+    member's search, as ``endpoints`` does: it reads no cover, but the
+    fill and searches that read memoised covers cost less than the
+    searches alone.  A search left to itself sweeps the covers its walks
+    pay for."""
     for _ in fam.covers(stage):
         pass
 

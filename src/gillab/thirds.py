@@ -18,14 +18,17 @@ that grid and :class:`CantorGen` runs the memos and walks:
 ``_compute_stage`` builds a whole cover, and ``_children_of`` refines
 one component, a numerator pair, memoised by (d, lo, hi).  ``near(d,
 lo, hi, q)`` (the stage-d components meeting [lo/q, hi/q]) and
-``walk(d, n, q, rightward)`` (those from n/q outward) descend that tree
-from the deepest memoised cover, so a query about one window builds no
-deep cover.  Above that depth a component's children are read off the
-memoised cover, by one bisection, and ``_children_of`` runs only past
-it.  One child-window step, ``_descend``, keeps the children of some
-stage-(d-1) components that meet a window on grid(d).  A rational
-window or point enters once, by ``_on``'s ceiling and floor at the
-grid; Fractions appear only at the edge: in cover components,
+``walk(held, d, n, q, rightward)`` (those from n/q outward) descend
+that tree from the deepest memoised cover, so a query about one window
+builds no deep cover.  Above that depth a component's children are read
+off the memoised cover, by one bisection, and ``_children_of`` runs only
+past it.  The generator owns its walks and its sweeps: ``walk`` carries
+a point's walk held in ``held`` one depth at a time, and sweeps a depth
+once the walks past the memoised covers there have paid for its cover
+(``SWEEP_RATIO``).  One child-window step, ``_descend``, keeps the
+children of some stage-(d-1) components that meet a window on grid(d).
+A rational window or point enters once, by ``_on``'s ceiling and floor
+at the grid; Fractions appear only at the edge: in cover components,
 endpoints and the gaps ``gap_of`` gives.
 
 A point query is int work too: ``first_out``, ``gap_of`` and
@@ -62,9 +65,11 @@ means t lies outside ``stage(d)``, and both kinds are exact.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
+from itertools import tee
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -75,6 +80,13 @@ OUT = "out"
 UNKNOWN = "unknown"
 
 DEFAULT_MAX_STAGE = 12
+
+# A walk past the memoised covers costs about what a sweep pays for
+# SWEEP_RATIO components.  Building level 3/56's schedules from no cover
+# (CPython 3.11, 2-core x86-64 container, 5 runs each) took 60-67 ms at
+# 64, 64-74 ms at 16 and at 256, 72-76 ms at 4, 70-79 ms at 1024 and
+# 74-121 ms at 1; sweeping each depth at its first walk took 89-99 ms.
+SWEEP_RATIO = 64
 
 Pair = tuple[int, int]
 # a window (lo, hi, q), or a depth and a pair (d, lo, hi)
@@ -113,8 +125,8 @@ class CantorGen:
         self._stage_memo: list[IntervalSet] = []
         self._endpoint_stages: list[list[Fraction]] = []
         self._children_memo: dict[Triple, tuple[Pair, ...]] = {}
-        # the walks a removal-schedule search made at each depth past
-        # the memoised covers, which decide when that depth is swept
+        # the walks made at each depth past the memoised covers, which
+        # decide when ``walk`` sweeps that depth
         self._walks_past_memo: dict[int, int] = {}
 
     def _compute_stage(self, d: int) -> IntervalSet:
@@ -177,14 +189,42 @@ class CantorGen:
         return [c for parent in parents for c in self._cached_children(d, *parent)
                 if c[0] <= whi and c[1] >= wlo]
 
-    def walk(self, d: int, n: int, q: int, rightward: bool) -> Iterator[Pair]:
+    def walk(self, held: dict, d: int, n: int, q: int, rightward: bool) -> Iterator[Pair]:
         """Stage-d components over grid(d) from x = n/q outward, lazily: left
-        to right those with hi >= x, or right to left those with lo <= x."""
-        if d < len(self._stage_memo) or d == 0:
-            cover = self.stage(d)
-            clo, chi = cover.numerators(self.grid(d))
-            return ((clo[k], chi[k]) for k in cover.outward(n, q, rightward))
-        return self._walk_children(d, self.walk(d - 1, n, q, rightward), n, q, rightward)
+        to right those with hi >= x, or right to left those with lo <= x.
+        held keeps one point's walks, by (generator, direction), each as a
+        ``tee`` of what it has yielded.  The point's brackets nest, so a
+        walk at a deeper depth starts at or past the held walk's start in
+        its direction, and it reads the children of what that yielded, one
+        depth at a time, instead of descending again.  A walk with none held, or at a
+        memoised depth, starts from the deepest memoised cover by one
+        bisection.
+
+        Rent or buy (Karlin, Manasse, Rudolph and Sleator, 1988): each walk
+        past the memoised covers is counted at its depth d, and once the
+        walks counted there, SWEEP_RATIO each, reach the estimated size of
+        stage(d), that cover is swept, and the walks at d bisect it.  The
+        estimate doubles the deepest memoised cover's component count per
+        depth, so the few walks at deep depths keep descending."""
+        if d >= len(self._stage_memo):
+            walks = self._walks_past_memo[d] = self._walks_past_memo.get(d, 0) + 1
+            top = max(len(self._stage_memo), 1) - 1
+            if walks * SWEEP_RATIO >= len(self.stage(top)) << (d - top):
+                self.stage(d)
+        k, comps = held.get((self, rightward), (d, None))
+        if comps is None or d < len(self._stage_memo):
+            k = min(d, len(self._stage_memo) - 1)
+            cover = self.stage(k)
+            clo, chi = cover.numerators(self.grid(k))
+            comps = ((clo[i], chi[i]) for i in cover.outward(n, q, rightward))
+        else:
+            comps = copy(comps)
+        while k < d:
+            k += 1
+            comps = self._walk_children(k, comps, n, q, rightward)
+        comps = tee(comps, 1)[0]
+        held[self, rightward] = d, comps
+        return copy(comps)
 
     def _walk_children(self, d: int, parents: Iterator[Pair], n: int, q: int,
                        rightward: bool) -> Iterator[Pair]:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import gillab
 from gillab.bonding import eval_F, make_map
-from gillab import cantor
 from gillab.cantor import (
     C1_BASE,
     DEFAULT_SEARCH_CEILING,
@@ -26,14 +25,13 @@ from gillab.cantor import (
     MiddleThirds,
     RemovalSchedule,
     ScheduleEntry,
-    _carried_walk,
     build_family,
     point_bracket,
     point_membership,
 )
 from gillab.cli import _suite_endpoints
 from gillab.exact import ClosedInterval, IntervalSet, UNIT
-from gillab.thirds import _kept, _ternary_exit
+from gillab.thirds import CantorGen, _kept, _ternary_exit
 
 from conftest import (
     attachments,
@@ -79,7 +77,7 @@ def count_thirds(monkeypatch) -> list[int]:
 
 def walk(gen, d: int, x: F, rightward: bool) -> list[ClosedInterval]:
     return [interval(lo, hi, gen.grid(d))
-            for lo, hi in gen.walk(d, x.numerator, x.denominator, rightward)]
+            for lo, hi in gen.walk({}, d, x.numerator, x.denominator, rightward)]
 
 
 unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=3 ** 6)
@@ -867,7 +865,9 @@ class TestNear:
         comps = MiddleThirds(C1_BASE).near(1200, 3, 3, 8)
         assert len(comps) == 1
 
-    def test_walk_matches_the_cover(self, family):
+    def test_walk_matches_the_cover(self, family, monkeypatch):
+        # no walk sweeps a cover, so the walks not materialised descend
+        monkeypatch.setattr(gillab.thirds, "SWEEP_RATIO", 0)
         gen = build_family(2, 56, 15).member(F(1, 2))
         for materialised in (False, True):
             for d in (3, 7):
@@ -884,7 +884,9 @@ class TestNear:
 
 class TestSyntheticSchedules:
     @pytest.mark.parametrize("seed", range(4))
-    def test_near_and_walk_where_holes_cut_components(self, seed):
+    def test_near_and_walk_where_holes_cut_components(self, seed, monkeypatch):
+        # no walk sweeps a cover, so every answer comes from the tree
+        monkeypatch.setattr(gillab.thirds, "SWEEP_RATIO", 0)
         ref, gen = synthetic_intermediate(seed), synthetic_intermediate(seed)
         rnd = random.Random(seed)
         degenerate = 0
@@ -1185,8 +1187,9 @@ class TestScheduleSearch:
                     for gen in (ic.inner, ic.outer):
                         for rightward in (True, False):
                             start = br[0] if rightward else br[1]
-                            got = list(islice(_carried_walk(held, gen, br, e, rightward), 6))
-                            assert got == list(islice(gen.walk(e, start, br[2], rightward), 6)), (
+                            got = list(islice(gen.walk(held, e, start, br[2], rightward), 6))
+                            assert got == list(islice(gen.walk({}, e, start, br[2], rightward),
+                                                      6)), (
                                 r, p, e, rightward)
                             checked += br[0] < br[1]
         assert checked > 300
@@ -1198,13 +1201,13 @@ class TestScheduleSearch:
         # its walks there have paid for it, so no cover is memoised deeper
         # than the deepest stage a try walked, and C_0's few walks at
         # depths 9 and up keep descending
-        walked = {}
+        walked, original = {}, CantorGen.walk
 
-        def recorded(held, gen, br, e, rightward):
+        def recorded(gen, held, e, n, q, rightward):
             walked[gen] = max(walked.get(gen, 0), e)
-            return _carried_walk(held, gen, br, e, rightward)
+            return original(gen, held, e, n, q, rightward)
 
-        monkeypatch.setattr(cantor, "_carried_walk", recorded)
+        monkeypatch.setattr(CantorGen, "walk", recorded)
         fam = fresh_family(level, budget)
         for r in fam.grid():
             gen = fam.member(r)

@@ -10,6 +10,7 @@ from itertools import islice
 
 import pytest
 
+from gillab import thirds
 from gillab.cantor import CantorAddress, IntermediateCantor
 from gillab.exact import UNIT, IntervalSet
 
@@ -31,23 +32,26 @@ BRACKET_DEPTH = 30
 def assert_tree_matches(gens, twins, ref: Model, depth: int, per_cover: int) -> None:
     """near and the first steps of walk, for each generator to depth,
     against the model of its twin on windows taken from the twin's
-    covers.  No cover past stage 0 is memoised, so every answer comes
-    from the tree."""
-    for gen, twin in zip(gens, twins):
-        gen._stage_memo.clear()
-        for d in range(depth + 1):
-            windows = sample_windows(twin.stage(min(d, 6)), per_cover)
-            if d <= 6:
-                windows.append(UNIT)
-            for w in windows:
-                assert near(gen, d, w) == ref.near(twin, d, w), (gen.describe(), d, w)
-            for w in windows[::3]:
-                for rightward in (True, False):
-                    got = islice(gen.walk(d, w.lo.numerator, w.lo.denominator, rightward), 6)
-                    assert ([interval(lo, hi, gen.grid(d)) for lo, hi in got]
-                            == list(islice(ref.walk(twin, d, w.lo, rightward), 6))), (
-                        gen.describe(), d, w, rightward)
-        assert len(gen._stage_memo) == 1
+    covers.  No cover past stage 0 is memoised and no walk sweeps one,
+    so every answer comes from the tree."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(thirds, "SWEEP_RATIO", 0)
+        for gen, twin in zip(gens, twins):
+            gen._stage_memo.clear()
+            for d in range(depth + 1):
+                windows = sample_windows(twin.stage(min(d, 6)), per_cover)
+                if d <= 6:
+                    windows.append(UNIT)
+                for w in windows:
+                    assert near(gen, d, w) == ref.near(twin, d, w), (gen.describe(), d, w)
+                for w in windows[::3]:
+                    for rightward in (True, False):
+                        got = islice(gen.walk({}, d, w.lo.numerator, w.lo.denominator,
+                                              rightward), 6)
+                        assert ([interval(lo, hi, gen.grid(d)) for lo, hi in got]
+                                == list(islice(ref.walk(twin, d, w.lo, rightward), 6))), (
+                            gen.describe(), d, w, rightward)
+            assert len(gen._stage_memo) == 1
 
 
 class TestAgainstTheFractionTree:

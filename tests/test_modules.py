@@ -2,7 +2,9 @@
 
 ``gillab.thirds`` is the generator layer: C_1, C_0 and the local cover
 tree.  The removal-schedule search in ``gillab.cantor`` stands on it, so
-it imports nothing of gillab but ``exact`` and ``errors``.
+it imports nothing of gillab but ``exact`` and ``errors``, and the
+search reads none of the generators' memos: ``CantorGen`` owns them and
+decides from them when its walks sweep a cover.
 
 Every module stays under 8,192 parser tokens.  The benchmark's workers
 run from source with no bytecode, so each one compiles every module it
@@ -51,6 +53,12 @@ def test_thirds_imports_only_exact_and_errors_of_gillab():
     assert "exact" in imported and imported <= {"exact", "errors"}
     # the search imports the generator layer, never the other way round
     assert "thirds" in gillab_imports((SRC / "cantor.py").read_text())
+
+
+def test_the_search_reads_no_generator_memo():
+    read = {node.attr for node in ast.walk(ast.parse((SRC / "cantor.py").read_text()))
+            if isinstance(node, ast.Attribute)}
+    assert not read & {"_stage_memo", "_walks_past_memo", "_children_memo"}
 
 
 def test_the_import_reader_sees_every_form():
