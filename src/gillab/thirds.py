@@ -39,18 +39,18 @@ compares two Fractions.  One middle-thirds point rule on an int base,
 core and each of its attachments, so the gap-attached set makes no
 attachment object.  One middle-thirds cover rule on an int base, the
 index list ``_kept(k)`` of the slots a stage-k cover keeps, gives the
-pieces (``_pieces``) and the new gaps (``_gaps``) of the same bases:
-the middle-thirds covers, the gap-attached sweeps and each generator's
-``gaps_opened(s)`` read it.  That list is one local rule,
-``_kept_children``, applied stage by stage: slot m is kept iff m % 3
-!= 1 and its parent slot m // 3 is kept.  The gap-attached set's
-``_children_of`` takes that one step once per base, from the parent
-slots that lie inside the component it refines, so a descent is
-linear in its depth, and the gap-attached set calls no method of its
-core.  One rule, ``_slot_pieces``, turns slots into pieces for
-``_pieces`` and ``_children_of``.  There is one endpoint rule, in
-:class:`CantorGen`: the ends of ``stage(0)``, then the ends of the
-gaps opened at each stage s >= 1.
+pieces (``_pieces``) of the middle-thirds covers and the gap-attached
+sweeps, and the core gaps (``_gaps``) those sweeps attach to.  That
+list is one local rule, ``_kept_children``, applied stage by stage:
+slot m is kept iff m % 3 != 1 and its parent slot m // 3 is kept.  The
+gap-attached set's ``_children_of`` takes that one step once per base,
+from the parent slots that lie inside the component it refines, so a
+descent is linear in its depth, and the gap-attached set calls no
+method of its core.  One rule, ``_slot_pieces``, turns slots into
+pieces for ``_pieces`` and ``_children_of``.  There is one endpoint
+rule, in :class:`CantorGen`: an endpoint is first found at the first
+stage whose cover has it as a component end, every end of
+``stage(0)`` at stage 0.
 
 For both kinds both ends of every stage-d component are points of the
 set, so each component of ``stage(d).complement_in(UNIT)`` is the
@@ -137,10 +137,6 @@ class CantorGen:
         component [lo, hi] over grid(d-1), in order."""
         raise NotImplementedError
 
-    def gaps_opened(self, s: int) -> list[Pair]:
-        """The gaps opened at stage s >= 1, ascending, over grid(s)."""
-        raise NotImplementedError
-
     def grid(self, d: int) -> int:
         """The denominator every stage-d end is an int over."""
         return self._q0 * 3 ** d
@@ -161,12 +157,12 @@ class CantorGen:
         return self._endpoint_stages[s]
 
     def _discover_endpoints(self, s: int) -> list[Fraction]:
-        """The ends of stage(0), then for s >= 1 the ends of the gaps
-        opened at stage s, in order."""
-        if s == 0:
-            return [x for c in self.stage(0) for x in (c.lo, c.hi)]
+        """The ends of the stage-s components that no stage-(s-1) component
+        has, ascending: every end of stage(0), then the new cover ends."""
         q = self.grid(s)
-        return [Fraction(x, q) for gap in self.gaps_opened(s) for x in gap]
+        old = {x for ends in self.stage(s - 1).numerators(q) for x in ends} if s else ()
+        lo, hi = self.stage(s).numerators(q)
+        return [Fraction(x, q) for pair in zip(lo, hi) for x in pair if x not in old]
 
     def near(self, d: int, lo: int, hi: int, q: int) -> list[Pair]:
         """Stage-d components meeting the closed window [lo/q, hi/q], in
@@ -423,9 +419,6 @@ class MiddleThirds(CantorGen):
             raise ValueError(f"{t} lies outside the base of {self.describe()}")
         return _gap_fractions(self._q0, hit)
 
-    def gaps_opened(self, s: int) -> list[Pair]:
-        return _gaps(self._a * 3 ** s, self._w, s - 1)
-
     # bound in each class body rather than inherited: bench/tracing.py
     # wraps vars(cls)["membership"] and vars(cls)["endpoints"] of every
     # generator class
@@ -452,13 +445,12 @@ class GapAttachedCantor(CantorGen):
     Every path reads an attachment off its gap's ends and makes no
     attachment object.  ``_compute_stage(d)`` is one int sweep over
     grid(d): the middle-thirds pieces (``_pieces``) of the core's base
-    and of each attachment base, merged once; ``gaps_opened`` and
-    ``gaps_of_generation`` read the gaps of the same bases (``_gaps``),
-    and ``_children_of`` takes one slot step (``_kept_children``) from
-    the slots of each base that lie inside one component.  The point
-    queries run ``_thirds_exit`` on the core's base, then on each
-    attachment base of the core gap holding t, so no path calls a method
-    of the core.
+    and of each attachment base, merged once; ``gaps_of_generation``
+    reads the core's gaps (``_gaps``), and ``_children_of`` takes one
+    slot step (``_kept_children``) from the slots of each base that lie
+    inside one component.  The point queries run ``_thirds_exit`` on the
+    core's base, then on each attachment base of the core gap holding t,
+    so no path calls a method of the core.
     """
 
     def __init__(self, core: MiddleThirds):
@@ -505,20 +497,6 @@ class GapAttachedCantor(CantorGen):
                 for a in ends:
                     pieces += _pieces(a, w, d - g)
         return IntervalSet.over(self.grid(d), *zip(*_normalize(pieces)))
-
-    def gaps_opened(self, s: int) -> list[Pair]:
-        # the middle thirds of each generation-g attachment's stage-(s -
-        # g - 1) pieces, and each generation-s core gap less its attachments
-        gaps = []
-        for g in range(s):
-            for gap in self.gaps_of_generation(g):
-                w, *ends = self._attachment_ends(s, g, *gap)
-                for a in ends:
-                    gaps += _gaps(a, w, s - g - 1)
-        for gap in self.gaps_of_generation(s):
-            w, a, b = self._attachment_ends(s, s, *gap)
-            gaps.append((a + w, b))
-        return sorted(gaps)
 
     def _children_of(self, d: int, lo: int, hi: int) -> list[Pair]:
         """The core pieces meeting the parent and the attachment pieces of

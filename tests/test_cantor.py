@@ -249,6 +249,18 @@ class TestAddresses:
                 assert contains_interval(bracket(addr, d - 1), br)
         assert widths[9] < widths[0] / 100
 
+    def test_a_single_child_takes_no_turn(self, monkeypatch):
+        # a stage whose bracket has one child takes it and consumes no
+        # L/R turn, so the turns after it go on alternating from the last
+        c1 = MiddleThirds(C1_BASE)
+        addr = root_address(c1, 0)
+        children = c1._cached_children
+        monkeypatch.setattr(c1, "_cached_children", lambda d, lo, hi: (
+            children(d, lo, hi)[:1] if d == 2 else children(d, lo, hi)))
+        sides = ["L" if addr.bracket(d) == children(d, *addr.bracket(d - 1))[0] else "R"
+                 for d in range(1, 6)]
+        assert sides == ["L", "L", "R", "L", "R"]
+
     def test_limit_point_interior(self, family):
         # alternating tails denote non-endpoints: both bracket ends move
         addr = root_address(family.c0, 1)
@@ -799,8 +811,11 @@ class TestNear:
         c0 = build_family(2, 56).c0
         anchors = [x for entry in fam.member(F(1, 2)).schedule().entries[::4]
                    for x in (entry.a, entry.b) if isinstance(x, CantorAddress)]
-        gaps = [interval(lo, hi, c0.grid(s)) for s in range(1, 5)
-                for lo, hi in c0.gaps_opened(s)[:6]]
+        # the first six gaps the model's stage-s cover opens, s = 1..4
+        opened = [{(c.hi, n.lo) for c, n in zip(cover, cover[1:])}
+                  for cover in (ref.cover(c0, s).components for s in range(5))]
+        gaps = [ClosedInterval(lo, hi) for s in range(1, 5)
+                for lo, hi in sorted(opened[s] - opened[s - 1])[:6]]
         for d in range(11, 25):
             step = F(1, c0.grid(d))
             windows = [ClosedInterval(e - step, e + step) for e in fam.c0.endpoints(40)]
@@ -991,8 +1006,7 @@ class TestOrderedGapAttachedCover:
             raise AssertionError("C_0 asked C_1")
 
         for name in ("near", "walk", "_cached_children", "_children_of", "stage",
-                     "gaps_opened", "new_endpoints", "first_out", "gap_of",
-                     "membership", "endpoints"):
+                     "new_endpoints", "first_out", "gap_of", "membership", "endpoints"):
             monkeypatch.setattr(fam.c1, name, refused)
         for d in range(9):
             assert c0.stage(d) == want.stage(d), d
@@ -1012,11 +1026,8 @@ class TestOrderedGapAttachedCover:
     def test_new_endpoints_are_the_new_cover_ends(self, monkeypatch):
         # for C_1 and C_0 kinds on three bases: an endpoint first found at
         # stage s ends a stage-s component of the model's cover and no
-        # stage-(s - 1) one, and the gaps opened at stage s are the gaps
-        # of its stage-s cover that the stage-(s - 1) cover lacks; the
-        # endpoint stream reads them off the gap ends and makes no
-        # attachment object (the model makes its own, so its covers come
-        # first)
+        # stage-(s - 1) one; the endpoint stream makes no attachment
+        # object (the model makes its own, so its covers come first)
         ref = Model()
         gens, covers = [], []
         for base in (C1_BASE, ClosedInterval(F(1, 3), F(2, 3)), ClosedInterval(F(3, 10), F(7, 10))):
@@ -1026,16 +1037,11 @@ class TestOrderedGapAttachedCover:
                 covers.append([ref.cover(gen, s).components for s in range(9)])
         made = count_thirds(monkeypatch)
         for gen, cover in zip(gens, covers):
-            old_ends, old_gaps = set(), set()
+            old_ends = set()
             for s in range(9):
                 ends = {x for comp in cover[s] for x in (comp.lo, comp.hi)}
-                gaps = {(c.hi, n.lo) for c, n in zip(cover[s], cover[s][1:])}
                 assert gen.new_endpoints(s) == sorted(ends - old_ends), (gen.describe(), s)
-                if s:
-                    q = gen.grid(s)
-                    assert ([(F(a, q), F(b, q)) for a, b in gen.gaps_opened(s)]
-                            == sorted(gaps - old_gaps)), (gen.describe(), s)
-                old_ends, old_gaps = ends, gaps
+                old_ends = ends
             gen.endpoints(200)
         assert made == [0]
 

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 import gillab
-from gillab import cli, invlimit
+from gillab import cache, cli, invlimit
 from gillab.cantor import CantorFamily, IntermediateCantor
 from gillab.cli import main
 from gillab.errors import BoxCountError
@@ -387,6 +387,52 @@ def test_library_error_exits_1_with_one_line(monkeypatch):
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
     assert res.stdout == ""
     assert res.stderr == "error: box count over the ceiling\n"
+
+
+def test_search_exhaustion_exits_1_with_one_line():
+    # at level 6 one member's schedule search finds no stage that
+    # isolates its outer endpoint 11/72 by the search ceiling
+    res = invoke("eval", "19763/23328", "--level", "6", "--budget", "24")
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == ("error: bracket search for endpoint Fraction(11, 72) "
+                          "exhausted at stage 15\n")
+
+
+def test_arc_index_below_the_thread_exits_2_with_one_line(tmp_path):
+    # canned thread 3 has tail start 3, so its first arc index is 2
+    path = tmp_path / "threads.json"
+    path.write_text(json.dumps([{"prefix": ["0", "0", "1/16"], "tailStart": 3,
+                                 "tailPeriod": ["1/4", "5/12", "3/4"], "isZero": False}]))
+    res = invoke("export", "arc", *FAMILY, "--arc-n", "1", "--threads-file", str(path))
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == "Error: --arc-n must be >= 2 for this thread\n"
+
+
+def test_zero_thread_has_no_arc_chain(tmp_path):
+    path = tmp_path / "threads.json"
+    path.write_text('[{"isZero": true}]')
+    res = invoke("verify", "arcs", *FAMILY, "--threads-file", str(path))
+    assert res.exit_code == 0, res.output
+    assert res.stderr == ""
+    entry, = json.loads(res.stdout)["suites"]["arcs"]["threads"]
+    assert entry["valid"] and entry["arc_chain"] == "rejected (zero thread)"
+
+
+def test_cache_with_no_members_exits_3_with_one_line(tmp_path):
+    # the content hash covers the empty member map, so the load gets as
+    # far as reading the cover depth off it
+    payload = {"version": cache.FORMAT_VERSION, "level": 1, "budget": 8,
+               "stages": 4, "members": {}}
+    payload["contentHash"] = cache._content_hash(payload)
+    path = tmp_path / cache.family_filename(1, 8)
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    res = invoke("family", "inspect", "--level", "1", "--budget", "8",
+                 "--cache-dir", str(tmp_path))
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == f"cache error: cache file {path} holds no stage covers\n"
 
 
 @pytest.mark.parametrize("args", [

@@ -17,12 +17,19 @@ the form a cache file holds them in.
   changes with the budget.  A member whose outer set is intermediate
   has an outer cover that changes with the budget too, and the law
   fails for most of those.
+* Mode invariance: the tents lie in the gaps of C_0, so on C_0 the
+  zero and tent modes give the same ``eval_F`` bracket, and the same
+  graph-cover height over each C_0 component.  A cap is max(r,
+  ``f_sup``), so the heights differ once a grid index falls below
+  ``MAX_TENT_HEIGHT`` = 1/32 (level >= 6); the law is asserted at
+  levels <= 4.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from gillab.bonding import eval_F, make_map
 from gillab.cantor import IntermediateCantor, build_family
 
 BUDGET = 24
@@ -56,3 +63,15 @@ def test_schedules_agree(law, level):
             part = schedules(level, budget=budget)
             for r in on_c0:
                 assert part[r] and full[r][:len(part[r])] == part[r], (level, budget, r)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_modes_agree_on_c0(level):
+    fam = build_family(level, BUDGET)
+    zero, tent = make_map("zero", fam), make_map("tent", fam)
+    for t in fam.c0.endpoints(200) + fam.c1.endpoints(64):
+        assert eval_F(zero, t, max_stage=8) == eval_F(tent, t, max_stage=8), (level, t)
+    for d in range(7):
+        covers = zero.graph_cover(d, level), tent.graph_cover(d, level)
+        for comp in fam.c0.stage(d):
+            assert covers[0].floor(comp) == covers[1].floor(comp), (level, d, comp)

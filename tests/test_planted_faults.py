@@ -7,9 +7,9 @@ from fractions import Fraction as F
 import pytest
 from click.testing import CliRunner
 
-from gillab import bonding, cli, dynamics, invlimit
+from gillab import bonding, cache, cli, dynamics, invlimit
 from gillab.bonding import FBracket, check_light, check_not_almost_nonfissile, make_map
-from gillab.cantor import IN, CantorAddress, Membership, build_family
+from gillab.cantor import DEFAULT_MAX_STAGE, IN, OUT, CantorAddress, Membership, build_family
 from gillab.dynamics import Cycle
 from gillab.exact import ClosedInterval, IntervalSet
 
@@ -60,6 +60,23 @@ def test_hole_on_inner_cover_fails_verify_nesting(tmp_path, monkeypatch):
     assert res.exit_code == cli.EXIT_VERIFY_FAILED, res.output
     report = json.loads(res.output)
     assert not report["ok"] and not report["suites"]["nesting"]["ok"]
+
+
+def test_hole_on_inner_cover_fails_family_inspect(tmp_path, monkeypatch):
+    # the cache file certifies the planted family's own covers, so the
+    # rebuild loads and the nesting audit fails, with no error line
+    fam, s = family_with_hole_on_inner_cover()
+    cache.save_family(fam, 4, tmp_path)
+    monkeypatch.setattr(cache, "build_family",
+                        lambda *args: family_with_hole_on_inner_cover()[0])
+    res = CliRunner().invoke(cli.main, [
+        "family", "inspect", "--level", "1", "--budget", "24", "--stage", "4",
+        "--cache-dir", str(tmp_path)])
+    assert res.exit_code == cli.EXIT_VERIFY_FAILED, res.output
+    assert res.stderr == ""
+    report = json.loads(res.stdout)
+    assert not report["nesting"]["ok"]
+    assert {"r": "1", "s": "1/2", "stage": s} in report["nesting"]["failures"]
 
 
 POKE_STAGE = 3
@@ -197,6 +214,29 @@ def _no_witness_on_c1(m, t, *args):
     return _eval_F(m, t, *args)
 
 
+def _inverted_at_one_half(m, t, *args):
+    """eval_F with the bracket [0, 1/2] inside [0, 1/4] at t = 1/2, a
+    grid point of the ivp shape check and no spot-check witness."""
+    if t == F(1, 2):
+        return FBracket(F(1, 2), F(1, 4))
+    return _eval_F(m, t, *args)
+
+
+def _family_refusing_one_witness(level, budget):
+    """The family, with C_{1/2} refusing the first witness the weak
+    continuity check finds for the usc suite's C_1 endpoints: a point of
+    C_1, so of every member."""
+    fam = build_family(level, budget)
+    witnesses = bonding.check_weak_continuity(
+        make_map("zero", fam), fam.c1.endpoints(50), DEFAULT_MAX_STAGE)["witnesses"]
+    witness = F(witnesses[0]["witness"])
+    mid = fam.member(F(1, 2))
+    membership = mid.membership
+    mid.membership = lambda t, *args: (Membership(OUT, 0) if t == witness
+                                       else membership(t, *args))
+    return fam
+
+
 _eval_F = bonding.eval_F
 _joint = invlimit.ArcSystem.joint
 
@@ -220,6 +260,10 @@ PLANTED = {
     "interior": ("interior", bonding.GraphCover, "floor", lambda cover, xb: F(1)),
     # the spot checks' witnesses are C_1 endpoints
     "ivp": ("ivp", bonding, "eval_F", _no_witness_on_c1),
+    # one grid point's image is no interval anchored at 0
+    "ivp_shape": ("ivp", bonding, "eval_F", _inverted_at_one_half),
+    # one member loses one witness that every member holds
+    "weak_continuity_witness": ("usc", cli, "build_family", _family_refusing_one_witness),
     # 1/4 is in C_1, so each step is certified, but the points coincide
     "cycles": ("cycles", dynamics, "make_cycle", lambda m, n: Cycle((F(1, 4), F(1, 4)))),
     # each joint sits one zero coordinate deeper than both its arcs
@@ -261,6 +305,21 @@ def test_zero_tolerance_fails_weak_continuity_alone(monkeypatch):
     assert usc["usc"]["ok"] and not usc["weak_continuity"]["ok"]
     assert {f["reason"] for f in usc["weak_continuity"]["failures"]} == {
         "witness search exhausted"}
+
+
+def test_inverted_bracket_fails_the_ivp_shape_check_alone(monkeypatch):
+    ivp = planted_report("ivp_shape", monkeypatch)["suites"]["ivp"]
+    assert ivp["shape_failures"] == [{"point": "1/2"}] and not ivp["spot_failures"]
+
+
+def test_refused_witness_fails_weak_continuity_alone(monkeypatch):
+    # the witness is refused by C_{1/2} only, and for the endpoint it
+    # witnesses only
+    usc = planted_report("weak_continuity_witness", monkeypatch)["suites"]["usc"]
+    assert usc["usc"]["ok"]
+    failures = usc["weak_continuity"]["failures"]
+    assert [(f["index"], f["reason"]) for f in failures] == [
+        ("1/2", "witness lost certification")]
 
 
 def test_joint_one_zero_too_many_fails_every_joint_check(zero_map, monkeypatch):
