@@ -42,7 +42,6 @@ made, and its ``membership`` asks it directly.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -220,30 +219,17 @@ class ScheduleEntry:
 class RemovalSchedule:
     entries: list[ScheduleEntry] = field(default_factory=list)
     reuses: list[tuple[PointLike, int]] = field(default_factory=list)
-    # the widest hulls of the entries indexed so far, over one denominator
-    # q: (lo, position) sorted, hi by position, q, and the widest width; a
-    # hull meeting a window starts at most that far left of it
-    _index: tuple = field(default=((), (), 1, 0), init=False, repr=False, compare=False)
 
     def meeting(self, lo: int, hi: int, q: int,
                 live_at: Optional[int] = None) -> Iterator[ScheduleEntry]:
         """In order, the entries created by stage live_at (any, if None)
         whose widest hull meets the closed window [lo/q, hi/q]; no other
-        hull meets it."""
-        # the search appends entries, so index anew when it has
-        if len(self._index[1]) < len(self.entries):
-            hulls = [entry.widest_hull for entry in self.entries]
-            iq = lcm(*(h[2] for h in hulls))
-            self._index = (sorted((a * (iq // p), k) for k, (a, _, p) in enumerate(hulls)),
-                           [b * (iq // p) for _, b, p in hulls], iq,
-                           max((b - a) * (iq // p) for a, b, p in hulls))
-        by_lo, his, iq, reach = self._index
-        wlo, whi = _on(lo, hi, q, iq)
-        first = bisect_left(by_lo, (wlo - reach,))
-        last = bisect_right(by_lo, (whi, len(self.entries)))
-        for k in sorted(k for _, k in by_lo[first:last] if his[k] >= wlo):
-            entry = self.entries[k]
-            if live_at is None or entry.create_stage <= live_at:
+        hull meets it.  One scan of the entries in creation order: a
+        schedule holds at most its budget of them."""
+        for entry in self.entries:
+            hlo, hhi, hq = entry.widest_hull
+            if (hlo * q <= hi * hq and lo * hq <= hhi * q
+                    and (live_at is None or entry.create_stage <= live_at)):
                 yield entry
 
 

@@ -142,7 +142,7 @@ class CantorGen:
         return self._q0 * 3 ** d
 
     def stage(self, d: int) -> IntervalSet:
-        """Depth-d cover; computed at most once per depth."""
+        """Depth-d cover, over grid(d); computed at most once per depth."""
         if d < 0:
             raise ValueError(f"stage depth must be >= 0, got {d}")
         while len(self._stage_memo) <= d:
@@ -161,7 +161,7 @@ class CantorGen:
         has, ascending: every end of stage(0), then the new cover ends."""
         q = self.grid(s)
         old = {x for ends in self.stage(s - 1).numerators(q) for x in ends} if s else ()
-        lo, hi = self.stage(s).numerators(q)
+        lo, hi = self.stage(s).numerators()
         return [Fraction(x, q) for pair in zip(lo, hi) for x in pair if x not in old]
 
     def near(self, d: int, lo: int, hi: int, q: int) -> list[Pair]:
@@ -171,7 +171,7 @@ class CantorGen:
         # descend from the deepest memoised cover (stage 0 if none is)
         start = min(d, max(len(self._stage_memo) - 1, 0))
         cover = self.stage(start)
-        clo, chi = cover.numerators(self.grid(start))
+        clo, chi = cover.numerators()
         comps = [(clo[k], chi[k]) for k in cover.overlapping(lo, hi, q)]
         for k in range(start + 1, d + 1):
             comps = self._descend(k, comps, lo, hi, q)
@@ -211,7 +211,7 @@ class CantorGen:
         if comps is None or d < len(self._stage_memo):
             k = min(d, len(self._stage_memo) - 1)
             cover = self.stage(k)
-            clo, chi = cover.numerators(self.grid(k))
+            clo, chi = cover.numerators()
             comps = ((clo[i], chi[i]) for i in cover.outward(n, q, rightward))
         else:
             comps = copy(comps)
@@ -244,8 +244,7 @@ class CantorGen:
             if d < len(self._stage_memo):
                 cover = self._stage_memo[d]
                 clo, chi = cover.numerators()
-                f = self.grid(d) // cover.q
-                children = tuple((clo[k] * f, chi[k] * f)
+                children = tuple((clo[k], chi[k])
                                  for k in cover.overlapping(lo, hi, self.grid(d - 1)))
             else:
                 children = tuple(self._children_of(d, lo, hi))

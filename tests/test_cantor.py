@@ -754,7 +754,7 @@ class TestHoleIndex:
                     want = ref.scan_meeting(sched, w, live_at)
                     assert list(sched.meeting(*window(w), live_at)) == want, (w, live_at)
                     hits += len(want)
-            # the index follows appends, as while the search builds it
+            # the scan reads each appended entry, as while the search builds it
             grown = RemovalSchedule()
             for entry in sched.entries:
                 grown.entries.append(entry)

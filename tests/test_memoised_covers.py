@@ -13,6 +13,7 @@ import pytest
 
 from gillab.cantor import CantorAddress, IntermediateCantor, build_family
 
+from conftest import synthetic_intermediate
 from reference import built
 
 DEPTH = 8
@@ -48,6 +49,20 @@ def test_filled_in_build_order_equals_lazy(level, budget):
             assert schedule_text(a) == schedule_text(b), r
         for d in range(DEPTH + 1):
             assert a.stage(d).to_text() == b.stage(d).to_text(), (r, d)
+
+
+@pytest.mark.parametrize("source", ["level 1", "level 2", "level 3", "synthetic"])
+def test_every_cover_lies_over_its_grid(source):
+    # near, walk, _cached_children and endpoint discovery read a memoised
+    # stage-d cover's numerators unscaled, as numerators over grid(d)
+    if source == "synthetic":
+        gens = [synthetic_intermediate(seed) for seed in range(4)]
+    else:
+        fam = built(int(source[-1]), 56)
+        gens = [fam.member(r) for r in fam.grid()]
+    for gen in gens:
+        for d in range(DEPTH + 1):
+            assert gen.stage(d).q == gen.grid(d), (gen.describe(), d)
 
 
 @pytest.mark.parametrize("level", [2, 3])

@@ -79,6 +79,23 @@ def test_hole_on_inner_cover_fails_family_inspect(tmp_path, monkeypatch):
     assert {"r": "1", "s": "1/2", "stage": s} in report["nesting"]["failures"]
 
 
+def test_hole_on_inner_cover_answers_point_queries():
+    # the schedule's readers read the planted entry, not the one it
+    # replaced: a point just inside its hole leaves C_{1/2} by the hole's
+    # create stage, as the cover there says
+    fam, s = family_with_hole_on_inner_cover()
+    mid = fam.member(F(1, 2))
+    planted = mid.schedule().entries[2]
+    assert isinstance(planted.a, F) and planted.create_stage == s
+    hole_lo, _, q = planted.removal_open(s)
+    t = F(hole_lo, q) + F(1, 10 ** 9)
+    assert not mid.stage(s).contains_point(t)
+    d = mid.first_out(t, s)
+    assert d is not None and d <= s
+    n, m = t.numerator, t.denominator
+    assert [e.index for e in mid.schedule().meeting(n, n, m)] == [2]
+
+
 POKE_STAGE = 3
 
 
