@@ -165,30 +165,25 @@ class GraphCover:
     """Finite outer box cover of the graph of F with exact corners.
 
     The x-intervals tile [0, 1]: box k is [ends[k]/q, ends[k+1]/q] x
-    [0, heights[ranks[k]]], for int ends rising from 0 to q and heights
-    ascending, so a taller box has a larger int rank.  The queries, the
-    CSV rows and Mahavier products are int work on ``ends``, ``ranks``
-    and ``int_heights``; ``boxes`` makes the boxes at the edge.
+    [0, tops[ranks[k]]/d], for int ends rising from 0 to q, int tops
+    ascending over d, the lcm of q and the heights' denominators, so a
+    taller box has a larger int rank.  The queries, the CSV rows and
+    Mahavier products are int work on ``ends``, ``ranks`` and ``tops``;
+    ``boxes`` makes the boxes at the edge.
     """
 
     q: int
     ends: tuple[int, ...]
-    heights: tuple[Fraction, ...]
+    d: int
+    tops: tuple[int, ...]
     ranks: tuple[int, ...]
 
     @cached_property
     def boxes(self) -> list[tuple[ClosedInterval, ClosedInterval]]:
         """The boxes in x order; the boxes of one height share its y-interval."""
         xs = [Fraction(e, self.q) for e in self.ends]
-        ys = [ClosedInterval(ZERO, h) for h in self.heights]
+        ys = [ClosedInterval(ZERO, Fraction(t, self.d)) for t in self.tops]
         return [(ClosedInterval(a, b), ys[k]) for a, b, k in zip(xs, xs[1:], self.ranks)]
-
-    @cached_property
-    def int_heights(self) -> tuple[int, tuple[int, ...]]:
-        """(d, tops): d the lcm of q and the heights' denominators, and
-        each height as an int over d, ascending."""
-        d = lcm(self.q, *(h.denominator for h in self.heights))
-        return d, tuple(h.numerator * (d // h.denominator) for h in self.heights)
 
     def contains_point(self, t: Fraction, y: Fraction) -> bool:
         """Whether some box holds (t, y); int work on the numerators and
@@ -198,8 +193,7 @@ class GraphCover:
             return False
         # y <= tops[k]/d iff ceil(y*d) <= tops[k] iff k >= low, as the
         # tops ascend
-        d, tops = self.int_heights
-        low = bisect_left(tops, -(-p * d // s))
+        low = bisect_left(self.tops, -(-p * self.d // s))
         # box k holds t iff ends[k] <= t*q <= ends[k+1], so the boxes
         # holding t form one run, from the first whose right end reaches t
         p, s = t.numerator * self.q, t.denominator
@@ -211,11 +205,9 @@ class GraphCover:
         return False
 
     def area(self) -> Fraction:
-        # the boxes share a few heights, so each height's widths are summed first
-        widths = [0] * len(self.heights)
-        for k, lo, hi in zip(self.ranks, self.ends, self.ends[1:]):
-            widths[k] += hi - lo
-        return sum((h * w for h, w in zip(self.heights, widths)), ZERO) / self.q
+        tops = self.tops
+        return Fraction(sum(tops[k] * (hi - lo) for k, lo, hi
+                            in zip(self.ranks, self.ends, self.ends[1:])), self.q * self.d)
 
     def floor(self, xb: ClosedInterval) -> Fraction:
         """Lowest top of the boxes whose x-interval meets the interior of
@@ -225,11 +217,11 @@ class GraphCover:
         # the boxes k with ends[k+1] > lo*q and ends[k] < hi*q
         first = bisect_right(self.ends, lo.numerator * q // lo.denominator, 1) - 1
         last = bisect_left(self.ends, -(-hi.numerator * q // hi.denominator), 0, len(self.ranks))
-        return self.heights[min(self.ranks[first:last])]
+        return Fraction(self.tops[min(self.ranks[first:last])], self.d)
 
     def csv_rows(self) -> list[str]:
         ends = [_text(e, self.q) for e in self.ends]
-        ys = [f"0,{h}" for h in self.heights]
+        ys = [f"0,{_text(t, self.d)}" for t in self.tops]
         rows = ["x_lo,x_hi,y_lo,y_hi"]
         rows += (f"{a},{b},{ys[k]}" for a, b, k in zip(ends, ends[1:], self.ranks))
         return rows
@@ -299,7 +291,8 @@ def _build_graph_cover(m: SetValuedMap, stage: int, level: int) -> GraphCover:
         ends.append(x)
         ranks.append(tent_ranks[q - x])
     ends.append(q)
-    return GraphCover(q, tuple(ends), tuple(heights), tuple(ranks))
+    d = lcm(q, *(h.denominator for h in heights))
+    return GraphCover(q, tuple(ends), d, tuple(_over(d, h) for h in heights), tuple(ranks))
 
 
 # ---------------------------------------------------------------------------

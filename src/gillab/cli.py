@@ -424,7 +424,7 @@ def export_arc(level, budget, mode, threads_file, out, arc_n, coords):
         raise click.UsageError(
             f"not a thread of F: x_{k - 1} in F(x_{k}) is not certified")
     sysm = invlimit.ArcSystem(m, th, max(6, th.tail_start))
-    first = sysm.arc_range().start
+    first = sysm.first_arc
     if arc_n < first:
         raise click.UsageError(f"--arc-n must be >= {first} for this thread")
     pts = invlimit.arc_points(sysm, arc_n, invlimit.arc_params(sysm, arc_n), (i, j))

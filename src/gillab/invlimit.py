@@ -21,7 +21,7 @@ from .bonding import MIN_C0, SetValuedMap, eval_F
 from .cantor import DEFAULT_MAX_STAGE
 from .dynamics import Cycle, certify_step, iterate_f
 from .errors import BoxCountError
-from .exact import UNIT, ClosedInterval, IntervalSet, ONE, ZERO, _text
+from .exact import UNIT, ClosedInterval, ONE, ZERO, _text
 
 BOX_CEILING = 10 ** 6
 TREELIKE_GAP_STAGE = 3
@@ -31,8 +31,9 @@ TREELIKE_GAP_STAGE = 3
 class Thread:
     """Point of the inverse limit: iterate prefix plus periodic tail.
 
-    ``coordinate(n)`` is prefix[n] for n < tail_start and cycles through
-    ``tail_period`` afterwards.  The all-zero thread is the lone point
+    ``coordinate(n)`` is prefix[n] for 0 <= n < tail_start and cycles
+    through ``tail_period`` afterwards; a negative n is a ValueError, not
+    an index from the end.  The all-zero thread is the lone point
     with no tail in the big set and is marked ``is_zero``.
     """
 
@@ -53,6 +54,8 @@ class Thread:
         return len(self.prefix)
 
     def coordinate(self, n: int) -> Fraction:
+        if n < 0:
+            raise ValueError(f"coordinate index {n} is negative")
         if self.is_zero:
             return ZERO
         if n < len(self.prefix):
@@ -186,8 +189,10 @@ class ArcSystem:
         if self.depth < tail_index(self.m, self.thread):
             raise ValueError("depth must reach the tail index")
 
-    def arc_range(self) -> range:
-        return range(max(self.thread.tail_start - 1, 0), self.depth + 1)
+    @property
+    def first_arc(self) -> int:
+        """The first arc index, N - 1 for the tail index N (0 if N is 0)."""
+        return max(self.thread.tail_start - 1, 0)
 
     def joint(self, i: int) -> Thread:
         """y^i: i zero coordinates, then the thread's coordinates from i."""
@@ -229,7 +234,7 @@ def arc_params(sys: ArcSystem, n: int) -> list[Fraction]:
 def arc_points(sys: ArcSystem, n: int, params: list[Fraction],
                coords: tuple[int, int]) -> list[tuple[Fraction, Fraction, Fraction]]:
     """Exact planar projections (param, coord_i, coord_j) of arc n."""
-    if n < sys.thread.tail_start - 1:
+    if n < sys.first_arc:
         raise ValueError("arc index below the chain start")
     # coordinates past n are the thread's own, so only the prefix to n
     # is built
@@ -256,7 +261,7 @@ def verify_arc_chain(sys: ArcSystem) -> dict:
     checks = []
     failures = []
     span = M + len(th.tail_period) + 4
-    for n in range(max(th.tail_start - 1, 0), M):
+    for n in range(sys.first_arc, M):
         x_n = th.coordinate(n)
         x_n1 = th.coordinate(n + 1)
         # the separation fact needs x_n >= 1/8, which holds once the tail
@@ -273,12 +278,9 @@ def verify_arc_chain(sys: ArcSystem) -> dict:
         checks.append(rec)
         if not (sep_ok and joint_ok and base_ok):
             failures.append(rec)
-    # the thread itself sits on the first arc at parameter x_{N-1}
-    anchor_ok = True
-    if th.tail_start >= 1:
-        n0 = th.tail_start - 1
-        anchor_ok = (sys.arc_point(n0, th.coordinate(n0), span)
-                     == th.coordinates(span))
+    # the thread itself sits on the first arc n0 at parameter x_{n0}
+    n0 = sys.first_arc
+    anchor_ok = sys.arc_point(n0, th.coordinate(n0), span) == th.coordinates(span)
     joint_decay = [{"i": i, "max_leading": str(max(
         [sys.joint(i).coordinate(k) for k in range(i)], default=ZERO))}
         for i in range(1, min(M, 6) + 1)]
@@ -301,9 +303,10 @@ class BoxCover:
     ``heads[b]`` lists each box j that can follow box b with the top of
     T_b & Y_j, whose bottom is T_b's.  Both end with a virtual box over
     [0, 1], whose meet with Y_j is Y_j: its heads are the first boxes.
-    Each list is in row order, so one depth-first walk meets the chains
-    in coordinate-tuple order; ``csv_rows`` and the ``boxes`` view share
-    it.  ``len`` is the chain count, known before any row is made.
+    Each list is in row order, so one depth-first recursion
+    (``_extend``) meets the chains in coordinate-tuple order;
+    ``csv_rows`` and the ``boxes`` view share it.  ``len`` is the chain
+    count, known before any row is made.
     """
 
     dimension: int
@@ -324,45 +327,39 @@ class BoxCover:
         def interval(lo: int, hi: int) -> tuple[ClosedInterval]:
             return (ClosedInterval(Fraction(lo, d), Fraction(hi, d)),)
 
-        return self._walk(interval, interval, [])
-
-    def project(self, i: int) -> IntervalSet:
-        return IntervalSet(box[i] for box in self.boxes)
+        return self._walk(interval, interval, (), [])
 
     def csv_rows(self) -> list[str]:
         head = ",".join(f"x{i}_lo,x{i}_hi" for i in range(self.dimension))
         ends = {e for x in self.xs for e in x} | {top for _, top in self.heads[-1]}
         text = {e: _text(e, self.d) for e in ends}
         return self._walk(lambda lo, hi: f"{text[lo]},{text[hi]},",
-                          lambda lo, hi: f"{text[lo]},{text[hi]}", [head])
+                          lambda lo, hi: f"{text[lo]},{text[hi]}", "", [head])
 
-    def _walk(self, part, last, rows: list) -> list:
-        """rows, extended by each chain's row in row order: part(meet) for
-        each meet but the last, then part(meet) + last(T) of the last
-        pair.  Each box's parts and last parts are made once, before any
-        row, and a chain's front once for all its heads."""
-        n, xs, heads = self.dimension - 1, self.xs, self.heads
-        lasts = [[part(lo, top) + last(*xs[j]) for j, top in hs] for (lo, _), hs in zip(xs, heads)]
-        if n == 1:
-            rows.extend(lasts[-1])
-            return rows
+    def _walk(self, part, last, empty, rows: list) -> list:
+        """rows, extended by each chain's row in row order: empty, the
+        '' or () of part's type, then part(meet) for each meet but the
+        last, then part(meet) + last(T) of the last pair.  Each box's
+        parts and last parts are made once, before any row, and a chain's
+        front once for all its heads."""
+        xs, heads = self.xs, self.heads
         parts = [[(j, part(lo, top)) for j, top in hs] for (lo, _), hs in zip(xs, heads)]
-        # the heads still to take at each depth of the current chain, and
-        # the row's parts down to that depth (the virtual box has none)
-        todo, fronts = [iter(parts[-1])], [None]
-        while todo:
-            for j, s in todo[-1]:
-                front = s if fronts[-1] is None else fronts[-1] + s
-                if len(todo) == n - 1:
-                    rows.extend(map(front.__add__, lasts[j]))
-                else:
-                    todo.append(iter(parts[j]))
-                    fronts.append(front)
-                    break
-            else:
-                todo.pop()
-                fronts.pop()
+        lasts = [[part(lo, top) + last(*xs[j]) for j, top in hs] for (lo, _), hs in zip(xs, heads)]
+        _extend(rows, parts, lasts, self.dimension - 2, empty, -1)
         return rows
+
+
+def _extend(rows: list, parts: list, lasts: list, i: int, front, b: int) -> None:
+    """Extend rows by front + each row of the chains that go on from box
+    b with i more boxes and a last (box, head) pair, in row order.  A
+    module-level function holds no reference to itself, so the rows are
+    freed with the last reference to them; the depth is the product's
+    n, which ``BOX_CEILING`` bounds."""
+    if i:
+        for j, s in parts[b]:
+            _extend(rows, parts, lasts, i - 1, front + s, j)
+    else:
+        rows.extend(map(front.__add__, lasts[b]))
 
 
 def mahavier_cover(m: SetValuedMap, n: int, stage: int, level: int) -> BoxCover:
@@ -385,7 +382,7 @@ def mahavier_cover(m: SetValuedMap, n: int, stage: int, level: int) -> BoxCover:
     if n < 1:
         raise ValueError("need at least two coordinates")
     cover = m.graph_cover(stage, level)
-    d, tops = cover.int_heights
+    d, tops = cover.d, cover.tops
     ends = [e * (d // cover.q) for e in cover.ends]
     xs = (*zip(ends, ends[1:]), (0, d))
     h = [tops[k] for k in cover.ranks]

@@ -106,7 +106,7 @@ def box_tops_over(cover, index) -> list[F]:
     tops = [None] * len(index)
     for a, b, k in zip(cover.ends, cover.ends[1:], cover.ranks):
         if (a, b) in index:
-            tops[index[a, b]] = cover.heights[k]
+            tops[index[a, b]] = F(cover.tops[k], cover.d)
     return tops
 
 
@@ -360,14 +360,14 @@ class TestGraphCover:
         # every box corner, every shared box end, the box midpoints, and
         # y-values on, between and above the box heights; at levels 3
         # and 4 in tent mode the height denominators do not divide q, so
-        # the int view of the heights is over a larger denominator
+        # the tops are over a larger denominator
         maps = [(zero_map, 2), (tent_map, 2),
                 (make_map("tent", built(3, 56)), 3), (make_map("tent", built(4, 24)), 4)]
         for m, level in maps:
             for d in range(6):
                 cov = m.graph_cover(d, level)
                 if m.mode == "tent":
-                    assert cov.int_heights[0] > cov.q, (level, d)
+                    assert cov.d > cov.q, (level, d)
                 ts = sorted({x for xb, _ in cov.boxes
                              for x in (xb.lo, xb.hi, (xb.lo + xb.hi) / 2)})
                 ys = sorted({y for _, yb in cov.boxes for y in (yb.lo, yb.hi)})

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import tracemalloc
 from fractions import Fraction as F
@@ -71,6 +72,8 @@ class TestThreads:
         assert ZERO_THREAD.is_zero
         assert ZERO_THREAD.coordinate(17) == 0
         with pytest.raises(ValueError):
+            ZERO_THREAD.coordinate(-1)
+        with pytest.raises(ValueError):
             tail_index(zero_map, ZERO_THREAD)
 
     def test_json_round_trip(self, zero_map):
@@ -105,6 +108,21 @@ class TestArcs:
         sysm = ArcSystem(tent_map, th, 8)
         n0 = tail_index(tent_map, th) - 1
         assert sysm.arc_point(n0, th.coordinate(n0), 10) == th.coordinates(10)
+
+    def test_negative_index_refused(self, tent_map):
+        # prefix[-1] would read the last prefix coordinate, and on a pure
+        # tail it would raise IndexError
+        pure = make_thread(tent_map, None, make_cycle(tent_map, 2), 0)
+        prefixed = make_thread(tent_map, F(1, 16), make_cycle(tent_map, 2), 3)
+        for th in (pure, prefixed):
+            with pytest.raises(ValueError):
+                th.coordinate(-1)
+        for th, first in ((pure, 0), (prefixed, 2)):
+            sysm = ArcSystem(tent_map, th, 6)
+            assert sysm.first_arc == first
+            assert arc_points(sysm, first, [F(0)], (0, 1))
+            with pytest.raises(ValueError):
+                arc_points(sysm, first - 1, [F(0)], (0, 1))
 
     def test_param_range_enforced(self, zero_map):
         th = make_thread(zero_map, None, make_cycle(zero_map, 2), 0)
@@ -175,7 +193,32 @@ class TestMahavier:
 
     def test_last_projection_full(self, zero_map):
         cov = mahavier_cover(zero_map, 2, 3, 2)
-        assert cov.project(2) == IntervalSet.of((0, 1))
+        assert IntervalSet(box[2] for box in cov.boxes) == IntervalSet.of((0, 1))
+
+    def test_walk_leaves_no_reference_cycle(self, zero_map, tent_map):
+        # a walk recursing through a nested function's own name would keep
+        # its rows, parts and lasts alive in a cycle until a collection
+        covers = [mahavier_cover(m, n, 2, 1) for m in (zero_map, tent_map) for n in (2, 3)]
+        gc.collect()
+        gc.disable()
+        try:
+            for cov in covers:
+                cov.csv_rows()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("mode", ["zero", "tent"])
+    def test_walk_depth_stays_below_the_ceiling(self, mode):
+        # the walk recurses once per coordinate; stage 0 has the fewest
+        # boxes (7) and 3^(n+1) - 2 chains, so n = 11 is the deepest
+        # product any cover builds
+        m = make_map(mode, built(3, 56))
+        for level in range(4):
+            for n in range(1, 12):
+                assert len(mahavier_cover(m, n, 0, level)) == 3 ** (n + 1) - 2, (level, n)
+            with pytest.raises(BoxCountError):
+                mahavier_cover(m, 12, 0, level)
 
     def test_ceiling(self, zero_map, monkeypatch):
         monkeypatch.setattr(invlimit, "BOX_CEILING", 100)

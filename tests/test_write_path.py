@@ -10,6 +10,7 @@ them.
 
 import json
 from fractions import Fraction as F
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
@@ -80,7 +81,10 @@ def test_rows_match_all_pairs_chains(family, mode, n):
 
 def _graph(q: int, ends, heights, ranks):
     """A stand-in map whose graph cover is the given tiling."""
-    cover = GraphCover(q, tuple(ends), tuple(F(h) for h in heights), tuple(ranks))
+    heights = [F(h) for h in heights]
+    d = lcm(q, *(h.denominator for h in heights))
+    tops = tuple(h.numerator * (d // h.denominator) for h in heights)
+    cover = GraphCover(q, tuple(ends), d, tops, tuple(ranks))
     return SimpleNamespace(graph_cover=lambda stage, level: cover)
 
 
